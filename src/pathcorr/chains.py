@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateDenominator,
@@ -65,6 +66,15 @@ class ChainSpec:
                 f"|r| <= 1/2 is required for a chain of any length, got r={r}"
             )
         object.__setattr__(self, "r", r)
+
+    @cached_property
+    def _solution(self) -> ChainSolution:
+        """The chain's recurrence results, run once on first use.
+
+        Private to :func:`chain_pair_corr`: the maps are mutable, so
+        callers of :func:`chain_sums` get a fresh solution instead.
+        """
+        return chain_sums(self)
 
 
 @dataclass(frozen=True)
@@ -118,14 +128,15 @@ def chain_pair_corr(spec: ChainSpec, i: int, j: int) -> float:
         rho_ij = c_(j-i+1) / sqrt((1 - l_(j-i+1) - l_(i+1))
                                   (1 - l_(j-i+1) - l_(d-j+2)))
 
-    Nodes are 1-based and i < j is required.
+    Nodes are 1-based and i < j is required.  The recurrences run once
+    per spec object; later pairs on the same spec read their results.
     """
     i, j = int(i), int(j)
     if not (1 <= i < j <= spec.d):
         raise IndexOutOfRange(
             f"need 1 <= i < j <= d={spec.d}, got i={i}, j={j}"
         )
-    sol = chain_sums(spec)
+    sol = spec._solution
     span = j - i + 1
     tail = spec.d - j + 2
     den_i = 1.0 - sol.l[span] - sol.l[i + 1]

@@ -19,13 +19,17 @@ package is tested against it.
 
 All types are frozen dataclasses holding read-only arrays; every
 operation is a pure function, so values can be shared freely across
-threads.
+threads.  A graph keeps its oracle result, filled on first use: the
+fill is idempotent, so a race between threads at worst computes the
+same read-only value twice.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -77,6 +81,8 @@ def _as_square(raw) -> np.ndarray:
     m = np.asarray(raw, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise EntryOutOfRange("matrix entries must be finite")
     return m
 
 
@@ -114,6 +120,10 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 def _coerce_labels(labels, dim: int):
     if labels is None:
         return None
+    if isinstance(labels, str):
+        raise IndexOutOfRange(
+            f"labels must be a sequence of names, not the string {labels!r}"
+        )
     labels = tuple(str(x) for x in labels)
     if len(labels) != dim:
         raise IndexOutOfRange(
@@ -246,7 +256,10 @@ class PartialCorrelationGraph:
         _check_pd(np.eye(m.shape[0]) - m, TOL_PD, "(1 - R)")
         object.__setattr__(self, "weights", _freeze(m))
         if self.scale is not None:
-            s = np.asarray(self.scale, dtype=float).reshape(-1)
+            try:
+                s = np.asarray(self.scale, dtype=float).reshape(-1)
+            except (TypeError, ValueError) as exc:
+                raise ParamOutOfBound(f"scale entries must be numbers: {exc}") from exc
             if s.shape[0] != m.shape[0]:
                 raise IndexOutOfRange(
                     f"scale vector has length {s.shape[0]}, expected {m.shape[0]}"
@@ -270,6 +283,25 @@ class PartialCorrelationGraph:
             return self.node_labels.index(str(label))
         except ValueError:
             raise IndexOutOfRange(f"unknown node label {label!r}") from None
+
+    @cached_property
+    def _inverse(self) -> _Inverse:
+        """The oracle's factorisation results, computed on first use."""
+        return _invert(self)
+
+
+class _Inverse(NamedTuple):
+    """What one inversion of (1 - R) yields, kept on its graph.
+
+    ``marginal`` is the oracle matrix P, ``cov_diag`` the read-only
+    diagonal of C = (1 - R)^-1 (so C = D^1/2 P D^1/2, D = diag(C)) and
+    ``cond`` the condition number of (1 - R), None when its eigenvalues
+    leave it undefined.
+    """
+
+    marginal: MarginalCorrelationMatrix
+    cov_diag: np.ndarray
+    cond: float | None
 
 
 @dataclass(frozen=True)
@@ -386,6 +418,23 @@ def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
     return PrecisionMatrix(omega, labels=g.labels)
 
 
+def _invert(g: PartialCorrelationGraph) -> _Inverse:
+    m = np.eye(g.dim) - g.weights
+    w = np.linalg.eigvalsh(m)
+    cond = float(w[-1]) / float(w[0]) if float(w[0]) > 0.0 else None
+    try:
+        cf = scipy.linalg.cho_factor(m, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"(1 - R) is singular: {exc}") from exc
+    minv = scipy.linalg.cho_solve(cf, np.eye(g.dim))
+    c = np.diag(minv)
+    s = np.sqrt(c)
+    p = minv / np.outer(s, s)
+    p = (p + p.T) / 2.0
+    np.fill_diagonal(p, 1.0)
+    return _Inverse(MarginalCorrelationMatrix(p, labels=g.labels), _freeze(c), cond)
+
+
 def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:
     """Exact marginal correlations by inversion of (1 - R).
 
@@ -394,31 +443,21 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
         rho_ij = [(1-R)^-1]_ij / sqrt([(1-R)^-1]_ii [(1-R)^-1]_jj).
 
     The inverse is taken through a Cholesky solve of (1 - R); the
-    node scales drop out, so unscaled graphs are fine.  When the
-    condition number of (1 - R) exceeds ``COND_WARN`` an
-    :class:`IllConditionedWarning` reports it alongside the result.
+    node scales drop out, so unscaled graphs are fine.  The result is
+    computed once per graph object and cached on it, so repeated calls
+    return the same read-only matrix.  When the condition number of
+    (1 - R) exceeds ``COND_WARN`` an :class:`IllConditionedWarning`
+    reports it alongside the result, on every call.
     """
-    m = np.eye(g.dim) - g.weights
-    w = np.linalg.eigvalsh(m)
-    if float(w[0]) > 0.0:
-        cond = float(w[-1]) / float(w[0])
-        if cond > COND_WARN:
-            warnings.warn(
-                f"(1 - R) has condition number {cond:.3e}; "
-                "oracle correlations may lose accuracy",
-                IllConditionedWarning,
-                stacklevel=2,
-            )
-    try:
-        cf = scipy.linalg.cho_factor(m, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"(1 - R) is singular: {exc}") from exc
-    minv = scipy.linalg.cho_solve(cf, np.eye(g.dim))
-    s = np.sqrt(np.diag(minv))
-    p = minv / np.outer(s, s)
-    p = (p + p.T) / 2.0
-    np.fill_diagonal(p, 1.0)
-    return MarginalCorrelationMatrix(p, labels=g.labels)
+    inv = g._inverse
+    if inv.cond is not None and inv.cond > COND_WARN:
+        warnings.warn(
+            f"(1 - R) has condition number {inv.cond:.3e}; "
+            "oracle correlations may lose accuracy",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
+    return inv.marginal
 
 
 def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:

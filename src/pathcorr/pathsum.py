@@ -31,6 +31,7 @@ q (1 - R(q))^-1 = (1 - R)^-1 for every admissible q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -189,12 +190,6 @@ class ProfilePoint:
     abs_gap: float
 
 
-def _weights_of(g) -> np.ndarray:
-    if isinstance(g, RescaledGraph):
-        return g.weights
-    return g.weights
-
-
 def _has_self_loops(g) -> bool:
     return isinstance(g, RescaledGraph)
 
@@ -235,7 +230,7 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
     The number of walks grows exponentially with length; use this for
     inspection and cross-checks, and the sum operations for numbers.
     """
-    w = _weights_of(g)
+    w = g.weights
     dim = w.shape[0]
     src = _check_node(query.source, dim, "source")
     tgt = _check_node(query.target, dim, "target")
@@ -337,7 +332,7 @@ def path_sum_truncated(g, i: int, j: int, L: int) -> PathSumResult:
     The length-l term is simply (W^l)_ij, so the cumulative sums are the
     partial Neumann series of (1 - W)^-1 - 1.
     """
-    w = _weights_of(g)
+    w = g.weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
@@ -364,7 +359,7 @@ def star_path_sum_truncated(
     i -> i of weight 1 - q is a closed path of length 1, and interior
     vertices may linger via their own self-loops.
     """
-    w = _weights_of(g)
+    w = g.weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
@@ -388,7 +383,7 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     valid graph 1 - W_K inherits positive definiteness from 1 - W, so
     the closed value exists even when the truncated series diverges.
     """
-    w = _weights_of(g)
+    w = g.weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
@@ -414,7 +409,7 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     caller must hand in a rescaled graph when nu(R) >= 1; on such a
     graph the plain truncation has no limit.
     """
-    w = _weights_of(g)
+    w = g.weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
@@ -436,28 +431,56 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     return num / np.sqrt((1.0 - li) * (1.0 - lj))
 
 
+def _closed_pair_sums(g, i: int, j: int) -> tuple:
+    """Closed star sum s_ij and avoiding loop sums l_i, l_j of one pair.
+
+    With C = (1 - W)^-1 and p = {i, j}, the three sums are the entries
+    of 1 - (C_pp)^-1 (the Schur-complement form of the restricted block
+    inverses).  C_pp = D^1/2 P_pp D^1/2 with D = diag(c_i, c_j) comes
+    from the base graph's cached oracle, divided by q on a rescaled
+    graph since 1 - W = q (1 - R); inverting the 2x2 block gives
+
+        s_ij = rho / (sqrt(c_i c_j) (1 - rho^2)),
+        l_i  = 1 - 1 / (c_i (1 - rho^2)).
+    """
+    base = _base_graph(g)
+    rho = float(partial_to_marginal_oracle(base).entries[i, j])
+    c = base._inverse.cov_diag
+    q = g.q if _has_self_loops(g) else 1.0
+    ci, cj = float(c[i]) / q, float(c[j]) / q
+    one_minus_rho2 = (1.0 - rho) * (1.0 + rho)
+    if one_minus_rho2 <= 0.0:
+        raise DenominatorNonPositive(
+            f"nodes {i} and {j} are perfectly correlated; their loop sums reach 1"
+        )
+    s = rho / (math.sqrt(ci * cj) * one_minus_rho2)
+    li = 1.0 - 1.0 / (ci * one_minus_rho2)
+    lj = 1.0 - 1.0 / (cj * one_minus_rho2)
+    return s, li, lj
+
+
 def marginal_corr_closed(g, i: int, j: int) -> float:
     """Marginal correlation from exact star and loop sums.
 
-    Evaluates the star-path form with every sum replaced by its
-    restricted block inverse limit; agrees with the matrix-inversion
-    oracle to within roundoff.
+    Evaluates the star-path form with every sum replaced by its closed
+    value, read off the 2x2 block of C = (1 - W)^-1 at the pair (see
+    :func:`_closed_pair_sums`).  The block comes from the graph's
+    cached oracle, so after the first call on a graph each pair costs
+    O(1); an ill-conditioned 1 - R raises the oracle's
+    :class:`IllConditionedWarning` here too.
     """
-    w = _weights_of(g)
-    dim = w.shape[0]
+    dim = g.dim
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
     if i == j:
         raise IndexOutOfRange("marginal correlation needs two distinct nodes")
-    num = star_path_sum_closed(g, i, j)
-    li = star_path_sum_closed(g, i, i, avoid=(j,))
-    lj = star_path_sum_closed(g, j, j, avoid=(i,))
+    num, li, lj = _closed_pair_sums(g, i, j)
     den = (1.0 - li) * (1.0 - lj)
     if den <= 0.0:
         raise DenominatorNonPositive(
             f"closed loop sums {li:.6g}, {lj:.6g} leave no positive denominator"
         )
-    return num / np.sqrt(den)
+    return num / math.sqrt(den)
 
 
 def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph:
@@ -481,7 +504,7 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
     much as the single longest truncation.  The gap column compares
     against the matrix-inversion oracle of the (base) graph.
     """
-    w = _weights_of(g)
+    w = g.weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")

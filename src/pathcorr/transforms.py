@@ -250,28 +250,69 @@ def _marginalize_by_paths(g, kept, removed) -> PartialCorrelationGraph:
     return PartialCorrelationGraph(r_new, scale=scale, labels=labels)
 
 
-def _components(adj: np.ndarray, skip: int | None = None) -> list:
-    """Connected components of the nonzero pattern, optionally without one node."""
+def _separator_splits(adj: np.ndarray) -> dict:
+    """Components left behind by each separating node, from one DFS.
+
+    Maps every separating node k of the nonzero pattern ``adj`` to the
+    connected components of the pattern without k: sorted node lists,
+    ordered by their smallest node.  One iterative depth-first search
+    over all components (Tarjan 1972) numbers the nodes in discovery
+    order and tracks low(v), the smallest discovery number reachable
+    from v's subtree through one non-tree edge.  The subtree of a child
+    c of k splits off when low(c) >= disc(k); what is left of k's
+    component forms one more piece.  A search root has no such rest
+    and separates only with two or more children.
+    """
     d = adj.shape[0]
-    seen = np.zeros(d, dtype=bool)
-    if skip is not None:
-        seen[skip] = True
-    comps = []
-    for start in range(d):
-        if seen[start]:
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
+    disc = [-1] * d
+    low = [0] * d
+    size = [1] * d
+    tree_of = [0] * d
+    order = []
+    trees = []
+    cuts: dict = {}
+    for root in range(d):
+        if disc[root] >= 0:
             continue
-        stack = [start]
-        seen[start] = True
-        comp = []
+        start = len(order)
+        disc[root] = low[root] = start
+        order.append(root)
+        stack = [(root, -1, iter(nbrs[root]))]
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in np.nonzero(adj[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        comps.append(sorted(comp))
-    return comps
+            v, parent, it = stack[-1]
+            for u in it:
+                if disc[u] < 0:
+                    disc[u] = low[u] = len(order)
+                    order.append(u)
+                    stack.append((u, v, iter(nbrs[u])))
+                    break
+                if u != parent:
+                    low[v] = min(low[v], disc[u])
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    size[parent] += size[v]
+                    if low[v] >= disc[parent]:
+                        cuts.setdefault(parent, []).append(v)
+        if len(cuts.get(root, ())) < 2:
+            cuts.pop(root, None)
+        for v in order[start:]:
+            tree_of[v] = len(trees)
+        trees.append(sorted(order[start:]))
+    splits = {}
+    for k, children in cuts.items():
+        t = tree_of[k]
+        pieces = [sorted(order[disc[c] : disc[c] + size[c]]) for c in children]
+        cut = {v for piece in pieces for v in piece}
+        cut.add(k)
+        rest = [v for v in trees[t] if v not in cut]
+        if rest:
+            pieces.append(rest)
+        others = trees[:t] + trees[t + 1 :]
+        splits[k] = sorted(others + pieces, key=lambda comp: comp[0])
+    return splits
 
 
 def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
@@ -303,8 +344,10 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
     """All nodes whose removal disconnects part of the network.
 
     A node is reported when removing it increases the number of
-    connected components of the coupling pattern.  Each report carries
-    the induced two-way split and the factorisation residual over every
+    connected components of the coupling pattern.  One depth-first
+    search over the whole pattern finds these nodes (the articulation
+    points) and the pieces each one leaves.  Each report carries the
+    induced two-way split and the factorisation residual over every
     pair the node separates; for an exactly separating node the
     residual vanishes up to roundoff (compare against
     :data:`TOL_FACT`), and conversely a node that leaves the pattern
@@ -312,14 +355,11 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
     and the numerical criterion single out the same nodes.
     Disconnected inputs are handled per component.
     """
-    adj = g.weights != 0.0
-    base = len(_components(adj))
+    splits = _separator_splits(g.weights != 0.0)
     p = partial_to_marginal_oracle(g).entries
     reports = []
-    for k in range(g.dim):
-        comps = _components(adj, skip=k)
-        if len(comps) <= base:
-            continue
+    for k in sorted(splits):
+        comps = splits[k]
         # Residual over every pair split by k.
         residual = 0.0
         for ci in range(len(comps)):

@@ -1,5 +1,6 @@
 """Homogeneous chain recurrences against matrix oracles and closed forms."""
 
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,27 @@ class TestPairCorrelation:
         for i, j in ((0, 2), (3, 3), (4, 2), (1, 6)):
             with pytest.raises(IndexOutOfRange):
                 chain_pair_corr(spec, i, j)
+
+    def test_shared_spec_matches_fresh_specs(self):
+        spec = ChainSpec(d=30, r=0.45)
+        pairs = list(itertools.combinations(range(1, 31), 2))
+        shared = [chain_pair_corr(spec, i, j) for i, j in pairs]
+        fresh = [chain_pair_corr(ChainSpec(d=30, r=0.45), i, j) for i, j in pairs]
+        assert shared == fresh
+
+    def test_one_recurrence_per_spec(self, monkeypatch):
+        calls = []
+        original = chains.chain_sums
+
+        def counted(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(chains, "chain_sums", counted)
+        spec = ChainSpec(d=12, r=0.3)
+        for i, j in itertools.combinations(range(1, 13), 2):
+            chain_pair_corr(spec, i, j)
+        assert len(calls) == 1
 
     def test_degenerate_denominator_guard(self, monkeypatch):
         # Unreachable for a valid chain (the loop sums stay below 1/2),

@@ -577,6 +577,31 @@ class TestExitStatus:
         assert code == 1
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("data", [[0.0, float("nan")], [float("nan"), 0.0]]),
+            ("data", [[0.0, float("inf")], [float("inf"), 0.0]]),
+            ("scale", ["x", 1.0]),
+            ("labels", "ab"),
+        ],
+    )
+    def test_malformed_graph_file_is_one(self, run, tmp_path, field, value):
+        doc = {
+            "kind": "partial",
+            "dim": 2,
+            "labels": ["a", "b"],
+            "data": [[0.0, 0.3], [0.3, 0.0]],
+        }
+        doc[field] = value
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "m.json"
+        code, _, stderr = run("convert", "--in", str(src), "--to", "marginal", "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:")
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
     def test_domain_error_is_one(self, run, tmp_path):
         src = tmp_path / "g.json"
         fileio.save_matrix(chain_graph(3, 0.3), src)

@@ -150,6 +150,25 @@ class TestValidation:
         with pytest.raises(IndexOutOfRange):
             PartialCorrelationGraph(chain_weights(2, 0.3), labels=("a",))
 
+    @pytest.mark.parametrize(
+        "cls",
+        [CovarianceMatrix, PrecisionMatrix, MarginalCorrelationMatrix, PartialCorrelationGraph],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, cls, bad):
+        m = np.eye(2) if cls is not PartialCorrelationGraph else chain_weights(2, 0.3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(EntryOutOfRange):
+            cls(m)
+
+    def test_scale_must_be_numeric(self):
+        with pytest.raises(ParamOutOfBound):
+            PartialCorrelationGraph(chain_weights(2, 0.3), scale=["x", 1.0])
+
+    def test_labels_given_as_one_string_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            PartialCorrelationGraph(chain_weights(2, 0.3), labels="ab")
+
     def test_label_index(self):
         g = PartialCorrelationGraph(chain_weights(3, 0.3), labels=("u", "v", "w"))
         assert g.label_index("w") == 2
@@ -305,6 +324,32 @@ class TestSpectralReport:
             assert rep.nu_R_plus >= rep.nu_R
 
 
+class TestOracleCache:
+    def test_repeated_calls_share_one_read_only_result(self):
+        g = scaled_random_graph(31, 6, 0.8)
+        first = partial_to_marginal_oracle(g)
+        second = partial_to_marginal_oracle(g)
+        assert second is first
+        assert np.array_equal(second.entries, first.entries)
+        assert not first.entries.flags.writeable
+        with pytest.raises(ValueError):
+            first.entries[0, 1] = 0.0
+
+    def test_fresh_graph_recomputes_the_same_values(self):
+        w = scaled_random_graph(32, 6, 0.8).weights
+        a = partial_to_marginal_oracle(validate_partial_graph(w))
+        b = partial_to_marginal_oracle(validate_partial_graph(w))
+        assert a is not b
+        assert np.array_equal(a.entries, b.entries)
+
+    def test_cache_attribute_is_read_only(self):
+        g = scaled_random_graph(33, 4, 0.8)
+        partial_to_marginal_oracle(g)
+        with pytest.raises(AttributeError):
+            g._inverse = None
+        assert not g._inverse.cov_diag.flags.writeable
+
+
 class TestConditioning:
     def test_warning_on_near_singular(self):
         g = validate_partial_graph(
@@ -312,6 +357,14 @@ class TestConditioning:
         )
         with pytest.warns(IllConditionedWarning):
             partial_to_marginal_oracle(g)
+
+    def test_warning_on_every_call(self):
+        g = validate_partial_graph(
+            np.array([[0.0, 1.0 - 1e-9], [1.0 - 1e-9, 0.0]])
+        )
+        for _ in range(2):
+            with pytest.warns(IllConditionedWarning):
+                partial_to_marginal_oracle(g)
 
     def test_no_warning_when_well_conditioned(self):
         g = validate_partial_graph(chain_weights(4, 0.3))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pathcorr import (
     DenominatorNonPositive,
+    IllConditionedWarning,
     IndexOutOfRange,
     ParamOutOfBound,
     PathQuery,
@@ -30,6 +31,7 @@ from pathcorr import (
     partial_to_marginal_oracle,
     path_sum_truncated,
     rescale,
+    spectral_report,
     star_path_sum_closed,
     star_path_sum_truncated,
     validate_partial_graph,
@@ -269,6 +271,70 @@ class TestClosedSums:
         monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
         with pytest.raises(SingularRestrictedBlock):
             star_path_sum_closed(g, 0, 1)
+
+
+def regime_graphs():
+    """Graphs of each summation regime, keyed by the regime's name."""
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((16, 8))
+    omega = np.linalg.inv(x.T @ x / 16)
+    lam = np.sqrt(np.diag(omega))
+    sample = -omega / np.outer(lam, lam)
+    np.fill_diagonal(sample, 0.0)
+    graphs = {
+        "absolute": [
+            validate_partial_graph(0.5 * np.abs(scaled_random_graph(1000 + s, 7, 0.6).weights))
+            for s in range(3)
+        ],
+        "conditional": [scaled_random_graph(1000 + s, 7, 0.9) for s in range(3)],
+        "rescale-required": [complete_graph(4, -0.45), validate_partial_graph(sample)],
+    }
+    for regime, gs in graphs.items():
+        assert all(spectral_report(g).regime == regime for g in gs)
+    return graphs
+
+
+class TestClosedPairKernel:
+    """The 2x2-block kernel against the per-pair restricted block inverses."""
+
+    @pytest.mark.parametrize("regime", ["absolute", "conditional", "rescale-required"])
+    def test_matches_restricted_blocks(self, regime):
+        for base in regime_graphs()[regime]:
+            for g in (base, rescale(base), rescale(base, 0.5)):
+                for i, j in itertools.permutations(range(g.dim), 2):
+                    s, li, lj = pathsum._closed_pair_sums(g, i, j)
+                    assert s == pytest.approx(star_path_sum_closed(g, i, j), abs=1e-12)
+                    assert li == pytest.approx(
+                        star_path_sum_closed(g, i, i, avoid=(j,)), abs=1e-12
+                    )
+                    assert lj == pytest.approx(
+                        star_path_sum_closed(g, j, j, avoid=(i,)), abs=1e-12
+                    )
+
+    def test_near_singular_pair_stays_finite(self):
+        # 1 - R has eigenvalues 1e-9 and 2: cond = 2e9, so the inverse
+        # carries relative errors up to cond * eps ~ 4e-7.
+        r = 1.0 - 1e-9
+        g = validate_partial_graph(np.array([[0.0, r], [r, 0.0]]))
+        with pytest.warns(IllConditionedWarning):
+            s, li, lj = pathsum._closed_pair_sums(g, 0, 1)
+        with pytest.warns(IllConditionedWarning):
+            rho = marginal_corr_closed(g, 0, 1)
+        assert all(math.isfinite(v) for v in (s, li, lj, rho))
+        # Without interior nodes the sums are the bare coupling and 0.
+        assert s == pytest.approx(star_path_sum_closed(g, 0, 1), abs=1e-6)
+        assert li == pytest.approx(0.0, abs=1e-6)
+        assert lj == pytest.approx(0.0, abs=1e-6)
+        assert rho == pytest.approx(r, abs=1e-12)
+
+    def test_rescaled_and_base_give_the_same_pairs(self):
+        for gs in regime_graphs().values():
+            for g in gs:
+                rg = rescale(g)
+                for i, j in itertools.combinations(range(g.dim), 2):
+                    assert marginal_corr_closed(rg, i, j) == pytest.approx(
+                        marginal_corr_closed(g, i, j), abs=1e-15
+                    )
 
 
 class TestMarginalCorrelation:

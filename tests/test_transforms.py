@@ -17,6 +17,7 @@ from pathcorr import (
     NodePartition,
     PartialCorrelationGraph,
     PrecisionMatrix,
+    SeparatorReport,
     SingularBlock,
     detect_separating_nodes,
     factorisation_residual,
@@ -201,7 +202,153 @@ class TestMarginalize:
         assert marginalize_nodes(g, {1}).node_labels == ("a", "c", "d")
 
 
+def reference_components(adj, skip=None):
+    """Connected components of the nonzero pattern, optionally without one node."""
+    d = adj.shape[0]
+    seen = np.zeros(d, dtype=bool)
+    if skip is not None:
+        seen[skip] = True
+    comps = []
+    for start in range(d):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in np.nonzero(adj[v])[0]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(int(u))
+        comps.append(sorted(comp))
+    return comps
+
+
+def reference_separators(g):
+    """Separator reports by one component search per removed node."""
+    adj = g.weights != 0.0
+    base = len(reference_components(adj))
+    p = partial_to_marginal_oracle(g).entries
+    reports = []
+    for k in range(g.dim):
+        comps = reference_components(adj, skip=k)
+        if len(comps) <= base:
+            continue
+        residual = 0.0
+        for ci in range(len(comps)):
+            for cj in range(ci + 1, len(comps)):
+                I = comps[ci]
+                J = comps[cj]
+                sub = p[np.ix_(I, J)]
+                outer = np.outer(p[I, k], p[k, J])
+                residual = max(residual, float(np.max(np.abs(sub - outer))))
+        first = comps[0]
+        rest = sorted(v for comp in comps[1:] for v in comp)
+        reports.append(
+            SeparatorReport(
+                node=k,
+                components=(frozenset(first), frozenset(rest)),
+                factorisation_residual=residual,
+            )
+        )
+    return tuple(reports)
+
+
+def sparse_pattern(rng, d, shape):
+    """Symmetric 0/1 pattern of one of several sparse shapes on d nodes."""
+    a = np.zeros((d, d))
+
+    def link(u, v):
+        if u != v:
+            a[u, v] = a[v, u] = 1.0
+
+    if shape == "random":
+        # Mean degree about 1.5: usually disconnected, often with isolated nodes.
+        a = np.triu(rng.random((d, d)) < 1.5 / max(d - 1, 1), 1).astype(float)
+        a = a + a.T
+    elif shape == "tree":
+        for v in range(1, d):
+            link(v, int(rng.integers(v)))
+    elif shape == "cycles":
+        # Two cycles sharing one node.
+        cut = int(rng.integers(1, d)) if d > 1 else 0
+        for block in (range(cut), range(cut - 1, d)):
+            block = list(block)
+            for u, v in zip(block, block[1:] + block[:1]):
+                link(u, v)
+    elif shape == "bridged":
+        # Two dense blocks joined by a bridge, then isolated nodes.
+        n = (2 * d) // 3
+        half = n // 2
+        for lo, hi in ((0, half), (half, n)):
+            for u, v in itertools.combinations(range(lo, hi), 2):
+                if rng.random() < 0.6:
+                    link(u, v)
+        if 0 < half < n:
+            link(int(rng.integers(half)), int(rng.integers(half, n)))
+    elif shape == "forest":
+        for v in range(1, d):
+            if rng.random() < 0.7:
+                link(v, int(rng.integers(v)))
+    perm = rng.permutation(d)
+    return a[np.ix_(perm, perm)]
+
+
+def has_inner_bridge(adj):
+    """Whether some edge between two non-leaf nodes is a bridge."""
+    base = len(reference_components(adj))
+    degree = adj.sum(axis=1)
+    for u, v in zip(*np.nonzero(np.triu(adj, 1))):
+        if degree[u] > 1 and degree[v] > 1:
+            cut = adj.copy()
+            cut[u, v] = cut[v, u] = False
+            if len(reference_components(cut)) > base:
+                return True
+    return False
+
+
+SPARSE_SHAPES = ("random", "tree", "cycles", "bridged", "forest")
+
+
+def sparse_graph(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 26))
+    shape = SPARSE_SHAPES[seed % len(SPARSE_SHAPES)]
+    pattern = sparse_pattern(rng, d, shape)
+    w = np.triu(pattern * rng.uniform(0.2, 1.0, (d, d)) * rng.choice([-1.0, 1.0], (d, d)), 1)
+    w = w + w.T
+    nu = float(np.max(np.abs(np.linalg.eigvalsh(w))))
+    if nu > 0.0:
+        w *= 0.7 / nu
+    return validate_partial_graph(w)
+
+
 class TestSeparators:
+    def test_one_search_matches_per_node_reference(self):
+        seen = {"disconnected": 0, "isolated": 0, "tree": 0, "cycle": 0, "bridge": 0}
+        for seed in range(300):
+            g = sparse_graph(seed)
+            assert detect_separating_nodes(g) == reference_separators(g), seed
+            adj = g.weights != 0.0
+            comps = reference_components(adj)
+            edges = int(np.sum(adj)) // 2
+            seen["disconnected"] += len(comps) > 1
+            seen["isolated"] += g.dim > 1 and bool(np.any(~adj.any(axis=1)))
+            seen["tree"] += len(comps) == 1 and g.dim > 2 and edges == g.dim - 1
+            seen["cycle"] += edges > g.dim - len(comps)
+            seen["bridge"] += has_inner_bridge(adj)
+        assert all(count >= 10 for count in seen.values()), seen
+
+    def test_long_chain_interior(self):
+        reports = detect_separating_nodes(chain_graph(200, 0.4))
+        assert [rep.node for rep in reports] == list(range(1, 199))
+        for rep in reports:
+            k = rep.node
+            assert rep.components == (frozenset(range(k)), frozenset(range(k + 1, 200)))
+            assert rep.factorisation_residual < TOL_FACT
+
     def test_chain_interior_nodes(self):
         g = chain_graph(5, 0.4)
         reports = detect_separating_nodes(g)
