@@ -25,7 +25,6 @@ from .matrices import (
     CovarianceMatrix,
     MarginalCorrelationMatrix,
     PartialCorrelationGraph,
-    PrecisionMatrix,
     cov_to_marginal,
     cov_to_precision,
     partial_to_marginal_oracle,
@@ -67,25 +66,9 @@ def _load_any(path: str, kind: str | None):
     return fileio.load_matrix(path)
 
 
-def _as_graph(obj) -> PartialCorrelationGraph:
-    """Coerce any matrix object to a partial correlation graph."""
-    if isinstance(obj, PartialCorrelationGraph):
-        return obj
-    if isinstance(obj, PrecisionMatrix):
-        return precision_to_partial(obj)
-    if isinstance(obj, CovarianceMatrix):
-        return precision_to_partial(cov_to_precision(obj))
-    if isinstance(obj, MarginalCorrelationMatrix):
-        # A correlation matrix is the covariance of standardised
-        # variables; conversion onward is exact under that reading.
-        cov = CovarianceMatrix(obj.entries, labels=obj.labels)
-        return precision_to_partial(cov_to_precision(cov))
-    raise TypeError(f"cannot interpret {type(obj).__name__} as a graph")
-
-
 def _load_graph(args) -> PartialCorrelationGraph:
     obj, _ = _load_any(args.infile, getattr(args, "kind", None))
-    return _as_graph(obj)
+    return _convert(obj, "partial")
 
 
 def _target_graph(g: PartialCorrelationGraph, q: float | None):
@@ -97,6 +80,8 @@ def _convert(obj, to: str):
     if kind == to:
         return obj
     if isinstance(obj, MarginalCorrelationMatrix):
+        # A correlation matrix is the covariance of standardised
+        # variables; conversion onward is exact under that reading.
         obj = CovarianceMatrix(obj.entries, labels=obj.labels)
         kind = "covariance"
     if kind == "partial":
@@ -125,8 +110,7 @@ def _cmd_convert(args) -> int:
     obj, provenance = _load_any(args.infile, args.kind)
     out = _convert(obj, args.to)
     fileio.save_matrix(out, args.out, provenance=provenance)
-    dim = out.weights.shape[0] if hasattr(out, "weights") else out.entries.shape[0]
-    print(f"wrote {args.to} matrix ({dim} nodes) to {args.out}")
+    print(f"wrote {args.to} matrix ({out.dim} nodes) to {args.out}")
     return 0
 
 

@@ -19,9 +19,10 @@ package is tested against it.
 
 All types are frozen dataclasses holding read-only arrays; every
 operation is a pure function, so values can be shared freely across
-threads.  A graph keeps its oracle result, filled on first use: the
-fill is idempotent, so a race between threads at worst computes the
-same read-only value twice.
+threads.  A graph keeps its oracle result and its spectral radius,
+each filled on first use: the fill is idempotent, so a race between
+threads at worst computes the same read-only value twice.  Results of
+exact conversions are not validated again.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _as_square(raw) -> np.ndarray:
     return m
 
 
-def _symmetrize(m: np.ndarray, tol_sym: float, what: str) -> np.ndarray:
-    """Average m with its transpose; reject asymmetry beyond tol_sym.
+def _symmetrize(m: np.ndarray, what: str) -> np.ndarray:
+    """Average m with its transpose; reject asymmetry beyond TOL_SYM.
 
     The tolerance is relative to the largest entry magnitude (absolute
     for the zero matrix).
@@ -95,20 +96,25 @@ def _symmetrize(m: np.ndarray, tol_sym: float, what: str) -> np.ndarray:
     asym = float(np.max(np.abs(m - m.T)))
     scale = float(np.max(np.abs(m)))
     rel = asym / scale if scale > 0.0 else asym
-    if rel > tol_sym:
+    if rel > TOL_SYM:
         raise NotSymmetric(
-            f"{what} asymmetric: relative asymmetry {rel:.3e} exceeds {tol_sym:.3e}"
+            f"{what} asymmetric: relative asymmetry {rel:.3e} exceeds {TOL_SYM:.3e}"
         )
     return (m + m.T) / 2.0
 
 
-def _check_pd(m: np.ndarray, tol_pd: float, what: str) -> None:
+def _check_pd(m: np.ndarray, what: str) -> tuple:
+    """Reject m unless its eigenvalues exceed TOL_PD times the largest.
+
+    Returns the smallest and the largest eigenvalue.
+    """
     w = np.linalg.eigvalsh(m)
     lo, hi = float(w[0]), float(w[-1])
-    if hi <= 0.0 or lo <= tol_pd * hi:
+    if hi <= 0.0 or lo <= TOL_PD * hi:
         raise NotPositiveDefinite(
             f"{what} not positive definite: eigenvalue range [{lo:.6e}, {hi:.6e}]"
         )
+    return lo, hi
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -143,8 +149,8 @@ def default_labels(dim: int) -> tuple:
 class CovarianceMatrix:
     """Symmetric positive-definite covariance matrix.
 
-    Construct through :func:`validate_covariance`; direct construction
-    re-runs the same checks.
+    Construct directly or through :func:`validate_covariance`; either
+    way the checks run once.
     """
 
     entries: np.ndarray
@@ -152,8 +158,8 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         m = _as_square(self.entries)
-        m = _symmetrize(m, TOL_SYM, "covariance matrix")
-        _check_pd(m, TOL_PD, "covariance matrix")
+        m = _symmetrize(m, "covariance matrix")
+        _check_pd(m, "covariance matrix")
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "labels", _coerce_labels(self.labels, m.shape[0]))
 
@@ -171,8 +177,8 @@ class PrecisionMatrix:
 
     def __post_init__(self):
         m = _as_square(self.entries)
-        m = _symmetrize(m, TOL_SYM, "precision matrix")
-        _check_pd(m, TOL_PD, "precision matrix")
+        m = _symmetrize(m, "precision matrix")
+        _check_pd(m, "precision matrix")
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "labels", _coerce_labels(self.labels, m.shape[0]))
 
@@ -190,7 +196,7 @@ class MarginalCorrelationMatrix:
 
     def __post_init__(self):
         m = _as_square(self.entries)
-        m = _symmetrize(m, TOL_SYM, "correlation matrix")
+        m = _symmetrize(m, "correlation matrix")
         d = np.diag(m)
         if np.max(np.abs(d - 1.0)) > TOL_SYM:
             raise EntryOutOfRange("correlation matrix diagonal must be 1")
@@ -243,7 +249,7 @@ class PartialCorrelationGraph:
 
     def __post_init__(self):
         m = _as_square(self.weights)
-        m = _symmetrize(m, TOL_SYM, "partial correlation matrix")
+        m = _symmetrize(m, "partial correlation matrix")
         d = np.diag(m)
         if np.max(np.abs(d)) > TOL_SYM:
             raise EntryOutOfRange("partial correlation diagonal must be 0")
@@ -253,8 +259,10 @@ class PartialCorrelationGraph:
             raise EntryOutOfRange(
                 "partial correlation magnitudes must be below 1"
             )
-        _check_pd(np.eye(m.shape[0]) - m, TOL_PD, "(1 - R)")
+        lo, hi = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
         object.__setattr__(self, "weights", _freeze(m))
+        # cond(1 - R) from the same eigenvalues, kept for the oracle.
+        object.__setattr__(self, "_cond", hi / lo)
         if self.scale is not None:
             try:
                 s = np.asarray(self.scale, dtype=float).reshape(-1)
@@ -289,19 +297,35 @@ class PartialCorrelationGraph:
         """The oracle's factorisation results, computed on first use."""
         return _invert(self)
 
+    @cached_property
+    def _nu(self) -> float:
+        """Spectral radius nu(R), computed on first use."""
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.weights))))
+
 
 class _Inverse(NamedTuple):
     """What one inversion of (1 - R) yields, kept on its graph.
 
-    ``marginal`` is the oracle matrix P, ``cov_diag`` the read-only
-    diagonal of C = (1 - R)^-1 (so C = D^1/2 P D^1/2, D = diag(C)) and
-    ``cond`` the condition number of (1 - R), None when its eigenvalues
-    leave it undefined.
+    ``marginal`` is the oracle matrix P and ``cov_diag`` the read-only
+    diagonal of C = (1 - R)^-1 (so C = D^1/2 P D^1/2, D = diag(C)).
     """
 
     marginal: MarginalCorrelationMatrix
     cov_diag: np.ndarray
-    cond: float | None
+
+
+def _derived(cls, m: np.ndarray, labels):
+    """A ``cls`` holding the result of an exact conversion, unchecked.
+
+    Only for entries computed from an already validated matrix, exactly
+    symmetric and with the diagonal set: the constructor's averaging
+    and eigenvalue check would change no bit of them.  Finiteness is
+    still checked, since an inverse can overflow.
+    """
+    out = object.__new__(cls)
+    object.__setattr__(out, "entries", _freeze(_as_square(m)))
+    object.__setattr__(out, "labels", labels)
+    return out
 
 
 @dataclass(frozen=True)
@@ -323,26 +347,20 @@ class SpectralReport:
     regime: str
 
 
-def validate_covariance(raw, tol_sym: float = TOL_SYM, tol_pd: float = TOL_PD) -> CovarianceMatrix:
+def validate_covariance(raw) -> CovarianceMatrix:
     """Validate a raw square array as a covariance matrix.
 
-    Asymmetry up to ``tol_sym`` (relative to the largest entry) is
+    Asymmetry up to :data:`TOL_SYM` (relative to the largest entry) is
     repaired by averaging with the transpose; anything larger raises
     :class:`NotSymmetric`.  Positive definiteness requires the smallest
-    eigenvalue to exceed ``tol_pd`` times the largest.
+    eigenvalue to exceed :data:`TOL_PD` times the largest.
     """
-    m = _as_square(raw)
-    m = _symmetrize(m, tol_sym, "covariance matrix")
-    _check_pd(m, tol_pd, "covariance matrix")
-    return CovarianceMatrix(m)
+    return CovarianceMatrix(np.asarray(raw, dtype=float))
 
 
-def validate_precision(raw, tol_sym: float = TOL_SYM, tol_pd: float = TOL_PD) -> PrecisionMatrix:
+def validate_precision(raw) -> PrecisionMatrix:
     """Validate a raw square array as a precision matrix."""
-    m = _as_square(raw)
-    m = _symmetrize(m, tol_sym, "precision matrix")
-    _check_pd(m, tol_pd, "precision matrix")
-    return PrecisionMatrix(m)
+    return PrecisionMatrix(np.asarray(raw, dtype=float))
 
 
 def validate_marginal(raw, labels=None) -> MarginalCorrelationMatrix:
@@ -363,7 +381,7 @@ def cov_to_marginal(C: CovarianceMatrix) -> MarginalCorrelationMatrix:
     s = np.sqrt(np.diag(c))
     p = c / np.outer(s, s)
     np.fill_diagonal(p, 1.0)
-    return MarginalCorrelationMatrix(p, labels=C.labels)
+    return _derived(MarginalCorrelationMatrix, p, C.labels)
 
 
 def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
@@ -375,7 +393,7 @@ def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
     except scipy.linalg.LinAlgError as exc:
         raise SingularMatrix(f"covariance matrix is singular: {exc}") from exc
     omega = scipy.linalg.cho_solve(cf, np.eye(C.dim))
-    return PrecisionMatrix((omega + omega.T) / 2.0, labels=C.labels)
+    return _derived(PrecisionMatrix, (omega + omega.T) / 2.0, C.labels)
 
 
 def precision_to_cov(Omega: PrecisionMatrix) -> CovarianceMatrix:
@@ -387,7 +405,7 @@ def precision_to_cov(Omega: PrecisionMatrix) -> CovarianceMatrix:
     except scipy.linalg.LinAlgError as exc:
         raise SingularMatrix(f"precision matrix is singular: {exc}") from exc
     c = scipy.linalg.cho_solve(cf, np.eye(Omega.dim))
-    return CovarianceMatrix((c + c.T) / 2.0, labels=Omega.labels)
+    return _derived(CovarianceMatrix, (c + c.T) / 2.0, Omega.labels)
 
 
 def precision_to_partial(Omega: PrecisionMatrix) -> PartialCorrelationGraph:
@@ -415,13 +433,11 @@ def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
     lam = g.scale
     m = np.eye(g.dim) - g.weights
     omega = np.outer(lam, lam) * m
-    return PrecisionMatrix(omega, labels=g.labels)
+    return _derived(PrecisionMatrix, omega, g.labels)
 
 
 def _invert(g: PartialCorrelationGraph) -> _Inverse:
     m = np.eye(g.dim) - g.weights
-    w = np.linalg.eigvalsh(m)
-    cond = float(w[-1]) / float(w[0]) if float(w[0]) > 0.0 else None
     try:
         cf = scipy.linalg.cho_factor(m, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -432,7 +448,7 @@ def _invert(g: PartialCorrelationGraph) -> _Inverse:
     p = minv / np.outer(s, s)
     p = (p + p.T) / 2.0
     np.fill_diagonal(p, 1.0)
-    return _Inverse(MarginalCorrelationMatrix(p, labels=g.labels), _freeze(c), cond)
+    return _Inverse(_derived(MarginalCorrelationMatrix, p, g.labels), _freeze(c))
 
 
 def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:
@@ -450,9 +466,9 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
     reports it alongside the result, on every call.
     """
     inv = g._inverse
-    if inv.cond is not None and inv.cond > COND_WARN:
+    if g._cond > COND_WARN:
         warnings.warn(
-            f"(1 - R) has condition number {inv.cond:.3e}; "
+            f"(1 - R) has condition number {g._cond:.3e}; "
             "oracle correlations may lose accuracy",
             IllConditionedWarning,
             stacklevel=2,
@@ -462,10 +478,8 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
 
 def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     """Spectral radii nu(R), nu(|R|) and the summation regime."""
-    r = g.weights
-    nu = float(np.max(np.abs(np.linalg.eigvalsh(r))))
-    r_plus = np.abs(r)
-    nu_plus = float(np.max(np.abs(np.linalg.eigvalsh(r_plus))))
+    nu = g._nu
+    nu_plus = float(np.max(np.abs(np.linalg.eigvalsh(np.abs(g.weights)))))
     # Equal-matrix case aside, tiny eigensolver noise can leave
     # nu_plus a few ulp under nu although nu <= nu_plus holds exactly.
     nu_plus = max(nu_plus, nu)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -157,8 +158,7 @@ class RescaledGraph:
 
     def __post_init__(self):
         q = float(self.q)
-        nu = float(np.max(np.abs(np.linalg.eigvalsh(self.base.weights))))
-        bound = 2.0 / (1.0 + nu)
+        bound = 2.0 / (1.0 + self.base._nu)
         if not (0.0 < q < bound):
             raise QOutOfRange(
                 f"q={q:.6g} outside the admissible interval (0, {bound:.6g})"
@@ -169,11 +169,12 @@ class RescaledGraph:
     def dim(self) -> int:
         return self.base.dim
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Dense effective weights (1 - q) 1 + q R."""
+        """Dense effective weights (1 - q) 1 + q R, read-only, built once."""
         w = self.q * self.base.weights
         w = w + (1.0 - self.q) * np.eye(self.base.dim)
+        w.setflags(write=False)
         return w
 
     @property
@@ -402,12 +403,12 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     return direct + float(w[i, interior] @ tail)
 
 
-def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
-    """Marginal correlation estimate from paths of length at most L.
+def _pair_per_length(g, i: int, j: int, L: int, length_name: str) -> tuple:
+    """Per-length star sum and avoiding loop sums of the pair i != j.
 
-    Numerator and both loop sums are truncated at the same L.  The
-    caller must hand in a rescaled graph when nu(R) >= 1; on such a
-    graph the plain truncation has no limit.
+    Checks the nodes and the length L (named ``length_name`` in the
+    error), then returns the per-length arrays of the ij*-paths and of
+    the closed loops at i and at j, each avoiding the other endpoint.
     """
     w = g.weights
     dim = w.shape[0]
@@ -416,12 +417,24 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     if i == j:
         raise IndexOutOfRange("marginal correlation needs two distinct nodes")
     if L < 1:
-        raise ParamOutOfBound(f"truncation length must be at least 1, got {L}")
+        raise ParamOutOfBound(f"{length_name} must be at least 1, got {L}")
     self_loops = _has_self_loops(g)
     interior = _interior_indices(dim, {i, j}, (), None)
-    num = float(np.sum(_per_length_restricted(w, i, j, L, interior, self_loops)))
-    li = float(np.sum(_per_length_restricted(w, i, i, L, interior, self_loops)))
-    lj = float(np.sum(_per_length_restricted(w, j, j, L, interior, self_loops)))
+    return tuple(
+        _per_length_restricted(w, a, b, L, interior, self_loops)
+        for a, b in ((i, j), (i, i), (j, j))
+    )
+
+
+def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
+    """Marginal correlation estimate from paths of length at most L.
+
+    Numerator and both loop sums are truncated at the same L.  The
+    caller must hand in a rescaled graph when nu(R) >= 1; on such a
+    graph the plain truncation has no limit.
+    """
+    per = _pair_per_length(g, i, j, L, "truncation length")
+    num, li, lj = (float(np.sum(p)) for p in per)
     for name, val in (("i", li), ("j", lj)):
         if val >= 1.0 - DENOM_GUARD:
             raise DenominatorNonPositive(
@@ -492,8 +505,7 @@ def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph
     """
     base = _base_graph(g)
     if q is None:
-        nu = float(np.max(np.abs(np.linalg.eigvalsh(base.weights))))
-        q = Q_DEFAULT_FRACTION * 2.0 / (1.0 + nu)
+        q = Q_DEFAULT_FRACTION * 2.0 / (1.0 + base._nu)
     return RescaledGraph(base=base, q=float(q))
 
 
@@ -504,20 +516,8 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
     much as the single longest truncation.  The gap column compares
     against the matrix-inversion oracle of the (base) graph.
     """
-    w = g.weights
-    dim = w.shape[0]
-    i = _check_node(i, dim, "i")
-    j = _check_node(j, dim, "j")
-    if i == j:
-        raise IndexOutOfRange("marginal correlation needs two distinct nodes")
-    if L_max < 1:
-        raise ParamOutOfBound(f"L_max must be at least 1, got {L_max}")
-    self_loops = _has_self_loops(g)
-    interior = _interior_indices(dim, {i, j}, (), None)
-    num = np.cumsum(_per_length_restricted(w, i, j, L_max, interior, self_loops))
-    li = np.cumsum(_per_length_restricted(w, i, i, L_max, interior, self_loops))
-    lj = np.cumsum(_per_length_restricted(w, j, j, L_max, interior, self_loops))
-    oracle = float(partial_to_marginal_oracle(_base_graph(g)).entries[i, j])
+    num, li, lj = (np.cumsum(p) for p in _pair_per_length(g, i, j, L_max, "L_max"))
+    oracle = float(partial_to_marginal_oracle(_base_graph(g)).entries[int(i), int(j)])
     points = []
     for L in range(1, L_max + 1):
         a, b = float(li[L - 1]), float(lj[L - 1])

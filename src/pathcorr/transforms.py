@@ -315,6 +315,11 @@ def _separator_splits(adj: np.ndarray) -> dict:
     return splits
 
 
+def _residual(p: np.ndarray, k: int, I: list, J: list) -> float:
+    """max |rho_ij - rho_ik rho_kj| over i in I, j in J, from P = p."""
+    return float(np.max(np.abs(p[np.ix_(I, J)] - np.outer(p[I, k], p[k, J]))))
+
+
 def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     """Largest deviation of rho_ij from rho_ik rho_kj across a split.
 
@@ -334,10 +339,7 @@ def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     for v in I + J:
         if not 0 <= v < g.dim:
             raise IndexOutOfRange(f"node {v} outside 0..{g.dim - 1}")
-    p = partial_to_marginal_oracle(g).entries
-    sub = p[np.ix_(I, J)]
-    outer = np.outer(p[I, k], p[k, J])
-    return float(np.max(np.abs(sub - outer)))
+    return _residual(partial_to_marginal_oracle(g).entries, k, I, J)
 
 
 def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
@@ -364,11 +366,7 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
         residual = 0.0
         for ci in range(len(comps)):
             for cj in range(ci + 1, len(comps)):
-                I = comps[ci]
-                J = comps[cj]
-                sub = p[np.ix_(I, J)]
-                outer = np.outer(p[I, k], p[k, J])
-                residual = max(residual, float(np.max(np.abs(sub - outer))))
+                residual = max(residual, _residual(p, k, comps[ci], comps[cj]))
         first = comps[0]
         rest = sorted(v for comp in comps[1:] for v in comp)
         reports.append(

@@ -59,7 +59,11 @@ def record(num: int, ok: bool, detail: str) -> str:
 
 
 def test_criterion_01_closed_sums_match_matrix_oracle():
+    # marginal_corr_closed reads the oracle's own inverse, so the
+    # star-path form is also built from star_path_sum_closed, whose
+    # restricted blocks share no factorisation with the oracle.
     worst = 0.0
+    worst_star = 0.0
     count = 0
     for d, graphs in ((5, 34), (10, 34), (20, 32)):
         for k in range(graphs):
@@ -69,9 +73,19 @@ def test_criterion_01_closed_sums_match_matrix_oracle():
                 for j in range(i + 1, d):
                     gap = abs(marginal_corr_closed(g, i, j) - oracle[i, j])
                     worst = max(worst, gap)
+                    num = star_path_sum_closed(g, i, j)
+                    li = star_path_sum_closed(g, i, i, avoid=(j,))
+                    lj = star_path_sum_closed(g, j, j, avoid=(i,))
+                    star = num / np.sqrt((1.0 - li) * (1.0 - lj))
+                    worst_star = max(worst_star, abs(star - oracle[i, j]))
             count += 1
-    ok = count == 100 and worst < 1e-10
-    detail = record(1, ok, f"{count} graphs, worst closed-vs-oracle gap {worst:.3e}")
+    ok = count == 100 and worst < 1e-10 and worst_star < 1e-10
+    detail = record(
+        1,
+        ok,
+        f"{count} graphs, worst closed-vs-oracle gap {worst:.3e}, "
+        f"star-path form {worst_star:.3e}",
+    )
     assert ok, detail
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pathcorr import (
     CovarianceMatrix,
+    RescaledGraph,
     EntryOutOfRange,
     IllConditionedWarning,
     IndexOutOfRange,
@@ -36,6 +37,7 @@ from pathcorr import (
     partial_to_precision,
     precision_to_cov,
     precision_to_partial,
+    rescale,
     spectral_report,
     validate_covariance,
     validate_partial_graph,
@@ -78,11 +80,12 @@ class TestValidation:
         assert c.entries[0, 1] == c.entries[1, 0]
 
     def test_custom_tol_sym(self):
+        # TOL_SYM is fixed: the validators take no tolerance argument.
         m = np.array([[1.0, 0.2 + 1e-6], [0.2, 1.0]])
         with pytest.raises(NotSymmetric):
             validate_covariance(m)
-        c = validate_covariance(m, tol_sym=1e-5)
-        assert c.entries[0, 1] == pytest.approx(0.2, abs=1e-6)
+        with pytest.raises(TypeError):
+            validate_covariance(m, tol_sym=1e-5)
 
     def test_covariance_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -348,6 +351,60 @@ class TestOracleCache:
         with pytest.raises(AttributeError):
             g._inverse = None
         assert not g._inverse.cov_diag.flags.writeable
+
+
+class TestFactorOnce:
+    @staticmethod
+    def count_eigvalsh(monkeypatch) -> list:
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_one_spectral_pass_per_graph(self, monkeypatch):
+        g = scaled_random_graph(34, 6, 0.8)
+        calls = self.count_eigvalsh(monkeypatch)
+        partial_to_marginal_oracle(g)
+        spectral_report(g)
+        rg = rescale(g)
+        RescaledGraph(g, 0.5 * rg.q)
+        # nu(R) once, nu(|R|) once; cond(1 - R) came with construction.
+        assert len(calls) == 2
+
+    def test_exact_conversions_are_not_checked_again(self, monkeypatch):
+        base = scaled_random_graph(35, 6, 0.8)
+        g = PartialCorrelationGraph(
+            base.weights, scale=np.linspace(0.5, 2.0, 6), labels=list("abcdef")
+        )
+        omega = partial_to_precision(g)
+        c = precision_to_cov(omega)
+        calls = self.count_eigvalsh(monkeypatch)
+        results = (
+            partial_to_marginal_oracle(g),
+            cov_to_marginal(c),
+            cov_to_precision(c),
+            precision_to_cov(omega),
+            partial_to_precision(g),
+        )
+        assert calls == []
+        monkeypatch.undo()
+        for out in results:
+            checked = type(out)(out.entries, labels=out.labels)
+            assert np.array_equal(checked.entries, out.entries)
+            assert out.labels == checked.labels == g.labels
+            assert not out.entries.flags.writeable
+
+    def test_overflowing_inverse_rejected(self):
+        tiny = np.eye(2) * 1e-310
+        with pytest.raises(EntryOutOfRange):
+            cov_to_precision(validate_covariance(tiny))
+        with pytest.raises(EntryOutOfRange):
+            precision_to_cov(validate_precision(tiny))
 
 
 class TestConditioning:

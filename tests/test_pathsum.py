@@ -406,6 +406,14 @@ class TestRescaling:
         # q above 1 puts a negative self-loop on each vertex.
         assert rg.weights[0, 0] == pytest.approx(1.0 - rg.q, abs=1e-15)
 
+    def test_weights_built_once_and_read_only(self):
+        g = scaled_random_graph(44, 5, 0.7)
+        rg = rescale(g, 0.9)
+        w = rg.weights
+        assert rg.weights is w
+        assert not w.flags.writeable
+        assert np.array_equal(w, 0.9 * g.weights + (1.0 - 0.9) * np.eye(5))
+
     def test_admissible_interval_strict(self):
         g = complete_graph(4, -0.45)
         bound = 2.0 / (1.0 + 1.35)
