@@ -12,198 +12,26 @@ reduction (:mod:`pathcorr.transforms`), closed chain formulas
 (:mod:`pathcorr.sampling`), and a command line (``pathcorr``).
 """
 
-from .errors import (
-    DegenerateColumn,
-    DegenerateDenominator,
-    DenominatorNonPositive,
-    DimensionMismatch,
-    EmptyRemainder,
-    EntryOutOfRange,
-    FileFormatError,
-    IllConditionedWarning,
-    IndexOutOfRange,
-    MissingScale,
-    NotPositiveDefinite,
-    NotSquare,
-    NotSymmetric,
-    ParamOutOfBound,
-    PathcorrError,
-    QOutOfRange,
-    SingularBlock,
-    SingularMatrix,
-    SingularRestrictedBlock,
-    SingularSampleCovariance,
-    SpectralRadiusTooLarge,
-    UndefinedAtZero,
-)
-from .matrices import (
-    CovarianceMatrix,
-    MarginalCorrelationMatrix,
-    PartialCorrelationGraph,
-    PrecisionMatrix,
-    SpectralReport,
-    cov_to_marginal,
-    cov_to_precision,
-    partial_to_marginal_oracle,
-    partial_to_precision,
-    precision_to_cov,
-    precision_to_partial,
-    spectral_report,
-    validate_covariance,
-    validate_marginal,
-    validate_partial_graph,
-    validate_precision,
-)
-from .pathsum import (
-    Path,
-    PathQuery,
-    PathSumResult,
-    ProfilePoint,
-    RescaledGraph,
-    convergence_profile,
-    enumerate_paths,
-    marginal_corr_closed,
-    marginal_corr_expansion,
-    path_sum_truncated,
-    rescale,
-    star_path_sum_closed,
-    star_path_sum_truncated,
-)
-from .transforms import (
-    LatentReduction,
-    NodePartition,
-    ReductionResidual,
-    SeparatorReport,
-    detect_separating_nodes,
-    factorisation_residual,
-    latent_reduce,
-    marginalize_nodes,
-    sever_nodes,
-    verify_reduction,
-)
-from .chains import (
-    ChainSolution,
-    ChainSpec,
-    amplification_factor,
-    chain_pair_corr,
-    chain_sums,
-    correlation_length,
-    endpoint_corr_recurrence,
-    l_infinity,
-    l_infinity_series,
-)
-from .gaussinfo import (
-    InfoResult,
-    TriPartition,
-    conditional_mi_closed,
-    conditional_mi_series,
-    loop_sum_mi_identity,
-)
-from .sampling import (
-    GENERATOR_ID,
-    FactorModel,
-    MartingaleSpec,
-    SampleResult,
-    SampleSpec,
-    canonical_graph,
-    factor_model_partial,
-    martingale_covariance,
-    sample_partial_graph,
-)
+# Dependency order; each star import below copies one module's __all__.
+from . import errors, matrices, pathsum, transforms, chains, gaussinfo, sampling  # noqa: I001
+from .errors import *  # noqa: F403
+from .matrices import *  # noqa: F403
+from .pathsum import *  # noqa: F403
+from .transforms import *  # noqa: F403
+from .chains import *  # noqa: F403
+from .gaussinfo import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# The package exports exactly what its modules export.
 __all__ = [
     "__version__",
-    # errors
-    "PathcorrError",
-    "NotSquare",
-    "NotSymmetric",
-    "NotPositiveDefinite",
-    "EntryOutOfRange",
-    "MissingScale",
-    "SingularMatrix",
-    "SingularRestrictedBlock",
-    "SingularBlock",
-    "DenominatorNonPositive",
-    "DegenerateDenominator",
-    "QOutOfRange",
-    "EmptyRemainder",
-    "DimensionMismatch",
-    "IndexOutOfRange",
-    "UndefinedAtZero",
-    "ParamOutOfBound",
-    "DegenerateColumn",
-    "SingularSampleCovariance",
-    "SpectralRadiusTooLarge",
-    "FileFormatError",
-    "IllConditionedWarning",
-    # matrices
-    "CovarianceMatrix",
-    "PrecisionMatrix",
-    "MarginalCorrelationMatrix",
-    "PartialCorrelationGraph",
-    "SpectralReport",
-    "validate_covariance",
-    "validate_precision",
-    "validate_marginal",
-    "validate_partial_graph",
-    "cov_to_marginal",
-    "cov_to_precision",
-    "precision_to_cov",
-    "precision_to_partial",
-    "partial_to_precision",
-    "partial_to_marginal_oracle",
-    "spectral_report",
-    # pathsum
-    "PathQuery",
-    "Path",
-    "PathSumResult",
-    "RescaledGraph",
-    "ProfilePoint",
-    "enumerate_paths",
-    "path_sum_truncated",
-    "star_path_sum_truncated",
-    "star_path_sum_closed",
-    "marginal_corr_expansion",
-    "marginal_corr_closed",
-    "rescale",
-    "convergence_profile",
-    # transforms
-    "NodePartition",
-    "SeparatorReport",
-    "ReductionResidual",
-    "LatentReduction",
-    "sever_nodes",
-    "marginalize_nodes",
-    "factorisation_residual",
-    "detect_separating_nodes",
-    "latent_reduce",
-    "verify_reduction",
-    # chains
-    "ChainSpec",
-    "ChainSolution",
-    "chain_sums",
-    "chain_pair_corr",
-    "endpoint_corr_recurrence",
-    "correlation_length",
-    "l_infinity",
-    "l_infinity_series",
-    "amplification_factor",
-    # gaussinfo
-    "TriPartition",
-    "InfoResult",
-    "conditional_mi_closed",
-    "conditional_mi_series",
-    "loop_sum_mi_identity",
-    # sampling
-    "GENERATOR_ID",
-    "SampleSpec",
-    "SampleResult",
-    "FactorModel",
-    "MartingaleSpec",
-    "sample_partial_graph",
-    "factor_model_partial",
-    "canonical_graph",
-    "martingale_covariance",
+    *errors.__all__,
+    *matrices.__all__,
+    *pathsum.__all__,
+    *transforms.__all__,
+    *chains.__all__,
+    *gaussinfo.__all__,
+    *sampling.__all__,
 ]

@@ -13,7 +13,6 @@ violated precondition; no stack traces), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -23,7 +22,6 @@ from . import chains, fileio, gaussinfo, pathsum, sampling, transforms
 from .errors import FileFormatError, PathcorrError, UndefinedAtZero
 from .matrices import (
     CovarianceMatrix,
-    MarginalCorrelationMatrix,
     PartialCorrelationGraph,
     cov_to_marginal,
     cov_to_precision,
@@ -46,12 +44,12 @@ FIG6_COUPLING = -0.45
 FIG6_Q_FRACTIONS = (0.3, 0.6, 0.95)
 
 
-def _split_labels(text: str) -> list:
-    out = [part.strip() for part in text.split(",")]
-    out = [part for part in out if part]
-    if not out:
+def _nodes(g: PartialCorrelationGraph, text: str) -> list:
+    """Node indices of a comma-separated list of labels."""
+    labels = [part.strip() for part in text.split(",") if part.strip()]
+    if not labels:
         raise FileFormatError(f"empty node list {text!r}")
-    return out
+    return [g.label_index(lbl) for lbl in labels]
 
 
 def _load_any(path: str, kind: str | None):
@@ -76,34 +74,26 @@ def _target_graph(g: PartialCorrelationGraph, q: float | None):
 
 
 def _convert(obj, to: str):
+    """``obj`` as the kind ``to``: one last step per target kind, after
+    converting to that step's input kind the same way."""
     kind = fileio.kind_of(obj)
     if kind == to:
         return obj
-    if isinstance(obj, MarginalCorrelationMatrix):
-        # A correlation matrix is the covariance of standardised
-        # variables; conversion onward is exact under that reading.
-        obj = CovarianceMatrix(obj.entries, labels=obj.labels)
-        kind = "covariance"
-    if kind == "partial":
-        if to == "marginal":
-            return partial_to_marginal_oracle(obj)
-        obj = partial_to_precision(obj)
-        kind = "precision"
-    if kind == "precision":
-        if to == "precision":
-            return obj
-        if to == "partial":
-            return precision_to_partial(obj)
-        obj = precision_to_cov(obj)
-        kind = "covariance"
-    # Covariance from here.
-    if to == "covariance":
-        return obj
     if to == "marginal":
-        return cov_to_marginal(obj)
+        if kind == "partial":
+            return partial_to_marginal_oracle(obj)
+        return cov_to_marginal(_convert(obj, "covariance"))
+    if to == "covariance":
+        if kind == "marginal":
+            # A correlation matrix is the covariance of standardised
+            # variables; conversion onward is exact under that reading.
+            return CovarianceMatrix(obj.entries, labels=obj.labels)
+        return precision_to_cov(_convert(obj, "precision"))
     if to == "precision":
-        return cov_to_precision(obj)
-    return precision_to_partial(cov_to_precision(obj))
+        if kind == "partial":
+            return partial_to_precision(obj)
+        return cov_to_precision(_convert(obj, "covariance"))
+    return precision_to_partial(_convert(obj, "precision"))
 
 
 def _cmd_convert(args) -> int:
@@ -137,9 +127,7 @@ def _cmd_expand(args) -> int:
             "oracle": oracle,
             "abs_gap": gap,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        fileio.save_json(doc, args.out)
     return 0
 
 
@@ -164,7 +152,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_sever(args) -> int:
     g = _load_graph(args)
-    removed = [g.label_index(lbl) for lbl in _split_labels(args.S)]
+    removed = _nodes(g, args.S)
     out = transforms.sever_nodes(g, removed)
     fileio.save_matrix(out, args.out)
     print(f"severed {len(removed)} node(s); kept {out.dim}; wrote {args.out}")
@@ -173,7 +161,7 @@ def _cmd_sever(args) -> int:
 
 def _cmd_marginalize(args) -> int:
     g = _load_graph(args)
-    removed = [g.label_index(lbl) for lbl in _split_labels(args.S)]
+    removed = _nodes(g, args.S)
     out = transforms.marginalize_nodes(g, removed, method=args.method)
     fileio.save_matrix(out, args.out)
     print(
@@ -185,7 +173,7 @@ def _cmd_marginalize(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_graph(args)
-    removed = [g.label_index(lbl) for lbl in _split_labels(args.S)]
+    removed = _nodes(g, args.S)
     red = transforms.latent_reduce(g, removed)
     res = transforms.verify_reduction(g, red)
     fileio.save_matrix(red.reduced_graph, args.out)
@@ -228,9 +216,7 @@ def _cmd_separators(args) -> int:
             }
             for rep in reports
         ]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        fileio.save_json(doc, args.out)
     return 0
 
 
@@ -271,10 +257,10 @@ def _cmd_chain(args) -> int:
 
 def _cmd_mi(args) -> int:
     g = _load_graph(args)
-    a = [g.label_index(lbl) for lbl in _split_labels(args.A)]
-    b = [g.label_index(lbl) for lbl in _split_labels(args.B)]
+    a = _nodes(g, args.A)
+    b = _nodes(g, args.B)
     if args.Z is not None:
-        z = [g.label_index(lbl) for lbl in _split_labels(args.Z)]
+        z = _nodes(g, args.Z)
         part = gaussinfo.TriPartition(dim=g.dim, A=tuple(a), B=tuple(b), Z=tuple(z))
     else:
         part = gaussinfo.TriPartition.complement(g.dim, a, b)
@@ -292,9 +278,7 @@ def _cmd_mi(args) -> int:
         doc = {"nats": res.nats, "bits": bits, "method": res.method}
         if terms is not None:
             doc["terms"] = terms
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        fileio.save_json(doc, args.out)
     return 0
 
 
@@ -520,10 +504,7 @@ def main(argv=None) -> int:
         args.Lmax = 10 if args.which == "fig5" else 40
     try:
         return int(args.func(args) or 0)
-    except PathcorrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PathcorrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,31 @@ condition raises the same class no matter which routine noticed it first.
 
 from __future__ import annotations
 
+__all__ = [
+    "PathcorrError",
+    "NotSquare",
+    "NotSymmetric",
+    "NotPositiveDefinite",
+    "EntryOutOfRange",
+    "MissingScale",
+    "SingularMatrix",
+    "SingularRestrictedBlock",
+    "SingularBlock",
+    "DenominatorNonPositive",
+    "DegenerateDenominator",
+    "QOutOfRange",
+    "EmptyRemainder",
+    "DimensionMismatch",
+    "IndexOutOfRange",
+    "UndefinedAtZero",
+    "ParamOutOfBound",
+    "DegenerateColumn",
+    "SingularSampleCovariance",
+    "SpectralRadiusTooLarge",
+    "FileFormatError",
+    "IllConditionedWarning",
+]
+
 
 class PathcorrError(Exception):
     """Base class for all errors raised by pathcorr."""

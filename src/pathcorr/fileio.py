@@ -13,9 +13,11 @@ The JSON layout is one object per file:
 
 ``data`` is row-major.  Floats are written with Python's shortest
 round-trip representation, so saving the same object twice produces
-byte-identical files.  CSV files carry a bare d x d table with no
-header; their kind travels out of band (a flag, for the command-line
-tools).
+byte-identical files; non-finite numbers are refused on save.  Loading
+holds a file to this layout strictly (``labels``, ``scale`` and
+``provenance`` may also be null).  CSV files carry a bare d x d table
+with no header; their kind travels out of band (a flag, for the
+command-line tools).
 """
 
 from __future__ import annotations
@@ -32,32 +34,35 @@ from .matrices import (
     MarginalCorrelationMatrix,
     PartialCorrelationGraph,
     PrecisionMatrix,
+    default_labels,
 )
 
-KINDS = ("covariance", "precision", "partial", "marginal")
+_TYPE_OF_KIND = {
+    "covariance": CovarianceMatrix,
+    "precision": PrecisionMatrix,
+    "partial": PartialCorrelationGraph,
+    "marginal": MarginalCorrelationMatrix,
+}
+_KIND_OF_TYPE = {cls: kind for kind, cls in _TYPE_OF_KIND.items()}
+
+KINDS = tuple(_TYPE_OF_KIND)
 
 __all__ = [
     "KINDS",
     "kind_of",
     "matrix_from_kind",
+    "save_json",
     "save_matrix",
     "load_matrix",
     "load_csv_matrix",
     "save_csv_table",
 ]
 
-_KIND_BY_TYPE = {
-    CovarianceMatrix: "covariance",
-    PrecisionMatrix: "precision",
-    PartialCorrelationGraph: "partial",
-    MarginalCorrelationMatrix: "marginal",
-}
-
 
 def kind_of(obj) -> str:
     """The JSON kind string for a matrix object."""
     try:
-        return _KIND_BY_TYPE[type(obj)]
+        return _KIND_OF_TYPE[type(obj)]
     except KeyError:
         raise TypeError(f"no file kind for {type(obj).__name__}") from None
 
@@ -66,84 +71,110 @@ def matrix_from_kind(kind: str, data, labels=None, scale=None):
     """Build the typed object named by ``kind`` from raw parts.
 
     Validation runs in the type constructors; a bad kind raises
-    :class:`FileFormatError`.
+    :class:`FileFormatError`.  ``scale`` is passed on to partial graphs
+    only.
     """
-    if kind == "covariance":
-        return CovarianceMatrix(np.asarray(data, dtype=float), labels=labels)
-    if kind == "precision":
-        return PrecisionMatrix(np.asarray(data, dtype=float), labels=labels)
-    if kind == "partial":
-        return PartialCorrelationGraph(
-            np.asarray(data, dtype=float), scale=scale, labels=labels
-        )
-    if kind == "marginal":
-        return MarginalCorrelationMatrix(np.asarray(data, dtype=float), labels=labels)
-    raise FileFormatError(f"unknown matrix kind {kind!r}; expected one of {KINDS}")
+    try:
+        cls = _TYPE_OF_KIND[kind]
+    except (KeyError, TypeError):
+        raise FileFormatError(
+            f"unknown matrix kind {kind!r}; expected one of {KINDS}"
+        ) from None
+    extra = {"scale": scale} if cls is PartialCorrelationGraph else {}
+    return cls(np.asarray(data, dtype=float), labels=labels, **extra)
+
+
+def save_json(doc, path) -> None:
+    """Write ``doc`` as JSON with a two-space indent and a final newline.
+
+    The text is built before the file is opened, so a non-finite number
+    raises :class:`FileFormatError` and leaves no partial file behind.
+    """
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: cannot write JSON: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def save_matrix(obj, path, provenance: dict | None = None) -> None:
     """Write a typed matrix object to ``path`` in the JSON layout."""
     kind = kind_of(obj)
     entries = obj.weights if kind == "partial" else obj.entries
+    dim = int(entries.shape[0])
     doc = {
         "kind": kind,
-        "dim": int(entries.shape[0]),
-        "labels": list(
-            obj.labels
-            if obj.labels is not None
-            else (f"x{k + 1}" for k in range(entries.shape[0]))
-        ),
+        "dim": dim,
+        "labels": list(obj.labels if obj.labels is not None else default_labels(dim)),
         "data": [[float(x) for x in row] for row in entries],
     }
     if kind == "partial" and obj.scale is not None:
         doc["scale"] = [float(x) for x in obj.scale]
     if provenance is not None:
         doc["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    save_json(doc, path)
+
+
+def _floats(cells, path, what: str) -> np.ndarray:
+    """A list of JSON numbers as a float array; anything else is refused."""
+    if not isinstance(cells, list) or not all(type(x) in (int, float) for x in cells):
+        raise FileFormatError(f"{path}: {what} must be a list of JSON numbers")
+    try:
+        return np.array(cells, dtype=float)
+    except OverflowError:
+        raise FileFormatError(f"{path}: {what} exceed the float range") from None
 
 
 def load_matrix(path):
     """Read a JSON matrix file, returning (object, provenance).
 
-    The object is validated on construction; a structurally broken file
-    raises :class:`FileFormatError`.
+    A file that breaks the layout raises :class:`FileFormatError`; the
+    object itself is validated on construction.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON and bytes that are not UTF-8.
         raise FileFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     for key in ("kind", "dim", "data"):
         if key not in doc:
             raise FileFormatError(f"{path}: missing required key {key!r}")
-    data = np.asarray(doc["data"], dtype=float)
-    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+    dim, rows = doc["dim"], doc["data"]
+    if type(dim) is not int:
+        raise FileFormatError(f"{path}: dim must be an integer, got {dim!r}")
+    if not rows or not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != len(rows) for row in rows
+    ):
         raise FileFormatError(f"{path}: data is not a square table")
-    if data.shape[0] != int(doc["dim"]):
-        raise FileFormatError(
-            f"{path}: dim says {doc['dim']} but data is {data.shape[0]} wide"
-        )
-    obj = matrix_from_kind(
-        doc["kind"], data, labels=doc.get("labels"), scale=doc.get("scale")
-    )
-    return obj, doc.get("provenance")
+    data = _floats([x for row in rows for x in row], path, "data entries").reshape(len(rows), -1)
+    if data.shape[0] != dim:
+        raise FileFormatError(f"{path}: dim says {dim} but data is {data.shape[0]} wide")
+    labels, scale, provenance = (doc.get(key) for key in ("labels", "scale", "provenance"))
+    if labels is not None and (
+        not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+    ):
+        raise FileFormatError(f"{path}: labels must be a list of strings")
+    if scale is not None:
+        if doc["kind"] != "partial":
+            raise FileFormatError(f"{path}: scale is allowed on partial graphs only")
+        scale = _floats(scale, path, "scale")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise FileFormatError(f"{path}: provenance must be an object")
+    return matrix_from_kind(doc["kind"], data, labels=labels, scale=scale), provenance
 
 
 def load_csv_matrix(path, kind: str):
     """Read a bare d x d CSV table as the matrix type named by ``kind``."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line in csv.reader(fh):
-            if not line:
-                continue
-            try:
-                rows.append([float(cell) for cell in line])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: non-numeric cell: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [[float(cell) for cell in line] for line in csv.reader(fh) if line]
+    except ValueError as exc:
+        # A non-numeric cell, or bytes that are not UTF-8.
+        raise FileFormatError(f"{path}: not a numeric table: {exc}") from exc
     if not rows or any(len(row) != len(rows) for row in rows):
         raise FileFormatError(f"{path}: expected a square numeric table")
     return matrix_from_kind(kind, np.asarray(rows, dtype=float))

@@ -127,11 +127,11 @@ class InfoResult:
             )
 
 
-def _coupling_weights(system) -> np.ndarray:
+def _coupling_graph(system) -> PartialCorrelationGraph:
     if isinstance(system, PartialCorrelationGraph):
-        return system.weights
+        return system
     if isinstance(system, PrecisionMatrix):
-        return precision_to_partial(system).weights
+        return precision_to_partial(system)
     raise TypeError(
         "expected a PartialCorrelationGraph or PrecisionMatrix, "
         f"got {type(system).__name__}"
@@ -148,7 +148,7 @@ def _logdet_spd(m: np.ndarray, what: str) -> float:
 
 def _blocks(system, part: TriPartition) -> tuple:
     """(M_A, X) with M_A = 1 - R_AA and X = R_AB (1 - R_BB)^-1 R_BA."""
-    r = _coupling_weights(system)
+    r = _coupling_graph(system).weights
     if r.shape[0] != part.dim:
         raise IndexOutOfRange(
             f"partition is over {part.dim} nodes, system has {r.shape[0]}"
@@ -254,15 +254,13 @@ def loop_sum_mi_identity(system, i: int, j: int) -> tuple:
     and the function checks that identity to 1e-10 before returning.
     Needs at least three nodes, else there is no "rest" to talk to.
     """
-    r = _coupling_weights(system)
-    dim = r.shape[0]
+    system = _coupling_graph(system)
+    dim = system.dim
     i, j = int(i), int(j)
     if not (0 <= i < dim and 0 <= j < dim) or i == j:
         raise IndexOutOfRange(f"need two distinct nodes in 0..{dim - 1}")
     if dim < 3:
         raise IndexOutOfRange("identity needs at least 3 nodes")
-    if isinstance(system, PrecisionMatrix):
-        system = precision_to_partial(system)
     loop = star_path_sum_closed(system, i, i, avoid=(j,))
     rest = tuple(v for v in range(dim) if v not in (i, j))
     part = TriPartition(dim=dim, A=(i,), B=rest, Z=(j,))

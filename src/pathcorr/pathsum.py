@@ -278,9 +278,10 @@ def _per_length_restricted(
 ) -> np.ndarray:
     """Per-length sums of paths i -> j whose interiors lie in `interior`.
 
-    interior must exclude i and j.  Entry [l-1] is the length-l sum.
-    Matrix-free: the l-th term is W[i, K] W_K^(l-2) W[K, j], built by
-    repeated vector-matrix products.
+    Entry [l-1] is the length-l sum.  Matrix-free: the l-th term is
+    W[i, K] W_K^(l-2) W[K, j], built by repeated vector-matrix products.
+    Star families pass an interior without i and j; every node as the
+    interior gives the unrestricted sums (W^l)_ij.
     """
     per = np.zeros(L)
     if i != j:
@@ -298,21 +299,6 @@ def _per_length_restricted(
     for ell in range(3, L + 1):
         head = head @ wk
         per[ell - 1] = head @ tail
-    return per
-
-
-def _per_length_full(w: np.ndarray, i: int, j: int, L: int, self_loops: bool) -> np.ndarray:
-    """Per-length sums of unrestricted paths i -> j: entry [l-1] = (W^l)_ij."""
-    wf = w
-    if not self_loops:
-        wf = w.copy()
-        np.fill_diagonal(wf, 0.0)
-    per = np.zeros(L)
-    row = wf[i].copy()
-    per[0] = row[j]
-    for ell in range(2, L + 1):
-        row = row @ wf
-        per[ell - 1] = row[j]
     return per
 
 
@@ -339,7 +325,7 @@ def path_sum_truncated(g, i: int, j: int, L: int) -> PathSumResult:
     j = _check_node(j, dim, "j")
     if L < 1:
         raise ParamOutOfBound(f"truncation length must be at least 1, got {L}")
-    per = _per_length_full(w, i, j, L, _has_self_loops(g))
+    per = _per_length_restricted(w, i, j, L, np.arange(dim), _has_self_loops(g))
     return _result_from_per_length(per)
 
 

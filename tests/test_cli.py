@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pathcorr import (
     ChainSpec,
@@ -24,12 +26,15 @@ from pathcorr import (
     chain_pair_corr,
     conditional_mi_closed,
     convergence_profile,
+    cov_to_marginal,
     cov_to_precision,
     latent_reduce,
     marginal_corr_expansion,
     marginalize_nodes,
     martingale_covariance,
     partial_to_marginal_oracle,
+    partial_to_precision,
+    precision_to_cov,
     precision_to_partial,
     rescale,
     sample_partial_graph,
@@ -189,6 +194,66 @@ class TestFileValidation:
         with pytest.raises(TypeError):
             fileio.kind_of(np.eye(2))
 
+    def test_scale_only_on_partial_graphs(self, run, tmp_path):
+        src = tmp_path / "cov.json"
+        doc = {
+            "kind": "covariance",
+            "dim": 2,
+            "data": [[1.0, 0.2], [0.2, 1.0]],
+            "scale": [1.0, 1.0],
+        }
+        src.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError):
+            fileio.load_matrix(src)
+        out = tmp_path / "m.json"
+        code, _, stderr = run("convert", "--in", str(src), "--to", "marginal", "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_finite_provenance_refused_on_save(self, run, tmp_path):
+        path = tmp_path / "g.json"
+        with pytest.raises(FileFormatError):
+            fileio.save_matrix(chain_graph(2, 0.3), path, provenance={"nu": float("nan")})
+        assert not path.exists()
+        # A source file may carry NaN (Python's json reads it); convert
+        # must not copy it into an output that is not valid JSON.
+        src = tmp_path / "src.json"
+        doc = {
+            "kind": "partial",
+            "dim": 2,
+            "data": [[0.0, 0.3], [0.3, 0.0]],
+            "provenance": {"nu": float("nan")},
+        }
+        src.write_text(json.dumps(doc))
+        code, _, stderr = run("convert", "--in", str(src), "--to", "marginal", "--out", str(path))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "name, content, kind",
+        [
+            ("bytes.json", b'\xff\xfe{"kind"', None),
+            ("deep.json", b"[" * 100_000, None),
+            ("bytes.csv", b"0.0,0.3\n\xff,0.0\n", "partial"),
+        ],
+        ids=["json-bytes", "json-depth", "csv-bytes"],
+    )
+    def test_unreadable_file_is_one_error_line(self, run, tmp_path, name, content, kind):
+        src = tmp_path / name
+        src.write_bytes(content)
+        out = tmp_path / "m.json"
+        argv = ["convert", "--in", str(src), "--to", "marginal", "--out", str(out)]
+        code, _, stderr = run(*argv, *(["--kind", kind] if kind else []))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+    def test_save_json_layout(self, tmp_path):
+        path = tmp_path / "r.json"
+        fileio.save_json({"a": [1, 2.5], "b": None}, path)
+        assert path.read_text() == json.dumps({"a": [1, 2.5], "b": None}, indent=2) + "\n"
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -255,6 +320,64 @@ class TestConvertCommand:
             "--out", str(out),
         )
         assert code == 0
+
+
+def _as_covariance(m):
+    return CovarianceMatrix(m.entries, labels=m.labels)
+
+
+# The library chain each (source, target) conversion must reproduce.
+CONVERT_ROUTES = {
+    ("partial", "marginal"): partial_to_marginal_oracle,
+    ("partial", "precision"): partial_to_precision,
+    ("partial", "covariance"): lambda g: precision_to_cov(partial_to_precision(g)),
+    ("precision", "marginal"): lambda p: cov_to_marginal(precision_to_cov(p)),
+    ("precision", "covariance"): precision_to_cov,
+    ("precision", "partial"): precision_to_partial,
+    ("covariance", "marginal"): cov_to_marginal,
+    ("covariance", "precision"): cov_to_precision,
+    ("covariance", "partial"): lambda c: precision_to_partial(cov_to_precision(c)),
+    ("marginal", "covariance"): _as_covariance,
+    ("marginal", "precision"): lambda m: cov_to_precision(_as_covariance(m)),
+    ("marginal", "partial"): lambda m: precision_to_partial(
+        cov_to_precision(_as_covariance(m))
+    ),
+}
+
+
+class TestConvertRoutes:
+    @pytest.mark.parametrize("source, target", sorted(CONVERT_ROUTES))
+    def test_bytes_equal_library_chain(self, run, tmp_path, source, target):
+        g = PartialCorrelationGraph(
+            scaled_random_graph(21, 5, 0.7).weights,
+            scale=np.linspace(0.5, 2.0, 5),
+            labels=("a", "b", "c", "d", "e"),
+        )
+        precision = partial_to_precision(g)
+        objs = {
+            "partial": g,
+            "precision": precision,
+            "covariance": precision_to_cov(precision),
+            "marginal": partial_to_marginal_oracle(g),
+        }
+        src = tmp_path / "src.json"
+        fileio.save_matrix(objs[source], src)
+        loaded, _ = fileio.load_matrix(src)
+        expected = tmp_path / "expected.json"
+        fileio.save_matrix(CONVERT_ROUTES[source, target](loaded), expected)
+        out = tmp_path / "out.json"
+        code, _, _ = run("convert", "--in", str(src), "--to", target, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("target", ["precision", "covariance"])
+    def test_unscaled_graph_needs_scale(self, run, graph_file, tmp_path, target):
+        _, path = graph_file
+        out = tmp_path / "out.json"
+        code, _, stderr = run("convert", "--in", path, "--to", target, "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestExpandAndProfile:
@@ -584,6 +707,15 @@ class TestExitStatus:
             ("data", [[0.0, float("inf")], [float("inf"), 0.0]]),
             ("scale", ["x", 1.0]),
             ("labels", "ab"),
+            ("data", [[0.0, 0.3], [0.3]]),
+            ("data", [[0.0, "0.3"], [0.3, 0.0]]),
+            ("dim", "two"),
+            ("dim", 2.5),
+            ("dim", True),
+            ("labels", 5),
+            ("labels", {"a": 1, "b": 2}),
+            ("provenance", "note"),
+            ("kind", ["partial"]),
         ],
     )
     def test_malformed_graph_file_is_one(self, run, tmp_path, field, value):
@@ -608,3 +740,58 @@ class TestExitStatus:
         code, _, stderr = run("marginalize", "--in", str(src), "--S", "x1,x2,x3", "--out", "x")
         assert code == 1
         assert stderr.startswith("error:")
+
+
+# A valid three-node partial-graph document; the fuzz test below spoils
+# one key of it at a time.
+VALID_DOC = {
+    "kind": "partial",
+    "dim": 3,
+    "labels": ["a", "b", "c"],
+    "data": [[0.0, 0.3, -0.2], [0.3, 0.0, 0.1], [-0.2, 0.1, 0.0]],
+    "scale": [1.0, 2.0, 0.5],
+    "provenance": {"seed": 1},
+}
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+NEAR_VALID = (
+    st.lists(st.floats() | st.integers(), min_size=3, max_size=3)
+    | st.lists(
+        st.lists(st.floats(-1.5, 1.5) | st.integers(-1, 1), min_size=3, max_size=3),
+        min_size=3,
+        max_size=3,
+    )
+    | st.lists(st.text(max_size=3), min_size=3, max_size=3)
+)
+
+
+class TestInputFuzz:
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        key=st.sampled_from(sorted(VALID_DOC)),
+        value=st.just(DELETE) | JSON_VALUES | NEAR_VALID,
+        target=st.sampled_from(fileio.KINDS),
+    )
+    def test_convert_exits_cleanly(self, run, tmp_path, key, value, target):
+        doc = dict(VALID_DOC)
+        if value is DELETE:
+            del doc[key]
+        else:
+            doc[key] = value
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        code, _, stderr = run("convert", "--in", str(src), "--to", target, "--out", str(out))
+        assert code in (0, 1)
+        if code == 1:
+            assert stderr.startswith("error:") and stderr.count("\n") == 1

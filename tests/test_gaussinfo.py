@@ -265,6 +265,25 @@ class TestLoopIdentity:
         with pytest.raises(IndexOutOfRange):
             loop_sum_mi_identity(chain_graph(2, 0.3), 0, 1)
 
+    def test_precision_input_validated_once(self, monkeypatch):
+        g = PartialCorrelationGraph(
+            scaled_random_graph(120, 6, 0.7).weights, scale=np.linspace(0.5, 2.0, 6)
+        )
+        precision = partial_to_precision(g)
+        checks = []
+        original = PartialCorrelationGraph.__post_init__
+
+        def counting(self):
+            checks.append(1)
+            original(self)
+
+        monkeypatch.setattr(PartialCorrelationGraph, "__post_init__", counting)
+        assert loop_sum_mi_identity(precision, 2, 5) == pytest.approx(
+            loop_sum_mi_identity(g, 2, 5), abs=1e-12
+        )
+        # One graph built from the precision input; the graph input needs none.
+        assert len(checks) == 1
+
     def test_inconsistency_detected(self, monkeypatch):
         g = chain_graph(4, 0.3)
         monkeypatch.setattr(gaussinfo, "star_path_sum_closed", lambda *a, **k: 0.9)

@@ -164,14 +164,16 @@ def enumerated_per_length(g, i, j, L, avoid=(), within=None, self_loops=False):
 class TestTruncatedSums:
     def test_unrestricted_equals_matrix_powers(self):
         g = scaled_random_graph(11, 5, 0.6)
-        res = path_sum_truncated(g, 0, 3, 6)
-        w = g.weights
-        power = np.eye(5)
-        for ell in range(1, 7):
-            power = power @ w
-            assert res.per_length[ell] == pytest.approx(power[0, 3], abs=1e-15)
-        assert res.total == res.cumulative[6]
-        assert res.converged_estimate is None
+        # The rescaled graph's weights carry the self-loops 1 - q.
+        for target, (i, j) in ((g, (0, 3)), (rescale(g, 0.7), (0, 3)), (rescale(g, 0.7), (2, 2))):
+            res = path_sum_truncated(target, i, j, 6)
+            w = target.weights
+            power = np.eye(5)
+            for ell in range(1, 7):
+                power = power @ w
+                assert res.per_length[ell] == pytest.approx(power[i, j], abs=1e-15)
+            assert res.total == res.cumulative[6]
+            assert res.converged_estimate is None
 
     def test_star_family_matches_enumeration(self):
         for seed in range(8):
