@@ -345,21 +345,12 @@ def _fig6_rows(l_max: int) -> list:
     w = np.full((d, d), FIG6_COUPLING)
     np.fill_diagonal(w, 0.0)
     g = validate_partial_graph(w)
-    nu = spectral_report(g).nu_R
-    bound = 2.0 / (1.0 + nu)
-    oracle = float(partial_to_marginal_oracle(g).entries[0, 1])
+    bound = 2.0 / (1.0 + spectral_report(g).nu_R)
     rows = []
     for frac in FIG6_Q_FRACTIONS:
         q = frac * bound
-        rg = pathsum.rescale(g, q)
-        for L in range(1, l_max + 1):
-            try:
-                rho = pathsum.marginal_corr_expansion(rg, 0, 1, L)
-            except PathcorrError:
-                # Loop sums can touch 1 at low truncation; the
-                # estimate is undefined there, not wrong.
-                continue
-            rows.append((q, L, rho, abs(rho - oracle)))
+        for p in pathsum.convergence_profile(pathsum.rescale(g, q), 0, 1, l_max):
+            rows.append((q, p.L, p.rho_hat, p.abs_gap))
     return rows
 
 
@@ -368,10 +359,11 @@ def _cmd_figure(args) -> int:
         rows = _fig4_rows(args.k, args.m)
         header = ["r", "m", "gamma"]
     elif args.which == "fig5":
-        rows = _fig5_rows(args.d, args.n, args.seed, args.Lmax)
+        l_max = 10 if args.Lmax is None else args.Lmax
+        rows = _fig5_rows(args.d, args.n, args.seed, l_max)
         header = ["seed", "L", "rho_hat", "abs_gap"]
     else:
-        rows = _fig6_rows(args.Lmax)
+        rows = _fig6_rows(40 if args.Lmax is None else args.Lmax)
         header = ["q", "L", "rho_hat", "abs_gap"]
     fileio.save_csv_table(args.out, header, rows)
     print(f"wrote {len(rows)} {args.which} rows to {args.out}")
@@ -488,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=100, help="fig5: dimension")
     p.add_argument("--n", type=int, default=1000, help="fig5: sample count")
     p.add_argument("--seed", type=int, default=1, help="fig5: base seed")
-    p.add_argument("--Lmax", type=int, default=None, help="largest truncation length")
+    p.add_argument("--Lmax", type=int, help="largest L (fig5: 10, fig6: 40)")
     p.set_defaults(func=_cmd_figure)
 
     return parser
@@ -500,8 +492,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.subcommand == "figure" and args.Lmax is None:
-        args.Lmax = 10 if args.which == "fig5" else 40
     try:
         return int(args.func(args) or 0)
     except (PathcorrError, OSError) as exc:

@@ -281,9 +281,9 @@ class PartialCorrelationGraph:
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
+    @cached_property
     def node_labels(self) -> tuple:
-        """Attached labels, or generated x1..xd."""
+        """Attached labels, or generated x1..xd (built once)."""
         return self.labels if self.labels is not None else default_labels(self.dim)
 
     def label_index(self, label: str) -> int:

@@ -56,6 +56,9 @@ DENOM_GUARD = 1e-12
 # without an explicit q; the bound should be approached, not hit.
 Q_DEFAULT_FRACTION = 0.95
 
+# Longest truncation accepted, checked before any array is allocated.
+MAX_LENGTH = 100_000
+
 __all__ = [
     "PathQuery",
     "Path",
@@ -191,12 +194,9 @@ class ProfilePoint:
     abs_gap: float
 
 
-def _has_self_loops(g) -> bool:
-    return isinstance(g, RescaledGraph)
-
-
-def _base_graph(g) -> PartialCorrelationGraph:
-    return g.base if isinstance(g, RescaledGraph) else g
+def _base_and_q(g) -> tuple:
+    """The unrescaled graph behind ``g`` and its rescaling q (1 if none)."""
+    return (g.base, g.q) if isinstance(g, RescaledGraph) else (g, 1.0)
 
 
 def _check_node(v: int, dim: int, name: str) -> int:
@@ -204,6 +204,20 @@ def _check_node(v: int, dim: int, name: str) -> int:
     if not 0 <= v < dim:
         raise IndexOutOfRange(f"{name}={v} outside 0..{dim - 1}")
     return v
+
+
+def _check_pair(i: int, j: int, dim: int) -> tuple:
+    """Two distinct node indices, as a marginal correlation needs."""
+    i = _check_node(i, dim, "i")
+    j = _check_node(j, dim, "j")
+    if i == j:
+        raise IndexOutOfRange("marginal correlation needs two distinct nodes")
+    return i, j
+
+
+def _check_length(L: int, name: str) -> None:
+    if not 1 <= L <= MAX_LENGTH:
+        raise ParamOutOfBound(f"{name} must be between 1 and {MAX_LENGTH}, got {L}")
 
 
 def _interior_indices(dim: int, endpoints, avoid, within) -> np.ndarray:
@@ -274,26 +288,23 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
 
 
 def _per_length_restricted(
-    w: np.ndarray, i: int, j: int, L: int, interior: np.ndarray, self_loops: bool
+    w: np.ndarray, i: int, j: int, L: int, interior: np.ndarray
 ) -> np.ndarray:
     """Per-length sums of paths i -> j whose interiors lie in `interior`.
 
     Entry [l-1] is the length-l sum.  Matrix-free: the l-th term is
     W[i, K] W_K^(l-2) W[K, j], built by repeated vector-matrix products.
     Star families pass an interior without i and j; every node as the
-    interior gives the unrestricted sums (W^l)_ij.
+    interior gives the unrestricted sums (W^l)_ij.  The diagonal of W is
+    the self-loop weight: exactly 0 on a validated graph, 1 - q on a
+    rescaled one.
     """
     per = np.zeros(L)
-    if i != j:
-        per[0] = w[i, j]
-    elif self_loops:
-        per[0] = w[i, i]
+    per[0] = w[i, j]
     if L == 1 or interior.size == 0:
         return per
-    wk = w[np.ix_(interior, interior)].copy()
-    if not self_loops:
-        np.fill_diagonal(wk, 0.0)
-    head = w[i, interior].copy()
+    wk = w[np.ix_(interior, interior)]
+    head = w[i, interior]
     tail = w[interior, j]
     per[1] = head @ tail
     for ell in range(3, L + 1):
@@ -323,9 +334,8 @@ def path_sum_truncated(g, i: int, j: int, L: int) -> PathSumResult:
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
-    if L < 1:
-        raise ParamOutOfBound(f"truncation length must be at least 1, got {L}")
-    per = _per_length_restricted(w, i, j, L, np.arange(dim), _has_self_loops(g))
+    _check_length(L, "truncation length")
+    per = _per_length_restricted(w, i, j, L, np.arange(dim))
     return _result_from_per_length(per)
 
 
@@ -350,10 +360,9 @@ def star_path_sum_truncated(
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
-    if L < 1:
-        raise ParamOutOfBound(f"truncation length must be at least 1, got {L}")
+    _check_length(L, "truncation length")
     interior = _interior_indices(dim, {i, j}, avoid, within)
-    per = _per_length_restricted(w, i, j, L, interior, _has_self_loops(g))
+    per = _per_length_restricted(w, i, j, L, interior)
     return _result_from_per_length(per)
 
 
@@ -375,7 +384,7 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
     interior = _interior_indices(dim, {i, j}, avoid, within)
-    direct = float(w[i, j]) if i != j else (float(w[i, i]) if _has_self_loops(g) else 0.0)
+    direct = float(w[i, j])
     if interior.size == 0:
         return direct
     mk = np.eye(interior.size) - w[np.ix_(interior, interior)]
@@ -389,27 +398,30 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     return direct + float(w[i, interior] @ tail)
 
 
-def _pair_per_length(g, i: int, j: int, L: int, length_name: str) -> tuple:
-    """Per-length star sum and avoiding loop sums of the pair i != j.
+def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:
+    """Truncated estimates rho_hat(l) for l = 1..L of the pair i != j.
 
     Checks the nodes and the length L (named ``length_name`` in the
-    error), then returns the per-length arrays of the ij*-paths and of
-    the closed loops at i and at j, each avoiding the other endpoint.
+    error), then sums the ij*-paths and the closed loops at i and at j,
+    each avoiding the other endpoint, length by length in ascending
+    order.  Returns (rho_hat, l_i, l_j) as arrays over l = 1..L, the
+    last two the cumulative loop sums.  Where either loop sum reaches
+    ``1 - DENOM_GUARD`` the ratio has no meaning: that entry of rho_hat
+    is set to NaN, never computed, and the caller decides what to raise.
     """
     w = g.weights
     dim = w.shape[0]
-    i = _check_node(i, dim, "i")
-    j = _check_node(j, dim, "j")
-    if i == j:
-        raise IndexOutOfRange("marginal correlation needs two distinct nodes")
-    if L < 1:
-        raise ParamOutOfBound(f"{length_name} must be at least 1, got {L}")
-    self_loops = _has_self_loops(g)
+    i, j = _check_pair(i, j, dim)
+    _check_length(L, length_name)
     interior = _interior_indices(dim, {i, j}, (), None)
-    return tuple(
-        _per_length_restricted(w, a, b, L, interior, self_loops)
+    num, li, lj = (
+        np.cumsum(_per_length_restricted(w, a, b, L, interior))
         for a, b in ((i, j), (i, i), (j, j))
     )
+    ok = (li < 1.0 - DENOM_GUARD) & (lj < 1.0 - DENOM_GUARD)
+    rho = np.full(L, np.nan)
+    rho[ok] = num[ok] / np.sqrt((1.0 - li[ok]) * (1.0 - lj[ok]))
+    return rho, li, lj
 
 
 def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
@@ -417,17 +429,17 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
 
     Numerator and both loop sums are truncated at the same L.  The
     caller must hand in a rescaled graph when nu(R) >= 1; on such a
-    graph the plain truncation has no limit.
+    graph the plain truncation has no limit.  Equal to the last row of
+    :func:`convergence_profile` up to L, where that profile exists.
     """
-    per = _pair_per_length(g, i, j, L, "truncation length")
-    num, li, lj = (float(np.sum(p)) for p in per)
-    for name, val in (("i", li), ("j", lj)):
-        if val >= 1.0 - DENOM_GUARD:
-            raise DenominatorNonPositive(
-                f"truncated loop sum at node {name} is {val:.6g} >= 1; "
-                "increase L or rescale the graph"
-            )
-    return num / np.sqrt((1.0 - li) * (1.0 - lj))
+    rho, li, lj = _rho_hat(g, i, j, L, "truncation length")
+    if np.isnan(rho[-1]):
+        name, val = ("i", li[-1]) if li[-1] >= lj[-1] else ("j", lj[-1])
+        raise DenominatorNonPositive(
+            f"truncated loop sum at node {name} is {val:.6g} >= 1; "
+            "increase L or rescale the graph"
+        )
+    return float(rho[-1])
 
 
 def _closed_pair_sums(g, i: int, j: int) -> tuple:
@@ -442,10 +454,9 @@ def _closed_pair_sums(g, i: int, j: int) -> tuple:
         s_ij = rho / (sqrt(c_i c_j) (1 - rho^2)),
         l_i  = 1 - 1 / (c_i (1 - rho^2)).
     """
-    base = _base_graph(g)
+    base, q = _base_and_q(g)
     rho = float(partial_to_marginal_oracle(base).entries[i, j])
     c = base._inverse.cov_diag
-    q = g.q if _has_self_loops(g) else 1.0
     ci, cj = float(c[i]) / q, float(c[j]) / q
     one_minus_rho2 = (1.0 - rho) * (1.0 + rho)
     if one_minus_rho2 <= 0.0:
@@ -468,11 +479,7 @@ def marginal_corr_closed(g, i: int, j: int) -> float:
     O(1); an ill-conditioned 1 - R raises the oracle's
     :class:`IllConditionedWarning` here too.
     """
-    dim = g.dim
-    i = _check_node(i, dim, "i")
-    j = _check_node(j, dim, "j")
-    if i == j:
-        raise IndexOutOfRange("marginal correlation needs two distinct nodes")
+    i, j = _check_pair(i, j, g.dim)
     num, li, lj = _closed_pair_sums(g, i, j)
     den = (1.0 - li) * (1.0 - lj)
     if den <= 0.0:
@@ -489,7 +496,7 @@ def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph
     is used; values must lie strictly inside (0, bound).  Expanded
     correlations are independent of the choice.
     """
-    base = _base_graph(g)
+    base, _ = _base_and_q(g)
     if q is None:
         q = Q_DEFAULT_FRACTION * 2.0 / (1.0 + base._nu)
     return RescaledGraph(base=base, q=float(q))
@@ -502,16 +509,17 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
     much as the single longest truncation.  The gap column compares
     against the matrix-inversion oracle of the (base) graph.
     """
-    num, li, lj = (np.cumsum(p) for p in _pair_per_length(g, i, j, L_max, "L_max"))
-    oracle = float(partial_to_marginal_oracle(_base_graph(g)).entries[int(i), int(j)])
-    points = []
-    for L in range(1, L_max + 1):
-        a, b = float(li[L - 1]), float(lj[L - 1])
-        if a >= 1.0 - DENOM_GUARD or b >= 1.0 - DENOM_GUARD:
-            raise DenominatorNonPositive(
-                f"truncated loop sum at L={L} reaches {max(a, b):.6g} >= 1; "
-                "increase L or rescale the graph"
-            )
-        rho = float(num[L - 1]) / float(np.sqrt((1.0 - a) * (1.0 - b)))
-        points.append(ProfilePoint(L=L, rho_hat=rho, abs_gap=abs(rho - oracle)))
-    return tuple(points)
+    rho, li, lj = _rho_hat(g, i, j, L_max, "L_max")
+    if np.isnan(rho).any():
+        L = int(np.argmax(np.isnan(rho))) + 1
+        worst = max(li[L - 1], lj[L - 1])
+        raise DenominatorNonPositive(
+            f"truncated loop sum at L={L} reaches {worst:.6g} >= 1; "
+            "increase L or rescale the graph"
+        )
+    base, _ = _base_and_q(g)
+    oracle = float(partial_to_marginal_oracle(base).entries[int(i), int(j)])
+    return tuple(
+        ProfilePoint(L=L, rho_hat=float(r), abs_gap=abs(float(r) - oracle))
+        for L, r in enumerate(rho, start=1)
+    )

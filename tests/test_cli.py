@@ -42,7 +42,7 @@ from pathcorr import (
     validate_partial_graph,
 )
 from pathcorr import fileio
-from pathcorr.cli import FIG4_R_GRID, main
+from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, main
 from pathcorr.gaussinfo import TriPartition
 
 from conftest import scaled_random_graph
@@ -435,6 +435,23 @@ class TestExpandAndProfile:
             assert float(row[1]) == p.rho_hat
             assert float(row[2]) == p.abs_gap
 
+    @pytest.mark.parametrize("q", [None, "0.9"], ids=["plain", "rescaled"])
+    def test_expand_equals_last_profile_row(self, run, tmp_path, q):
+        # On this graph and pair, pairwise summation (np.sum) of the
+        # per-length terms misses the profile row in the last bits.
+        path = tmp_path / "g.json"
+        fileio.save_matrix(scaled_random_graph(0, 5, 0.7), path)
+        extra = () if q is None else ("--q", q)
+        common = ("--in", str(path), "--i", "x1", "--j", "x2") + extra
+        out, prof = tmp_path / "r.json", tmp_path / "p.csv"
+        assert run("expand", *common, "--L", "25", "--out", str(out))[0] == 0
+        assert run("profile", *common, "--Lmax", "25", "--out", str(prof))[0] == 0
+        doc = json.loads(out.read_text())
+        with open(prof, newline="") as fh:
+            last = list(csv.reader(fh))[-1]
+        assert float(last[1]) == doc["rho_hat"]
+        assert float(last[2]) == doc["abs_gap"]
+
 
 class TestStructureCommands:
     def test_sever_matches_module(self, run, graph_file, tmp_path):
@@ -669,6 +686,33 @@ class TestFigureCommand:
                 final_gap[float(row[0])] = float(row[3])
         assert final_gap[qs[2]] < final_gap[qs[0]]
 
+    def test_rescaling_rows_are_profiles(self, run, tmp_path):
+        # Without --Lmax, fig6 runs to L = 40: one convergence profile
+        # of the rescaled 4-node graph per q, row for row.
+        out = tmp_path / "fig6.csv"
+        assert run("figure", "fig6", "--out", str(out))[0] == 0
+        with open(out, newline="") as fh:
+            rows = [tuple(map(float, row)) for row in list(csv.reader(fh))[1:]]
+        w = np.full((4, 4), FIG6_COUPLING)
+        np.fill_diagonal(w, 0.0)
+        g = validate_partial_graph(w)
+        expected = []
+        for q in sorted({row[0] for row in rows}):
+            points = convergence_profile(rescale(g, q), 0, 1, 40)
+            expected += [(q, p.L, p.rho_hat, p.abs_gap) for p in points]
+        assert len(expected) == 3 * 40
+        assert rows == expected
+
+    def test_sampled_profiles_default_length(self, run, tmp_path):
+        out = tmp_path / "fig5.csv"
+        code, _, _ = run(
+            "figure", "fig5", "--d", "12", "--n", "50", "--seed", "1", "--out", str(out)
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(row[1]) for row in rows] == list(range(1, 11)) * 3
+
     def test_sampled_profiles_smoke(self, run, tmp_path):
         out = tmp_path / "fig5.csv"
         code, _, _ = run(
@@ -733,6 +777,29 @@ class TestExitStatus:
         assert code == 1
         assert stderr.startswith("error:")
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--in", "{g}", "--i", "x1", "--j", "x2", "--L", "{L}"),
+            ("profile", "--in", "{g}", "--i", "x1", "--j", "x2", "--Lmax", "{L}",
+             "--out", "{out}"),
+            ("figure", "fig5", "--d", "12", "--n", "50", "--Lmax", "{L}", "--out", "{out}"),
+            ("figure", "fig6", "--Lmax", "{L}", "--out", "{out}"),
+        ],
+        ids=["expand", "profile", "fig5", "fig6"],
+    )
+    def test_huge_length_is_one_error_line(self, run, tmp_path, argv):
+        # 10**20 floats cannot be allocated; the length cap must answer
+        # first, and fig6 must not loop over the lengths one by one.
+        src, out = tmp_path / "g.json", tmp_path / "o.csv"
+        fileio.save_matrix(chain_graph(3, 0.3), src)
+        argv = [a.format(g=src, L=10**20, out=out) for a in argv]
+        code, _, stderr = run(*argv)
+        assert code == 1
+        assert stderr.startswith("error:") and "between 1 and" in stderr
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert not out.exists()
 
     def test_domain_error_is_one(self, run, tmp_path):
         src = tmp_path / "g.json"

@@ -377,6 +377,24 @@ class TestMarginalCorrelation:
         with pytest.raises(ParamOutOfBound):
             marginal_corr_expansion(g, 0, 1, 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, L: marginal_corr_expansion(g, 0, 1, L),
+            lambda g, L: convergence_profile(g, 0, 1, L),
+            lambda g, L: path_sum_truncated(g, 0, 1, L),
+            lambda g, L: star_path_sum_truncated(g, 0, 0, L, avoid=(1,)),
+        ],
+        ids=["expansion", "profile", "path-sum", "star-sum"],
+    )
+    def test_length_capped_before_allocation(self, call):
+        # An array of 10**20 floats cannot be allocated; numpy would
+        # raise ValueError, so ParamOutOfBound shows the cap came first.
+        g = three_chain(0.3)
+        for L in (10**20, pathsum.MAX_LENGTH + 1):
+            with pytest.raises(ParamOutOfBound, match="between 1 and"):
+                call(g, L)
+
     def test_divergent_truncation_raises(self):
         # Complete graph on 6 nodes, couplings -0.45: the interior
         # block of 4 nodes has spectral radius 1.35, so truncated loop
@@ -485,6 +503,23 @@ class TestConvergenceProfile:
         oracle = partial_to_marginal_oracle(g).entries[0, 1]
         points = convergence_profile(rescale(g), 0, 1, 120)
         assert points[-1].rho_hat == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("q", [None, 0.9])
+    def test_expansion_is_last_row(self, q):
+        # Pairwise summation (np.sum) of the per-length terms misses
+        # these rows in the last bits; ascending running sums match.
+        g = scaled_random_graph(0, 5, 0.7)
+        g = g if q is None else rescale(g, q)
+        points = convergence_profile(g, 0, 1, 40)
+        for L in (1, 7, 25, 40):
+            assert marginal_corr_expansion(g, 0, 1, L) == points[L - 1].rho_hat
+
+    def test_divergent_profile_stops_at_first_bad_length(self):
+        # Same graph as TestMarginalCorrelation.test_divergent_truncation_raises.
+        g = complete_graph(6, -0.45)
+        with pytest.raises(DenominatorNonPositive, match="at L=4 "):
+            convergence_profile(g, 0, 1, 10)
+        assert len(convergence_profile(g, 0, 1, 3)) == 3
 
 
 @settings(max_examples=20, deadline=None)

@@ -30,7 +30,7 @@ from pathcorr import (
     validate_partial_graph,
     verify_reduction,
 )
-from pathcorr import pathsum
+from pathcorr import matrices, pathsum
 from pathcorr.transforms import TOL_FACT
 
 from conftest import complete_graph, scaled_random_graph
@@ -494,6 +494,22 @@ class TestLatentReduction:
         assert red.reduced_graph.dim == 3
         assert red.reduced_graph.node_labels[:2] == ("x1", "x6")
         assert red.reduced_graph.node_labels[2] == "Y1"
+
+    def test_default_labels_built_once(self, monkeypatch):
+        # Generated labels x1..xd are built once per graph, not once per
+        # kept node (d = 60 here, 40 kept).
+        calls = []
+        real = matrices.default_labels
+
+        def counting(dim):
+            calls.append(dim)
+            return real(dim)
+
+        monkeypatch.setattr(matrices, "default_labels", counting)
+        g = scaled_random_graph(63, 60, 0.7)
+        red = latent_reduce(g, set(range(40, 60)))
+        assert red.reduced_graph.node_labels[:2] == ("x1", "x2")
+        assert calls == [60]
 
     def test_latent_labels_avoid_collisions(self):
         g = chain_graph(3, 0.3, labels=("Y1", "b", "c"))
