@@ -33,16 +33,23 @@ import scipy.linalg
 
 from .errors import (
     IndexOutOfRange,
+    ParamOutOfBound,
     PathcorrError,
     QOutOfRange,
     SingularBlock,
     SpectralRadiusTooLarge,
 )
-from .matrices import PartialCorrelationGraph, PrecisionMatrix, precision_to_partial
-from .pathsum import star_path_sum_closed
+from .matrices import (
+    PartialCorrelationGraph,
+    PrecisionMatrix,
+    _cho,
+    _spd_solve,
+    precision_to_partial,
+)
+from .pathsum import _check_q, star_path_sum_closed
 
 # Trace series defaults: hard cap on the number of terms, and the size
-# below which a term ends the summation early.
+# below which the last term and the tail bound end the summation early.
 N_MAX_DEFAULT = 1000
 TERM_FLOOR = 1e-14
 
@@ -139,10 +146,7 @@ def _coupling_graph(system) -> PartialCorrelationGraph:
 
 
 def _logdet_spd(m: np.ndarray, what: str) -> float:
-    try:
-        cf, _ = scipy.linalg.cho_factor(m, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularBlock(f"{what} is singular or indefinite: {exc}") from exc
+    cf, _ = _cho(m, SingularBlock, what)
     return 2.0 * float(np.sum(np.log(np.diag(cf))))
 
 
@@ -158,11 +162,7 @@ def _blocks(system, part: TriPartition) -> tuple:
     m_a = np.eye(len(a)) - r[np.ix_(a, a)]
     m_b = np.eye(len(b)) - r[np.ix_(b, b)]
     r_ab = r[np.ix_(a, b)]
-    try:
-        cf_b = scipy.linalg.cho_factor(m_b, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularBlock(f"1 - R[B, B] is singular or indefinite: {exc}") from exc
-    x = r_ab @ scipy.linalg.cho_solve(cf_b, r_ab.T)
+    x = r_ab @ _spd_solve(m_b, r_ab.T, SingularBlock, "1 - R[B, B]")
     x = (x + x.T) / 2.0
     return m_a, x
 
@@ -192,40 +192,37 @@ def conditional_mi_series(
     """I(A; B | Z) by the trace series of T, truncated at n_max terms.
 
     Terms are added in ascending order n = 1, 2, ... and the sum stops
-    early once a term drops below ``TERM_FLOOR`` in magnitude.  With a
-    rescaling parameter q the series runs over T(q) = (1 - q) 1 + q T
-    and the exact offset (d_A / 2) ln q is added; q must lie in
-    (0, 2 / (1 + nu(T))).  Without q, a spectral radius of T at or
-    above 1 raises :class:`SpectralRadiusTooLarge` (a valid
-    positive-definite system never reaches it).
+    early once the last term and the tail bound d_A rho^(n+1) /
+    (2 (n + 1) (1 - rho)), rho the spectral radius of the summed
+    matrix, are both below ``TERM_FLOOR``.  With a rescaling parameter
+    q the series runs over T(q) = (1 - q) 1 + q T and the exact offset
+    (d_A / 2) ln q is added; q must lie in (0, 2 / (1 + nu(T))).
+    Without q, a spectral radius of T at or above 1 raises
+    :class:`SpectralRadiusTooLarge` (a valid positive-definite system
+    never reaches it).  A sum cut at n_max that comes out below zero
+    raises :class:`ParamOutOfBound`.
     """
+    if n_max < 1:
+        raise QOutOfRange(f"n_max must be at least 1, got {n_max}")
     m_a, x = _blocks(system, part)
     d_a = m_a.shape[0]
-    # Generalized symmetric eigenproblem X v = nu M_A v gives the
+    t = _spd_solve(m_a, x, SingularBlock, "1 - R[A, A]")
+    # Generalized symmetric eigenproblem X v = lambda M_A v gives the
     # spectrum of T = X (M_A)^-1 without forming it.
-    nu = float(np.max(np.abs(scipy.linalg.eigh(x, m_a, eigvals_only=True))))
-    try:
-        cf_a = scipy.linalg.cho_factor(m_a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularBlock(f"1 - R[A, A] is singular or indefinite: {exc}") from exc
-    t = scipy.linalg.cho_solve(cf_a, x)
+    lam = scipy.linalg.eigh(x, m_a, eigvals_only=True)
+    nu = rho = float(np.max(np.abs(lam)))
     offset = 0.0
     if q is not None:
-        q = float(q)
-        bound = 2.0 / (1.0 + nu)
-        if not (0.0 < q < bound):
-            raise QOutOfRange(
-                f"q={q:.6g} outside the admissible interval (0, {bound:.6g})"
-            )
+        q = _check_q(q, nu)
         t = (1.0 - q) * np.eye(d_a) + q * t
         offset = 0.5 * d_a * math.log(q)
+        rho = float(np.max(np.abs(1.0 - q + q * lam)))
     elif nu >= 1.0:
         raise SpectralRadiusTooLarge(
             f"spectral radius of T is {nu:.6g} >= 1; rescale with q or "
             "use the closed form"
         )
-    if n_max < 1:
-        raise QOutOfRange(f"n_max must be at least 1, got {n_max}")
+    tail_scale = d_a / (2.0 * (1.0 - rho)) if rho < 1.0 else math.inf
     terms = []
     total = 0.0
     power = t.copy()
@@ -233,10 +230,16 @@ def conditional_mi_series(
         term = float(np.trace(power)) / (2.0 * n)
         terms.append(term)
         total += term
-        if abs(term) < TERM_FLOOR:
+        if abs(term) < TERM_FLOOR and tail_scale * rho ** (n + 1) / (n + 1) < TERM_FLOOR:
             break
         if n < n_max:
             power = power @ t
+    else:
+        if offset + total < NEG_FLOOR:
+            raise ParamOutOfBound(
+                f"trace series cut at n_max={n_max} terms with q={q} came out "
+                f"{offset + total:.3e} < 0; raise n_max or q, or use the closed form"
+            )
     return InfoResult(
         nats=offset + total, method="trace-series", series_terms=tuple(terms)
     )

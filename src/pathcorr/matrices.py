@@ -22,7 +22,9 @@ operation is a pure function, so values can be shared freely across
 threads.  A graph keeps its oracle result and its spectral radius,
 each filled on first use: the fill is idempotent, so a race between
 threads at worst computes the same read-only value twice.  Results of
-exact conversions are not validated again.
+exact conversions are not validated again, a graph split off an
+assembled precision is checked once, as a graph, and every Cholesky
+factorisation of the package goes through one helper here.
 """
 
 from __future__ import annotations
@@ -115,6 +117,19 @@ def _check_pd(m: np.ndarray, what: str) -> tuple:
             f"{what} not positive definite: eigenvalue range [{lo:.6e}, {hi:.6e}]"
         )
     return lo, hi
+
+
+def _cho(m: np.ndarray, error, what: str) -> tuple:
+    """cho_factor(m, lower=True); a failure raises ``error`` naming ``what``."""
+    try:
+        return scipy.linalg.cho_factor(m, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise error(f"{what} is singular or indefinite: {exc}") from exc
+
+
+def _spd_solve(m: np.ndarray, rhs: np.ndarray, error, what: str) -> np.ndarray:
+    """m^-1 rhs through :func:`_cho`, for a positive-definite m."""
+    return scipy.linalg.cho_solve(_cho(m, error, what), rhs)
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -388,11 +403,7 @@ def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
     """Precision matrix Omega = C^-1 via a Cholesky solve."""
     if not isinstance(C, CovarianceMatrix):
         C = validate_covariance(C)
-    try:
-        cf = scipy.linalg.cho_factor(C.entries, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"covariance matrix is singular: {exc}") from exc
-    omega = scipy.linalg.cho_solve(cf, np.eye(C.dim))
+    omega = _spd_solve(C.entries, np.eye(C.dim), SingularMatrix, "covariance matrix")
     return _derived(PrecisionMatrix, (omega + omega.T) / 2.0, C.labels)
 
 
@@ -400,11 +411,7 @@ def precision_to_cov(Omega: PrecisionMatrix) -> CovarianceMatrix:
     """Covariance matrix C = Omega^-1 via a Cholesky solve."""
     if not isinstance(Omega, PrecisionMatrix):
         Omega = validate_precision(Omega)
-    try:
-        cf = scipy.linalg.cho_factor(Omega.entries, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"precision matrix is singular: {exc}") from exc
-    c = scipy.linalg.cho_solve(cf, np.eye(Omega.dim))
+    c = _spd_solve(Omega.entries, np.eye(Omega.dim), SingularMatrix, "precision matrix")
     return _derived(CovarianceMatrix, (c + c.T) / 2.0, Omega.labels)
 
 
@@ -417,11 +424,20 @@ def precision_to_partial(Omega: PrecisionMatrix) -> PartialCorrelationGraph:
     """
     if not isinstance(Omega, PrecisionMatrix):
         Omega = validate_precision(Omega)
-    om = Omega.entries
+    return _precision_graph(Omega.entries, Omega.labels)
+
+
+def _precision_graph(om: np.ndarray, labels) -> PartialCorrelationGraph:
+    """The scaled graph of precision entries ``om`` with a positive diagonal.
+
+    ``om`` is symmetrised exactly, then checked once, by the graph
+    constructor: (1 - R) is positive definite exactly when om is.
+    """
+    om = (om + om.T) / 2.0
     lam = np.sqrt(np.diag(om))
     r = -om / np.outer(lam, lam)
     np.fill_diagonal(r, 0.0)
-    return PartialCorrelationGraph(r, scale=lam, labels=Omega.labels)
+    return PartialCorrelationGraph(r, scale=lam, labels=labels)
 
 
 def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
@@ -437,12 +453,7 @@ def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
 
 
 def _invert(g: PartialCorrelationGraph) -> _Inverse:
-    m = np.eye(g.dim) - g.weights
-    try:
-        cf = scipy.linalg.cho_factor(m, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"(1 - R) is singular: {exc}") from exc
-    minv = scipy.linalg.cho_solve(cf, np.eye(g.dim))
+    minv = _spd_solve(np.eye(g.dim) - g.weights, np.eye(g.dim), SingularMatrix, "(1 - R)")
     c = np.diag(minv)
     s = np.sqrt(c)
     p = minv / np.outer(s, s)

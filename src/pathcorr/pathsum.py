@@ -37,7 +37,6 @@ from functools import cached_property
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DenominatorNonPositive,
@@ -46,7 +45,7 @@ from .errors import (
     QOutOfRange,
     SingularRestrictedBlock,
 )
-from .matrices import PartialCorrelationGraph, partial_to_marginal_oracle
+from .matrices import PartialCorrelationGraph, _spd_solve, partial_to_marginal_oracle
 
 # A truncated loop sum this close to 1 (or beyond) makes the
 # denominator square root meaningless.
@@ -129,14 +128,12 @@ class PathSumResult:
 
     ``per_length[l]`` is the summed weight of the family's paths of
     exactly l edges, for l = 1..truncation_length; ``cumulative[l]`` the
-    running total through length l.  ``converged_estimate`` carries the
-    closed-form limit when the caller computed one.
+    running total through length l.
     """
 
     per_length: dict
     cumulative: dict
     truncation_length: int
-    converged_estimate: float | None = None
 
     @property
     def total(self) -> float:
@@ -160,13 +157,7 @@ class RescaledGraph:
     q: float
 
     def __post_init__(self):
-        q = float(self.q)
-        bound = 2.0 / (1.0 + self.base._nu)
-        if not (0.0 < q < bound):
-            raise QOutOfRange(
-                f"q={q:.6g} outside the admissible interval (0, {bound:.6g})"
-            )
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _check_q(self.q, self.base._nu))
 
     @property
     def dim(self) -> int:
@@ -192,6 +183,17 @@ class ProfilePoint:
     L: int
     rho_hat: float
     abs_gap: float
+
+
+def _check_q(q, nu: float) -> float:
+    """q as a float, if it lies in the admissible interval (0, 2 / (1 + nu))."""
+    q = float(q)
+    bound = 2.0 / (1.0 + nu)
+    if not (0.0 < q < bound):
+        raise QOutOfRange(
+            f"q={q:.6g} outside the admissible interval (0, {bound:.6g})"
+        )
+    return q
 
 
 def _base_and_q(g) -> tuple:
@@ -313,14 +315,13 @@ def _per_length_restricted(
     return per
 
 
-def _result_from_per_length(per: np.ndarray, closed: float | None = None) -> PathSumResult:
+def _result_from_per_length(per: np.ndarray) -> PathSumResult:
     cum = np.cumsum(per)
     L = per.shape[0]
     return PathSumResult(
         per_length={ell: float(per[ell - 1]) for ell in range(1, L + 1)},
         cumulative={ell: float(cum[ell - 1]) for ell in range(1, L + 1)},
         truncation_length=L,
-        converged_estimate=closed,
     )
 
 
@@ -388,13 +389,8 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     if interior.size == 0:
         return direct
     mk = np.eye(interior.size) - w[np.ix_(interior, interior)]
-    try:
-        cf = scipy.linalg.cho_factor(mk, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularRestrictedBlock(
-            f"1 - R restricted to {interior.size} interior nodes is singular: {exc}"
-        ) from exc
-    tail = scipy.linalg.cho_solve(cf, w[interior, j])
+    what = f"1 - R restricted to {interior.size} interior nodes"
+    tail = _spd_solve(mk, w[interior, j], SingularRestrictedBlock, what)
     return direct + float(w[i, interior] @ tail)
 
 

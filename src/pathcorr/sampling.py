@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .errors import (
@@ -27,9 +26,9 @@ from .errors import (
 from .matrices import (
     CovarianceMatrix,
     PartialCorrelationGraph,
-    PrecisionMatrix,
     SpectralReport,
-    precision_to_partial,
+    _precision_graph,
+    _spd_solve,
     spectral_report,
 )
 
@@ -103,15 +102,8 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     xc = x - x.mean(axis=0)
     s = (xc.T @ xc) / spec.n
     s = (s + s.T) / 2.0
-    try:
-        cf = scipy.linalg.cho_factor(s, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSampleCovariance(
-            f"sample covariance is singular or indefinite: {exc}"
-        ) from exc
-    omega = scipy.linalg.cho_solve(cf, np.eye(spec.d))
-    omega = (omega + omega.T) / 2.0
-    graph = precision_to_partial(PrecisionMatrix(entries=omega))
+    omega = _spd_solve(s, np.eye(spec.d), SingularSampleCovariance, "sample covariance")
+    graph = _precision_graph(omega, None)
     report = spectral_report(graph)
     return SampleResult(
         graph=graph, spectral=report, flagged=bool(report.nu_R >= 1.0)

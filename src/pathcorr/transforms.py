@@ -43,9 +43,10 @@ from .errors import (
 )
 from .matrices import (
     PartialCorrelationGraph,
-    PrecisionMatrix,
+    _cho,
+    _precision_graph,
+    _spd_solve,
     partial_to_marginal_oracle,
-    precision_to_partial,
 )
 
 # Singular values below this fraction of the largest do not count
@@ -55,6 +56,8 @@ RANK_RTOL = 1e-10
 # Residual below which the factorisation criterion calls a node
 # separating.
 TOL_FACT = 1e-9
+
+_ELIMINATED = "the eliminated block (1 - R)[S, S]"
 
 __all__ = [
     "RANK_RTOL",
@@ -173,8 +176,8 @@ def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
     marginal correlations, recomputed on the smaller graph, in general
     shrink because all paths routed through S are gone.
     """
-    kept, _ = _split(g, S)
-    if not S:
+    kept, removed = _split(g, S)
+    if not removed:
         return g
     w = g.weights[np.ix_(kept, kept)]
     scale = g.scale[kept] if g.scale is not None else None
@@ -208,13 +211,7 @@ def marginalize_nodes(
     m_ss = m[np.ix_(removed, removed)]
     m_ts = m[np.ix_(kept, removed)]
     m_tt = m[np.ix_(kept, kept)]
-    try:
-        cf = scipy.linalg.cho_factor(m_ss, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularBlock(
-            f"the eliminated block (1 - R)[S, S] is singular: {exc}"
-        ) from exc
-    m_red = m_tt - m_ts @ scipy.linalg.cho_solve(cf, m_ts.T)
+    m_red = m_tt - m_ts @ _spd_solve(m_ss, m_ts.T, SingularBlock, _ELIMINATED)
     m_red = (m_red + m_red.T) / 2.0
     d_red = np.diag(m_red).copy()
     r_new = -m_red / np.sqrt(np.outer(d_red, d_red))
@@ -434,9 +431,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     enlarged = np.block(
         [[omega_top, -lam[:, None] * load], [-(lam[:, None] * load).T, np.eye(mu)]]
     )
-    enlarged_graph = precision_to_partial(
-        PrecisionMatrix(enlarged, labels=g.node_labels + latent_labels)
-    )
+    enlarged_graph = _precision_graph(enlarged, g.node_labels + latent_labels)
 
     con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
     a_tilde = con[removed, :].T.copy()
@@ -446,7 +441,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     # of the whitened block; only the leading mu directions are kept.
     if mu > 0:
         m_ss = m[np.ix_(removed, removed)]
-        chol = scipy.linalg.cholesky(m_ss, lower=True)
+        chol, _ = _cho(m_ss, SingularBlock, _ELIMINATED)
         b_white = scipy.linalg.solve_triangular(chol, q, lower=True)
         _, eta, zt = np.linalg.svd(b_white, full_matrices=False)
         v_cols = zt[:mu, :].T * eta[:mu]
@@ -466,9 +461,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
         ]
     )
     kept_labels = tuple(g.node_labels[v] for v in kept)
-    reduced_graph = precision_to_partial(
-        PrecisionMatrix(reduced, labels=kept_labels + latent_labels)
-    )
+    reduced_graph = _precision_graph(reduced, kept_labels + latent_labels)
 
     a_tilde.setflags(write=False)
     b_tilde.setflags(write=False)

@@ -620,6 +620,24 @@ class TestMiCommand:
         assert doc["nats"] == pytest.approx(closed, abs=1e-10)
         assert "terms" in stdout
 
+    def test_slow_series_cut_short_is_one_error_line(self, run, tmp_path):
+        # At q = 0.001 the rescaled series needs ~29k terms: cut at the
+        # default n_max it lands far below 0, which names n_max and q.
+        src, out = tmp_path / "g.json", tmp_path / "mi.json"
+        fileio.save_matrix(chain_graph(6, 0.3), src)
+        argv = ["mi", "--in", str(src), "--A", "x1,x2", "--B", "x4",
+                "--method", "series", "--q", "0.001", "--out", str(out)]
+        code, _, stderr = run(*argv)
+        assert code == 1
+        assert stderr.startswith("error:") and "n_max=1000" in stderr and "q=0.001" in stderr
+        assert stderr.count("\n") == 1 and not out.exists()
+        code, _, _ = run(*argv, "--n-max", "100000")
+        assert code == 0
+        closed = conditional_mi_closed(
+            chain_graph(6, 0.3), TriPartition.complement(6, (0, 1), (3,))
+        ).nats
+        assert json.loads(out.read_text())["nats"] == pytest.approx(closed, abs=1e-12)
+
 
 class TestSampleCommand:
     def test_output_and_provenance(self, run, tmp_path):

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from pathcorr import (
     IndexOutOfRange,
     InfoResult,
+    ParamOutOfBound,
     PartialCorrelationGraph,
     PathcorrError,
     QOutOfRange,
+    SingularBlock,
     SpectralRadiusTooLarge,
     TriPartition,
     conditional_mi_closed,
@@ -33,6 +35,10 @@ from pathcorr import gaussinfo
 from pathcorr.gaussinfo import TERM_FLOOR
 
 from conftest import complete_graph, scaled_random_graph
+
+
+def explode(*a, **k):
+    raise scipy.linalg.LinAlgError("boom")
 
 
 def chain_graph(d, r):
@@ -90,6 +96,12 @@ class TestTriPartition:
 
 
 class TestClosedForm:
+    def test_singular_block_mapped(self, monkeypatch):
+        g = chain_graph(4, 0.3)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
+        with pytest.raises(SingularBlock):
+            conditional_mi_closed(g, TriPartition.complement(4, A=(0,), B=(3,)))
+
     def test_two_node_literal(self):
         g = validate_partial_graph(np.array([[0.0, 0.3], [0.3, 0.0]]))
         res = conditional_mi_closed(g, TriPartition(dim=2, A=(0,), B=(1,)))
@@ -218,6 +230,32 @@ class TestSeries:
         part = TriPartition.complement(3, A=(0,), B=(2,))
         with pytest.raises(QOutOfRange):
             conditional_mi_series(g, part, n_max=0)
+
+    def test_n_max_checked_before_factorising(self, monkeypatch):
+        g = chain_graph(3, 0.3)
+        part = TriPartition.complement(3, A=(0,), B=(2,))
+        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
+        with pytest.raises(QOutOfRange):
+            conditional_mi_series(g, part, n_max=0)
+        with pytest.raises(SingularBlock):
+            conditional_mi_series(g, part)
+
+    def test_slow_series_sums_its_tail(self):
+        # With q = 0.001 the terms drop below TERM_FLOOR while the tail
+        # they leave, about TERM_FLOOR / (1 - rho), is still ~1e-11.
+        g = chain_graph(6, 0.3)
+        part = TriPartition.complement(6, A=(0, 1), B=(3,))
+        closed = conditional_mi_closed(g, part).nats
+        res = conditional_mi_series(g, part, n_max=100_000, q=0.001)
+        assert len(res.series_terms) < 100_000
+        assert abs(res.series_terms[-1]) < TERM_FLOOR
+        assert res.nats == pytest.approx(closed, abs=1e-12)
+
+    def test_negative_cut_sum_names_n_max_and_q(self):
+        g = chain_graph(6, 0.3)
+        part = TriPartition.complement(6, A=(0, 1), B=(3,))
+        with pytest.raises(ParamOutOfBound, match=r"n_max=1000 .*q=0\.001"):
+            conditional_mi_series(g, part, q=0.001)
 
     def test_spectral_radius_guard(self, monkeypatch):
         # nu(T) < 1 holds for every valid system, so the guard only

@@ -30,14 +30,17 @@ from pathcorr import (
     ParamOutOfBound,
     PartialCorrelationGraph,
     PrecisionMatrix,
+    SampleSpec,
     SingularMatrix,
     cov_to_marginal,
     cov_to_precision,
+    latent_reduce,
     partial_to_marginal_oracle,
     partial_to_precision,
     precision_to_cov,
     precision_to_partial,
     rescale,
+    sample_partial_graph,
     spectral_report,
     validate_covariance,
     validate_partial_graph,
@@ -375,6 +378,17 @@ class TestFactorOnce:
         RescaledGraph(g, 0.5 * rg.q)
         # nu(R) once, nu(|R|) once; cond(1 - R) came with construction.
         assert len(calls) == 2
+
+    def test_derived_graphs_are_checked_once(self, monkeypatch):
+        g = scaled_random_graph(36, 7, 0.7)
+        calls = self.count_eigvalsh(monkeypatch)
+        latent_reduce(g, [4, 5, 6])
+        # The enlarged and the reduced graph, each checked as a graph only.
+        assert len(calls) == 2
+        calls.clear()
+        sample_partial_graph(SampleSpec(d=5, n=12, seed=3))
+        # The graph's check, then nu(R) and nu(|R|) for its report.
+        assert len(calls) == 3
 
     def test_exact_conversions_are_not_checked_again(self, monkeypatch):
         base = scaled_random_graph(35, 6, 0.8)

@@ -111,6 +111,21 @@ class TestSever:
         assert marg == pytest.approx(full, abs=1e-12)
 
 
+@pytest.mark.parametrize("removed", [[0], [1, 2], [0, 4]])
+def test_index_arrays_act_like_lists(removed):
+    # A one-element array [0] is falsy, a longer one has no truth value:
+    # the removed set must be read as indices, never tested as a whole.
+    g = scaled_random_graph(12, 5, 0.7)
+    as_array = np.array(removed)
+    for op in (sever_nodes, marginalize_nodes):
+        out = op(g, as_array)
+        assert out.dim == g.dim - len(removed)
+        assert np.array_equal(out.weights, op(g, removed).weights)
+    red, red_array = latent_reduce(g, removed), latent_reduce(g, as_array)
+    assert red_array.kept == red.kept
+    assert np.array_equal(red_array.reduced_graph.weights, red.reduced_graph.weights)
+
+
 class TestMarginalize:
     def test_marginal_correlations_invariant(self):
         g = scaled_random_graph(20, 7, 0.8)
@@ -460,6 +475,16 @@ class TestLatentReduction:
             g.weights[np.ix_(removed, [0, 1, 2, 3])], compute_uv=False
         )
         assert red.singular_values == pytest.approx(tuple(oracle), abs=1e-12)
+
+    def test_singular_block_mapped(self, monkeypatch):
+        g = one_many_one(6, 0.2)
+
+        def explode(*a, **k):
+            raise scipy.linalg.LinAlgError("boom")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
+        with pytest.raises(SingularBlock):
+            latent_reduce(g, {1, 2, 3, 4})
 
     def test_planted_rank_two(self):
         g = rank2_cross_graph()
