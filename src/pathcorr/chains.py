@@ -34,6 +34,7 @@ from .errors import (
     IndexOutOfRange,
     ParamOutOfBound,
     UndefinedAtZero,
+    _whole,
 )
 
 __all__ = [
@@ -57,9 +58,7 @@ class ChainSpec:
     r: float
 
     def __post_init__(self):
-        if int(self.d) != self.d or self.d < 1:
-            raise IndexOutOfRange(f"chain length must be a positive integer, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", _whole(self.d, "chain length d", IndexOutOfRange, 1))
         r = float(self.r)
         if not abs(r) <= 0.5:
             raise ParamOutOfBound(
@@ -131,11 +130,8 @@ def chain_pair_corr(spec: ChainSpec, i: int, j: int) -> float:
     Nodes are 1-based and i < j is required.  The recurrences run once
     per spec object; later pairs on the same spec read their results.
     """
-    i, j = int(i), int(j)
-    if not (1 <= i < j <= spec.d):
-        raise IndexOutOfRange(
-            f"need 1 <= i < j <= d={spec.d}, got i={i}, j={j}"
-        )
+    i = _whole(i, "i", IndexOutOfRange, 1, spec.d - 1)
+    j = _whole(j, "j", IndexOutOfRange, i + 1, spec.d)
     sol = spec._solution
     span = j - i + 1
     tail = spec.d - j + 2
@@ -210,8 +206,7 @@ def l_infinity_series(r: float, terms: int = 50) -> float:
     r = float(r)
     if abs(r) > 0.5:
         raise ParamOutOfBound(f"|r| <= 1/2 required, got r={r}")
-    if terms < 1:
-        raise ParamOutOfBound(f"need at least one term, got {terms}")
+    terms = _whole(terms, "terms", ParamOutOfBound, 1)
     total = 0.0
     catalan = 1.0
     power = 1.0
@@ -241,9 +236,8 @@ def amplification_factor(k: int, m: int, r: float) -> float:
     the value it approaches as k and m grow (1.0103 at r = 0.1, 1.125
     at r = 0.3).
     """
-    k, m = int(k), int(m)
-    if k < 0 or m < 0:
-        raise ParamOutOfBound(f"k and m must be nonnegative, got k={k}, m={m}")
+    k = _whole(k, "k", ParamOutOfBound, 0)
+    m = _whole(m, "m", ParamOutOfBound, 0)
     sol = chain_sums(ChainSpec(d=max(k, m) + 2, r=r))
     lk = sol.l[k + 2]
     lm = sol.l[m + 2]

@@ -241,7 +241,7 @@ def _cmd_chain(args) -> int:
     if args.i is not None or args.j is not None:
         if args.i is None or args.j is None:
             raise FileFormatError("pair mode needs both --i and --j")
-        rho = chains.chain_pair_corr(spec, int(args.i), int(args.j))
+        rho = chains.chain_pair_corr(spec, args.i, args.j)
         print(f"rho({args.i}, {args.j}) = {rho:.12g}")
         return 0
     try:
@@ -333,7 +333,7 @@ def _fig5_rows(d: int, n: int, base_seed: int, l_max: int) -> list:
         oracle = partial_to_marginal_oracle(result.graph).entries
         off = np.abs(oracle - np.eye(d))
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-        for p in pathsum.convergence_profile(result.graph, int(i), int(j), l_max):
+        for p in pathsum.convergence_profile(result.graph, i, j, l_max):
             rows.append((seed, p.L, p.rho_hat, p.abs_gap))
         found += 1
         seed += 1
@@ -345,7 +345,7 @@ def _fig6_rows(l_max: int) -> list:
     w = np.full((d, d), FIG6_COUPLING)
     np.fill_diagonal(w, 0.0)
     g = validate_partial_graph(w)
-    bound = 2.0 / (1.0 + spectral_report(g).nu_R)
+    bound = pathsum._q_bound(spectral_report(g).nu_R)
     rows = []
     for frac in FIG6_Q_FRACTIONS:
         q = frac * bound

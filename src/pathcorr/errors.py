@@ -5,9 +5,20 @@ Every exception raised deliberately by this package derives from
 ``except`` clause.  The subclasses are semantic: they name the violated
 precondition rather than the place where it was detected, and the same
 condition raises the same class no matter which routine noticed it first.
+
+Every integer argument of the library (node indices and node sets,
+truncation lengths, counts, dimensions and seeds) is checked by one
+rule, :func:`_whole`: a whole number passes, be it a plain or numpy
+integer or an integral float such as 3.0, and anything else (a
+fraction, NaN, inf, a string) is refused with the class of the call
+site, never truncated.  This module imports only the standard library,
+so every layer of the package can use it.
 """
 
 from __future__ import annotations
+
+import numbers
+import operator
 
 __all__ = [
     "PathcorrError",
@@ -33,6 +44,25 @@ __all__ = [
     "FileFormatError",
     "IllConditionedWarning",
 ]
+
+
+def _whole(value, name: str, error: type, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int, if it is a whole number in lo..hi; else ``error``.
+
+    ``hi`` None means no upper limit.  Integers of any kind pass, and so
+    does a real number with no fractional part; a bool counts as the
+    integer it is.  The range is compared on the converted int, which
+    keeps per-node checks in pair loops as cheap as a bare ``int()``.
+    """
+    try:
+        v = operator.index(value)
+    except TypeError:
+        whole = isinstance(value, numbers.Real) and float(value).is_integer()
+        v = int(value) if whole else None
+    if v is not None and lo <= v and (hi is None or v <= hi):
+        return v
+    span = f"between {lo} and {hi}" if hi is not None else f"of at least {lo}"
+    raise error(f"{name} must be a whole number {span}, got {value!r}")
 
 
 class PathcorrError(Exception):

@@ -38,6 +38,7 @@ from .errors import (
     QOutOfRange,
     SingularBlock,
     SpectralRadiusTooLarge,
+    _whole,
 )
 from .matrices import (
     PartialCorrelationGraph,
@@ -46,7 +47,7 @@ from .matrices import (
     _spd_solve,
     precision_to_partial,
 )
-from .pathsum import _check_q, star_path_sum_closed
+from .pathsum import _check_node, _check_pair, _check_q, star_path_sum_closed
 
 # Trace series defaults: hard cap on the number of terms, and the size
 # below which the last term and the tail bound end the summation early.
@@ -82,12 +83,11 @@ class TriPartition:
     Z: tuple = ()
 
     def __post_init__(self):
-        a = sorted(int(v) for v in self.A)
-        b = sorted(int(v) for v in self.B)
-        z = sorted(int(v) for v in self.Z)
-        for v in a + b + z:
-            if not 0 <= v < self.dim:
-                raise IndexOutOfRange(f"node {v} outside 0..{self.dim - 1}")
+        dim = _whole(self.dim, "dim", IndexOutOfRange, 0)
+        a, b, z = (
+            sorted(_check_node(v, dim, f"{name} node") for v in getattr(self, name))
+            for name in "ABZ"
+        )
         if not a or not b:
             raise IndexOutOfRange("A and B must both be nonempty")
         sa, sb, sz = set(a), set(b), set(z)
@@ -95,20 +95,20 @@ class TriPartition:
             raise IndexOutOfRange("a node repeats within a part")
         if sa & sb or sa & sz or sb & sz:
             raise IndexOutOfRange("A, B, Z must be disjoint")
-        if sa | sb | sz != set(range(self.dim)):
+        if sa | sb | sz != set(range(dim)):
             raise IndexOutOfRange(
                 "A, B, Z together must cover every node; "
                 "use TriPartition.complement to fill Z"
             )
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "A", tuple(a))
         object.__setattr__(self, "B", tuple(b))
         object.__setattr__(self, "Z", tuple(z))
 
     @classmethod
     def complement(cls, dim: int, A, B) -> "TriPartition":
-        a = {int(v) for v in A}
-        b = {int(v) for v in B}
-        z = set(range(dim)) - a - b
+        a, b = set(A), set(B)
+        z = set(range(_whole(dim, "dim", IndexOutOfRange, 0))) - a - b
         return cls(dim=dim, A=tuple(a), B=tuple(b), Z=tuple(z))
 
 
@@ -202,8 +202,7 @@ def conditional_mi_series(
     never reaches it).  A sum cut at n_max that comes out below zero
     raises :class:`ParamOutOfBound`.
     """
-    if n_max < 1:
-        raise QOutOfRange(f"n_max must be at least 1, got {n_max}")
+    n_max = _whole(n_max, "n_max", QOutOfRange, 1)
     m_a, x = _blocks(system, part)
     d_a = m_a.shape[0]
     t = _spd_solve(m_a, x, SingularBlock, "1 - R[A, A]")
@@ -259,9 +258,7 @@ def loop_sum_mi_identity(system, i: int, j: int) -> tuple:
     """
     system = _coupling_graph(system)
     dim = system.dim
-    i, j = int(i), int(j)
-    if not (0 <= i < dim and 0 <= j < dim) or i == j:
-        raise IndexOutOfRange(f"need two distinct nodes in 0..{dim - 1}")
+    i, j = _check_pair(i, j, dim)
     if dim < 3:
         raise IndexOutOfRange("identity needs at least 3 nodes")
     loop = star_path_sum_closed(system, i, i, avoid=(j,))

@@ -44,6 +44,7 @@ from .errors import (
     ParamOutOfBound,
     QOutOfRange,
     SingularRestrictedBlock,
+    _whole,
 )
 from .matrices import PartialCorrelationGraph, _spd_solve, partial_to_marginal_oracle
 
@@ -84,8 +85,8 @@ class PathQuery:
     interior nodes to that set.  Both constraints apply to interior
     positions only: the endpoints themselves are always exempt, so a
     query with ``source`` in the forbidden set still starts there.
-    ``allow_self_loops`` permits steps v -> v; it only matters on
-    rescaled graphs, whose vertices carry self-loops of weight 1 - q.
+    Steps v -> v occur where the graph has a self-loop: on a rescaled
+    graph, whose vertices carry self-loops of weight 1 - q.
     """
 
     source: int
@@ -93,20 +94,14 @@ class PathQuery:
     max_length: int
     interior_forbidden: frozenset = field(default_factory=frozenset)
     interior_allowed: frozenset | None = None
-    allow_self_loops: bool = False
 
     def __post_init__(self):
-        if self.max_length < 1:
-            raise ParamOutOfBound(
-                f"max_length must be at least 1, got {self.max_length}"
-            )
-        object.__setattr__(
-            self, "interior_forbidden", frozenset(int(v) for v in self.interior_forbidden)
-        )
-        if self.interior_allowed is not None:
-            object.__setattr__(
-                self, "interior_allowed", frozenset(int(v) for v in self.interior_allowed)
-            )
+        object.__setattr__(self, "max_length", _check_length(self.max_length, "max_length"))
+        for name in ("interior_forbidden", "interior_allowed"):
+            nodes = getattr(self, name)
+            if nodes is not None:
+                nodes = frozenset(_whole(v, name, IndexOutOfRange, 0) for v in nodes)
+                object.__setattr__(self, name, nodes)
 
 
 @dataclass(frozen=True)
@@ -185,10 +180,15 @@ class ProfilePoint:
     abs_gap: float
 
 
+def _q_bound(nu: float) -> float:
+    """Upper end 2 / (1 + nu) of the admissible interval of q."""
+    return 2.0 / (1.0 + nu)
+
+
 def _check_q(q, nu: float) -> float:
     """q as a float, if it lies in the admissible interval (0, 2 / (1 + nu))."""
     q = float(q)
-    bound = 2.0 / (1.0 + nu)
+    bound = _q_bound(nu)
     if not (0.0 < q < bound):
         raise QOutOfRange(
             f"q={q:.6g} outside the admissible interval (0, {bound:.6g})"
@@ -202,10 +202,7 @@ def _base_and_q(g) -> tuple:
 
 
 def _check_node(v: int, dim: int, name: str) -> int:
-    v = int(v)
-    if not 0 <= v < dim:
-        raise IndexOutOfRange(f"{name}={v} outside 0..{dim - 1}")
-    return v
+    return _whole(v, name, IndexOutOfRange, 0, dim - 1)
 
 
 def _check_pair(i: int, j: int, dim: int) -> tuple:
@@ -217,9 +214,8 @@ def _check_pair(i: int, j: int, dim: int) -> tuple:
     return i, j
 
 
-def _check_length(L: int, name: str) -> None:
-    if not 1 <= L <= MAX_LENGTH:
-        raise ParamOutOfBound(f"{name} must be between 1 and {MAX_LENGTH}, got {L}")
+def _check_length(L: int, name: str) -> int:
+    return _whole(L, name, ParamOutOfBound, 1, MAX_LENGTH)
 
 
 def _interior_indices(dim: int, endpoints, avoid, within) -> np.ndarray:
@@ -251,32 +247,15 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
     dim = w.shape[0]
     src = _check_node(query.source, dim, "source")
     tgt = _check_node(query.target, dim, "target")
-    for v in query.interior_forbidden:
-        _check_node(v, dim, "forbidden node")
-    if query.interior_allowed is not None:
-        for v in query.interior_allowed:
-            _check_node(v, dim, "allowed node")
-
-    ok_interior = np.ones(dim, dtype=bool)
-    if query.interior_allowed is not None:
-        ok_interior[:] = False
-        ok_interior[list(query.interior_allowed)] = True
-    if query.interior_forbidden:
-        ok_interior[list(query.interior_forbidden)] = False
-
-    neighbors = []
-    for v in range(dim):
-        nbr = np.nonzero(w[v] != 0.0)[0]
-        if not query.allow_self_loops:
-            nbr = nbr[nbr != v]
-        neighbors.append(nbr)
+    interior = _interior_indices(dim, (), query.interior_forbidden, query.interior_allowed)
+    ok_interior = np.isin(np.arange(dim), interior)
+    # A self-loop is a nonzero diagonal weight: none on a plain graph.
+    neighbors = [np.nonzero(w[v] != 0.0)[0] for v in range(dim)]
 
     def walk(prefix: tuple, weight: float, steps_left: int):
         last = prefix[-1]
         if steps_left == 1:
             # Final hop: the target is exempt from interior constraints.
-            if last == tgt and not query.allow_self_loops:
-                return
             edge = w[last, tgt]
             if edge != 0.0:
                 yield Path(prefix + (tgt,), weight * edge)
@@ -335,7 +314,7 @@ def path_sum_truncated(g, i: int, j: int, L: int) -> PathSumResult:
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
-    _check_length(L, "truncation length")
+    L = _check_length(L, "truncation length")
     per = _per_length_restricted(w, i, j, L, np.arange(dim))
     return _result_from_per_length(per)
 
@@ -361,7 +340,7 @@ def star_path_sum_truncated(
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
-    _check_length(L, "truncation length")
+    L = _check_length(L, "truncation length")
     interior = _interior_indices(dim, {i, j}, avoid, within)
     per = _per_length_restricted(w, i, j, L, interior)
     return _result_from_per_length(per)
@@ -395,21 +374,19 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
 
 
 def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:
-    """Truncated estimates rho_hat(l) for l = 1..L of the pair i != j.
+    """Truncated estimates rho_hat(l) for l = 1..L of the checked pair i != j.
 
-    Checks the nodes and the length L (named ``length_name`` in the
-    error), then sums the ij*-paths and the closed loops at i and at j,
-    each avoiding the other endpoint, length by length in ascending
-    order.  Returns (rho_hat, l_i, l_j) as arrays over l = 1..L, the
-    last two the cumulative loop sums.  Where either loop sum reaches
+    Checks the length L (named ``length_name`` in the error), then sums
+    the ij*-paths and the closed loops at i and at j, each avoiding the
+    other endpoint, length by length in ascending order.  Returns
+    (rho_hat, l_i, l_j) as arrays over l = 1..L, the last two the
+    cumulative loop sums.  Where either loop sum reaches
     ``1 - DENOM_GUARD`` the ratio has no meaning: that entry of rho_hat
     is set to NaN, never computed, and the caller decides what to raise.
     """
     w = g.weights
-    dim = w.shape[0]
-    i, j = _check_pair(i, j, dim)
-    _check_length(L, length_name)
-    interior = _interior_indices(dim, {i, j}, (), None)
+    L = _check_length(L, length_name)
+    interior = _interior_indices(w.shape[0], {i, j}, (), None)
     num, li, lj = (
         np.cumsum(_per_length_restricted(w, a, b, L, interior))
         for a, b in ((i, j), (i, i), (j, j))
@@ -428,6 +405,7 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     graph the plain truncation has no limit.  Equal to the last row of
     :func:`convergence_profile` up to L, where that profile exists.
     """
+    i, j = _check_pair(i, j, g.dim)
     rho, li, lj = _rho_hat(g, i, j, L, "truncation length")
     if np.isnan(rho[-1]):
         name, val = ("i", li[-1]) if li[-1] >= lj[-1] else ("j", lj[-1])
@@ -494,7 +472,7 @@ def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph
     """
     base, _ = _base_and_q(g)
     if q is None:
-        q = Q_DEFAULT_FRACTION * 2.0 / (1.0 + base._nu)
+        q = Q_DEFAULT_FRACTION * _q_bound(base._nu)
     return RescaledGraph(base=base, q=float(q))
 
 
@@ -505,6 +483,7 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
     much as the single longest truncation.  The gap column compares
     against the matrix-inversion oracle of the (base) graph.
     """
+    i, j = _check_pair(i, j, g.dim)
     rho, li, lj = _rho_hat(g, i, j, L_max, "L_max")
     if np.isnan(rho).any():
         L = int(np.argmax(np.isnan(rho))) + 1
@@ -514,7 +493,7 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
             "increase L or rescale the graph"
         )
     base, _ = _base_and_q(g)
-    oracle = float(partial_to_marginal_oracle(base).entries[int(i), int(j)])
+    oracle = float(partial_to_marginal_oracle(base).entries[i, j])
     return tuple(
         ProfilePoint(L=L, rho_hat=float(r), abs_gap=abs(float(r) - oracle))
         for L, r in enumerate(rho, start=1)

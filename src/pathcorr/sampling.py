@@ -22,6 +22,7 @@ from .errors import (
     NotPositiveDefinite,
     ParamOutOfBound,
     SingularSampleCovariance,
+    _whole,
 )
 from .matrices import (
     CovarianceMatrix,
@@ -61,14 +62,12 @@ class SampleSpec:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ParamOutOfBound(f"dimension must be positive, got {self.d}")
-        if self.n <= self.d:
-            raise ParamOutOfBound(
-                f"need more samples than dimensions, got n={self.n} <= d={self.d}"
-            )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ParamOutOfBound("seed must fit in an unsigned 64-bit integer")
+        d = _whole(self.d, "dimension d", ParamOutOfBound, 1)
+        # More samples than dimensions, so the sample covariance inverts.
+        n = _whole(self.n, "sample count n", ParamOutOfBound, d + 1)
+        seed = _whole(self.seed, "seed", ParamOutOfBound, 0, 2**64 - 1)
+        for name, value in (("d", d), ("n", n), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     rather than raised; a singular S raises
     :class:`SingularSampleCovariance`.
     """
-    gen = np.random.Generator(np.random.Philox(key=int(spec.seed)))
+    gen = np.random.Generator(np.random.Philox(key=spec.seed))
     u = gen.random((spec.n, spec.d))
     # Uniforms live in [0, 1); clamp into the open interval before the
     # inverse CDF so the tails stay finite.
@@ -211,29 +210,22 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
 
     Violating a bound raises :class:`ParamOutOfBound`.
     """
-    if kind == "chain":
-        d, r = int(params.pop("d")), float(params.pop("r"))
+    if kind in ("chain", "ring", "one_many_one"):
+        d_min = 2 if kind == "chain" else 3
+        d = _whole(params.pop("d"), f"{kind} d", ParamOutOfBound, d_min)
+        r = float(params.pop("r"))
         _no_extras(kind, params)
-        if d < 2:
-            raise ParamOutOfBound(f"chain needs d >= 2, got {d}")
+    if kind == "chain":
         if abs(r) > 0.5:
             raise ParamOutOfBound(f"chain needs |r| <= 1/2, got {r}")
         return PartialCorrelationGraph(weights=_chain_weights(d, r))
     if kind == "ring":
-        d, r = int(params.pop("d")), float(params.pop("r"))
-        _no_extras(kind, params)
-        if d < 3:
-            raise ParamOutOfBound(f"ring needs d >= 3, got {d}")
         if abs(r) >= 0.5:
             raise ParamOutOfBound(f"ring needs |r| < 1/2, got {r}")
         m = _chain_weights(d, r)
         m[0, d - 1] = m[d - 1, 0] = r
         return PartialCorrelationGraph(weights=m)
     if kind == "one_many_one":
-        d, r = int(params.pop("d")), float(params.pop("r"))
-        _no_extras(kind, params)
-        if d < 3:
-            raise ParamOutOfBound(f"one_many_one needs d >= 3, got {d}")
         if (d - 2) * r * r >= 0.5:
             raise ParamOutOfBound(
                 f"one_many_one needs (d-2) r^2 < 1/2, got {(d - 2) * r * r:.4g}"
@@ -274,8 +266,7 @@ class MartingaleSpec:
     innovation_variances: np.ndarray
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ParamOutOfBound(f"horizon must be positive, got {self.horizon}")
+        object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", ParamOutOfBound, 1))
         if not np.isfinite(self.alpha):
             raise ParamOutOfBound("alpha must be finite")
         v = np.array(self.innovation_variances, dtype=float).reshape(-1)

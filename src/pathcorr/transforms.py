@@ -40,6 +40,7 @@ from .errors import (
     EmptyRemainder,
     IndexOutOfRange,
     SingularBlock,
+    _whole,
 )
 from .matrices import (
     PartialCorrelationGraph,
@@ -89,26 +90,29 @@ class NodePartition:
     separator: int | None = None
 
     def __post_init__(self):
-        kept = frozenset(int(v) for v in self.kept)
-        removed = frozenset(int(v) for v in self.removed)
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "removed", removed)
+        dim = _whole(self.dim, "dim", IndexOutOfRange, 0)
+
+        def node(v):
+            return _whole(v, "node", IndexOutOfRange, 0, dim - 1)
+
+        kept = frozenset(map(node, self.kept))
+        removed = frozenset(map(node, self.removed))
+        sep = None if self.separator is None else node(self.separator)
+        checked = {"dim": dim, "kept": kept, "removed": removed, "separator": sep}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         pieces = kept | removed
-        extra = {self.separator} if self.separator is not None else set()
+        extra = {sep} if sep is not None else set()
         if kept & removed or (pieces & extra):
             raise IndexOutOfRange("partition pieces overlap")
-        if pieces | extra != set(range(self.dim)):
-            raise IndexOutOfRange(
-                f"partition does not cover 0..{self.dim - 1} exactly"
-            )
+        if pieces | extra != set(range(dim)):
+            raise IndexOutOfRange(f"partition does not cover 0..{dim - 1} exactly")
 
     @classmethod
     def from_removed(cls, dim: int, removed) -> "NodePartition":
-        removed = frozenset(int(v) for v in removed)
-        for v in removed:
-            if not 0 <= v < dim:
-                raise IndexOutOfRange(f"node {v} outside 0..{dim - 1}")
-        return cls(dim=dim, kept=frozenset(range(dim)) - removed, removed=removed)
+        removed = frozenset(removed)
+        kept = frozenset(range(_whole(dim, "dim", IndexOutOfRange, 0))) - removed
+        return cls(dim=dim, kept=kept, removed=removed)
 
 
 @dataclass(frozen=True)
@@ -324,18 +328,13 @@ def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     :data:`TOL_FACT` certifies that k screens I from J; testing every
     bipartition of the remaining nodes gives the converse direction.
     """
-    k = int(k)
-    if not 0 <= k < g.dim:
-        raise IndexOutOfRange(f"node {k} outside 0..{g.dim - 1}")
-    I = sorted(int(v) for v in I)
-    J = sorted(int(v) for v in J)
+    k = _whole(k, "k", IndexOutOfRange, 0, g.dim - 1)
+    I = sorted(_whole(v, "node of I", IndexOutOfRange, 0, g.dim - 1) for v in I)
+    J = sorted(_whole(v, "node of J", IndexOutOfRange, 0, g.dim - 1) for v in J)
     if not I or not J:
         raise IndexOutOfRange("both sides of the split must be nonempty")
     if set(I) & set(J) or k in set(I) | set(J):
         raise IndexOutOfRange("split sides must be disjoint and avoid k")
-    for v in I + J:
-        if not 0 <= v < g.dim:
-            raise IndexOutOfRange(f"node {v} outside 0..{g.dim - 1}")
     return _residual(partial_to_marginal_oracle(g).entries, k, I, J)
 
 

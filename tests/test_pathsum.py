@@ -113,7 +113,6 @@ class TestEnumeration:
             target=0,
             max_length=3,
             interior_forbidden=frozenset({0}),
-            allow_self_loops=True,
         )
         paths = list(enumerate_paths(rg, q))
         assert [p.vertices for p in paths] == [(0, 0), (0, 1, 0), (0, 1, 1, 0)]
@@ -142,7 +141,7 @@ class TestEnumeration:
             PathQuery(source=0, target=1, max_length=0)
 
 
-def enumerated_per_length(g, i, j, L, avoid=(), within=None, self_loops=False):
+def enumerated_per_length(g, i, j, L, avoid=(), within=None):
     """Reference per-length star-family sums via explicit enumeration."""
     dim = g.weights.shape[0] if not isinstance(g, RescaledGraph) else g.dim
     forbidden = {i, j} | set(avoid)
@@ -153,7 +152,6 @@ def enumerated_per_length(g, i, j, L, avoid=(), within=None, self_loops=False):
         max_length=L,
         interior_forbidden=frozenset(forbidden),
         interior_allowed=allowed,
-        allow_self_loops=self_loops,
     )
     per = {ell: 0.0 for ell in range(1, L + 1)}
     for p in enumerate_paths(g, q):
@@ -202,7 +200,7 @@ class TestTruncatedSums:
         g = scaled_random_graph(401, 4, 0.6)
         rg = rescale(g, 0.9)
         res = star_path_sum_truncated(rg, 0, 0, 4)
-        ref = enumerated_per_length(rg, 0, 0, 4, self_loops=True)
+        ref = enumerated_per_length(rg, 0, 0, 4)
         for ell in range(1, 5):
             assert res.per_length[ell] == pytest.approx(ref[ell], abs=1e-12)
         assert res.per_length[1] == pytest.approx(1.0 - 0.9, abs=1e-15)
