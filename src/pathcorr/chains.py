@@ -34,6 +34,7 @@ from .errors import (
     IndexOutOfRange,
     ParamOutOfBound,
     UndefinedAtZero,
+    _real,
     _whole,
 )
 
@@ -50,6 +51,14 @@ __all__ = [
 ]
 
 
+def _chain_r(r) -> float:
+    """r as a float, if it is a real number with |r| <= 1/2; else ParamOutOfBound."""
+    r = _real(r, "r", ParamOutOfBound)
+    if abs(r) > 0.5:
+        raise ParamOutOfBound(f"|r| <= 1/2 is required for a chain of any length, got r={r}")
+    return r
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """A homogeneous chain: d nodes, uniform neighbor coupling r."""
@@ -59,12 +68,7 @@ class ChainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "d", _whole(self.d, "chain length d", IndexOutOfRange, 1))
-        r = float(self.r)
-        if not abs(r) <= 0.5:
-            raise ParamOutOfBound(
-                f"|r| <= 1/2 is required for a chain of any length, got r={r}"
-            )
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _chain_r(self.r))
 
     @cached_property
     def _solution(self) -> ChainSolution:
@@ -177,9 +181,7 @@ def correlation_length(r: float) -> float:
     so critical-point scans stay plottable.  r = 0 has no decay scale at
     all and raises.
     """
-    r = float(r)
-    if abs(r) > 0.5:
-        raise ParamOutOfBound(f"|r| <= 1/2 required, got r={r}")
+    r = _chain_r(r)
     if r == 0.0:
         raise UndefinedAtZero("correlation length is undefined for an uncoupled chain")
     if abs(r) == 0.5:
@@ -189,9 +191,7 @@ def correlation_length(r: float) -> float:
 
 def l_infinity(r: float) -> float:
     """Infinite-chain loop sum, closed form (1 - sqrt(1 - 4 r^2)) / 2."""
-    r = float(r)
-    if abs(r) > 0.5:
-        raise ParamOutOfBound(f"|r| <= 1/2 required, got r={r}")
+    r = _chain_r(r)
     return (1.0 - math.sqrt(1.0 - 4.0 * r * r)) / 2.0
 
 
@@ -203,9 +203,7 @@ def l_infinity_series(r: float, terms: int = 50) -> float:
     truncated after ``terms`` terms.  Cross-check route for
     :func:`l_infinity`; convergence slows toward |r| = 1/2.
     """
-    r = float(r)
-    if abs(r) > 0.5:
-        raise ParamOutOfBound(f"|r| <= 1/2 required, got r={r}")
+    r = _chain_r(r)
     terms = _whole(terms, "terms", ParamOutOfBound, 1)
     total = 0.0
     catalan = 1.0

@@ -8,15 +8,17 @@ condition raises the same class no matter which routine noticed it first.
 
 Every integer argument of the library (node indices and node sets,
 truncation lengths, counts, dimensions and seeds) is checked by one
-rule, :func:`_whole`: a whole number passes, be it a plain or numpy
-integer or an integral float such as 3.0, and anything else (a
-fraction, NaN, inf, a string) is refused with the class of the call
-site, never truncated.  This module imports only the standard library,
-so every layer of the package can use it.
+rule, :func:`_whole`, and every real one (couplings r, q, alpha) by
+:func:`_real`.  A whole or a finite number passes, plain or numpy, a
+bool or 3.0 included; anything else (a fraction where a whole number
+is due, NaN, inf, None, a string) is refused with the class of the
+call site, never truncated or parsed.  This module imports only the
+standard library, so every layer of the package can use it.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 
@@ -63,6 +65,13 @@ def _whole(value, name: str, error: type, lo: int, hi: int | None = None) -> int
         return v
     span = f"between {lo} and {hi}" if hi is not None else f"of at least {lo}"
     raise error(f"{name} must be a whole number {span}, got {value!r}")
+
+
+def _real(value, name: str, error: type) -> float:
+    """``value`` as a float, if it is a finite real number; else ``error``."""
+    if isinstance(value, numbers.Real) and math.isfinite(value):
+        return float(value)
+    raise error(f"{name} must be a finite real number, got {value!r}")
 
 
 class PathcorrError(Exception):
@@ -135,7 +144,7 @@ class UndefinedAtZero(PathcorrError):
 
 
 class ParamOutOfBound(PathcorrError):
-    """A family parameter violates its positive-definiteness bound."""
+    """A parameter, or its name, lies outside what its function admits."""
 
 
 class DegenerateColumn(PathcorrError):

@@ -22,9 +22,9 @@ operation is a pure function, so values can be shared freely across
 threads.  A graph keeps its oracle result and its spectral radius,
 each filled on first use: the fill is idempotent, so a race between
 threads at worst computes the same read-only value twice.  Results of
-exact conversions are not validated again, a graph split off an
-assembled precision is checked once, as a graph, and every Cholesky
-factorisation of the package goes through one helper here.
+exact conversions are not validated again; every graph of the package
+read off precision entries is split, and checked once as a graph, by
+one helper here, and every Cholesky factorisation goes through another.
 """
 
 from __future__ import annotations
@@ -388,15 +388,20 @@ def validate_partial_graph(raw, scale=None, labels=None) -> PartialCorrelationGr
     return PartialCorrelationGraph(np.asarray(raw, dtype=float), scale=scale, labels=labels)
 
 
+def _correlations(c: np.ndarray) -> np.ndarray:
+    """c_ij / sqrt(c_ii c_jj), exactly symmetric, with a unit diagonal."""
+    s = np.sqrt(np.diag(c))
+    p = c / np.outer(s, s)
+    p = (p + p.T) / 2.0
+    np.fill_diagonal(p, 1.0)
+    return p
+
+
 def cov_to_marginal(C: CovarianceMatrix) -> MarginalCorrelationMatrix:
     """Marginal correlations rho_ij = c_ij / sqrt(c_ii c_jj)."""
     if not isinstance(C, CovarianceMatrix):
         C = validate_covariance(C)
-    c = C.entries
-    s = np.sqrt(np.diag(c))
-    p = c / np.outer(s, s)
-    np.fill_diagonal(p, 1.0)
-    return _derived(MarginalCorrelationMatrix, p, C.labels)
+    return _derived(MarginalCorrelationMatrix, _correlations(C.entries), C.labels)
 
 
 def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
@@ -427,17 +432,19 @@ def precision_to_partial(Omega: PrecisionMatrix) -> PartialCorrelationGraph:
     return _precision_graph(Omega.entries, Omega.labels)
 
 
-def _precision_graph(om: np.ndarray, labels) -> PartialCorrelationGraph:
-    """The scaled graph of precision entries ``om`` with a positive diagonal.
+def _precision_graph(om: np.ndarray, labels, scale=1.0) -> PartialCorrelationGraph:
+    """The graph of precision entries ``om``, written in node scales ``scale``.
 
-    ``om`` is symmetrised exactly, then checked once, by the graph
-    constructor: (1 - R) is positive definite exactly when om is.
+    r_ij = -om_ij / sqrt(om_ii om_jj); the graph's scale is ``scale *
+    sqrt(diag(om))``, or none when ``scale`` is None.  ``om`` is
+    symmetrised exactly, then checked once, by the graph constructor:
+    (1 - R) is positive definite exactly when om is.
     """
     om = (om + om.T) / 2.0
     lam = np.sqrt(np.diag(om))
     r = -om / np.outer(lam, lam)
     np.fill_diagonal(r, 0.0)
-    return PartialCorrelationGraph(r, scale=lam, labels=labels)
+    return PartialCorrelationGraph(r, scale=None if scale is None else scale * lam, labels=labels)
 
 
 def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
@@ -454,12 +461,8 @@ def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
 
 def _invert(g: PartialCorrelationGraph) -> _Inverse:
     minv = _spd_solve(np.eye(g.dim) - g.weights, np.eye(g.dim), SingularMatrix, "(1 - R)")
-    c = np.diag(minv)
-    s = np.sqrt(c)
-    p = minv / np.outer(s, s)
-    p = (p + p.T) / 2.0
-    np.fill_diagonal(p, 1.0)
-    return _Inverse(_derived(MarginalCorrelationMatrix, p, g.labels), _freeze(c))
+    p = _correlations(minv)
+    return _Inverse(_derived(MarginalCorrelationMatrix, p, g.labels), _freeze(np.diag(minv)))
 
 
 def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:

@@ -44,6 +44,7 @@ from .errors import (
     ParamOutOfBound,
     QOutOfRange,
     SingularRestrictedBlock,
+    _real,
     _whole,
 )
 from .matrices import PartialCorrelationGraph, _spd_solve, partial_to_marginal_oracle
@@ -187,7 +188,7 @@ def _q_bound(nu: float) -> float:
 
 def _check_q(q, nu: float) -> float:
     """q as a float, if it lies in the admissible interval (0, 2 / (1 + nu))."""
-    q = float(q)
+    q = _real(q, "q", QOutOfRange)
     bound = _q_bound(nu)
     if not (0.0 < q < bound):
         raise QOutOfRange(
@@ -473,7 +474,7 @@ def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph
     base, _ = _base_and_q(g)
     if q is None:
         q = Q_DEFAULT_FRACTION * _q_bound(base._nu)
-    return RescaledGraph(base=base, q=float(q))
+    return RescaledGraph(base=base, q=q)
 
 
 def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:

@@ -22,6 +22,7 @@ from .errors import (
     NotPositiveDefinite,
     ParamOutOfBound,
     SingularSampleCovariance,
+    _real,
     _whole,
 )
 from .matrices import (
@@ -164,27 +165,15 @@ class FactorModel:
 
 
 def factor_model_partial(fm: FactorModel) -> PartialCorrelationGraph:
-    """Partial correlations of a factor model, by the direct formula.
+    """Partial correlations of a factor model.
 
     r_ij = -sum_l v_l w_li w_lj / sqrt(sum_l v_l w_li^2 * sum_l v_l w_lj^2)
 
-    for i != j; each pairwise term carries its factor's variance.  The
-    result equals converting the implied precision, but is evaluated
-    straight from the weights.
+    for i != j; each pairwise term carries its factor's variance.  This
+    is the graph of the implied precision sum_l v_l w_l w_l^T, split
+    like any other precision, with scales sqrt(sum_l v_l w_li^2).
     """
-    w = fm.weights
-    v = fm.variances
-    cross = (v[:, None] * w).T @ w
-    diag = np.diag(cross).copy()
-    if np.any(diag <= 0):
-        dead = int(np.argmin(diag))
-        raise DegenerateColumn(
-            f"variable {dead} appears in no factor; its precision is zero"
-        )
-    denom = np.sqrt(np.outer(diag, diag))
-    r = -cross / denom
-    np.fill_diagonal(r, 0.0)
-    return PartialCorrelationGraph(weights=r, scale=np.sqrt(diag))
+    return _precision_graph((fm.variances[:, None] * fm.weights).T @ fm.weights, None)
 
 
 def _chain_weights(d: int, r: float) -> np.ndarray:
@@ -193,6 +182,14 @@ def _chain_weights(d: int, r: float) -> np.ndarray:
     m[idx, idx + 1] = r
     m[idx + 1, idx] = r
     return m
+
+
+_CANONICAL_PARAMS = {
+    "chain": ("d", "r"),
+    "ring": ("d", "r"),
+    "one_many_one": ("d", "r"),
+    "example_R": ("r12", "r13", "r23", "r24", "r34"),
+}
 
 
 def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
@@ -208,13 +205,25 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
     kind "example_R":    params r12, r13, r23, r24, r34; the 4-node
                          graph with no 1-4 edge.
 
-    Violating a bound raises :class:`ParamOutOfBound`.
+    Violating a bound, an unknown kind, and a missing or extra
+    parameter raise :class:`ParamOutOfBound`.
     """
-    if kind in ("chain", "ring", "one_many_one"):
-        d_min = 2 if kind == "chain" else 3
-        d = _whole(params.pop("d"), f"{kind} d", ParamOutOfBound, d_min)
-        r = float(params.pop("r"))
-        _no_extras(kind, params)
+    names = _CANONICAL_PARAMS.get(kind)
+    if names is None:
+        raise ParamOutOfBound(f"unknown kind {kind!r}; kinds: {', '.join(_CANONICAL_PARAMS)}")
+    if set(params) != set(names):
+        raise ParamOutOfBound(f"{kind} takes {', '.join(names)}, got {', '.join(sorted(params))}")
+    if kind == "example_R":
+        m = np.zeros((4, 4))
+        for key in names:
+            i, j = int(key[1]) - 1, int(key[2]) - 1
+            m[i, j] = m[j, i] = _real(params[key], key, ParamOutOfBound)
+        try:
+            return PartialCorrelationGraph(weights=m)
+        except NotPositiveDefinite as exc:
+            raise ParamOutOfBound(f"example_R weights are not admissible: {exc}") from exc
+    d = _whole(params["d"], f"{kind} d", ParamOutOfBound, 2 if kind == "chain" else 3)
+    r = _real(params["r"], f"{kind} r", ParamOutOfBound)
     if kind == "chain":
         if abs(r) > 0.5:
             raise ParamOutOfBound(f"chain needs |r| <= 1/2, got {r}")
@@ -225,34 +234,16 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
         m = _chain_weights(d, r)
         m[0, d - 1] = m[d - 1, 0] = r
         return PartialCorrelationGraph(weights=m)
-    if kind == "one_many_one":
-        if (d - 2) * r * r >= 0.5:
-            raise ParamOutOfBound(
-                f"one_many_one needs (d-2) r^2 < 1/2, got {(d - 2) * r * r:.4g}"
-            )
-        m = np.zeros((d, d))
-        m[0, 1 : d - 1] = r
-        m[1 : d - 1, 0] = r
-        m[d - 1, 1 : d - 1] = r
-        m[1 : d - 1, d - 1] = r
-        return PartialCorrelationGraph(weights=m)
-    if kind == "example_R":
-        vals = {key: float(params.pop(key)) for key in ("r12", "r13", "r23", "r24", "r34")}
-        _no_extras(kind, params)
-        m = np.zeros((4, 4))
-        for key, val in vals.items():
-            i, j = int(key[1]) - 1, int(key[2]) - 1
-            m[i, j] = m[j, i] = val
-        try:
-            return PartialCorrelationGraph(weights=m)
-        except NotPositiveDefinite as exc:
-            raise ParamOutOfBound(f"example_R weights are not admissible: {exc}") from exc
-    raise ValueError(f"unknown canonical kind {kind!r}")
-
-
-def _no_extras(kind: str, params: dict):
-    if params:
-        raise TypeError(f"unexpected parameters for {kind}: {sorted(params)}")
+    if (d - 2) * r * r >= 0.5:
+        raise ParamOutOfBound(
+            f"one_many_one needs (d-2) r^2 < 1/2, got {(d - 2) * r * r:.4g}"
+        )
+    m = np.zeros((d, d))
+    m[0, 1 : d - 1] = r
+    m[1 : d - 1, 0] = r
+    m[d - 1, 1 : d - 1] = r
+    m[1 : d - 1, d - 1] = r
+    return PartialCorrelationGraph(weights=m)
 
 
 @dataclass(frozen=True)
@@ -267,8 +258,7 @@ class MartingaleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", ParamOutOfBound, 1))
-        if not np.isfinite(self.alpha):
-            raise ParamOutOfBound("alpha must be finite")
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha", ParamOutOfBound))
         v = np.array(self.innovation_variances, dtype=float).reshape(-1)
         if v.shape[0] != self.horizon:
             raise DimensionMismatch(

@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     EmptyRemainder,
     IndexOutOfRange,
+    ParamOutOfBound,
     SingularBlock,
     _whole,
 )
@@ -173,6 +174,12 @@ def _split(g: PartialCorrelationGraph, S) -> tuple:
     return sorted(part.kept), sorted(part.removed)
 
 
+def _kept_nodes(g: PartialCorrelationGraph, kept: list) -> tuple:
+    """Labels and scale of the nodes ``kept``; each None when g has none."""
+    labels = tuple(g.node_labels[v] for v in kept) if g.labels is not None else None
+    return labels, (g.scale[kept] if g.scale is not None else None)
+
+
 def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
     """Delete the nodes in S and every link touching them.
 
@@ -183,10 +190,8 @@ def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
     kept, removed = _split(g, S)
     if not removed:
         return g
-    w = g.weights[np.ix_(kept, kept)]
-    scale = g.scale[kept] if g.scale is not None else None
-    labels = tuple(g.node_labels[v] for v in kept) if g.labels is not None else None
-    return PartialCorrelationGraph(w, scale=scale, labels=labels)
+    labels, scale = _kept_nodes(g, kept)
+    return PartialCorrelationGraph(g.weights[np.ix_(kept, kept)], scale=scale, labels=labels)
 
 
 def marginalize_nodes(
@@ -205,7 +210,7 @@ def marginalize_nodes(
     precision matrix is exactly the Schur complement of the original.
     """
     if method not in ("block", "paths"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ParamOutOfBound(f"method must be 'block' or 'paths', got {method!r}")
     kept, removed = _split(g, S)
     if not removed:
         return g
@@ -216,13 +221,7 @@ def marginalize_nodes(
     m_ts = m[np.ix_(kept, removed)]
     m_tt = m[np.ix_(kept, kept)]
     m_red = m_tt - m_ts @ _spd_solve(m_ss, m_ts.T, SingularBlock, _ELIMINATED)
-    m_red = (m_red + m_red.T) / 2.0
-    d_red = np.diag(m_red).copy()
-    r_new = -m_red / np.sqrt(np.outer(d_red, d_red))
-    np.fill_diagonal(r_new, 0.0)
-    scale = g.scale[kept] * np.sqrt(d_red) if g.scale is not None else None
-    labels = tuple(g.node_labels[v] for v in kept) if g.labels is not None else None
-    return PartialCorrelationGraph(r_new, scale=scale, labels=labels)
+    return _precision_graph(m_red, *_kept_nodes(g, kept))
 
 
 def _marginalize_by_paths(g, kept, removed) -> PartialCorrelationGraph:
@@ -246,8 +245,8 @@ def _marginalize_by_paths(g, kept, removed) -> PartialCorrelationGraph:
             p_ab = star_path_sum_closed(g, i, j, within=removed)
             r_new[a, b] = p_ab / np.sqrt((1.0 - loops[a]) * (1.0 - loops[b]))
             r_new[b, a] = r_new[a, b]
-    scale = g.scale[kept] * np.sqrt(1.0 - loops) if g.scale is not None else None
-    labels = tuple(g.node_labels[v] for v in kept) if g.labels is not None else None
+    labels, scale = _kept_nodes(g, kept)
+    scale = scale * np.sqrt(1.0 - loops) if scale is not None else None
     return PartialCorrelationGraph(r_new, scale=scale, labels=labels)
 
 

@@ -229,12 +229,18 @@ class TestCanonicalGraphs:
             )
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfBound, match="lattice"):
             canonical_graph("lattice", d=4, r=0.2)
 
     def test_extra_params_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ParamOutOfBound, match="got d, q, r"):
             canonical_graph("chain", d=4, r=0.2, q=0.5)
+
+    def test_missing_params_rejected(self):
+        with pytest.raises(ParamOutOfBound, match="chain takes d, r, got r"):
+            canonical_graph("chain", r=0.3)
+        with pytest.raises(ParamOutOfBound, match="example_R takes"):
+            canonical_graph("example_R", r12=0.2, r13=0.1, r23=-0.2, r24=0.3)
 
 
 class TestMartingale:

@@ -15,6 +15,7 @@ from pathcorr import (
     EmptyRemainder,
     IndexOutOfRange,
     NodePartition,
+    ParamOutOfBound,
     PartialCorrelationGraph,
     PrecisionMatrix,
     SeparatorReport,
@@ -191,7 +192,7 @@ class TestMarginalize:
 
     def test_unknown_method_rejected(self):
         g = chain_graph(3, 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamOutOfBound, match="magic"):
             marginalize_nodes(g, {2}, method="magic")
 
     def test_singular_block_mapped(self, monkeypatch):
