@@ -260,8 +260,7 @@ def _cmd_mi(args) -> int:
     a = _nodes(g, args.A)
     b = _nodes(g, args.B)
     if args.Z is not None:
-        z = _nodes(g, args.Z)
-        part = gaussinfo.TriPartition(dim=g.dim, A=tuple(a), B=tuple(b), Z=tuple(z))
+        part = gaussinfo.TriPartition(dim=g.dim, A=a, B=b, Z=_nodes(g, args.Z))
     else:
         part = gaussinfo.TriPartition.complement(g.dim, a, b)
     if args.method == "series":

@@ -6,18 +6,20 @@ Every exception raised deliberately by this package derives from
 precondition rather than the place where it was detected, and the same
 condition raises the same class no matter which routine noticed it first.
 
-Every integer argument of the library (node indices and node sets,
-truncation lengths, counts, dimensions and seeds) is checked by one
-rule, :func:`_whole`, and every real one (couplings r, q, alpha) by
-:func:`_real`.  A whole or a finite number passes, plain or numpy, a
-bool or 3.0 included; anything else (a fraction where a whole number
-is due, NaN, inf, None, a string) is refused with the class of the
-call site, never truncated or parsed.  This module imports only the
-standard library, so every layer of the package can use it.
+Every integer argument of the library (node indices, truncation
+lengths, counts, dimensions and seeds) is checked by one rule,
+:func:`_whole`, every node set by :func:`_nodes`, which also refuses a
+repeated node, and every real argument (r, q, alpha) by :func:`_real`.
+A whole or a finite number passes, plain or numpy, a bool or 3.0
+included; anything else (a fraction where a whole number is due, NaN,
+inf, None, a string) is refused with the class of the call site, never
+truncated or parsed.  This module imports only the standard library,
+so every layer of the package can use it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
@@ -69,9 +71,44 @@ def _whole(value, name: str, error: type, lo: int, hi: int | None = None) -> int
 
 def _real(value, name: str, error: type) -> float:
     """``value`` as a float, if it is a finite real number; else ``error``."""
-    if isinstance(value, numbers.Real) and math.isfinite(value):
-        return float(value)
+    with contextlib.suppress(OverflowError):  # an int beyond the float range
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
     raise error(f"{name} must be a finite real number, got {value!r}")
+
+
+def _node_list(values, dim: int, name: str, error: type) -> list:
+    """The nodes ``values`` in the order given, each by :func:`_whole`; a
+    node out of 0..dim-1 or repeated, or no collection, raises ``error``."""
+    label = f"a node of {name}"
+    try:
+        nodes = [_whole(v, label, error, 0, dim - 1) for v in values]
+    except TypeError:  # _whole raises only ``error``: ``values`` is not iterable
+        raise error(f"{name} must be a collection of nodes, got {values!r}") from None
+    if len(set(nodes)) < len(nodes):
+        v = next(v for k, v in enumerate(nodes) if v in nodes[:k])
+        raise error(f"node {v} repeats in {name}")
+    return nodes
+
+
+def _nodes(values, dim: int, name: str, error: type) -> tuple:
+    """The node set ``values`` as a sorted tuple, by :func:`_node_list`."""
+    return tuple(sorted(_node_list(values, dim, name, error)))
+
+
+def _parts(dim: int, error: type, cover: bool, **parts) -> tuple:
+    """The named node sets ``parts``, each by :func:`_nodes`: pairwise
+    disjoint and, with ``cover``, holding every node 0..dim-1."""
+    out = tuple(_nodes(nodes, dim, name, error) for name, nodes in parts.items())
+    owner = {}
+    for name, nodes in zip(parts, out):
+        for v in nodes:
+            if owner.setdefault(v, name) != name:
+                raise error(f"node {v} is in both {owner[v]} and {name}")
+    if cover and len(owner) < dim:
+        v = min(set(range(dim)) - owner.keys())
+        raise error(f"{', '.join(parts)} must cover every node 0..{dim - 1}; node {v} is in none")
+    return out
 
 
 class PathcorrError(Exception):

@@ -38,6 +38,7 @@ from .errors import (
     QOutOfRange,
     SingularBlock,
     SpectralRadiusTooLarge,
+    _parts,
     _whole,
 )
 from .matrices import (
@@ -47,7 +48,7 @@ from .matrices import (
     _spd_solve,
     precision_to_partial,
 )
-from .pathsum import _check_node, _check_pair, _check_q, star_path_sum_closed
+from .pathsum import _check_pair, _check_q, star_path_sum_closed
 
 # Trace series defaults: hard cap on the number of terms, and the size
 # below which the last term and the tail bound end the summation early.
@@ -84,32 +85,17 @@ class TriPartition:
 
     def __post_init__(self):
         dim = _whole(self.dim, "dim", IndexOutOfRange, 0)
-        a, b, z = (
-            sorted(_check_node(v, dim, f"{name} node") for v in getattr(self, name))
-            for name in "ABZ"
-        )
-        if not a or not b:
+        parts = _parts(dim, IndexOutOfRange, True, A=self.A, B=self.B, Z=self.Z)
+        if not parts[0] or not parts[1]:
             raise IndexOutOfRange("A and B must both be nonempty")
-        sa, sb, sz = set(a), set(b), set(z)
-        if len(sa) != len(a) or len(sb) != len(b) or len(sz) != len(z):
-            raise IndexOutOfRange("a node repeats within a part")
-        if sa & sb or sa & sz or sb & sz:
-            raise IndexOutOfRange("A, B, Z must be disjoint")
-        if sa | sb | sz != set(range(dim)):
-            raise IndexOutOfRange(
-                "A, B, Z together must cover every node; "
-                "use TriPartition.complement to fill Z"
-            )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "A", tuple(a))
-        object.__setattr__(self, "B", tuple(b))
-        object.__setattr__(self, "Z", tuple(z))
+        for name, value in zip(("dim", "A", "B", "Z"), (dim, *parts)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def complement(cls, dim: int, A, B) -> "TriPartition":
-        a, b = set(A), set(B)
-        z = set(range(_whole(dim, "dim", IndexOutOfRange, 0))) - a - b
-        return cls(dim=dim, A=tuple(a), B=tuple(b), Z=tuple(z))
+        dim = _whole(dim, "dim", IndexOutOfRange, 0)
+        A, B = _parts(dim, IndexOutOfRange, False, A=A, B=B)
+        return cls(dim=dim, A=A, B=B, Z=set(range(dim)).difference(A, B))
 
 
 @dataclass(frozen=True)
@@ -157,8 +143,7 @@ def _blocks(system, part: TriPartition) -> tuple:
         raise IndexOutOfRange(
             f"partition is over {part.dim} nodes, system has {r.shape[0]}"
         )
-    a = list(part.A)
-    b = list(part.B)
+    a, b = part.A, part.B
     m_a = np.eye(len(a)) - r[np.ix_(a, a)]
     m_b = np.eye(len(b)) - r[np.ix_(b, b)]
     r_ab = r[np.ix_(a, b)]
@@ -262,8 +247,7 @@ def loop_sum_mi_identity(system, i: int, j: int) -> tuple:
     if dim < 3:
         raise IndexOutOfRange("identity needs at least 3 nodes")
     loop = star_path_sum_closed(system, i, i, avoid=(j,))
-    rest = tuple(v for v in range(dim) if v not in (i, j))
-    part = TriPartition(dim=dim, A=(i,), B=rest, Z=(j,))
+    part = TriPartition(dim=dim, A=(i,), B=set(range(dim)) - {i, j}, Z=(j,))
     mi = conditional_mi_closed(system, part).nats
     residual = abs(loop - (1.0 - math.exp(-2.0 * mi)))
     if residual > 1e-10:

@@ -479,15 +479,21 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
     (1 - R) exceeds ``COND_WARN`` an :class:`IllConditionedWarning`
     reports it alongside the result, on every call.
     """
+    return _checked_inverse(g).marginal
+
+
+def _checked_inverse(g: PartialCorrelationGraph) -> _Inverse:
+    """``g._inverse``, with an :class:`IllConditionedWarning` on every call
+    when cond(1 - R) exceeds ``COND_WARN``, issued at the caller's caller."""
     inv = g._inverse
     if g._cond > COND_WARN:
         warnings.warn(
             f"(1 - R) has condition number {g._cond:.3e}; "
             "oracle correlations may lose accuracy",
             IllConditionedWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return inv.marginal
+    return inv
 
 
 def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:

@@ -44,10 +44,11 @@ from .errors import (
     ParamOutOfBound,
     QOutOfRange,
     SingularRestrictedBlock,
+    _node_list,
     _real,
     _whole,
 )
-from .matrices import PartialCorrelationGraph, _spd_solve, partial_to_marginal_oracle
+from .matrices import PartialCorrelationGraph, _checked_inverse, _spd_solve
 
 # A truncated loop sum this close to 1 (or beyond) makes the
 # denominator square root meaningless.
@@ -87,7 +88,8 @@ class PathQuery:
     positions only: the endpoints themselves are always exempt, so a
     query with ``source`` in the forbidden set still starts there.
     Steps v -> v occur where the graph has a self-loop: on a rescaled
-    graph, whose vertices carry self-loops of weight 1 - q.
+    graph, whose vertices carry self-loops of weight 1 - q.  The node
+    sets are kept as given; :func:`enumerate_paths` checks them.
     """
 
     source: int
@@ -98,11 +100,6 @@ class PathQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "max_length", _check_length(self.max_length, "max_length"))
-        for name in ("interior_forbidden", "interior_allowed"):
-            nodes = getattr(self, name)
-            if nodes is not None:
-                nodes = frozenset(_whole(v, name, IndexOutOfRange, 0) for v in nodes)
-                object.__setattr__(self, name, nodes)
 
 
 @dataclass(frozen=True)
@@ -220,16 +217,17 @@ def _check_length(L: int, name: str) -> int:
 
 
 def _interior_indices(dim: int, endpoints, avoid, within) -> np.ndarray:
-    """Sorted indices allowed strictly inside a path."""
+    """Sorted indices allowed strictly inside a path: ``within`` (None:
+    every node) less ``avoid``, both node sets, less the checked ``endpoints``."""
     keep = np.ones(dim, dtype=bool)
     if within is not None:
         keep[:] = False
-        for v in within:
-            keep[_check_node(v, dim, "interior node")] = True
+        for v in _node_list(within, dim, "the allowed interior", IndexOutOfRange):
+            keep[v] = True
     for v in endpoints:
         keep[v] = False
-    for v in avoid:
-        keep[_check_node(v, dim, "avoided node")] = False
+    for v in _node_list(avoid, dim, "the avoided nodes", IndexOutOfRange):
+        keep[v] = False
     return np.nonzero(keep)[0]
 
 
@@ -430,8 +428,9 @@ def _closed_pair_sums(g, i: int, j: int) -> tuple:
         l_i  = 1 - 1 / (c_i (1 - rho^2)).
     """
     base, q = _base_and_q(g)
-    rho = float(partial_to_marginal_oracle(base).entries[i, j])
-    c = base._inverse.cov_diag
+    inv = _checked_inverse(base)
+    rho = float(inv.marginal.entries[i, j])
+    c = inv.cov_diag
     ci, cj = float(c[i]) / q, float(c[j]) / q
     one_minus_rho2 = (1.0 - rho) * (1.0 + rho)
     if one_minus_rho2 <= 0.0:
@@ -494,7 +493,7 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
             "increase L or rescale the graph"
         )
     base, _ = _base_and_q(g)
-    oracle = float(partial_to_marginal_oracle(base).entries[i, j])
+    oracle = float(_checked_inverse(base).marginal.entries[i, j])
     return tuple(
         ProfilePoint(L=L, rho_hat=float(r), abs_gap=abs(float(r) - oracle))
         for L, r in enumerate(rho, start=1)

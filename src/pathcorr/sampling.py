@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
+from .chains import _chain_r
 from .errors import (
     DegenerateColumn,
     DimensionMismatch,
+    EntryOutOfRange,
     NotPositiveDefinite,
     ParamOutOfBound,
     SingularSampleCovariance,
@@ -110,6 +112,17 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     )
 
 
+def _variances(values, n: int, what: str) -> np.ndarray:
+    """``values`` as a read-only vector of n positive, finite variances."""
+    v = np.array(values, dtype=float).reshape(-1)
+    if v.shape[0] != n:
+        raise DimensionMismatch(f"expected {n} {what} variances, got {v.shape[0]}")
+    if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        raise ParamOutOfBound(f"{what} variances must be positive and finite")
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class FactorModel:
     """d factors over d variables: row l of ``weights`` is the mixing
@@ -117,7 +130,7 @@ class FactorModel:
 
     The implied precision sum_l v_l w_l w_l^T must be positive
     definite; a variable carried by no factor at all raises
-    :class:`DegenerateColumn`.
+    :class:`DegenerateColumn`.  Its graph is built and checked here.
     """
 
     weights: np.ndarray
@@ -132,30 +145,20 @@ class FactorModel:
         if not np.all(np.isfinite(w)):
             raise ParamOutOfBound("weights must be finite")
         d = w.shape[0]
-        if self.variances is None:
-            v = np.ones(d)
-        else:
-            v = np.array(self.variances, dtype=float).reshape(-1)
-            if v.shape[0] != d:
-                raise DimensionMismatch(
-                    f"expected {d} factor variances, got {v.shape[0]}"
-                )
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise ParamOutOfBound("factor variances must be positive and finite")
+        v = _variances(np.ones(d) if self.variances is None else self.variances, d, "factor")
         diag = (v[:, None] * w**2).sum(axis=0)
         if np.any(diag == 0):
             dead = int(np.argmin(diag))
             raise DegenerateColumn(
                 f"variable {dead} appears in no factor; its precision is zero"
             )
-        omega = (v[:, None] * w).T @ w
-        eigs = np.linalg.eigvalsh((omega + omega.T) / 2.0)
-        if eigs[0] <= 0:
-            raise NotPositiveDefinite(
-                f"implied precision has eigenvalue {eigs[0]:.3e} <= 0"
-            )
+        try:
+            graph = _precision_graph((v[:, None] * w).T @ w, None)
+        except (NotPositiveDefinite, EntryOutOfRange) as exc:
+            # A partial correlation of magnitude 1 is a singular precision.
+            raise NotPositiveDefinite(f"implied precision: {exc}") from exc
+        object.__setattr__(self, "_graph", graph)
         w.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "variances", v)
 
@@ -173,7 +176,7 @@ def factor_model_partial(fm: FactorModel) -> PartialCorrelationGraph:
     is the graph of the implied precision sum_l v_l w_l w_l^T, split
     like any other precision, with scales sqrt(sum_l v_l w_li^2).
     """
-    return _precision_graph((fm.variances[:, None] * fm.weights).T @ fm.weights, None)
+    return fm._graph
 
 
 def _chain_weights(d: int, r: float) -> np.ndarray:
@@ -223,11 +226,9 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
         except NotPositiveDefinite as exc:
             raise ParamOutOfBound(f"example_R weights are not admissible: {exc}") from exc
     d = _whole(params["d"], f"{kind} d", ParamOutOfBound, 2 if kind == "chain" else 3)
-    r = _real(params["r"], f"{kind} r", ParamOutOfBound)
     if kind == "chain":
-        if abs(r) > 0.5:
-            raise ParamOutOfBound(f"chain needs |r| <= 1/2, got {r}")
-        return PartialCorrelationGraph(weights=_chain_weights(d, r))
+        return PartialCorrelationGraph(weights=_chain_weights(d, _chain_r(params["r"])))
+    r = _real(params["r"], f"{kind} r", ParamOutOfBound)
     if kind == "ring":
         if abs(r) >= 0.5:
             raise ParamOutOfBound(f"ring needs |r| < 1/2, got {r}")
@@ -259,14 +260,7 @@ class MartingaleSpec:
     def __post_init__(self):
         object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", ParamOutOfBound, 1))
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", ParamOutOfBound))
-        v = np.array(self.innovation_variances, dtype=float).reshape(-1)
-        if v.shape[0] != self.horizon:
-            raise DimensionMismatch(
-                f"expected {self.horizon} innovation variances, got {v.shape[0]}"
-            )
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise ParamOutOfBound("innovation variances must be positive and finite")
-        v.setflags(write=False)
+        v = _variances(self.innovation_variances, self.horizon, "innovation")
         object.__setattr__(self, "innovation_variances", v)
 
 

@@ -29,6 +29,7 @@ rho_ij = rho_ik rho_kj, across the split.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ from .errors import (
     IndexOutOfRange,
     ParamOutOfBound,
     SingularBlock,
+    _node_list,
+    _parts,
     _whole,
 )
 from .matrices import (
@@ -92,28 +95,20 @@ class NodePartition:
 
     def __post_init__(self):
         dim = _whole(self.dim, "dim", IndexOutOfRange, 0)
-
-        def node(v):
-            return _whole(v, "node", IndexOutOfRange, 0, dim - 1)
-
-        kept = frozenset(map(node, self.kept))
-        removed = frozenset(map(node, self.removed))
-        sep = None if self.separator is None else node(self.separator)
-        checked = {"dim": dim, "kept": kept, "removed": removed, "separator": sep}
-        for name, value in checked.items():
-            object.__setattr__(self, name, value)
-        pieces = kept | removed
-        extra = {sep} if sep is not None else set()
-        if kept & removed or (pieces & extra):
-            raise IndexOutOfRange("partition pieces overlap")
-        if pieces | extra != set(range(dim)):
-            raise IndexOutOfRange(f"partition does not cover 0..{dim - 1} exactly")
+        sep = () if self.separator is None else (self.separator,)
+        kept, removed, sep = _parts(
+            dim, IndexOutOfRange, True, kept=self.kept, removed=self.removed, separator=sep
+        )
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "kept", frozenset(kept))
+        object.__setattr__(self, "removed", frozenset(removed))
+        object.__setattr__(self, "separator", sep[0] if sep else None)
 
     @classmethod
     def from_removed(cls, dim: int, removed) -> "NodePartition":
-        removed = frozenset(removed)
-        kept = frozenset(range(_whole(dim, "dim", IndexOutOfRange, 0))) - removed
-        return cls(dim=dim, kept=kept, removed=removed)
+        dim = _whole(dim, "dim", IndexOutOfRange, 0)
+        removed = _node_list(removed, dim, "removed", IndexOutOfRange)
+        return cls(dim=dim, kept=set(range(dim)).difference(removed), removed=removed)
 
 
 @dataclass(frozen=True)
@@ -328,12 +323,9 @@ def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     bipartition of the remaining nodes gives the converse direction.
     """
     k = _whole(k, "k", IndexOutOfRange, 0, g.dim - 1)
-    I = sorted(_whole(v, "node of I", IndexOutOfRange, 0, g.dim - 1) for v in I)
-    J = sorted(_whole(v, "node of J", IndexOutOfRange, 0, g.dim - 1) for v in J)
+    I, J, _ = _parts(g.dim, IndexOutOfRange, False, I=I, J=J, k=(k,))
     if not I or not J:
         raise IndexOutOfRange("both sides of the split must be nonempty")
-    if set(I) & set(J) or k in set(I) | set(J):
-        raise IndexOutOfRange("split sides must be disjoint and avoid k")
     return _residual(partial_to_marginal_oracle(g).entries, k, I, J)
 
 
@@ -358,19 +350,9 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
     for k in sorted(splits):
         comps = splits[k]
         # Residual over every pair split by k.
-        residual = 0.0
-        for ci in range(len(comps)):
-            for cj in range(ci + 1, len(comps)):
-                residual = max(residual, _residual(p, k, comps[ci], comps[cj]))
-        first = comps[0]
-        rest = sorted(v for comp in comps[1:] for v in comp)
-        reports.append(
-            SeparatorReport(
-                node=k,
-                components=(frozenset(first), frozenset(rest)),
-                factorisation_residual=residual,
-            )
-        )
+        residual = max(_residual(p, k, a, b) for a, b in itertools.combinations(comps, 2))
+        rest = frozenset(v for comp in comps[1:] for v in comp)
+        reports.append(SeparatorReport(k, (frozenset(comps[0]), rest), residual))
     return tuple(reports)
 
 
@@ -494,10 +476,8 @@ def verify_reduction(g: PartialCorrelationGraph, reduction: LatentReduction) -> 
     and reduced networks.  The kept nodes occupy the leading positions
     of the reduced graph, in the order listed by ``reduction.kept``.
     """
-    kept = list(reduction.kept)
+    kept = _node_list(reduction.kept, g.dim, "kept", DimensionMismatch)
     n_t = len(kept)
-    if any(not 0 <= v < g.dim for v in kept):
-        raise DimensionMismatch("kept nodes do not fit the original graph")
     if reduction.reduced_graph.dim != n_t + reduction.latent_count:
         raise DimensionMismatch(
             f"reduced graph has {reduction.reduced_graph.dim} nodes, "

@@ -464,6 +464,13 @@ class TestStructureCommands:
         assert np.array_equal(loaded.weights, expected.weights)
         assert loaded.node_labels == ("x1", "x3", "x5")
 
+    def test_sever_refuses_a_repeated_node(self, run, graph_file, tmp_path):
+        _, path = graph_file
+        out = tmp_path / "s.json"
+        code, _, err = run("sever", "--in", path, "--S", "x2,x2", "--out", str(out))
+        assert (code, err) == (1, "error: node 1 repeats in removed\n")
+        assert not out.exists()
+
     def test_marginalize_matches_module(self, run, graph_file, tmp_path):
         g, path = graph_file
         for method in ("block", "paths"):

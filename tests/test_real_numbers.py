@@ -78,8 +78,9 @@ SITE_IDS = [s.id for s in SITES]
 @pytest.mark.parametrize("site", SITES, ids=SITE_IDS)
 @pytest.mark.parametrize(
     "bad",
-    [str, lambda p: float("nan"), lambda p: float("inf"), lambda p: float("-inf")],
-    ids=["numeric-string", "nan", "inf", "-inf"],
+    [str, lambda p: float("nan"), lambda p: float("inf"), lambda p: float("-inf"),
+     lambda p: 10**400],
+    ids=["numeric-string", "nan", "inf", "-inf", "int-beyond-float"],
 )
 def test_not_a_finite_number_raises_the_site_class(site, bad):
     with pytest.raises(site.error, match="finite real number"):

@@ -161,6 +161,13 @@ class TestFactorModel:
     def test_rank_deficiency_without_dead_column(self):
         with pytest.raises(NotPositiveDefinite):
             FactorModel(weights=np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # Rank 2: roundoff leaves the smallest eigenvalue of the product
+        # just above zero, which the graph's relative test still refuses.
+        with pytest.raises(NotPositiveDefinite):
+            FactorModel(weights=np.arange(1.0, 10.0).reshape(3, 3))
+        # One factor carries both variables alike: r = -1 exactly.
+        with pytest.raises(NotPositiveDefinite):
+            FactorModel(weights=np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_arrays_read_only(self):
         fm = FactorModel(weights=np.eye(3))

@@ -4,10 +4,11 @@ Each row of ``SITES`` puts a value at one integer argument of the
 library (a node index, a node in a node set, a length, a count, a
 dimension or a seed) and names the class that site raises.  A fraction,
 NaN, inf and a numeric string must each raise that class; a whole float
-and numpy integers must give exactly the plain-int result.
+and numpy integers must give exactly the plain-int result.  Every node
+set follows one rule too: a node that repeats is refused, not merged.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from pathcorr import (
     ChainSpec,
+    DimensionMismatch,
     IndexOutOfRange,
     MartingaleSpec,
     NodePartition,
@@ -30,6 +32,7 @@ from pathcorr import (
     convergence_profile,
     enumerate_paths,
     factorisation_residual,
+    latent_reduce,
     l_infinity_series,
     loop_sum_mi_identity,
     marginal_corr_closed,
@@ -42,6 +45,7 @@ from pathcorr import (
     star_path_sum_closed,
     star_path_sum_truncated,
     validate_partial_graph,
+    verify_reduction,
 )
 
 
@@ -55,6 +59,7 @@ def _graph():
 G = _graph()
 PART = TriPartition(dim=4, A=(0,), B=(3,), Z=(1, 2))
 SPEC = ChainSpec(d=6, r=0.3)
+RED = latent_reduce(G, [2])
 
 
 def paths(query):
@@ -105,6 +110,8 @@ SITES = [
          lambda v: TriPartition(dim=v, A=(0,), B=(3,), Z=(1, 2)), 4, IndexOutOfRange),
     Site("complement-B", lambda v: TriPartition.complement(4, [0], [v]), 3, IndexOutOfRange),
     Site("complement-dim", lambda v: TriPartition.complement(v, [0], [3]), 4, IndexOutOfRange),
+    Site("verify-kept",
+         lambda v: verify_reduction(G, replace(RED, kept=(0, v, 3))), 1, DimensionMismatch),
     Site("mi-identity-i", lambda v: loop_sum_mi_identity(G, v, 3), 0, IndexOutOfRange),
     Site("chain-pair-i", lambda v: chain_pair_corr(SPEC, v, 5), 2, IndexOutOfRange),
     Site("chain-pair-j", lambda v: chain_pair_corr(SPEC, 2, v), 5, IndexOutOfRange),
@@ -196,3 +203,24 @@ ARRAY_SETS = [
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.intp])
 def test_numpy_int_arrays_as_node_sets(call, nodes, dtype):
     assert call(np.array(nodes, dtype=dtype)) == call(nodes)
+
+
+@pytest.mark.parametrize("call,nodes", [(c, n) for _, c, n in ARRAY_SETS],
+                         ids=[i for i, _, _ in ARRAY_SETS])
+def test_repeated_node_raises_the_site_class(call, nodes):
+    with pytest.raises(IndexOutOfRange, match=f"node {nodes[0]} repeats"):
+        call(nodes + [nodes[0]])
+
+
+@pytest.mark.parametrize("call,nodes", [(c, n) for _, c, n in ARRAY_SETS],
+                         ids=[i for i, _, _ in ARRAY_SETS])
+def test_bare_node_is_not_a_node_set(call, nodes):
+    with pytest.raises(IndexOutOfRange, match="collection of nodes"):
+        call(nodes[0])
+
+
+@pytest.mark.parametrize("kept", [(0, 1.5, 3), (0, "1", 3), (0, 1, 0), (0, 1, 4)],
+                         ids=["fraction", "string", "repeat", "out-of-range"])
+def test_verify_reduction_refuses_a_malformed_kept_node(kept):
+    with pytest.raises(DimensionMismatch):
+        verify_reduction(G, replace(RED, kept=kept))
