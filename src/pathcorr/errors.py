@@ -50,6 +50,16 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """repr(value) for a message; an int too long to print shows its size."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits(), or holding one
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__}"
+
+
 def _whole(value, name: str, error: type, lo: int, hi: int | None = None) -> int:
     """``value`` as an int, if it is a whole number in lo..hi; else ``error``.
 
@@ -66,7 +76,7 @@ def _whole(value, name: str, error: type, lo: int, hi: int | None = None) -> int
     if v is not None and lo <= v and (hi is None or v <= hi):
         return v
     span = f"between {lo} and {hi}" if hi is not None else f"of at least {lo}"
-    raise error(f"{name} must be a whole number {span}, got {value!r}")
+    raise error(f"{name} must be a whole number {span}, got {_shown(value)}")
 
 
 def _real(value, name: str, error: type) -> float:
@@ -74,7 +84,7 @@ def _real(value, name: str, error: type) -> float:
     with contextlib.suppress(OverflowError):  # an int beyond the float range
         if isinstance(value, numbers.Real) and math.isfinite(value):
             return float(value)
-    raise error(f"{name} must be a finite real number, got {value!r}")
+    raise error(f"{name} must be a finite real number, got {_shown(value)}")
 
 
 def _node_list(values, dim: int, name: str, error: type) -> list:
@@ -84,7 +94,7 @@ def _node_list(values, dim: int, name: str, error: type) -> list:
     try:
         nodes = [_whole(v, label, error, 0, dim - 1) for v in values]
     except TypeError:  # _whole raises only ``error``: ``values`` is not iterable
-        raise error(f"{name} must be a collection of nodes, got {values!r}") from None
+        raise error(f"{name} must be a collection of nodes, got {_shown(values)}") from None
     if len(set(nodes)) < len(nodes):
         v = next(v for k, v in enumerate(nodes) if v in nodes[:k])
         raise error(f"node {v} repeats in {name}")

@@ -81,7 +81,7 @@ def matrix_from_kind(kind: str, data, labels=None, scale=None):
             f"unknown matrix kind {kind!r}; expected one of {KINDS}"
         ) from None
     extra = {"scale": scale} if cls is PartialCorrelationGraph else {}
-    return cls(np.asarray(data, dtype=float), labels=labels, **extra)
+    return cls(data, labels=labels, **extra)
 
 
 def save_json(doc, path) -> None:
@@ -177,7 +177,7 @@ def load_csv_matrix(path, kind: str):
         raise FileFormatError(f"{path}: not a numeric table: {exc}") from exc
     if not rows or any(len(row) != len(rows) for row in rows):
         raise FileFormatError(f"{path}: expected a square numeric table")
-    return matrix_from_kind(kind, np.asarray(rows, dtype=float))
+    return matrix_from_kind(kind, rows)
 
 
 def save_csv_table(path, header, rows) -> None:

@@ -125,7 +125,7 @@ def _coupling_graph(system) -> PartialCorrelationGraph:
         return system
     if isinstance(system, PrecisionMatrix):
         return precision_to_partial(system)
-    raise TypeError(
+    raise ParamOutOfBound(
         "expected a PartialCorrelationGraph or PrecisionMatrix, "
         f"got {type(system).__name__}"
     )

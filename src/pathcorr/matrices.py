@@ -25,10 +25,13 @@ threads at worst computes the same read-only value twice.  Results of
 exact conversions are not validated again; every graph of the package
 read off precision entries is split, and checked once as a graph, by
 one helper here, and every Cholesky factorisation goes through another.
+Every array argument becomes floats through :func:`_floats`, and every
+kept array is a read-only copy by :func:`_freeze`: a caller's is never frozen.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,12 +83,31 @@ __all__ = [
 ]
 
 
+def _floats(values, name: str, error: type, shape_error: type, shape: tuple) -> np.ndarray:
+    """``values`` as a float array of ``shape`` (None: any length on that axis).
+
+    A string, complex, ragged or non-finite entry raises ``error``, another
+    shape ``shape_error``.  Nothing is parsed or reshaped, and a float array
+    may come back as it is: the result is read, never written.
+    """
+    try:
+        a = np.asarray(values)
+        real = a.dtype.kind in "biuf" or all(isinstance(x, numbers.Real) for x in a.flat)
+        a = a.astype(float, copy=False) if real else a
+    except (ValueError, OverflowError) as exc:  # ragged rows; an int beyond the float range
+        raise error(f"{name} must be an array of real numbers: {exc}") from None
+    if a.dtype != float or not np.all(np.isfinite(a)):
+        raise error(f"{name} must be finite real numbers, got {a.dtype} entries")
+    if a.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, a.shape)):
+        want = str(shape).replace("None", "any")
+        raise shape_error(f"{name} must have shape {want}, got shape {a.shape}")
+    return a
+
+
 def _as_square(raw) -> np.ndarray:
-    m = np.asarray(raw, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    m = _floats(raw, "matrix entries", EntryOutOfRange, NotSquare, (None, None))
+    if m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise EntryOutOfRange("matrix entries must be finite")
     return m
 
 
@@ -133,6 +155,7 @@ def _spd_solve(m: np.ndarray, rhs: np.ndarray, error, what: str) -> np.ndarray:
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
+    """A read-only float copy of m; m itself stays as it was."""
     out = np.array(m, dtype=float, copy=True)
     out.setflags(write=False)
     return out
@@ -212,16 +235,11 @@ class MarginalCorrelationMatrix:
     def __post_init__(self):
         m = _as_square(self.entries)
         m = _symmetrize(m, "correlation matrix")
-        d = np.diag(m)
-        if np.max(np.abs(d - 1.0)) > TOL_SYM:
+        if np.max(np.abs(np.diag(m) - 1.0)) > TOL_SYM:
             raise EntryOutOfRange("correlation matrix diagonal must be 1")
-        off = m - np.diag(d)
-        if np.max(np.abs(off)) > 1.0:
-            raise EntryOutOfRange(
-                "correlation magnitudes cannot exceed 1"
-            )
-        m = m.copy()
         np.fill_diagonal(m, 1.0)
+        if np.max(np.abs(m)) > 1.0:
+            raise EntryOutOfRange("correlation magnitudes cannot exceed 1")
         # Semi-definiteness only: perfectly correlated pairs are legal.
         w = np.linalg.eigvalsh(m)
         if float(w[0]) < -TOL_PD * max(float(w[-1]), 1.0):
@@ -265,30 +283,19 @@ class PartialCorrelationGraph:
     def __post_init__(self):
         m = _as_square(self.weights)
         m = _symmetrize(m, "partial correlation matrix")
-        d = np.diag(m)
-        if np.max(np.abs(d)) > TOL_SYM:
+        if np.max(np.abs(np.diag(m))) > TOL_SYM:
             raise EntryOutOfRange("partial correlation diagonal must be 0")
-        m = m.copy()
         np.fill_diagonal(m, 0.0)
         if np.max(np.abs(m)) >= 1.0:
-            raise EntryOutOfRange(
-                "partial correlation magnitudes must be below 1"
-            )
+            raise EntryOutOfRange("partial correlation magnitudes must be below 1")
         lo, hi = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
         object.__setattr__(self, "weights", _freeze(m))
         # cond(1 - R) from the same eigenvalues, kept for the oracle.
         object.__setattr__(self, "_cond", hi / lo)
         if self.scale is not None:
-            try:
-                s = np.asarray(self.scale, dtype=float).reshape(-1)
-            except (TypeError, ValueError) as exc:
-                raise ParamOutOfBound(f"scale entries must be numbers: {exc}") from exc
-            if s.shape[0] != m.shape[0]:
-                raise IndexOutOfRange(
-                    f"scale vector has length {s.shape[0]}, expected {m.shape[0]}"
-                )
-            if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
-                raise ParamOutOfBound("scale entries must be finite and positive")
+            s = _floats(self.scale, "scale", ParamOutOfBound, IndexOutOfRange, m.shape[:1])
+            if np.any(s <= 0.0):
+                raise ParamOutOfBound("scale entries must be positive")
             object.__setattr__(self, "scale", _freeze(s))
         object.__setattr__(self, "labels", _coerce_labels(self.labels, m.shape[0]))
 
@@ -370,22 +377,22 @@ def validate_covariance(raw) -> CovarianceMatrix:
     :class:`NotSymmetric`.  Positive definiteness requires the smallest
     eigenvalue to exceed :data:`TOL_PD` times the largest.
     """
-    return CovarianceMatrix(np.asarray(raw, dtype=float))
+    return CovarianceMatrix(raw)
 
 
 def validate_precision(raw) -> PrecisionMatrix:
     """Validate a raw square array as a precision matrix."""
-    return PrecisionMatrix(np.asarray(raw, dtype=float))
+    return PrecisionMatrix(raw)
 
 
 def validate_marginal(raw, labels=None) -> MarginalCorrelationMatrix:
     """Validate a raw square array as a marginal correlation matrix."""
-    return MarginalCorrelationMatrix(np.asarray(raw, dtype=float), labels=labels)
+    return MarginalCorrelationMatrix(raw, labels=labels)
 
 
 def validate_partial_graph(raw, scale=None, labels=None) -> PartialCorrelationGraph:
     """Validate a raw square array as a partial correlation graph."""
-    return PartialCorrelationGraph(np.asarray(raw, dtype=float), scale=scale, labels=labels)
+    return PartialCorrelationGraph(raw, scale=scale, labels=labels)
 
 
 def _correlations(c: np.ndarray) -> np.ndarray:

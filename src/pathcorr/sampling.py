@@ -31,6 +31,8 @@ from .matrices import (
     CovarianceMatrix,
     PartialCorrelationGraph,
     SpectralReport,
+    _floats,
+    _freeze,
     _precision_graph,
     _spd_solve,
     spectral_report,
@@ -114,13 +116,10 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
 
 def _variances(values, n: int, what: str) -> np.ndarray:
     """``values`` as a read-only vector of n positive, finite variances."""
-    v = np.array(values, dtype=float).reshape(-1)
-    if v.shape[0] != n:
-        raise DimensionMismatch(f"expected {n} {what} variances, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)) or np.any(v <= 0):
-        raise ParamOutOfBound(f"{what} variances must be positive and finite")
-    v.setflags(write=False)
-    return v
+    v = _floats(values, f"{what} variances", ParamOutOfBound, DimensionMismatch, (n,))
+    if np.any(v <= 0):
+        raise ParamOutOfBound(f"{what} variances must be positive")
+    return _freeze(v)
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,9 @@ class FactorModel:
     variances: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionMismatch(
-                f"weights must be d rows of d entries, got shape {w.shape}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ParamOutOfBound("weights must be finite")
+        w = _floats(self.weights, "weights", ParamOutOfBound, DimensionMismatch, (None, None))
+        if w.shape[0] != w.shape[1]:
+            raise DimensionMismatch(f"weights must be d rows of d entries, got shape {w.shape}")
         d = w.shape[0]
         v = _variances(np.ones(d) if self.variances is None else self.variances, d, "factor")
         diag = (v[:, None] * w**2).sum(axis=0)
@@ -158,8 +153,7 @@ class FactorModel:
             # A partial correlation of magnitude 1 is a singular precision.
             raise NotPositiveDefinite(f"implied precision: {exc}") from exc
         object.__setattr__(self, "_graph", graph)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "variances", v)
 
     @property

@@ -49,6 +49,7 @@ from .errors import (
 from .matrices import (
     PartialCorrelationGraph,
     _cho,
+    _freeze,
     _precision_graph,
     _spd_solve,
     partial_to_marginal_oracle,
@@ -414,8 +415,8 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     enlarged_graph = _precision_graph(enlarged, g.node_labels + latent_labels)
 
     con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
-    a_tilde = con[removed, :].T.copy()
-    b_tilde = con[kept, :].T.copy()
+    a_tilde = _freeze(con[removed, :].T)
+    b_tilde = _freeze(con[kept, :].T)
 
     # Reduced coupling V with V V^T = Q^T (1 - R_SS)^-1 Q, from the SVD
     # of the whitened block; only the leading mu directions are kept.
@@ -443,8 +444,6 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     kept_labels = tuple(g.node_labels[v] for v in kept)
     reduced_graph = _precision_graph(reduced, kept_labels + latent_labels)
 
-    a_tilde.setflags(write=False)
-    b_tilde.setflags(write=False)
     return LatentReduction(
         kept=tuple(kept),
         latent_count=mu,

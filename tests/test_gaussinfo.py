@@ -143,8 +143,9 @@ class TestClosedForm:
         assert from_graph == pytest.approx(from_precision, abs=1e-12)
 
     def test_raw_array_rejected(self):
-        with pytest.raises(TypeError):
-            conditional_mi_closed(np.eye(3), TriPartition(dim=3, A=(0,), B=(1, 2)))
+        for system in (np.eye(3), "x"):
+            with pytest.raises(ParamOutOfBound, match="PartialCorrelationGraph or PrecisionMatrix"):
+                conditional_mi_closed(system, TriPartition(dim=3, A=(0,), B=(1, 2)))
 
     def test_dim_mismatch_rejected(self):
         g = chain_graph(3, 0.3)

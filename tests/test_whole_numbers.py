@@ -181,6 +181,8 @@ def test_whole_fields_are_stored_as_int():
 def test_out_of_range_names_both_ends():
     with pytest.raises(IndexOutOfRange, match="between 0 and 3, got 4"):
         marginal_corr_closed(G, 0, 4)
+    with pytest.raises(IndexOutOfRange, match="between 0 and 3, got an int of 16610 bits"):
+        marginal_corr_closed(G, 0, 10**5000)
     with pytest.raises(ParamOutOfBound, match="of at least 0, got -1"):
         amplification_factor(-1, 1, 0.3)
 
@@ -215,8 +217,9 @@ def test_repeated_node_raises_the_site_class(call, nodes):
 @pytest.mark.parametrize("call,nodes", [(c, n) for _, c, n in ARRAY_SETS],
                          ids=[i for i, _, _ in ARRAY_SETS])
 def test_bare_node_is_not_a_node_set(call, nodes):
-    with pytest.raises(IndexOutOfRange, match="collection of nodes"):
-        call(nodes[0])
+    for bare in (nodes[0], 10**5000):  # the second too long for repr()
+        with pytest.raises(IndexOutOfRange, match="collection of nodes"):
+            call(bare)
 
 
 @pytest.mark.parametrize("kept", [(0, 1.5, 3), (0, "1", 3), (0, 1, 0), (0, 1, 4)],
