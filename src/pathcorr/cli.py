@@ -194,7 +194,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_separators(args) -> int:
     g = _load_graph(args)
     reports = transforms.detect_separating_nodes(g)
-    labels = g.node_labels
+    labels = g.labels
     if not reports:
         print("no separating nodes")
     for rep in reports:

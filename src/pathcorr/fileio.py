@@ -34,7 +34,6 @@ from .matrices import (
     MarginalCorrelationMatrix,
     PartialCorrelationGraph,
     PrecisionMatrix,
-    default_labels,
 )
 
 _TYPE_OF_KIND = {
@@ -102,11 +101,10 @@ def save_matrix(obj, path, provenance: dict | None = None) -> None:
     """Write a typed matrix object to ``path`` in the JSON layout."""
     kind = kind_of(obj)
     entries = obj.weights if kind == "partial" else obj.entries
-    dim = int(entries.shape[0])
     doc = {
         "kind": kind,
-        "dim": dim,
-        "labels": list(obj.labels if obj.labels is not None else default_labels(dim)),
+        "dim": int(entries.shape[0]),
+        "labels": list(obj.labels),
         "data": [[float(x) for x in row] for row in entries],
     }
     if kind == "partial" and obj.scale is not None:

@@ -27,12 +27,14 @@ read off precision entries is split, and checked once as a graph, by
 one helper here, and every Cholesky factorisation goes through another.
 Every array argument becomes floats through :func:`_floats`, and every
 kept array is a read-only copy by :func:`_freeze`: a caller's is never frozen.
+Node names are checked once, by :func:`_labels`, and kept by every derived object.
 """
 
 from __future__ import annotations
 
 import numbers
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -50,6 +52,7 @@ from .errors import (
     NotSymmetric,
     ParamOutOfBound,
     SingularMatrix,
+    _shown,
 )
 
 # Default tolerances.  Symmetry is judged relative to the largest entry
@@ -161,18 +164,25 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coerce_labels(labels, dim: int):
+def _labels(labels, dim: int) -> tuple:
+    """``labels`` as a tuple of ``dim`` unique names, x1..xd when None.
+
+    A name is a nonempty ``str`` with no comma and no leading or trailing
+    whitespace, so it can stand in a comma-separated list; anything else
+    raises :class:`IndexOutOfRange`, and no name is rewritten."""
     if labels is None:
-        return None
-    if isinstance(labels, str):
-        raise IndexOutOfRange(
-            f"labels must be a sequence of names, not the string {labels!r}"
-        )
-    labels = tuple(str(x) for x in labels)
+        return default_labels(dim)
+    if isinstance(labels, str) or not isinstance(labels, Iterable):
+        raise IndexOutOfRange(f"labels must be a sequence of names, got {_shown(labels)}")
+    labels = tuple(labels)
+    for x in labels:
+        if not (isinstance(x, str) and x and x == x.strip() and "," not in x):
+            raise IndexOutOfRange(
+                "node labels must be nonempty strings with no comma and no leading "
+                f"or trailing whitespace, got {_shown(x)}"
+            )
     if len(labels) != dim:
-        raise IndexOutOfRange(
-            f"got {len(labels)} labels for a {dim}-node system"
-        )
+        raise IndexOutOfRange(f"got {len(labels)} labels for a {dim}-node system")
     if len(set(labels)) != len(labels):
         raise IndexOutOfRange("node labels must be unique")
     return labels
@@ -199,7 +209,7 @@ class CovarianceMatrix:
         m = _symmetrize(m, "covariance matrix")
         _check_pd(m, "covariance matrix")
         object.__setattr__(self, "entries", _freeze(m))
-        object.__setattr__(self, "labels", _coerce_labels(self.labels, m.shape[0]))
+        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -218,7 +228,7 @@ class PrecisionMatrix:
         m = _symmetrize(m, "precision matrix")
         _check_pd(m, "precision matrix")
         object.__setattr__(self, "entries", _freeze(m))
-        object.__setattr__(self, "labels", _coerce_labels(self.labels, m.shape[0]))
+        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -247,7 +257,7 @@ class MarginalCorrelationMatrix:
                 f"correlation matrix has eigenvalue {float(w[0]):.6e} < 0"
             )
         object.__setattr__(self, "entries", _freeze(m))
-        object.__setattr__(self, "labels", _coerce_labels(self.labels, m.shape[0]))
+        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -273,7 +283,7 @@ class PartialCorrelationGraph:
         graphs built from R alone carry no scale and cannot be turned
         back into a precision matrix.
     labels : sequence of str, optional
-        Node names, unique.  Generated as x1..xd when absent.
+        Node names, checked by :func:`_labels`; x1..xd when absent.
     """
 
     weights: np.ndarray
@@ -297,22 +307,17 @@ class PartialCorrelationGraph:
             if np.any(s <= 0.0):
                 raise ParamOutOfBound("scale entries must be positive")
             object.__setattr__(self, "scale", _freeze(s))
-        object.__setattr__(self, "labels", _coerce_labels(self.labels, m.shape[0]))
+        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
     @property
     def dim(self) -> int:
         return self.weights.shape[0]
 
-    @cached_property
-    def node_labels(self) -> tuple:
-        """Attached labels, or generated x1..xd (built once)."""
-        return self.labels if self.labels is not None else default_labels(self.dim)
-
     def label_index(self, label: str) -> int:
         try:
-            return self.node_labels.index(str(label))
+            return self.labels.index(label)
         except ValueError:
-            raise IndexOutOfRange(f"unknown node label {label!r}") from None
+            raise IndexOutOfRange(f"unknown node label {_shown(label)}") from None
 
     @cached_property
     def _inverse(self) -> _Inverse:

@@ -164,10 +164,6 @@ class RescaledGraph:
         w.setflags(write=False)
         return w
 
-    @property
-    def node_labels(self) -> tuple:
-        return self.base.node_labels
-
 
 @dataclass(frozen=True)
 class ProfilePoint:

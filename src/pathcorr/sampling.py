@@ -137,8 +137,8 @@ class FactorModel:
 
     def __post_init__(self):
         w = _floats(self.weights, "weights", ParamOutOfBound, DimensionMismatch, (None, None))
-        if w.shape[0] != w.shape[1]:
-            raise DimensionMismatch(f"weights must be d rows of d entries, got shape {w.shape}")
+        if not 0 < w.shape[0] == w.shape[1]:
+            raise DimensionMismatch(f"weights must be square and nonempty, got shape {w.shape}")
         d = w.shape[0]
         v = _variances(np.ones(d) if self.variances is None else self.variances, d, "factor")
         diag = (v[:, None] * w**2).sum(axis=0)

@@ -43,6 +43,7 @@ from .errors import (
     ParamOutOfBound,
     SingularBlock,
     _node_list,
+    _nodes,
     _parts,
     _whole,
 )
@@ -164,16 +165,15 @@ class LatentReduction:
 
 def _split(g: PartialCorrelationGraph, S) -> tuple:
     """Sorted (kept, removed) index lists; the kept side must be nonempty."""
-    part = NodePartition.from_removed(g.dim, S)
-    if not part.kept:
+    removed = _nodes(S, g.dim, "removed", IndexOutOfRange)
+    if len(removed) == g.dim:
         raise EmptyRemainder("removing every node leaves nothing to keep")
-    return sorted(part.kept), sorted(part.removed)
+    return sorted(set(range(g.dim)).difference(removed)), list(removed)
 
 
 def _kept_nodes(g: PartialCorrelationGraph, kept: list) -> tuple:
-    """Labels and scale of the nodes ``kept``; each None when g has none."""
-    labels = tuple(g.node_labels[v] for v in kept) if g.labels is not None else None
-    return labels, (g.scale[kept] if g.scale is not None else None)
+    """Labels and scale of the nodes ``kept``; the scale None when g has none."""
+    return tuple(g.labels[v] for v in kept), (g.scale[kept] if g.scale is not None else None)
 
 
 def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
@@ -389,14 +389,9 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     u, s, vt = np.linalg.svd(q, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
     mu = int(np.sum(s >= RANK_RTOL * smax)) if smax > 0.0 else 0
-    s = s[:mu]
-    u = u[:, :mu]
-    vt = vt[:mu, :]
-    for col in range(mu):
-        pivot = int(np.argmax(np.abs(u[:, col])))
-        if u[pivot, col] < 0.0:
-            u[:, col] = -u[:, col]
-            vt[col, :] = -vt[col, :]
+    s, u, vt = s[:mu], u[:, :mu], vt[:mu, :]
+    flip = _signs(u)
+    u, vt = u * flip, vt * flip[:, None]
     sigma = np.sqrt(s)
 
     # Latent loading of every original node, in original node order.
@@ -405,14 +400,14 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     load[kept, :] = vt.T * sigma
 
     lam = g.scale if g.scale is not None else np.ones(g.dim)
-    latent_labels = _fresh_latent_labels(g.node_labels, mu)
+    latent_labels = _fresh_latent_labels(g.labels, mu)
 
     m = np.eye(g.dim) - w
     omega_top = np.outer(lam, lam) * m + (lam[:, None] * load) @ (lam[:, None] * load).T
     enlarged = np.block(
         [[omega_top, -lam[:, None] * load], [-(lam[:, None] * load).T, np.eye(mu)]]
     )
-    enlarged_graph = _precision_graph(enlarged, g.node_labels + latent_labels)
+    enlarged_graph = _precision_graph(enlarged, g.labels + latent_labels)
 
     con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
     a_tilde = _freeze(con[removed, :].T)
@@ -426,10 +421,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
         b_white = scipy.linalg.solve_triangular(chol, q, lower=True)
         _, eta, zt = np.linalg.svd(b_white, full_matrices=False)
         v_cols = zt[:mu, :].T * eta[:mu]
-        for col in range(mu):
-            pivot = int(np.argmax(np.abs(v_cols[:, col])))
-            if v_cols[pivot, col] < 0.0:
-                v_cols[:, col] = -v_cols[:, col]
+        v_cols = v_cols * _signs(v_cols)
     else:
         v_cols = np.zeros((n_t, 0))
 
@@ -441,7 +433,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
             [-(lam_t[:, None] * v_cols).T, np.eye(mu)],
         ]
     )
-    kept_labels = tuple(g.node_labels[v] for v in kept)
+    kept_labels, _ = _kept_nodes(g, kept)
     reduced_graph = _precision_graph(reduced, kept_labels + latent_labels)
 
     return LatentReduction(
@@ -453,6 +445,14 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
         reduced_graph=reduced_graph,
         enlarged_graph=enlarged_graph,
     )
+
+
+def _signs(cols: np.ndarray) -> np.ndarray:
+    """+-1 per column, making its largest-magnitude entry (the first on a tie) positive."""
+    if cols.size == 0:
+        return np.ones(cols.shape[1])
+    pivot = np.argmax(np.abs(cols), axis=0)
+    return np.where(cols[pivot, np.arange(cols.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def _fresh_latent_labels(existing: tuple, mu: int) -> tuple:

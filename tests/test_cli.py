@@ -73,7 +73,7 @@ class TestFileRoundTrips:
         loaded, provenance = fileio.load_matrix(path)
         assert isinstance(loaded, PartialCorrelationGraph)
         assert np.array_equal(loaded.weights, g.weights)
-        assert loaded.node_labels == ("a", "b", "c", "d")
+        assert loaded.labels == ("a", "b", "c", "d")
         assert loaded.scale is None
         assert provenance is None
 
@@ -462,7 +462,21 @@ class TestStructureCommands:
         loaded, _ = fileio.load_matrix(out)
         expected = sever_nodes(g, {1, 3})
         assert np.array_equal(loaded.weights, expected.weights)
-        assert loaded.node_labels == ("x1", "x3", "x5")
+        assert loaded.labels == ("x1", "x3", "x5")
+
+    def test_sever_writes_the_same_names_from_csv_as_from_json(self, run, graph_file, tmp_path):
+        g, path = graph_file
+        table = tmp_path / "g.csv"
+        with open(table, "w", newline="") as fh:
+            csv.writer(fh).writerows([repr(float(x)) for x in row] for row in g.weights)
+        docs = []
+        for src, kind in ((path, ()), (str(table), ("--kind", "partial"))):
+            out = tmp_path / f"s{len(docs)}.json"
+            code, _, _ = run("sever", "--in", src, *kind, "--S", "x2,x4", "--out", str(out))
+            assert code == 0
+            docs.append(json.loads(out.read_text()))
+        assert docs[1]["labels"] == docs[0]["labels"] == ["x1", "x3", "x5"]
+        assert docs[1] == docs[0]
 
     def test_sever_refuses_a_repeated_node(self, run, graph_file, tmp_path):
         _, path = graph_file

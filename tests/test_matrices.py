@@ -46,7 +46,7 @@ from pathcorr import (
     validate_partial_graph,
     validate_precision,
 )
-from pathcorr import matrices
+from pathcorr import fileio, matrices
 
 from conftest import complete_graph, scaled_random_graph
 
@@ -175,15 +175,40 @@ class TestValidation:
         with pytest.raises(IndexOutOfRange):
             PartialCorrelationGraph(chain_weights(2, 0.3), labels="ab")
 
+    # A name is refused, never rewritten by str(), unless it is a nonempty
+    # string that can stand in a comma-separated node list.
+    @pytest.mark.parametrize("kind", ["covariance", "precision", "marginal", "partial"])
+    @pytest.mark.parametrize(
+        "labels",
+        [[1, 2], ["a", 1.0], [b"a", "a"], [None, "b"], ["", "b"], ["a,b", "c"],
+         [" a", "b"], ["a", "b\t"], 5],
+        ids=["ints", "float", "bytes", "none", "empty", "comma", "lead-space",
+             "trail-tab", "not-a-sequence"],
+    )
+    def test_labels_that_are_not_names_rejected(self, kind, labels):
+        m = chain_weights(2, 0.3) if kind == "partial" else np.eye(2)
+        with pytest.raises(IndexOutOfRange):
+            type(fileio.matrix_from_kind(kind, m))(m, labels=labels)
+        with pytest.raises(IndexOutOfRange):
+            fileio.matrix_from_kind(kind, m, labels=labels)
+
     def test_label_index(self):
         g = PartialCorrelationGraph(chain_weights(3, 0.3), labels=("u", "v", "w"))
         assert g.label_index("w") == 2
         with pytest.raises(IndexOutOfRange):
             g.label_index("nope")
 
+    def test_label_index_takes_names_not_numbers(self):
+        g = PartialCorrelationGraph(chain_weights(3, 0.3), labels=("1", "2", "3"))
+        assert g.label_index("2") == 1
+        with pytest.raises(IndexOutOfRange):
+            g.label_index(2)
+
     def test_default_labels(self):
         g = validate_partial_graph(chain_weights(3, 0.3))
-        assert g.node_labels == ("x1", "x2", "x3")
+        assert g.labels == ("x1", "x2", "x3")
+        for cls in (CovarianceMatrix, PrecisionMatrix, MarginalCorrelationMatrix):
+            assert cls(np.eye(3)).labels == ("x1", "x2", "x3")
 
     def test_arrays_frozen(self):
         g = validate_partial_graph(chain_weights(3, 0.3))

@@ -144,6 +144,8 @@ class TestFactorModel:
             FactorModel(weights=np.ones((2, 3)))
         with pytest.raises(DimensionMismatch):
             FactorModel(weights=np.eye(3), variances=np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            FactorModel(weights=np.zeros((0, 0)))
 
     def test_values_validated(self):
         with pytest.raises(ParamOutOfBound):

@@ -84,12 +84,15 @@ class TestSever:
         kept = [0, 2, 3, 5]
         assert np.array_equal(sub.weights, g.weights[np.ix_(kept, kept)])
 
+    def test_unlabelled_graph_keeps_names(self):
+        assert sever_nodes(chain_graph(4, 0.3), {1}).labels == ("x1", "x3", "x4")
+
     def test_labels_and_scale_carried(self):
         g = chain_graph(
             4, 0.3, scale=np.array([1.0, 2.0, 3.0, 4.0]), labels=("a", "b", "c", "d")
         )
         sub = sever_nodes(g, {1})
-        assert sub.node_labels == ("a", "c", "d")
+        assert sub.labels == ("a", "c", "d")
         assert np.array_equal(sub.scale, [1.0, 3.0, 4.0])
 
     def test_empty_set_is_identity(self):
@@ -215,7 +218,12 @@ class TestMarginalize:
 
     def test_labels_carried(self):
         g = chain_graph(4, 0.3, labels=("a", "b", "c", "d"))
-        assert marginalize_nodes(g, {1}).node_labels == ("a", "c", "d")
+        assert marginalize_nodes(g, {1}).labels == ("a", "c", "d")
+
+    @pytest.mark.parametrize("method", ["block", "paths"])
+    def test_unlabelled_graph_keeps_names(self, method):
+        g = chain_graph(4, 0.3)
+        assert marginalize_nodes(g, {1}, method=method).labels == ("x1", "x3", "x4")
 
 
 def reference_components(adj, skip=None):
@@ -512,14 +520,14 @@ class TestLatentReduction:
         latents = range(g.dim, g.dim + red.latent_count)
         back = marginalize_nodes(red.enlarged_graph, set(latents))
         assert np.max(np.abs(back.weights - g.weights)) < 1e-10
-        assert back.node_labels == g.node_labels
+        assert back.labels == g.labels
 
     def test_reduced_graph_orders_kept_first(self):
         g = one_many_one(6, 0.2)
         red = latent_reduce(g, {1, 2, 3, 4})
         assert red.reduced_graph.dim == 3
-        assert red.reduced_graph.node_labels[:2] == ("x1", "x6")
-        assert red.reduced_graph.node_labels[2] == "Y1"
+        assert red.reduced_graph.labels[:2] == ("x1", "x6")
+        assert red.reduced_graph.labels[2] == "Y1"
 
     def test_default_labels_built_once(self, monkeypatch):
         # Generated labels x1..xd are built once per graph, not once per
@@ -534,13 +542,28 @@ class TestLatentReduction:
         monkeypatch.setattr(matrices, "default_labels", counting)
         g = scaled_random_graph(63, 60, 0.7)
         red = latent_reduce(g, set(range(40, 60)))
-        assert red.reduced_graph.node_labels[:2] == ("x1", "x2")
+        assert red.reduced_graph.labels[:2] == ("x1", "x2")
         assert calls == [60]
+
+    def test_sign_convention_matches_column_loop(self):
+        # The vectorised signs against the per-column loop they replaced,
+        # bit for bit, on small integers (ties, zeros, zero columns).
+        from pathcorr.transforms import _signs
+
+        cols = np.random.default_rng(3).integers(-2, 3, (5, 60)).astype(float)
+        cols[:, 0] = 0.0
+        ref = cols.copy()
+        for col in range(ref.shape[1]):
+            pivot = int(np.argmax(np.abs(ref[:, col])))
+            if ref[pivot, col] < 0.0:
+                ref[:, col] = -ref[:, col]
+        assert (cols * _signs(cols)).tobytes() == ref.tobytes()
+        assert _signs(np.zeros((0, 0))).shape == _signs(np.zeros((3, 0))).shape == (0,)
 
     def test_latent_labels_avoid_collisions(self):
         g = chain_graph(3, 0.3, labels=("Y1", "b", "c"))
         red = latent_reduce(g, {2})
-        assert red.reduced_graph.node_labels == ("Y1", "b", "Y1_")
+        assert red.reduced_graph.labels == ("Y1", "b", "Y1_")
 
     def test_uncoupled_removed_set_needs_no_latents(self):
         w = np.zeros((4, 4))
