@@ -34,6 +34,7 @@ from .errors import (
     IndexOutOfRange,
     ParamOutOfBound,
     UndefinedAtZero,
+    _instance,
     _real,
     _whole,
 )
@@ -102,6 +103,7 @@ def chain_sums(spec: ChainSpec) -> ChainSolution:
     loop sums are bounded by l_inf <= 1/2; the degenerate case is
     guarded anyway.
     """
+    spec = _instance(spec, ChainSpec, "spec", ParamOutOfBound)
     c: dict = {}
     l: dict = {}
     rho: dict = {}
@@ -134,6 +136,7 @@ def chain_pair_corr(spec: ChainSpec, i: int, j: int) -> float:
     Nodes are 1-based and i < j is required.  The recurrences run once
     per spec object; later pairs on the same spec read their results.
     """
+    spec = _instance(spec, ChainSpec, "spec", ParamOutOfBound)
     i = _whole(i, "i", IndexOutOfRange, 1, spec.d - 1)
     j = _whole(j, "j", IndexOutOfRange, i + 1, spec.d)
     sol = spec._solution
@@ -158,7 +161,7 @@ def endpoint_corr_recurrence(spec: ChainSpec) -> float:
     uncoupled chain is treated separately (every rho_d = 0 for d >= 2,
     where the recurrence itself would hit 0/0).
     """
-    if spec.d < 2:
+    if _instance(spec, ChainSpec, "spec", ParamOutOfBound).d < 2:
         raise IndexOutOfRange(f"endpoint correlation needs d >= 2, got d={spec.d}")
     if spec.r == 0.0:
         return 0.0

@@ -222,6 +222,9 @@ def _cmd_separators(args) -> int:
 
 def _cmd_chain(args) -> int:
     spec = chains.ChainSpec(d=args.d, r=args.r)
+    pair = args.i is not None or args.j is not None
+    if (args.pairs is not None) + args.gamma + pair > 1:
+        raise FileFormatError("chain runs one mode per call: --pairs all, --gamma or --i/--j")
     if args.pairs == "all":
         if not args.out:
             raise FileFormatError("--pairs all writes a table; pass --out")
@@ -238,7 +241,7 @@ def _cmd_chain(args) -> int:
         gamma = chains.amplification_factor(args.k, args.m, args.r)
         print(f"gamma(k={args.k}, m={args.m}, r={args.r:g}) = {gamma:.10g}")
         return 0
-    if args.i is not None or args.j is not None:
+    if pair:
         if args.i is None or args.j is None:
             raise FileFormatError("pair mode needs both --i and --j")
         rho = chains.chain_pair_corr(spec, args.i, args.j)

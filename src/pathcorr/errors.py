@@ -9,12 +9,13 @@ condition raises the same class no matter which routine noticed it first.
 Every integer argument of the library (node indices, truncation
 lengths, counts, dimensions and seeds) is checked by one rule,
 :func:`_whole`, every node set by :func:`_nodes`, which also refuses a
-repeated node, and every real argument (r, q, alpha) by :func:`_real`.
+repeated node, every real argument (r, q, alpha) by :func:`_real` and
+every typed object (a graph, matrix, spec or partition) by :func:`_instance`.
 A whole or a finite number passes, plain or numpy, a bool or 3.0
 included; anything else (a fraction where a whole number is due, NaN,
 inf, None, a string) is refused with the class of the call site, never
-truncated or parsed.  This module imports only the standard library,
-so every layer of the package can use it.
+truncated or parsed; an object is never converted.  This module imports
+only the standard library, so every layer of the package can use it.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ def _real(value, name: str, error: type) -> float:
         if isinstance(value, numbers.Real) and math.isfinite(value):
             return float(value)
     raise error(f"{name} must be a finite real number, got {_shown(value)}")
+
+
+def _instance(value, types, name: str, error: type):
+    """``value``, if an instance of ``types`` (a class or a tuple of them); else ``error``."""
+    if isinstance(value, types):
+        return value
+    want = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    raise error(f"{name} must be a {want}, got {type(value).__name__}")
 
 
 def _node_list(values, dim: int, name: str, error: type) -> list:

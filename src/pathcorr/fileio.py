@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, ParamOutOfBound, _instance
 from .matrices import (
     CovarianceMatrix,
     MarginalCorrelationMatrix,
@@ -42,7 +42,6 @@ _TYPE_OF_KIND = {
     "partial": PartialCorrelationGraph,
     "marginal": MarginalCorrelationMatrix,
 }
-_KIND_OF_TYPE = {cls: kind for kind, cls in _TYPE_OF_KIND.items()}
 
 KINDS = tuple(_TYPE_OF_KIND)
 
@@ -60,10 +59,8 @@ __all__ = [
 
 def kind_of(obj) -> str:
     """The JSON kind string for a matrix object."""
-    try:
-        return _KIND_OF_TYPE[type(obj)]
-    except KeyError:
-        raise TypeError(f"no file kind for {type(obj).__name__}") from None
+    obj = _instance(obj, tuple(_TYPE_OF_KIND.values()), "obj", ParamOutOfBound)
+    return next(kind for kind, cls in _TYPE_OF_KIND.items() if isinstance(obj, cls))
 
 
 def matrix_from_kind(kind: str, data, labels=None, scale=None):
@@ -86,12 +83,12 @@ def matrix_from_kind(kind: str, data, labels=None, scale=None):
 def save_json(doc, path) -> None:
     """Write ``doc`` as JSON with a two-space indent and a final newline.
 
-    The text is built before the file is opened, so a non-finite number
-    raises :class:`FileFormatError` and leaves no partial file behind.
+    The text is built before the file is opened, so what JSON cannot hold
+    (inf, a numpy int) raises :class:`FileFormatError` and leaves no file.
     """
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise FileFormatError(f"{path}: cannot write JSON: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -100,6 +97,7 @@ def save_json(doc, path) -> None:
 def save_matrix(obj, path, provenance: dict | None = None) -> None:
     """Write a typed matrix object to ``path`` in the JSON layout."""
     kind = kind_of(obj)
+    _instance(provenance, (dict, type(None)), "provenance", FileFormatError)
     entries = obj.weights if kind == "partial" else obj.entries
     doc = {
         "kind": kind,

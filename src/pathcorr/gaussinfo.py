@@ -38,6 +38,7 @@ from .errors import (
     QOutOfRange,
     SingularBlock,
     SpectralRadiusTooLarge,
+    _instance,
     _parts,
     _whole,
 )
@@ -121,14 +122,9 @@ class InfoResult:
 
 
 def _coupling_graph(system) -> PartialCorrelationGraph:
-    if isinstance(system, PartialCorrelationGraph):
-        return system
-    if isinstance(system, PrecisionMatrix):
-        return precision_to_partial(system)
-    raise ParamOutOfBound(
-        "expected a PartialCorrelationGraph or PrecisionMatrix, "
-        f"got {type(system).__name__}"
-    )
+    kinds = (PartialCorrelationGraph, PrecisionMatrix)
+    system = _instance(system, kinds, "system", ParamOutOfBound)
+    return precision_to_partial(system) if isinstance(system, PrecisionMatrix) else system
 
 
 def _logdet_spd(m: np.ndarray, what: str) -> float:
@@ -139,6 +135,7 @@ def _logdet_spd(m: np.ndarray, what: str) -> float:
 def _blocks(system, part: TriPartition) -> tuple:
     """(M_A, X) with M_A = 1 - R_AA and X = R_AB (1 - R_BB)^-1 R_BA."""
     r = _coupling_graph(system).weights
+    part = _instance(part, TriPartition, "part", ParamOutOfBound)
     if r.shape[0] != part.dim:
         raise IndexOutOfRange(
             f"partition is over {part.dim} nodes, system has {r.shape[0]}"

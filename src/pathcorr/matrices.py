@@ -21,10 +21,10 @@ All types are frozen dataclasses holding read-only arrays; every
 operation is a pure function, so values can be shared freely across
 threads.  A graph keeps its oracle result and its spectral radius,
 each filled on first use: the fill is idempotent, so a race between
-threads at worst computes the same read-only value twice.  Results of
-exact conversions are not validated again; every graph of the package
-read off precision entries is split, and checked once as a graph, by
-one helper here, and every Cholesky factorisation goes through another.
+threads at worst computes the same read-only value twice.  A conversion
+takes only its typed input, never a raw array, and its result is not
+validated again; every graph read off precision entries is split and checked
+once, by one helper here, and every Cholesky factorisation goes through another.
 Every array argument becomes floats through :func:`_floats`, and every
 kept array is a read-only copy by :func:`_freeze`: a caller's is never frozen.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
@@ -52,6 +52,7 @@ from .errors import (
     NotSymmetric,
     ParamOutOfBound,
     SingularMatrix,
+    _instance,
     _shown,
 )
 
@@ -411,23 +412,20 @@ def _correlations(c: np.ndarray) -> np.ndarray:
 
 def cov_to_marginal(C: CovarianceMatrix) -> MarginalCorrelationMatrix:
     """Marginal correlations rho_ij = c_ij / sqrt(c_ii c_jj)."""
-    if not isinstance(C, CovarianceMatrix):
-        C = validate_covariance(C)
+    C = _instance(C, CovarianceMatrix, "C", ParamOutOfBound)
     return _derived(MarginalCorrelationMatrix, _correlations(C.entries), C.labels)
 
 
 def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
     """Precision matrix Omega = C^-1 via a Cholesky solve."""
-    if not isinstance(C, CovarianceMatrix):
-        C = validate_covariance(C)
+    C = _instance(C, CovarianceMatrix, "C", ParamOutOfBound)
     omega = _spd_solve(C.entries, np.eye(C.dim), SingularMatrix, "covariance matrix")
     return _derived(PrecisionMatrix, (omega + omega.T) / 2.0, C.labels)
 
 
 def precision_to_cov(Omega: PrecisionMatrix) -> CovarianceMatrix:
     """Covariance matrix C = Omega^-1 via a Cholesky solve."""
-    if not isinstance(Omega, PrecisionMatrix):
-        Omega = validate_precision(Omega)
+    Omega = _instance(Omega, PrecisionMatrix, "Omega", ParamOutOfBound)
     c = _spd_solve(Omega.entries, np.eye(Omega.dim), SingularMatrix, "precision matrix")
     return _derived(CovarianceMatrix, (c + c.T) / 2.0, Omega.labels)
 
@@ -439,8 +437,7 @@ def precision_to_partial(Omega: PrecisionMatrix) -> PartialCorrelationGraph:
     it; the scale vector sqrt(omega_ii) is stored on the graph so
     :func:`partial_to_precision` can reassemble Omega exactly.
     """
-    if not isinstance(Omega, PrecisionMatrix):
-        Omega = validate_precision(Omega)
+    Omega = _instance(Omega, PrecisionMatrix, "Omega", ParamOutOfBound)
     return _precision_graph(Omega.entries, Omega.labels)
 
 
@@ -461,6 +458,7 @@ def _precision_graph(om: np.ndarray, labels, scale=1.0) -> PartialCorrelationGra
 
 def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
     """Reassemble Omega = Lambda (1 - R) Lambda from a scaled graph."""
+    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
     if g.scale is None:
         raise MissingScale(
             "graph carries no node scales; it cannot define a precision matrix"
@@ -491,7 +489,7 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
     (1 - R) exceeds ``COND_WARN`` an :class:`IllConditionedWarning`
     reports it alongside the result, on every call.
     """
-    return _checked_inverse(g).marginal
+    return _checked_inverse(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)).marginal
 
 
 def _checked_inverse(g: PartialCorrelationGraph) -> _Inverse:
@@ -510,7 +508,7 @@ def _checked_inverse(g: PartialCorrelationGraph) -> _Inverse:
 
 def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     """Spectral radii nu(R), nu(|R|) and the summation regime."""
-    nu = g._nu
+    nu = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)._nu
     nu_plus = float(np.max(np.abs(np.linalg.eigvalsh(np.abs(g.weights)))))
     # Equal-matrix case aside, tiny eigensolver noise can leave
     # nu_plus a few ulp under nu although nu <= nu_plus holds exactly.

@@ -44,6 +44,7 @@ from .errors import (
     ParamOutOfBound,
     QOutOfRange,
     SingularRestrictedBlock,
+    _instance,
     _node_list,
     _real,
     _whole,
@@ -150,7 +151,8 @@ class RescaledGraph:
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _check_q(self.q, self.base._nu))
+        base = _instance(self.base, PartialCorrelationGraph, "base", ParamOutOfBound)
+        object.__setattr__(self, "q", _check_q(self.q, base._nu))
 
     @property
     def dim(self) -> int:
@@ -163,6 +165,9 @@ class RescaledGraph:
         w = w + (1.0 - self.q) * np.eye(self.base.dim)
         w.setflags(write=False)
         return w
+
+
+_GRAPHS = (PartialCorrelationGraph, RescaledGraph)
 
 
 @dataclass(frozen=True)
@@ -238,7 +243,8 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
     The number of walks grows exponentially with length; use this for
     inspection and cross-checks, and the sum operations for numbers.
     """
-    w = g.weights
+    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
+    query = _instance(query, PathQuery, "query", ParamOutOfBound)
     dim = w.shape[0]
     src = _check_node(query.source, dim, "source")
     tgt = _check_node(query.target, dim, "target")
@@ -305,7 +311,7 @@ def path_sum_truncated(g, i: int, j: int, L: int) -> PathSumResult:
     The length-l term is simply (W^l)_ij, so the cumulative sums are the
     partial Neumann series of (1 - W)^-1 - 1.
     """
-    w = g.weights
+    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
@@ -331,7 +337,7 @@ def star_path_sum_truncated(
     i -> i of weight 1 - q is a closed path of length 1, and interior
     vertices may linger via their own self-loops.
     """
-    w = g.weights
+    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
@@ -354,7 +360,7 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     valid graph 1 - W_K inherits positive definiteness from 1 - W, so
     the closed value exists even when the truncated series diverges.
     """
-    w = g.weights
+    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
     dim = w.shape[0]
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
@@ -400,7 +406,7 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     graph the plain truncation has no limit.  Equal to the last row of
     :func:`convergence_profile` up to L, where that profile exists.
     """
-    i, j = _check_pair(i, j, g.dim)
+    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
     rho, li, lj = _rho_hat(g, i, j, L, "truncation length")
     if np.isnan(rho[-1]):
         name, val = ("i", li[-1]) if li[-1] >= lj[-1] else ("j", lj[-1])
@@ -449,7 +455,7 @@ def marginal_corr_closed(g, i: int, j: int) -> float:
     O(1); an ill-conditioned 1 - R raises the oracle's
     :class:`IllConditionedWarning` here too.
     """
-    i, j = _check_pair(i, j, g.dim)
+    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
     num, li, lj = _closed_pair_sums(g, i, j)
     den = (1.0 - li) * (1.0 - lj)
     if den <= 0.0:
@@ -466,7 +472,7 @@ def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph
     is used; values must lie strictly inside (0, bound).  Expanded
     correlations are independent of the choice.
     """
-    base, _ = _base_and_q(g)
+    base, _ = _base_and_q(_instance(g, _GRAPHS, "g", ParamOutOfBound))
     if q is None:
         q = Q_DEFAULT_FRACTION * _q_bound(base._nu)
     return RescaledGraph(base=base, q=q)
@@ -479,7 +485,7 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
     much as the single longest truncation.  The gap column compares
     against the matrix-inversion oracle of the (base) graph.
     """
-    i, j = _check_pair(i, j, g.dim)
+    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
     rho, li, lj = _rho_hat(g, i, j, L_max, "L_max")
     if np.isnan(rho).any():
         L = int(np.argmax(np.isnan(rho))) + 1

@@ -24,6 +24,7 @@ from .errors import (
     NotPositiveDefinite,
     ParamOutOfBound,
     SingularSampleCovariance,
+    _instance,
     _real,
     _whole,
 )
@@ -98,6 +99,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     rather than raised; a singular S raises
     :class:`SingularSampleCovariance`.
     """
+    spec = _instance(spec, SampleSpec, "spec", ParamOutOfBound)
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
     u = gen.random((spec.n, spec.d))
     # Uniforms live in [0, 1); clamp into the open interval before the
@@ -170,7 +172,7 @@ def factor_model_partial(fm: FactorModel) -> PartialCorrelationGraph:
     is the graph of the implied precision sum_l v_l w_l w_l^T, split
     like any other precision, with scales sqrt(sum_l v_l w_li^2).
     """
-    return fm._graph
+    return _instance(fm, FactorModel, "fm", ParamOutOfBound)._graph
 
 
 def _chain_weights(d: int, r: float) -> np.ndarray:
@@ -265,6 +267,7 @@ def martingale_covariance(spec: MartingaleSpec) -> CovarianceMatrix:
     Cov(X_s, X_t) = alpha^(t-s) Var(X_s) for s <= t.  Positive
     innovation variances keep it positive definite for any alpha.
     """
+    spec = _instance(spec, MartingaleSpec, "spec", ParamOutOfBound)
     t_n = spec.horizon
     v = spec.innovation_variances
     var = np.empty(t_n)

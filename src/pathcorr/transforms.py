@@ -42,6 +42,7 @@ from .errors import (
     IndexOutOfRange,
     ParamOutOfBound,
     SingularBlock,
+    _instance,
     _node_list,
     _nodes,
     _parts,
@@ -183,7 +184,7 @@ def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
     marginal correlations, recomputed on the smaller graph, in general
     shrink because all paths routed through S are gone.
     """
-    kept, removed = _split(g, S)
+    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
     if not removed:
         return g
     labels, scale = _kept_nodes(g, kept)
@@ -207,7 +208,7 @@ def marginalize_nodes(
     """
     if method not in ("block", "paths"):
         raise ParamOutOfBound(f"method must be 'block' or 'paths', got {method!r}")
-    kept, removed = _split(g, S)
+    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
     if not removed:
         return g
     if method == "paths":
@@ -225,25 +226,16 @@ def _marginalize_by_paths(g, kept, removed) -> PartialCorrelationGraph:
     # graph acyclic at import time.
     from .pathsum import star_path_sum_closed
 
+    # M' = 1 - P, with p_ab the closed sum of the paths a -> b whose
+    # interiors stay in the removed set: on the diagonal the loop sum at
+    # a, off it a star sum that already contains the direct link.
     n = len(kept)
-    loops = np.array(
-        [star_path_sum_closed(g, v, v, within=removed) for v in kept]
-    )
-    if np.any(loops >= 1.0):
-        raise DenominatorNonPositive(
-            "a loop sum through the removed set reaches 1"
-        )
-    r_new = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = kept[a], kept[b]
-            # The closed star sum already contains the direct link.
-            p_ab = star_path_sum_closed(g, i, j, within=removed)
-            r_new[a, b] = p_ab / np.sqrt((1.0 - loops[a]) * (1.0 - loops[b]))
-            r_new[b, a] = r_new[a, b]
-    labels, scale = _kept_nodes(g, kept)
-    scale = scale * np.sqrt(1.0 - loops) if scale is not None else None
-    return PartialCorrelationGraph(r_new, scale=scale, labels=labels)
+    m = np.empty((n, n))
+    for a, b in itertools.combinations_with_replacement(range(n), 2):
+        m[a, b] = m[b, a] = (a == b) - star_path_sum_closed(g, kept[a], kept[b], within=removed)
+    if np.any(np.diag(m) <= 0.0):
+        raise DenominatorNonPositive("a loop sum through the removed set reaches 1")
+    return _precision_graph(m, *_kept_nodes(g, kept))
 
 
 def _separator_splits(adj: np.ndarray) -> dict:
@@ -323,6 +315,7 @@ def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     :data:`TOL_FACT` certifies that k screens I from J; testing every
     bipartition of the remaining nodes gives the converse direction.
     """
+    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
     k = _whole(k, "k", IndexOutOfRange, 0, g.dim - 1)
     I, J, _ = _parts(g.dim, IndexOutOfRange, False, I=I, J=J, k=(k,))
     if not I or not J:
@@ -345,6 +338,7 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
     and the numerical criterion single out the same nodes.
     Disconnected inputs are handled per component.
     """
+    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
     splits = _separator_splits(g.weights != 0.0)
     p = partial_to_marginal_oracle(g).entries
     reports = []
@@ -381,7 +375,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     likewise each latent column of the reduced coupling; any such
     choice describes the same distribution.
     """
-    kept, removed = _split(g, S)
+    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
     n_t, n_s = len(kept), len(removed)
     w = g.weights
     q = w[np.ix_(removed, kept)]
@@ -475,6 +469,8 @@ def verify_reduction(g: PartialCorrelationGraph, reduction: LatentReduction) -> 
     and reduced networks.  The kept nodes occupy the leading positions
     of the reduced graph, in the order listed by ``reduction.kept``.
     """
+    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
+    reduction = _instance(reduction, LatentReduction, "reduction", ParamOutOfBound)
     kept = _node_list(reduction.kept, g.dim, "kept", DimensionMismatch)
     n_t = len(kept)
     if reduction.reduced_graph.dim != n_t + reduction.latent_count:

@@ -19,6 +19,7 @@ from pathcorr import (
     FileFormatError,
     MarginalCorrelationMatrix,
     MartingaleSpec,
+    ParamOutOfBound,
     PartialCorrelationGraph,
     PrecisionMatrix,
     SampleSpec,
@@ -190,9 +191,14 @@ class TestFileValidation:
         with pytest.raises(FileFormatError):
             fileio.load_csv_matrix(path, "partial")
 
-    def test_unmapped_type_rejected(self):
-        with pytest.raises(TypeError):
-            fileio.kind_of(np.eye(2))
+    def test_unmapped_type_rejected(self, tmp_path):
+        path = tmp_path / "g.json"
+        for obj in (np.eye(2), rescale(chain_graph(3, 0.3), 0.5)):
+            with pytest.raises(ParamOutOfBound, match="obj must be a CovarianceMatrix"):
+                fileio.kind_of(obj)
+            with pytest.raises(ParamOutOfBound, match="obj must be a CovarianceMatrix"):
+                fileio.save_matrix(obj, path)
+            assert not path.exists()
 
     def test_scale_only_on_partial_graphs(self, run, tmp_path):
         src = tmp_path / "cov.json"
@@ -229,6 +235,28 @@ class TestFileValidation:
         code, _, stderr = run("convert", "--in", str(src), "--to", "marginal", "--out", str(path))
         assert code == 1
         assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("provenance", [[1, 2], "seed 7", 7], ids=["list", "str", "int"])
+    def test_non_object_provenance_refused_on_save(self, tmp_path, provenance):
+        # load_matrix refuses such a file, so save_matrix must not write one.
+        path = tmp_path / "g.json"
+        with pytest.raises(FileFormatError, match="provenance must be a dict"):
+            fileio.save_matrix(chain_graph(2, 0.3), path, provenance=provenance)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n": np.int64(3)}, {"v": np.array([1.0])}, {(1, 2): 0.5}, {"p": {1.0, 2.0}}],
+        ids=["numpy-int", "ndarray", "tuple-key", "set"],
+    )
+    def test_unserialisable_value_refused(self, tmp_path, doc):
+        path = tmp_path / "r.json"
+        with pytest.raises(FileFormatError, match="cannot write JSON"):
+            fileio.save_json(doc, path)
+        assert not path.exists()
+        with pytest.raises(FileFormatError, match="cannot write JSON"):
+            fileio.save_matrix(chain_graph(2, 0.3), path, provenance=doc)
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -582,6 +610,25 @@ class TestChainCommand:
         spec = ChainSpec(d=5, r=0.3)
         for row in rows[1:]:
             assert float(row[2]) == chain_pair_corr(spec, int(row[0]), int(row[1]))
+
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            ("--pairs", "all", "--gamma", "--k", "2", "--m", "3"),
+            ("--gamma", "--k", "2", "--m", "3", "--i", "1", "--j", "2"),
+            ("--pairs", "all", "--i", "1", "--j", "2"),
+            ("--pairs", "all", "--j", "2"),
+            ("--pairs", "all", "--gamma", "--i", "1", "--j", "2"),
+        ],
+        ids=["pairs-gamma", "gamma-pair", "pairs-pair", "pairs-half-pair", "all-three"],
+    )
+    def test_one_mode_per_call(self, run, tmp_path, modes):
+        out = tmp_path / "pairs.csv"
+        code, stdout, stderr = run("chain", "--d", "5", "--r", "0.3", *modes, "--out", str(out))
+        assert code == 1
+        assert stderr.startswith("error: chain runs one mode per call") and stderr.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
 
     def test_pairs_table_needs_out(self, run):
         code, _, stderr = run("chain", "--d", "5", "--r", "0.3", "--pairs", "all")
