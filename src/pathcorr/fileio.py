@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, ParamOutOfBound, _instance
+from .errors import FileFormatError, ParamOutOfBound, _instance, _shown
 from .matrices import (
     CovarianceMatrix,
     MarginalCorrelationMatrix,
@@ -94,10 +94,29 @@ def save_json(doc, path) -> None:
         fh.write(text + "\n")
 
 
+def _string_keys(provenance, path) -> None:
+    """Refuse a non-``str`` dict key at any depth: JSON would write it as a string.
+    Each container is walked once, so a cycle is left to the JSON writer."""
+    todo, seen = [provenance], set()
+    while todo:
+        value = todo.pop()
+        if not isinstance(value, (dict, list, tuple)) or id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise FileFormatError(
+                        f"{path}: cannot write JSON: provenance key {_shown(key)} is not a string"
+                    )
+            value = value.values()
+        todo.extend(value)
+
+
 def save_matrix(obj, path, provenance: dict | None = None) -> None:
     """Write a typed matrix object to ``path`` in the JSON layout."""
     kind = kind_of(obj)
-    _instance(provenance, (dict, type(None)), "provenance", FileFormatError)
+    _string_keys(_instance(provenance, (dict, type(None)), "provenance", FileFormatError), path)
     entries = obj.weights if kind == "partial" else obj.entries
     doc = {
         "kind": kind,

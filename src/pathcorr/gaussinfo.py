@@ -46,6 +46,7 @@ from .matrices import (
     PartialCorrelationGraph,
     PrecisionMatrix,
     _cho,
+    _paths_through,
     _spd_solve,
     precision_to_partial,
 )
@@ -141,12 +142,8 @@ def _blocks(system, part: TriPartition) -> tuple:
             f"partition is over {part.dim} nodes, system has {r.shape[0]}"
         )
     a, b = part.A, part.B
-    m_a = np.eye(len(a)) - r[np.ix_(a, a)]
-    m_b = np.eye(len(b)) - r[np.ix_(b, b)]
-    r_ab = r[np.ix_(a, b)]
-    x = r_ab @ _spd_solve(m_b, r_ab.T, SingularBlock, "1 - R[B, B]")
-    x = (x + x.T) / 2.0
-    return m_a, x
+    x = _paths_through(r, a, a, b, SingularBlock, "1 - R[B, B]")
+    return np.eye(len(a)) - r[np.ix_(a, a)], (x + x.T) / 2.0
 
 
 def conditional_mi_closed(system, part: TriPartition) -> InfoResult:

@@ -24,7 +24,8 @@ each filled on first use: the fill is idempotent, so a race between
 threads at worst computes the same read-only value twice.  A conversion
 takes only its typed input, never a raw array, and its result is not
 validated again; every graph read off precision entries is split and checked
-once, by one helper here, and every Cholesky factorisation goes through another.
+once, by one helper here; every Cholesky factorisation goes through another, and
+every restricted block inverse W[E, K] (1 - W_K)^-1 W[K, E] through :func:`_paths_through`.
 Every array argument becomes floats through :func:`_floats`, and every
 kept array is a read-only copy by :func:`_freeze`: a caller's is never frozen.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
@@ -156,6 +157,14 @@ def _cho(m: np.ndarray, error, what: str) -> tuple:
 def _spd_solve(m: np.ndarray, rhs: np.ndarray, error, what: str) -> np.ndarray:
     """m^-1 rhs through :func:`_cho`, for a positive-definite m."""
     return scipy.linalg.cho_solve(_cho(m, error, what), rhs)
+
+
+def _paths_through(w: np.ndarray, rows, cols, interior, error, what: str) -> np.ndarray:
+    """W[rows, K] (1 - W_K)^-1 W[K, cols], K = ``interior``, from one solve; 0 if K is empty."""
+    if len(interior) == 0:
+        return np.zeros((len(rows), len(cols)))
+    mk = np.eye(len(interior)) - w[np.ix_(interior, interior)]
+    return w[np.ix_(rows, interior)] @ _spd_solve(mk, w[np.ix_(interior, cols)], error, what)
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ from .errors import (
     _real,
     _whole,
 )
-from .matrices import PartialCorrelationGraph, _checked_inverse, _spd_solve
+from .matrices import PartialCorrelationGraph, _checked_inverse, _paths_through
 
 # A truncated loop sum this close to 1 (or beyond) makes the
 # denominator square root meaningless.
@@ -242,6 +242,7 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
 
     The number of walks grows exponentially with length; use this for
     inspection and cross-checks, and the sum operations for numbers.
+    The arguments are checked at the call; the stream is lazy.
     """
     w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
     query = _instance(query, PathQuery, "query", ParamOutOfBound)
@@ -265,8 +266,7 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
             if ok_interior[u]:
                 yield from walk(prefix + (int(u),), weight * w[last, u], steps_left - 1)
 
-    for length in range(1, query.max_length + 1):
-        yield from walk((src,), 1.0, length)
+    return (p for n in range(1, query.max_length + 1) for p in walk((src,), 1.0, n))
 
 
 def _per_length_restricted(
@@ -365,13 +365,9 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
     interior = _interior_indices(dim, {i, j}, avoid, within)
-    direct = float(w[i, j])
-    if interior.size == 0:
-        return direct
-    mk = np.eye(interior.size) - w[np.ix_(interior, interior)]
     what = f"1 - R restricted to {interior.size} interior nodes"
-    tail = _spd_solve(mk, w[interior, j], SingularRestrictedBlock, what)
-    return direct + float(w[i, interior] @ tail)
+    tail = _paths_through(w, [i], [j], interior, SingularRestrictedBlock, what)
+    return float(w[i, j] + tail[0, 0])
 
 
 def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:

@@ -14,15 +14,14 @@ network from another:
   latent nodes that reproduce, on the kept set, both the partial and
   the marginal correlations of the original network.
 
-Marginalising a set S acts on M = 1 - R as the Schur complement
-M' = M_TT - M_TS M_SS^-1 M_ST, from which r'_ij = -M'_ij /
-sqrt(M'_ii M'_jj).  Equivalently, and available here as a cross-check
-mode, the new coupling collects the paths routed through S:
+Marginalising a set S collects the paths routed through S:
 
     r'_ij = (r_ij + p_iSj) / sqrt((1 - p_iSi)(1 - p_jSj)),
 
-with p_iSj the closed-form star sum over paths whose interiors stay in
-S.  A node k is separating when every path between two parts of the
+with p_iSj the closed star sum over paths whose interiors stay in S and
+p_iSi the loop sum at i.  Both method names compute these closed sums;
+1 - R_TT less them is the Schur complement of M = 1 - R on the kept set
+T.  A node k is separating when every path between two parts of the
 network passes through it; marginal correlations then factorise,
 rho_ij = rho_ik rho_kj, across the split.
 """
@@ -52,8 +51,8 @@ from .matrices import (
     PartialCorrelationGraph,
     _cho,
     _freeze,
+    _paths_through,
     _precision_graph,
-    _spd_solve,
     partial_to_marginal_oracle,
 )
 
@@ -197,11 +196,10 @@ def marginalize_nodes(
     """Integrate the nodes in S out of the network.
 
     The kept nodes' marginal correlations are exactly preserved; their
-    partial correlations change, absorbing every path through S.  With
-    ``method="block"`` (the default) the Schur complement of M = 1 - R
-    is used; ``method="paths"`` routes each pair through the closed
-    star and loop sums restricted to S and exists as an independent
-    cross-check, it is slower and numerically equivalent.
+    partial correlations change, absorbing every path through S.  Both
+    methods, "block" (the default) and "paths", read the graph off
+    M' = 1 - P, P the closed star sums (direct link included) and loop
+    sums through S: the Schur complement of M = 1 - R on the kept nodes.
 
     Node scales, when present, are updated so that the reduced
     precision matrix is exactly the Schur complement of the original.
@@ -211,31 +209,11 @@ def marginalize_nodes(
     kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
     if not removed:
         return g
-    if method == "paths":
-        return _marginalize_by_paths(g, kept, removed)
-    m = np.eye(g.dim) - g.weights
-    m_ss = m[np.ix_(removed, removed)]
-    m_ts = m[np.ix_(kept, removed)]
-    m_tt = m[np.ix_(kept, kept)]
-    m_red = m_tt - m_ts @ _spd_solve(m_ss, m_ts.T, SingularBlock, _ELIMINATED)
-    return _precision_graph(m_red, *_kept_nodes(g, kept))
-
-
-def _marginalize_by_paths(g, kept, removed) -> PartialCorrelationGraph:
-    # Import here: pathsum already imports matrices, keep the module
-    # graph acyclic at import time.
-    from .pathsum import star_path_sum_closed
-
-    # M' = 1 - P, with p_ab the closed sum of the paths a -> b whose
-    # interiors stay in the removed set: on the diagonal the loop sum at
-    # a, off it a star sum that already contains the direct link.
-    n = len(kept)
-    m = np.empty((n, n))
-    for a, b in itertools.combinations_with_replacement(range(n), 2):
-        m[a, b] = m[b, a] = (a == b) - star_path_sum_closed(g, kept[a], kept[b], within=removed)
-    if np.any(np.diag(m) <= 0.0):
+    m_red = np.eye(len(kept)) - g.weights[np.ix_(kept, kept)]
+    m_red -= _paths_through(g.weights, kept, kept, removed, SingularBlock, _ELIMINATED)
+    if np.any(np.diag(m_red) <= 0.0):
         raise DenominatorNonPositive("a loop sum through the removed set reaches 1")
-    return _precision_graph(m, *_kept_nodes(g, kept))
+    return _precision_graph(m_red, *_kept_nodes(g, kept))
 
 
 def _separator_splits(adj: np.ndarray) -> dict:

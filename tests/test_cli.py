@@ -246,6 +246,19 @@ class TestFileValidation:
         assert not path.exists()
 
     @pytest.mark.parametrize(
+        "provenance",
+        [{1: "a"}, {"a": {None: 1}}, {"a": [1, {True: 2}]}, {"a": ({2.5: 3},)}],
+        ids=["top", "nested", "in-list", "in-tuple"],
+    )
+    def test_non_string_provenance_key_refused_on_save(self, tmp_path, provenance):
+        # JSON would write the key as a string: the file would not read
+        # back what was saved.
+        path = tmp_path / "g.json"
+        with pytest.raises(FileFormatError, match="is not a string"):
+            fileio.save_matrix(chain_graph(2, 0.3), path, provenance=provenance)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "doc",
         [{"n": np.int64(3)}, {"v": np.array([1.0])}, {(1, 2): 0.5}, {"p": {1.0, 2.0}}],
         ids=["numpy-int", "ndarray", "tuple-key", "set"],

@@ -136,6 +136,18 @@ class TestEnumeration:
                 )
             )
 
+    def test_arguments_checked_at_the_call(self):
+        # No iteration: a wrong argument must fail before the stream is used.
+        g = three_chain(0.3)
+        with pytest.raises(ParamOutOfBound):
+            enumerate_paths(None, PathQuery(0, 1, 2))
+        with pytest.raises(ParamOutOfBound):
+            enumerate_paths(g, (0, 1, 2))
+        with pytest.raises(IndexOutOfRange):
+            enumerate_paths(g, PathQuery(source=0, target=5, max_length=2))
+        with pytest.raises(IndexOutOfRange):
+            enumerate_paths(g, PathQuery(0, 1, 2, interior_allowed=frozenset({9})))
+
     def test_max_length_validated(self):
         with pytest.raises(ParamOutOfBound):
             PathQuery(source=0, target=1, max_length=0)

@@ -31,7 +31,7 @@ from pathcorr import (
     validate_partial_graph,
     verify_reduction,
 )
-from pathcorr import matrices, pathsum
+from pathcorr import matrices, pathsum, transforms
 from pathcorr.transforms import TOL_FACT
 
 from conftest import complete_graph, scaled_random_graph
@@ -140,11 +140,23 @@ class TestMarginalize:
         assert np.max(np.abs(before - after)) < 1e-12
 
     def test_block_route_matches_path_route(self):
+        # Reference: M' = 1 - P built entry by entry from the public closed
+        # star and loop sums through S, split as r'_ab = -M'_ab /
+        # sqrt(M'_aa M'_bb).  Both method names run the one computation.
+        removed, kept = {2, 5}, [0, 1, 3, 4]
         for seed in range(5):
             g = scaled_random_graph(30 + seed, 6, 0.75)
-            a = marginalize_nodes(g, {2, 5}, method="block")
-            b = marginalize_nodes(g, {2, 5}, method="paths")
-            assert np.max(np.abs(a.weights - b.weights)) < 1e-12
+            p = np.array(
+                [[pathsum.star_path_sum_closed(g, a, b, within=removed) for b in kept] for a in kept]
+            )
+            m = np.eye(len(kept)) - p
+            lam = np.sqrt(np.diag(m))
+            ref = -m / np.outer(lam, lam)
+            np.fill_diagonal(ref, 0.0)
+            a = marginalize_nodes(g, removed, method="block")
+            b = marginalize_nodes(g, removed, method="paths")
+            assert np.max(np.abs(a.weights - ref)) < 1e-12
+            assert np.array_equal(a.weights, b.weights)
 
     def test_new_partials_equal_conditioned_subgraph_oracle(self):
         # After removing S, the partial correlation of a kept pair is
@@ -212,9 +224,14 @@ class TestMarginalize:
         # Loop sums through the removed set cannot reach 1 for a valid
         # graph; force the condition to check the guard.
         g = chain_graph(4, 0.3)
-        monkeypatch.setattr(pathsum, "star_path_sum_closed", lambda *a, **k: 1.5)
-        with pytest.raises(DenominatorNonPositive):
-            marginalize_nodes(g, {3}, method="paths")
+
+        def through(w, rows, *a):
+            return np.full((len(rows), len(rows)), 1.5)
+
+        monkeypatch.setattr(transforms, "_paths_through", through)
+        for method in ("block", "paths"):
+            with pytest.raises(DenominatorNonPositive):
+                marginalize_nodes(g, {3}, method=method)
 
     def test_labels_carried(self):
         g = chain_graph(4, 0.3, labels=("a", "b", "c", "d"))
