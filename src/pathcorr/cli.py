@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import chains, fileio, gaussinfo, pathsum, sampling, transforms
-from .errors import FileFormatError, PathcorrError, UndefinedAtZero
+from .errors import FileFormatError, ParamOutOfBound, PathcorrError, UndefinedAtZero, _real
 from .matrices import (
     CovarianceMatrix,
     PartialCorrelationGraph,
@@ -192,6 +192,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_separators(args) -> int:
+    tol = _real(args.tol, "--tol", ParamOutOfBound)
+    if tol < 0.0:
+        raise ParamOutOfBound(f"--tol must be at least 0, got {tol:g}")
     g = _load_graph(args)
     reports = transforms.detect_separating_nodes(g)
     labels = g.labels
@@ -199,7 +202,7 @@ def _cmd_separators(args) -> int:
         print("no separating nodes")
     for rep in reports:
         first, second = rep.components
-        note = "" if rep.factorisation_residual < args.tol else "  [residual above tol]"
+        note = "" if rep.factorisation_residual <= tol else "  [residual above tol]"
         print(
             f"node {labels[rep.node]}: splits {len(first)}+{len(second)} nodes, "
             f"residual {rep.factorisation_residual:.3e}{note}"

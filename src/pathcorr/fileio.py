@@ -94,15 +94,19 @@ def save_json(doc, path) -> None:
         fh.write(text + "\n")
 
 
-def _string_keys(provenance, path) -> None:
-    """Refuse a non-``str`` dict key at any depth: JSON would write it as a string.
-    Each container is walked once, so a cycle is left to the JSON writer."""
-    todo, seen = [provenance], set()
+def _round_trips(provenance, path) -> None:
+    """Refuse what JSON would not read back as saved, at any depth: a
+    non-``str`` dict key (written as a string), then a tuple (written as
+    a list).  Each container is walked once, so a cycle is left to the
+    JSON writer."""
+    todo, seen, tuples = [provenance], set(), []
     while todo:
         value = todo.pop()
         if not isinstance(value, (dict, list, tuple)) or id(value) in seen:
             continue
         seen.add(id(value))
+        if isinstance(value, tuple):
+            tuples.append(value)
         if isinstance(value, dict):
             for key in value:
                 if not isinstance(key, str):
@@ -111,12 +115,17 @@ def _string_keys(provenance, path) -> None:
                     )
             value = value.values()
         todo.extend(value)
+    if tuples:
+        raise FileFormatError(
+            f"{path}: cannot write JSON: provenance tuple {_shown(tuples[0])} "
+            "would read back as a list"
+        )
 
 
 def save_matrix(obj, path, provenance: dict | None = None) -> None:
     """Write a typed matrix object to ``path`` in the JSON layout."""
     kind = kind_of(obj)
-    _string_keys(_instance(provenance, (dict, type(None)), "provenance", FileFormatError), path)
+    _round_trips(_instance(provenance, (dict, type(None)), "provenance", FileFormatError), path)
     entries = obj.weights if kind == "partial" else obj.entries
     doc = {
         "kind": kind,

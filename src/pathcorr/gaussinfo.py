@@ -14,10 +14,13 @@ the formula needs.  The same quantity expands into a trace series,
     I = sum_(n>=1) tr(T^n) / (2 n),
 
 whose n-th term collects the closed paths that alternate n times
-between A and B; the series converges whenever the spectral radius of
-T is below 1, which every positive-definite system satisfies.  A
-rescaled variant sums the series of T(q) = (1 - q) 1 + q T and adds
-(d_A / 2) ln q, using that 1 - T(q) = q (1 - T).
+between A and B.  It is sum_k lambda_k^n / (2 n) over the eigenvalues
+of the pencil X v = lambda M_A v, X = R_AB (1 - R_BB)^-1 R_BA and
+M_A = 1 - R_AA, which are those of T; the series converges whenever
+they lie in (-1, 1), which every positive-definite system satisfies.
+A rescaled variant sums the series of T(q) = (1 - q) 1 + q T, whose
+spectrum is 1 - q + q lambda, and adds (d_A / 2) ln q, using that
+1 - T(q) = q (1 - T).
 
 Everything here interprets its input as a Gaussian density; the
 information is returned in nats.
@@ -35,7 +38,6 @@ from .errors import (
     IndexOutOfRange,
     ParamOutOfBound,
     PathcorrError,
-    QOutOfRange,
     SingularBlock,
     SpectralRadiusTooLarge,
     _instance,
@@ -47,7 +49,6 @@ from .matrices import (
     PrecisionMatrix,
     _cho,
     _paths_through,
-    _spd_solve,
     precision_to_partial,
 )
 from .pathsum import _check_pair, _check_q, star_path_sum_closed
@@ -170,31 +171,32 @@ def conditional_mi_series(
 ) -> InfoResult:
     """I(A; B | Z) by the trace series of T, truncated at n_max terms.
 
-    Terms are added in ascending order n = 1, 2, ... and the sum stops
-    early once the last term and the tail bound d_A rho^(n+1) /
+    Term n is sum_k lambda_k^n / (2 n) over the eigenvalues of the
+    pencil X v = lambda M_A v, from one Cholesky factor of M_A.  Terms
+    are added in ascending order n = 1, 2, ... and the sum stops early
+    once the last term and the tail bound d_A rho^(n+1) /
     (2 (n + 1) (1 - rho)), rho the spectral radius of the summed
     matrix, are both below ``TERM_FLOOR``.  With a rescaling parameter
-    q the series runs over T(q) = (1 - q) 1 + q T and the exact offset
-    (d_A / 2) ln q is added; q must lie in (0, 2 / (1 + nu(T))).
-    Without q, a spectral radius of T at or above 1 raises
-    :class:`SpectralRadiusTooLarge` (a valid positive-definite system
-    never reaches it).  A sum cut at n_max that comes out below zero
+    q the series runs over T(q) = (1 - q) 1 + q T, whose eigenvalues
+    are 1 - q + q lambda, and the exact offset (d_A / 2) ln q is added;
+    q must lie in (0, 2 / (1 + nu(T))).  Without q, a spectral radius
+    of T at or above 1 raises :class:`SpectralRadiusTooLarge` (a valid
+    positive-definite system never reaches it).  A sum cut at n_max that comes out below zero
     raises :class:`ParamOutOfBound`.
     """
-    n_max = _whole(n_max, "n_max", QOutOfRange, 1)
+    n_max = _whole(n_max, "n_max", ParamOutOfBound, 1)
     m_a, x = _blocks(system, part)
     d_a = m_a.shape[0]
-    t = _spd_solve(m_a, x, SingularBlock, "1 - R[A, A]")
-    # Generalized symmetric eigenproblem X v = lambda M_A v gives the
-    # spectrum of T = X (M_A)^-1 without forming it.
-    lam = scipy.linalg.eigh(x, m_a, eigvals_only=True)
+    low, _ = _cho(m_a, SingularBlock, "1 - R[A, A]")
+    y = scipy.linalg.solve_triangular(low, x, lower=True)
+    lam = np.linalg.eigvalsh(scipy.linalg.solve_triangular(low, y.T, lower=True))
     nu = rho = float(np.max(np.abs(lam)))
     offset = 0.0
     if q is not None:
         q = _check_q(q, nu)
-        t = (1.0 - q) * np.eye(d_a) + q * t
+        lam = 1.0 - q + q * lam
         offset = 0.5 * d_a * math.log(q)
-        rho = float(np.max(np.abs(1.0 - q + q * lam)))
+        rho = float(np.max(np.abs(lam)))
     elif nu >= 1.0:
         raise SpectralRadiusTooLarge(
             f"spectral radius of T is {nu:.6g} >= 1; rescale with q or "
@@ -203,15 +205,14 @@ def conditional_mi_series(
     tail_scale = d_a / (2.0 * (1.0 - rho)) if rho < 1.0 else math.inf
     terms = []
     total = 0.0
-    power = t.copy()
+    power = lam
     for n in range(1, n_max + 1):
-        term = float(np.trace(power)) / (2.0 * n)
+        term = float(np.sum(power)) / (2.0 * n)
         terms.append(term)
         total += term
         if abs(term) < TERM_FLOOR and tail_scale * rho ** (n + 1) / (n + 1) < TERM_FLOOR:
             break
-        if n < n_max:
-            power = power @ t
+        power = power * lam
     else:
         if offset + total < NEG_FLOOR:
             raise ParamOutOfBound(

@@ -259,6 +259,18 @@ class TestFileValidation:
         assert not path.exists()
 
     @pytest.mark.parametrize(
+        "provenance",
+        [{"a": (1, 2)}, {"a": [1, {"b": ()}]}, {"a": {"b": ("c",)}}],
+        ids=["top", "in-list", "nested"],
+    )
+    def test_tuple_in_provenance_refused_on_save(self, tmp_path, provenance):
+        # JSON would write the tuple as an array, which loads as a list.
+        path = tmp_path / "g.json"
+        with pytest.raises(FileFormatError, match="tuple .* would read back as a list"):
+            fileio.save_matrix(chain_graph(2, 0.3), path, provenance=provenance)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "doc",
         [{"n": np.int64(3)}, {"v": np.array([1.0])}, {(1, 2): 0.5}, {"p": {1.0, 2.0}}],
         ids=["numpy-int", "ndarray", "tuple-key", "set"],
@@ -571,6 +583,24 @@ class TestStructureCommands:
         assert [entry["node"] for entry in doc] == ["x2", "x3", "x4"]
         assert doc[1]["components"] == [["x1", "x2"], ["x4", "x5"]]
         assert all(entry["residual"] < 1e-9 for entry in doc)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_separators_bad_tol_refused(self, run, tmp_path, tol):
+        src = tmp_path / "g.json"
+        fileio.save_matrix(chain_graph(5, 0.4), src)
+        code, stdout, stderr = run("separators", "--in", str(src), "--tol", tol)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert "--tol" in stderr
+
+    def test_separators_residual_at_tol_not_flagged(self, run, tmp_path):
+        # A 3-node chain factorises exactly: residual 0 is not above --tol 0.
+        src = tmp_path / "g.json"
+        fileio.save_matrix(chain_graph(3, 0.3), src)
+        code, stdout, _ = run("separators", "--in", str(src), "--tol", "0")
+        assert code == 0
+        assert "residual 0.000e+00" in stdout and "above tol" not in stdout
 
     def test_separators_none_found(self, run, tmp_path):
         src = tmp_path / "g.json"

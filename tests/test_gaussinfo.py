@@ -183,6 +183,8 @@ class TestSeries:
             assert res.method == "trace-series"
 
     def test_leading_term_is_half_trace(self):
+        # The explicit matrix route is the reference: every term is
+        # tr(T^n) / (2 n) of T or T(q) = (1 - q) 1 + q T, powered by hand.
         g = scaled_random_graph(95, 5, 0.6)
         part = TriPartition.complement(5, A=(0, 1), B=(2, 3, 4))
         a = [0, 1]
@@ -191,8 +193,35 @@ class TestSeries:
         m_b = np.eye(3) - g.weights[np.ix_(b, b)]
         r_ab = g.weights[np.ix_(a, b)]
         t = np.linalg.inv(m_a) @ r_ab @ np.linalg.inv(m_b) @ r_ab.T
-        res = conditional_mi_series(g, part)
-        assert res.series_terms[0] == pytest.approx(np.trace(t) / 2.0, abs=1e-14)
+        for q, tq in ((None, t), (0.7, 0.3 * np.eye(2) + 0.7 * t)):
+            terms = conditional_mi_series(g, part, q=q).series_terms
+            assert len(terms) > 5
+            power = np.eye(2)
+            for n, term in enumerate(terms, start=1):
+                power = power @ tq
+                assert term == pytest.approx(np.trace(power) / (2.0 * n), abs=1e-14), (q, n)
+
+    def test_one_factor_of_each_block(self, monkeypatch):
+        # 1 - R[B, B] and 1 - R[A, A] are factorised once each, and the
+        # spectrum comes from one symmetric eigenvalue call.
+        g = scaled_random_graph(98, 7, 0.7)
+        part = TriPartition.complement(7, A=(0, 1, 2), B=(4, 5))
+        calls = {"cho_factor": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        cho_factor, eigvalsh = scipy.linalg.cho_factor, np.linalg.eigvalsh
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted("cho_factor", cho_factor))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+        monkeypatch.setattr(scipy.linalg, "eigh", explode)
+        for q in (None, 0.7):
+            calls.update(cho_factor=0, eigvalsh=0)
+            conditional_mi_series(g, part, q=q)
+            assert calls == {"cho_factor": 2, "eigvalsh": 1}, q
 
     def test_early_stop_below_term_floor(self):
         g = chain_graph(4, 0.1)
@@ -229,14 +258,14 @@ class TestSeries:
     def test_n_max_validated(self):
         g = chain_graph(3, 0.3)
         part = TriPartition.complement(3, A=(0,), B=(2,))
-        with pytest.raises(QOutOfRange):
+        with pytest.raises(ParamOutOfBound):
             conditional_mi_series(g, part, n_max=0)
 
     def test_n_max_checked_before_factorising(self, monkeypatch):
         g = chain_graph(3, 0.3)
         part = TriPartition.complement(3, A=(0,), B=(2,))
         monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
-        with pytest.raises(QOutOfRange):
+        with pytest.raises(ParamOutOfBound):
             conditional_mi_series(g, part, n_max=0)
         with pytest.raises(SingularBlock):
             conditional_mi_series(g, part)
@@ -263,14 +292,9 @@ class TestSeries:
         # fires on a doctored spectrum.
         g = chain_graph(3, 0.3)
         part = TriPartition.complement(3, A=(0,), B=(2,))
-        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: np.array([1.5]))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: np.array([1.5]))
         with pytest.raises(SpectralRadiusTooLarge):
             conditional_mi_series(g, part)
-        # A q inside the (shrunken) interval is still accepted.
-        res = conditional_mi_series(g, part, q=0.5)
-        assert res.nats == pytest.approx(
-            conditional_mi_closed(g, part).nats, abs=1e-10
-        )
 
 
 class TestInfoResult:

@@ -22,7 +22,6 @@ from pathcorr import (
     NodePartition,
     ParamOutOfBound,
     PathQuery,
-    QOutOfRange,
     SampleSpec,
     TriPartition,
     amplification_factor,
@@ -120,7 +119,7 @@ SITES = [
     Site("profile-L", lambda v: convergence_profile(G, 0, 3, v), 4, ParamOutOfBound),
     Site("query-max-length",
          lambda v: paths(PathQuery(0, 3, v)), 3, ParamOutOfBound),
-    Site("n-max", lambda v: conditional_mi_series(G, PART, n_max=v), 50, QOutOfRange),
+    Site("n-max", lambda v: conditional_mi_series(G, PART, n_max=v), 50, ParamOutOfBound),
     Site("chain-d", lambda v: ChainSpec(d=v, r=0.3), 6, IndexOutOfRange),
     Site("amplification-k", lambda v: amplification_factor(v, 1, 0.3), 2, ParamOutOfBound),
     Site("amplification-m", lambda v: amplification_factor(1, v, 0.3), 2, ParamOutOfBound),
