@@ -58,11 +58,13 @@ from .errors import (
 )
 
 # Default tolerances.  Symmetry is judged relative to the largest entry
-# magnitude, positive definiteness relative to the largest eigenvalue.
+# magnitude.  A positive-definite matrix needs a Cholesky factor and a
+# reciprocal condition estimate (1-norm, from the factor) above TOL_PD.
 TOL_SYM = 1e-9
 TOL_PD = 1e-12
 
-# Condition number of (1 - R) beyond which oracle results are flagged.
+# Condition estimate of (1 - R), from the same check, beyond which oracle
+# results are flagged.
 COND_WARN = 1e8
 
 __all__ = [
@@ -132,26 +134,85 @@ def _symmetrize(m: np.ndarray, what: str) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _check_pd(m: np.ndarray, what: str) -> tuple:
-    """Reject m unless its eigenvalues exceed TOL_PD times the largest.
+def _check_pd(m: np.ndarray, what: str) -> float:
+    """Reject m unless it has a Cholesky factor and an rcond above TOL_PD.
 
-    Returns the smallest and the largest eigenvalue.
+    m is a symmetric array nothing else holds: it is divided by its
+    largest diagonal entry (rcond does not depend on scale, and at unit
+    scale its estimate cannot underflow) and overwritten by its factor.
+    rcond estimates 1 / (||m||_1 ||m^-1||_1), with ||m^-1||_1 from
+    :func:`_inverse_norm` or from the smallest pivot, whichever is
+    larger.  Its inverse, returned, is at most cond_1(m) <= d cond_2(m),
+    and in practice near or above cond_2(m), though it may fall below it.
     """
-    w = np.linalg.eigvalsh(m)
-    lo, hi = float(w[0]), float(w[-1])
-    if hi <= 0.0 or lo <= TOL_PD * hi:
+    top = float(np.max(np.diagonal(m)))
+    if not top > 0.0:
         raise NotPositiveDefinite(
-            f"{what} not positive definite: eigenvalue range [{lo:.6e}, {hi:.6e}]"
+            f"{what} is not positive definite: largest diagonal entry {top:.6e}"
         )
-    return lo, hi
+    if top != 1.0:
+        m /= top
+    f = m.T  # the same symmetric matrix in Fortran order, so LAPACK works in place
+    # ||m||_1 by blocks of 16 columns: no |m|-sized temporary.
+    norm = max(float(np.abs(f[:, k:k + 16]).sum(axis=0).max()) for k in range(0, len(f), 16))
+    low, _ = _cho(f, NotPositiveDefinite, what, overwrite=True)
+    # Each pivot L_ii^2 is at least lambda_min(m), so 1 / min L_ii^2 is a
+    # second lower bound on ||m^-1||: it catches a near-singular block
+    # that the estimator's probe vectors miss (a 2-node component, say).
+    inverse = max(_inverse_norm(low), 1.0 / float(np.min(np.diagonal(low))) ** 2)
+    rcond = 1.0 / (norm * inverse)
+    if not rcond > TOL_PD:
+        raise NotPositiveDefinite(
+            f"{what} is not positive definite: reciprocal condition estimate "
+            f"{rcond:.6e} <= TOL_PD = {TOL_PD:.0e}"
+        )
+    return 1.0 / rcond
 
 
-def _cho(m: np.ndarray, error, what: str) -> tuple:
-    """cho_factor(m, lower=True); a failure raises ``error`` naming ``what``."""
+def _inverse_norm(low: np.ndarray) -> float:
+    """A lower bound on ||m^-1||_1 from the lower Cholesky factor ``low`` of m.
+
+    Hager's estimator with Higham's alternating-sign probe, the algorithm
+    of LAPACK's dpocon (Higham 1988): up to five steps toward the column
+    of m^-1 with the largest 1-norm, each a solve with the factor, since
+    m^-1 is symmetric.  Run here on ``cho_solve``, the solve the oracle
+    pages in anyway, rather than on dpocon, whose call tree pages in
+    about 0.5 MB of LAPACK code on first use.
+    """
+    d = len(low)
+
+    def solve(x):
+        return scipy.linalg.cho_solve((low, True), x, check_finite=False)
+
+    x = np.full(d, 1.0 / d)
+    y = solve(x)
+    est = float(np.abs(y).sum())
+    for _ in range(5):
+        z = solve(np.where(y >= 0.0, 1.0, -1.0))
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(d)
+        x[j] = 1.0
+        y = solve(x)
+        step = float(np.abs(y).sum())
+        if step <= est:
+            break
+        est = step
+    k = np.arange(d)
+    y = solve((1.0 - 2.0 * (k % 2)) * (1.0 + k / max(d - 1, 1)))
+    return max(est, 2.0 * float(np.abs(y).sum()) / (3.0 * d))
+
+
+def _cho(m: np.ndarray, error, what: str, overwrite: bool = False) -> tuple:
+    """cho_factor(m, lower=True); a failure raises ``error`` naming ``what``.
+
+    With ``overwrite``, a Fortran-ordered m is factorised in place.
+    """
     try:
-        return scipy.linalg.cho_factor(m, lower=True)
+        return scipy.linalg.cho_factor(m, lower=True, overwrite_a=overwrite)
     except scipy.linalg.LinAlgError as exc:
-        raise error(f"{what} is singular or indefinite: {exc}") from exc
+        raise error(f"{what} is not positive definite: {exc}") from exc
 
 
 def _spd_solve(m: np.ndarray, rhs: np.ndarray, error, what: str) -> np.ndarray:
@@ -217,8 +278,9 @@ class CovarianceMatrix:
     def __post_init__(self):
         m = _as_square(self.entries)
         m = _symmetrize(m, "covariance matrix")
+        entries = _freeze(m)
         _check_pd(m, "covariance matrix")
-        object.__setattr__(self, "entries", _freeze(m))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
     @property
@@ -236,8 +298,9 @@ class PrecisionMatrix:
     def __post_init__(self):
         m = _as_square(self.entries)
         m = _symmetrize(m, "precision matrix")
+        entries = _freeze(m)
         _check_pd(m, "precision matrix")
-        object.__setattr__(self, "entries", _freeze(m))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
     @property
@@ -260,7 +323,8 @@ class MarginalCorrelationMatrix:
         np.fill_diagonal(m, 1.0)
         if np.max(np.abs(m)) > 1.0:
             raise EntryOutOfRange("correlation magnitudes cannot exceed 1")
-        # Semi-definiteness only: perfectly correlated pairs are legal.
+        # Semi-definiteness only: perfectly correlated pairs are legal, and
+        # a Cholesky factor fails on them, so this check reads eigenvalues.
         w = np.linalg.eigvalsh(m)
         if float(w[0]) < -TOL_PD * max(float(w[-1]), 1.0):
             raise NotPositiveDefinite(
@@ -308,10 +372,10 @@ class PartialCorrelationGraph:
         np.fill_diagonal(m, 0.0)
         if np.max(np.abs(m)) >= 1.0:
             raise EntryOutOfRange("partial correlation magnitudes must be below 1")
-        lo, hi = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
+        cond = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
         object.__setattr__(self, "weights", _freeze(m))
-        # cond(1 - R) from the same eigenvalues, kept for the oracle.
-        object.__setattr__(self, "_cond", hi / lo)
+        # The check's estimate of cond(1 - R), kept for the oracle's warning.
+        object.__setattr__(self, "_cond", cond)
         if self.scale is not None:
             s = _floats(self.scale, "scale", ParamOutOfBound, IndexOutOfRange, m.shape[:1])
             if np.any(s <= 0.0):
@@ -356,7 +420,7 @@ def _derived(cls, m: np.ndarray, labels):
 
     Only for entries computed from an already validated matrix, exactly
     symmetric and with the diagonal set: the constructor's averaging
-    and eigenvalue check would change no bit of them.  Finiteness is
+    and definiteness check would change no bit of them.  Finiteness is
     still checked, since an inverse can overflow.
     """
     out = object.__new__(cls)
@@ -389,8 +453,10 @@ def validate_covariance(raw) -> CovarianceMatrix:
 
     Asymmetry up to :data:`TOL_SYM` (relative to the largest entry) is
     repaired by averaging with the transpose; anything larger raises
-    :class:`NotSymmetric`.  Positive definiteness requires the smallest
-    eigenvalue to exceed :data:`TOL_PD` times the largest.
+    :class:`NotSymmetric`.  Positive definiteness requires a Cholesky
+    factor and a reciprocal condition estimate above :data:`TOL_PD`; the
+    estimate (1-norm, from the factor) sits near or above cond_2 and at
+    most d cond_2, and does not depend on the matrix's scale.
     """
     return CovarianceMatrix(raw)
 
@@ -494,20 +560,22 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
     The inverse is taken through a Cholesky solve of (1 - R); the
     node scales drop out, so unscaled graphs are fine.  The result is
     computed once per graph object and cached on it, so repeated calls
-    return the same read-only matrix.  When the condition number of
-    (1 - R) exceeds ``COND_WARN`` an :class:`IllConditionedWarning`
-    reports it alongside the result, on every call.
+    return the same read-only matrix.  When the estimate of cond(1 - R)
+    from the graph's construction check exceeds ``COND_WARN``, an
+    :class:`IllConditionedWarning` reports it alongside the result, on
+    every call.
     """
     return _checked_inverse(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)).marginal
 
 
 def _checked_inverse(g: PartialCorrelationGraph) -> _Inverse:
     """``g._inverse``, with an :class:`IllConditionedWarning` on every call
-    when cond(1 - R) exceeds ``COND_WARN``, issued at the caller's caller."""
+    when the estimate of cond(1 - R) exceeds ``COND_WARN``, issued at the
+    caller's caller."""
     inv = g._inverse
     if g._cond > COND_WARN:
         warnings.warn(
-            f"(1 - R) has condition number {g._cond:.3e}; "
+            f"(1 - R) has condition estimate {g._cond:.3e}; "
             "oracle correlations may lose accuracy",
             IllConditionedWarning,
             stacklevel=3,

@@ -375,18 +375,10 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     latent_labels = _fresh_latent_labels(g.labels, mu)
 
     m = np.eye(g.dim) - w
-    omega_top = np.outer(lam, lam) * m + (lam[:, None] * load) @ (lam[:, None] * load).T
-    enlarged = np.block(
-        [[omega_top, -lam[:, None] * load], [-(lam[:, None] * load).T, np.eye(mu)]]
-    )
-    enlarged_graph = _precision_graph(enlarged, g.labels + latent_labels)
-
-    con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
-    a_tilde = _freeze(con[removed, :].T)
-    b_tilde = _freeze(con[kept, :].T)
-
     # Reduced coupling V with V V^T = Q^T (1 - R_SS)^-1 Q, from the SVD
     # of the whitened block; only the leading mu directions are kept.
+    # Factorised before any graph is built, so a singular eliminated
+    # block raises SingularBlock first.
     if mu > 0:
         m_ss = m[np.ix_(removed, removed)]
         chol, _ = _cho(m_ss, SingularBlock, _ELIMINATED)
@@ -396,6 +388,16 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
         v_cols = v_cols * _signs(v_cols)
     else:
         v_cols = np.zeros((n_t, 0))
+
+    omega_top = np.outer(lam, lam) * m + (lam[:, None] * load) @ (lam[:, None] * load).T
+    enlarged = np.block(
+        [[omega_top, -lam[:, None] * load], [-(lam[:, None] * load).T, np.eye(mu)]]
+    )
+    enlarged_graph = _precision_graph(enlarged, g.labels + latent_labels)
+
+    con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
+    a_tilde = _freeze(con[removed, :].T)
+    b_tilde = _freeze(con[kept, :].T)
 
     lam_t = lam[kept]
     m_tt = m[np.ix_(kept, kept)]

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathcorr import (
@@ -93,6 +93,13 @@ class TestValidation:
     def test_covariance_not_pd(self):
         with pytest.raises(NotPositiveDefinite):
             validate_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # The check divides by the largest diagonal entry; a negative or
+        # zero one is refused first, so -1 is not rescaled into 1.
+        for m in (-np.eye(2), np.zeros((2, 2)), np.diag([-1.0, -4.0])):
+            with pytest.raises(NotPositiveDefinite, match="largest diagonal entry"):
+                validate_covariance(m)
+            with pytest.raises(NotPositiveDefinite, match="largest diagonal entry"):
+                validate_precision(m)
 
     def test_partial_diag_must_vanish(self):
         m = np.array([[0.1, 0.2], [0.2, 0.0]])
@@ -383,16 +390,20 @@ class TestOracleCache:
 
 class TestFactorOnce:
     @staticmethod
-    def count_eigvalsh(monkeypatch) -> list:
+    def count(monkeypatch, module, name) -> list:
+        """Record the shape of the first argument of every call to module.name."""
         calls = []
-        eigvalsh = np.linalg.eigvalsh
+        original = getattr(module, name)
 
         def counted(a, *args, **kwargs):
             calls.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
+
+    def count_eigvalsh(self, monkeypatch) -> list:
+        return self.count(monkeypatch, np.linalg, "eigvalsh")
 
     def test_one_spectral_pass_per_graph(self, monkeypatch):
         g = scaled_random_graph(34, 6, 0.8)
@@ -406,14 +417,25 @@ class TestFactorOnce:
 
     def test_derived_graphs_are_checked_once(self, monkeypatch):
         g = scaled_random_graph(36, 7, 0.7)
-        calls = self.count_eigvalsh(monkeypatch)
-        latent_reduce(g, [4, 5, 6])
-        # The enlarged and the reduced graph, each checked as a graph only.
-        assert len(calls) == 2
-        calls.clear()
+        eig = self.count_eigvalsh(monkeypatch)
+        chol = self.count(monkeypatch, scipy.linalg, "cho_factor")
+        checks = self.count(monkeypatch, matrices, "_check_pd")
+        red = latent_reduce(g, [4, 5, 6])
+        # The enlarged and the reduced graph, each checked as a graph
+        # only, by one factor and one rcond estimate; the third factor is
+        # the eliminated block 1 - R_SS, taken first.
+        mu = red.latent_count
+        assert eig == []
+        assert chol == [(3, 3), (7 + mu, 7 + mu), (4 + mu, 4 + mu)]
+        assert checks == chol[1:]
+        for calls in (eig, chol, checks):
+            calls.clear()
         sample_partial_graph(SampleSpec(d=5, n=12, seed=3))
-        # The graph's check, then nu(R) and nu(|R|) for its report.
-        assert len(calls) == 3
+        # The sample covariance's solve, then the graph's check; nu(R)
+        # and nu(|R|) for its report are the only eigenvalue solves.
+        assert chol == [(5, 5), (5, 5)]
+        assert checks == [(5, 5)]
+        assert len(eig) == 2
 
     def test_exact_conversions_are_not_checked_again(self, monkeypatch):
         base = scaled_random_graph(35, 6, 0.8)
@@ -423,6 +445,7 @@ class TestFactorOnce:
         omega = partial_to_precision(g)
         c = precision_to_cov(omega)
         calls = self.count_eigvalsh(monkeypatch)
+        checks = self.count(monkeypatch, matrices, "_check_pd")
         results = (
             partial_to_marginal_oracle(g),
             cov_to_marginal(c),
@@ -430,7 +453,7 @@ class TestFactorOnce:
             precision_to_cov(omega),
             partial_to_precision(g),
         )
-        assert calls == []
+        assert calls == checks == []
         monkeypatch.undo()
         for out in results:
             checked = type(out)(out.entries, labels=out.labels)
@@ -467,6 +490,132 @@ class TestConditioning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", IllConditionedWarning)
             partial_to_marginal_oracle(g)
+
+    def test_hidden_near_singular_pair_warns(self):
+        # Nodes 6 and 8 form a component of their own with 1 - R near
+        # singular along (1, -1); the estimator's probe vectors are
+        # orthogonal or nearly so to it, and its estimate alone reads
+        # 3.7e7 against cond_2 = 2e9.  The smallest Cholesky pivot
+        # (2e-9) still finds it.
+        w = np.zeros((9, 9))
+        w[6, 8] = w[8, 6] = -(1.0 - 1e-9)
+        g = validate_partial_graph(w)
+        assert g._cond >= 1e9 / 2
+        with pytest.warns(IllConditionedWarning):
+            partial_to_marginal_oracle(g)
+
+
+# Coupling patterns for the near-singular battery: dense signed, dense
+# positive, sparse signed, and disconnected blocks in shuffled order.
+PATTERNS = ("signed", "positive", "sparse", "blocks")
+
+
+def near_singular_weights(d, gap, seed, pattern):
+    """Couplings R on d nodes, lambda_min(1 - R) = ``gap`` (negative: indefinite)."""
+    rng = np.random.default_rng(seed)
+    if pattern == "signed":
+        a = rng.standard_normal((d, d))
+    elif pattern == "positive":
+        a = rng.uniform(0.0, 1.0, (d, d))
+    elif pattern == "sparse":
+        a = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.2)
+    else:
+        a = np.zeros((d, d))
+        cuts = [0, *sorted(rng.choice(np.arange(1, d), min(d - 1, 3), replace=False)), d]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            a[lo:hi, lo:hi] = rng.standard_normal((hi - lo, hi - lo))
+        order = rng.permutation(d)
+        a = a[np.ix_(order, order)]
+    a = np.triu(a, 1)
+    a = a + a.T
+    if not np.any(a):
+        a[0, 1] = a[1, 0] = 1.0
+    return a * ((1.0 - gap) / np.linalg.eigvalsh(a)[-1])
+
+
+def cond_2(w):
+    lam = np.linalg.eigvalsh(np.eye(len(w)) - w)
+    return float(lam[-1] / lam[0])
+
+
+near_singular = dict(
+    d=st.integers(min_value=2, max_value=60),
+    exponent=st.floats(min_value=-14.0, max_value=math.log10(0.5)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pattern=st.sampled_from(PATTERNS),
+)
+
+
+def test_inverse_norm_matches_lapack_dpocon():
+    # _inverse_norm runs dpocon's estimator on cho_solve; LAPACK's own
+    # dpocon (rcond with ||m||_1 passed as 1) is the independent route.
+    # Neither may exceed ||m^-1||_1 of the inverse from the same factor.
+    rng = np.random.default_rng(16)
+    cases = [np.array([[2.0]])]
+    for t in range(240):
+        d = int(rng.integers(2, 61))
+        gap = 10.0 ** rng.uniform(-11.0, math.log10(0.5))
+        w = near_singular_weights(d, gap, int(rng.integers(2**32)), PATTERNS[t % 4])
+        cases.append(np.eye(d) - w)
+    for m in cases:
+        low, _ = scipy.linalg.cho_factor(m, lower=True)
+        ours = matrices._inverse_norm(low)
+        rcond, info = scipy.linalg.lapack.dpocon(low, 1.0, uplo="L")
+        assert info == 0
+        assert ours == pytest.approx(1.0 / rcond, rel=1e-12)
+        inverse = scipy.linalg.cho_solve((low, True), np.eye(len(m)))
+        assert ours <= np.max(np.abs(inverse).sum(axis=0)) * (1.0 + 1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**near_singular)
+def test_condition_estimate_brackets_cond_2(d, exponent, seed, pattern):
+    # The kept estimate is ||1 - R||_1 times a lower bound on
+    # ||(1 - R)^-1||_1, so it never exceeds cond_1 <= d cond_2.  It may
+    # fall below cond_2, when the near-null vector of 1 - R has mixed
+    # signs that the estimator's probes miss: over 250 000 graphs drawn
+    # as here (100 000 of them "blocks" only) the smallest ratio to
+    # cond_2 was 0.106, on "blocks", and 246 fell below 1/2.  Pinned
+    # at 1/20.
+    w = near_singular_weights(d, 10.0**exponent, seed, pattern)
+    c2 = cond_2(w)
+    try:
+        g = validate_partial_graph(w)
+    except NotPositiveDefinite:
+        # Refused only when the estimate reached 1 / TOL_PD.
+        assert d * c2 * (1.0 + 1e-8) >= 1.0 / matrices.TOL_PD
+        return
+    assert c2 / 20.0 <= g._cond <= d * c2 * (1.0 + 1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**near_singular)
+def test_accepted_graph_warns_iff_estimate_above_cond_warn(d, exponent, seed, pattern):
+    try:
+        g = validate_partial_graph(near_singular_weights(d, 10.0**exponent, seed, pattern))
+    except NotPositiveDefinite:
+        return
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        p = partial_to_marginal_oracle(g)
+    warned = any(issubclass(x.category, IllConditionedWarning) for x in seen)
+    assert warned == (g._cond > matrices.COND_WARN)
+    assert np.all(np.isfinite(p.entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(min_value=3, max_value=60),
+    exponent=st.floats(min_value=-14.0, max_value=math.log10(0.5)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pattern=st.sampled_from(PATTERNS),
+)
+def test_indefinite_refused(d, exponent, seed, pattern):
+    w = near_singular_weights(d, -(10.0**exponent), seed, pattern)
+    # Couplings of magnitude 1 or more are refused earlier, as entries.
+    assume(np.max(np.abs(w)) < 1.0)
+    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+        validate_partial_graph(w)
 
 
 @settings(max_examples=30, deadline=None)
