@@ -7,7 +7,9 @@ is recomputed here.  Matrix files use the JSON layout of
 files named by ``--out``.
 
 Exit status: 0 on success, 1 on a domain error (the message names the
-violated precondition; no stack traces), 2 on a usage error.
+violated precondition; no stack traces), 2 on a usage error.  A warning
+the library raises, such as an ill-conditioned 1 - R, is one
+``warning: <class>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -491,17 +494,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one line, without the source path or code line."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return int(args.func(args) or 0)
-    except (PathcorrError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return int(args.func(args) or 0)
+        except (PathcorrError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -270,28 +270,31 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
 
 
 def _per_length_restricted(
-    w: np.ndarray, i: int, j: int, L: int, interior: np.ndarray
+    w: np.ndarray, rows, cols, L: int, interior: np.ndarray
 ) -> np.ndarray:
-    """Per-length sums of paths i -> j whose interiors lie in `interior`.
+    """Per-length sums of paths from ``rows`` to ``cols`` whose interiors
+    lie in `interior`, every row and column pair from one propagation.
 
-    Entry [l-1] is the length-l sum.  Matrix-free: the l-th term is
-    W[i, K] W_K^(l-2) W[K, j], built by repeated vector-matrix products.
-    Star families pass an interior without i and j; every node as the
-    interior gives the unrestricted sums (W^l)_ij.  The diagonal of W is
-    the self-loop weight: exactly 0 on a validated graph, 1 - q on a
-    rescaled one.
+    Entry [l-1] is the |rows| x |cols| block of length-l sums.  With
+    K = `interior`, the l-th block is W[rows, K] W_K^(l-2) W[K, cols]:
+    one product of the head W[rows, K] W_K^(l-2) with the step block
+    W[K, K + cols] yields the next head and the block as two slices.
+    Star families pass an interior without their endpoints; every node
+    as the interior gives the unrestricted sums (W^l)[rows, cols].  The
+    diagonal of W is the self-loop weight: exactly 0 on a validated
+    graph, 1 - q on a rescaled one.
     """
-    per = np.zeros(L)
-    per[0] = w[i, j]
-    if L == 1 or interior.size == 0:
+    per = np.zeros((L, len(rows), len(cols)))
+    per[0] = w[np.ix_(rows, cols)]
+    nk = interior.size
+    if L == 1 or nk == 0:
         return per
-    wk = w[np.ix_(interior, interior)]
-    head = w[i, interior]
-    tail = w[interior, j]
-    per[1] = head @ tail
-    for ell in range(3, L + 1):
-        head = head @ wk
-        per[ell - 1] = head @ tail
+    step = w[np.ix_(interior, np.concatenate((interior, cols)))]
+    head = w[np.ix_(rows, interior)]
+    for ell in range(1, L):
+        out = head @ step
+        per[ell] = out[:, nk:]
+        head = out[:, :nk]
     return per
 
 
@@ -316,8 +319,8 @@ def path_sum_truncated(g, i: int, j: int, L: int) -> PathSumResult:
     i = _check_node(i, dim, "i")
     j = _check_node(j, dim, "j")
     L = _check_length(L, "truncation length")
-    per = _per_length_restricted(w, i, j, L, np.arange(dim))
-    return _result_from_per_length(per)
+    per = _per_length_restricted(w, (i,), (j,), L, np.arange(dim))
+    return _result_from_per_length(per[:, 0, 0])
 
 
 def star_path_sum_truncated(
@@ -343,8 +346,8 @@ def star_path_sum_truncated(
     j = _check_node(j, dim, "j")
     L = _check_length(L, "truncation length")
     interior = _interior_indices(dim, {i, j}, avoid, within)
-    per = _per_length_restricted(w, i, j, L, interior)
-    return _result_from_per_length(per)
+    per = _per_length_restricted(w, (i,), (j,), L, interior)
+    return _result_from_per_length(per[:, 0, 0])
 
 
 def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
@@ -375,7 +378,8 @@ def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:
 
     Checks the length L (named ``length_name`` in the error), then sums
     the ij*-paths and the closed loops at i and at j, each avoiding the
-    other endpoint, length by length in ascending order.  Returns
+    other endpoint, length by length in ascending order: all three are
+    entries of one two-row propagation over the interior.  Returns
     (rho_hat, l_i, l_j) as arrays over l = 1..L, the last two the
     cumulative loop sums.  Where either loop sum reaches
     ``1 - DENOM_GUARD`` the ratio has no meaning: that entry of rho_hat
@@ -384,10 +388,8 @@ def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:
     w = g.weights
     L = _check_length(L, length_name)
     interior = _interior_indices(w.shape[0], {i, j}, (), None)
-    num, li, lj = (
-        np.cumsum(_per_length_restricted(w, a, b, L, interior))
-        for a, b in ((i, j), (i, i), (j, j))
-    )
+    cum = np.cumsum(_per_length_restricted(w, (i, j), (i, j), L, interior), axis=0)
+    num, li, lj = cum[:, 0, 1], cum[:, 0, 0], cum[:, 1, 1]
     ok = (li < 1.0 - DENOM_GUARD) & (lj < 1.0 - DENOM_GUARD)
     rho = np.full(L, np.nan)
     rho[ok] = num[ok] / np.sqrt((1.0 - li[ok]) * (1.0 - lj[ok]))

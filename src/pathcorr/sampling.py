@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .chains import _chain_r
 from .errors import (
@@ -102,9 +101,14 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     spec = _instance(spec, SampleSpec, "spec", ParamOutOfBound)
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
     u = gen.random((spec.n, spec.d))
+    # Imported here, not with the module: scipy.special costs every
+    # process that imports pathcorr tens of milliseconds, and only this
+    # inverse CDF needs it.
+    from scipy.special import ndtri
+
     # Uniforms live in [0, 1); clamp into the open interval before the
     # inverse CDF so the tails stay finite.
-    x = scipy.special.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    x = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
     xc = x - x.mean(axis=0)
     s = (xc.T @ xc) / spec.n
     s = (s + s.T) / 2.0

@@ -328,6 +328,20 @@ class TestConvertCommand:
         expected = partial_to_marginal_oracle(g).entries
         assert np.max(np.abs(loaded.entries - expected)) == 0.0
 
+    def test_ill_conditioned_warning_is_one_line(self, run, tmp_path):
+        src = tmp_path / "near.csv"
+        src.write_text("0,0.999999999\n0.999999999,0\n")
+        out = tmp_path / "near.json"
+        code, _, stderr = run(
+            "convert", "--in", str(src), "--kind", "partial", "--to", "marginal",
+            "--out", str(out),
+        )
+        assert code == 0 and out.exists()
+        assert stderr.startswith("warning: IllConditionedWarning: (1 - R) has condition")
+        assert stderr.count("\n") == 1
+        # Neither a source path nor a source line of the package.
+        assert ".py" not in stderr and "return" not in stderr
+
     def test_covariance_to_partial(self, run, tmp_path):
         cov = martingale_covariance(
             MartingaleSpec(horizon=4, alpha=0.6, innovation_variances=np.ones(4))

@@ -31,6 +31,7 @@ from pathcorr import (
     partial_to_marginal_oracle,
     path_sum_truncated,
     rescale,
+    sever_nodes,
     spectral_report,
     star_path_sum_closed,
     star_path_sum_truncated,
@@ -226,6 +227,103 @@ class TestTruncatedSums:
         for ell in range(1, 8):
             running += res.per_length[ell]
             assert res.cumulative[ell] == pytest.approx(running, abs=1e-15)
+
+
+def eigen_cumulative(w, i, j, L):
+    """Cumulative ij*-path and loop sums (num, l_i, l_j) for l = 1..L from
+    the eigendecomposition of the interior block, not repeated products."""
+    k = [v for v in range(w.shape[0]) if v not in (i, j)]
+    lam, vec = np.linalg.eigh(w[np.ix_(k, k)])
+    powers = lam[None, :] ** np.arange(L - 1)[:, None]
+
+    def cumulative(a, b):
+        per = np.empty(L)
+        per[0] = w[a, b]
+        per[1:] = powers @ ((w[a, k] @ vec) * (vec.T @ w[k, b]))
+        return np.cumsum(per)
+
+    return cumulative(i, j), cumulative(i, i), cumulative(j, j)
+
+
+class TestSharedKernel:
+    """One propagation serves every truncated path family: star paths,
+    loops, avoiding and confined families, and the two-row pass behind
+    rho_hat."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        d=st.integers(min_value=3, max_value=7),
+        L=st.integers(min_value=1, max_value=6),
+        q=st.sampled_from([None, 0.7, 1.1]),
+        data=st.data(),
+    )
+    def test_blocks_match_enumeration(self, seed, d, L, q, data):
+        g = scaled_random_graph(seed, d, 0.6)
+        g = g if q is None else rescale(g, q)
+        i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        nodes = st.sets(st.integers(0, d - 1), max_size=d)
+        avoid = data.draw(nodes)
+        within = data.draw(st.none() | nodes)
+        interior = pathsum._interior_indices(d, {i, j}, avoid, within)
+        got = pathsum._per_length_restricted(g.weights, (i, j), (i, j), L, interior)
+        sums = {
+            (a, b): enumerated_per_length(g, a, b, L, avoid | {i, j}, within)
+            for a in (i, j)
+            for b in (i, j)
+        }
+        ref = np.array([[[sums[a, b][ell] for b in (i, j)] for a in (i, j)] for ell in range(1, L + 1)])
+        assert got.shape == (L, 2, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        # The public star family i -> j and loop family at i read the same
+        # kernel; with j avoided, both see the interior above.
+        for col, b in ((1, j), (0, i)):
+            res = star_path_sum_truncated(g, i, b, L, avoid=avoid | {j}, within=within)
+            per = np.array([res.per_length[ell] for ell in range(1, L + 1)])
+            assert np.max(np.abs(per - ref[:, 0, col])) <= 1e-12
+
+    @pytest.mark.parametrize("d", [40, 100, 200])
+    @pytest.mark.parametrize("q", [None, 0.7])
+    def test_rho_hat_matches_eigendecomposition(self, d, q):
+        g = scaled_random_graph(d, d, 0.9)
+        g = g if q is None else rescale(g, q)
+        L = 50
+        for i, j in ((0, 1), (d - 1, d // 2), (7, 3)):
+            rho, li, lj = pathsum._rho_hat(g, i, j, L, "L")
+            num, ref_li, ref_lj = eigen_cumulative(g.weights, i, j, L)
+            assert np.max(np.abs(li - ref_li)) <= 1e-12
+            assert np.max(np.abs(lj - ref_lj)) <= 1e-12
+            got_num = rho * np.sqrt((1.0 - li) * (1.0 - lj))
+            assert np.max(np.abs(got_num - num)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [None, 0.7])
+    def test_small_within_equals_severed_graph(self, q):
+        d = 400
+        g = scaled_random_graph(17, d, 0.9)
+        i, j, within = 5, 311, (42, 128, 390)
+        kept = sorted({i, j, *within})
+        small = sever_nodes(g, [v for v in range(d) if v not in kept])
+        big, small = (g, small) if q is None else (rescale(g, q), rescale(small, q))
+        at = {v: kept.index(v) for v in kept}
+        for a, b, avoid in ((i, j, ()), (i, i, (j,)), (j, j, (i,))):
+            res = star_path_sum_truncated(big, a, b, 30, avoid=avoid, within=within)
+            ref = star_path_sum_truncated(small, at[a], at[b], 30, avoid=[at[v] for v in avoid])
+            for ell in range(1, 31):
+                assert res.per_length[ell] == pytest.approx(ref.per_length[ell], abs=1e-15)
+
+    def test_one_kernel_call_per_pair(self, monkeypatch):
+        calls = []
+        kernel = pathsum._per_length_restricted
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return kernel(*args)
+
+        monkeypatch.setattr(pathsum, "_per_length_restricted", counted)
+        g = scaled_random_graph(3, 8, 0.6)
+        convergence_profile(g, 2, 5, 20)
+        marginal_corr_expansion(rescale(g, 0.8), 2, 5, 20)
+        assert calls == [((2, 5), (2, 5))] * 2
 
 
 class TestClosedSums:

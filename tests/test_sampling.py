@@ -1,5 +1,10 @@
 """Sampled systems, factor models, canonical topologies, martingales."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +12,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathcorr
 from pathcorr import (
     CovarianceMatrix,
     DegenerateColumn,
@@ -102,6 +108,22 @@ class TestSampling:
         monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
         with pytest.raises(SingularSampleCovariance):
             sample_partial_graph(SampleSpec(d=3, n=10, seed=5))
+
+
+    def test_inverse_cdf_module_imported_on_use(self):
+        # A fresh interpreter: this module imports scipy.special itself.
+        script = (
+            "import sys, pathcorr\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "pathcorr.sample_partial_graph(pathcorr.SampleSpec(d=3, n=20, seed=1))\n"
+            "assert 'scipy.special' in sys.modules\n"
+        )
+        path = [str(Path(pathcorr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestFactorModel:
