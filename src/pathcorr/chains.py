@@ -157,21 +157,19 @@ def endpoint_corr_recurrence(spec: ChainSpec) -> float:
         rho_d = rho_(d-1)^2 / (rho_(d-2) (1 - rho_(d-1)^2)),
 
     seeded by rho_1 = 1 and rho_2 = r.  This is an independent route to
-    the same number as ``chain_sums(spec).rho_endpoints[d]``.  The
-    uncoupled chain is treated separately (every rho_d = 0 for d >= 2,
-    where the recurrence itself would hit 0/0).
+    the same number as ``chain_sums(spec).rho_endpoints[d]``.  Once
+    rho is 0 (an uncoupled chain, or a long weak one underflowing) it
+    stays 0, where the recurrence itself would hit 0/0.  While rho is
+    nonzero the denominator is too: |rho| <= |r| <= 1/2.
     """
     if _instance(spec, ChainSpec, "spec", ParamOutOfBound).d < 2:
         raise IndexOutOfRange(f"endpoint correlation needs d >= 2, got d={spec.d}")
-    if spec.r == 0.0:
-        return 0.0
     prev2, prev1 = 1.0, spec.r
-    for _ in range(3, spec.d + 1):
-        den = prev2 * (1.0 - prev1**2)
-        if den == 0.0:
-            raise DegenerateDenominator("endpoint recurrence denominator vanished")
-        prev2, prev1 = prev1, prev1**2 / den
-    return prev1
+    for _ in range(2, spec.d):
+        if prev1 == 0.0:
+            break
+        prev2, prev1 = prev1, prev1**2 / (prev2 * (1.0 - prev1**2))
+    return 0.0 if prev1 == 0.0 else prev1
 
 
 def correlation_length(r: float) -> float:

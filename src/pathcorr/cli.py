@@ -165,12 +165,9 @@ def _cmd_sever(args) -> int:
 def _cmd_marginalize(args) -> int:
     g = _load_graph(args)
     removed = _nodes(g, args.S)
-    out = transforms.marginalize_nodes(g, removed, method=args.method)
+    out = transforms.marginalize_nodes(g, removed)
     fileio.save_matrix(out, args.out)
-    print(
-        f"marginalised {len(removed)} node(s) by {args.method}; "
-        f"kept {out.dim}; wrote {args.out}"
-    )
+    print(f"marginalised {len(removed)} node(s); kept {out.dim}; wrote {args.out}")
     return 0
 
 
@@ -428,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("marginalize", help="integrate nodes out of the network")
     _add_input(p)
     p.add_argument("--S", required=True, help="comma-separated node labels")
-    p.add_argument("--method", choices=("block", "paths"), default="block")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_marginalize)
 

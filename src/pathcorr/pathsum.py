@@ -415,17 +415,20 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     return float(rho[-1])
 
 
-def _closed_pair_sums(g, i: int, j: int) -> tuple:
-    """Closed star sum s_ij and avoiding loop sums l_i, l_j of one pair.
+def _closed_pair_margins(g, i: int, j: int) -> tuple:
+    """Closed star sum s_ij and margins m_i = 1 - l_i, m_j = 1 - l_j of one pair.
 
-    With C = (1 - W)^-1 and p = {i, j}, the three sums are the entries
-    of 1 - (C_pp)^-1 (the Schur-complement form of the restricted block
-    inverses).  C_pp = D^1/2 P_pp D^1/2 with D = diag(c_i, c_j) comes
-    from the base graph's cached oracle, divided by q on a rescaled
-    graph since 1 - W = q (1 - R); inverting the 2x2 block gives
+    With C = (1 - W)^-1 and p = {i, j}, s_ij and the avoiding loop sums
+    l_i, l_j are the entries of 1 - (C_pp)^-1 (the Schur-complement form
+    of the restricted block inverses).  C_pp = D^1/2 P_pp D^1/2 with
+    D = diag(c_i, c_j) comes from the base graph's cached oracle,
+    divided by q on a rescaled graph since 1 - W = q (1 - R); inverting
+    the 2x2 block gives
 
         s_ij = rho / (sqrt(c_i c_j) (1 - rho^2)),
-        l_i  = 1 - 1 / (c_i (1 - rho^2)).
+        m_i  = 1 / (c_i (1 - rho^2)).
+
+    The margins are formed directly: 1 - l_i would cancel for small q.
     """
     base, q = _base_and_q(g)
     inv = _checked_inverse(base)
@@ -437,30 +440,37 @@ def _closed_pair_sums(g, i: int, j: int) -> tuple:
         raise DenominatorNonPositive(
             f"nodes {i} and {j} are perfectly correlated; their loop sums reach 1"
         )
-    s = rho / (math.sqrt(ci * cj) * one_minus_rho2)
-    li = 1.0 - 1.0 / (ci * one_minus_rho2)
-    lj = 1.0 - 1.0 / (cj * one_minus_rho2)
-    return s, li, lj
+    s = rho / (math.sqrt(ci) * math.sqrt(cj) * one_minus_rho2)
+    return s, 1.0 / (ci * one_minus_rho2), 1.0 / (cj * one_minus_rho2)
+
+
+def _closed_pair_sums(g, i: int, j: int) -> tuple:
+    """Closed star sum s_ij and avoiding loop sums l_i, l_j of one pair,
+    by :func:`_closed_pair_margins`."""
+    s, mi, mj = _closed_pair_margins(g, i, j)
+    return s, 1.0 - mi, 1.0 - mj
 
 
 def marginal_corr_closed(g, i: int, j: int) -> float:
     """Marginal correlation from exact star and loop sums.
 
-    Evaluates the star-path form with every sum replaced by its closed
-    value, read off the 2x2 block of C = (1 - W)^-1 at the pair (see
-    :func:`_closed_pair_sums`).  The block comes from the graph's
-    cached oracle, so after the first call on a graph each pair costs
-    O(1); an ill-conditioned 1 - R raises the oracle's
+    Evaluates the star-path form s_ij / sqrt((1 - l_i)(1 - l_j)) with
+    every sum replaced by its closed value, read off the 2x2 block of
+    C = (1 - W)^-1 at the pair (see :func:`_closed_pair_margins`).
+    Dividing by sqrt(m_i) sqrt(m_j) cancels the rescaling q before any
+    rounding, so the result is the same for every q.  The block comes
+    from the graph's cached oracle, so after the first call on a graph
+    each pair costs O(1); an ill-conditioned 1 - R raises the oracle's
     :class:`IllConditionedWarning` here too.
     """
     i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
-    num, li, lj = _closed_pair_sums(g, i, j)
-    den = (1.0 - li) * (1.0 - lj)
+    s, mi, mj = _closed_pair_margins(g, i, j)
+    den = math.sqrt(mi) * math.sqrt(mj)
     if den <= 0.0:
         raise DenominatorNonPositive(
-            f"closed loop sums {li:.6g}, {lj:.6g} leave no positive denominator"
+            f"closed loop sums {1.0 - mi:.6g}, {1.0 - mj:.6g} leave no positive denominator"
         )
-    return num / math.sqrt(den)
+    return s / den
 
 
 def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph:

@@ -69,7 +69,6 @@ _ELIMINATED = "the eliminated block (1 - R)[S, S]"
 __all__ = [
     "RANK_RTOL",
     "TOL_FACT",
-    "NodePartition",
     "SeparatorReport",
     "LatentReduction",
     "ReductionResidual",
@@ -80,37 +79,6 @@ __all__ = [
     "latent_reduce",
     "verify_reduction",
 ]
-
-
-@dataclass(frozen=True)
-class NodePartition:
-    """A split of the node set into kept and removed parts.
-
-    ``separator``, when present, is a single node belonging to neither
-    side.  The three pieces must be disjoint and cover 0..dim-1.
-    """
-
-    dim: int
-    kept: frozenset
-    removed: frozenset
-    separator: int | None = None
-
-    def __post_init__(self):
-        dim = _whole(self.dim, "dim", IndexOutOfRange, 0)
-        sep = () if self.separator is None else (self.separator,)
-        kept, removed, sep = _parts(
-            dim, IndexOutOfRange, True, kept=self.kept, removed=self.removed, separator=sep
-        )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "kept", frozenset(kept))
-        object.__setattr__(self, "removed", frozenset(removed))
-        object.__setattr__(self, "separator", sep[0] if sep else None)
-
-    @classmethod
-    def from_removed(cls, dim: int, removed) -> "NodePartition":
-        dim = _whole(dim, "dim", IndexOutOfRange, 0)
-        removed = _node_list(removed, dim, "removed", IndexOutOfRange)
-        return cls(dim=dim, kept=set(range(dim)).difference(removed), removed=removed)
 
 
 @dataclass(frozen=True)
@@ -216,27 +184,28 @@ def marginalize_nodes(
     return _precision_graph(m_red, *_kept_nodes(g, kept))
 
 
-def _separator_splits(adj: np.ndarray) -> dict:
-    """Components left behind by each separating node, from one DFS.
+def _separator_splits(adj: np.ndarray) -> tuple:
+    """Pieces left behind by each separating node, from one DFS.
 
-    Maps every separating node k of the nonzero pattern ``adj`` to the
-    connected components of the pattern without k: sorted node lists,
-    ordered by their smallest node.  One iterative depth-first search
-    over all components (Tarjan 1972) numbers the nodes in discovery
-    order and tracks low(v), the smallest discovery number reachable
-    from v's subtree through one non-tree edge.  The subtree of a child
-    c of k splits off when low(c) >= disc(k); what is left of k's
-    component forms one more piece.  A search root has no such rest
-    and separates only with two or more children.
+    Returns (splits, comp).  ``splits`` maps every separating node k of
+    the nonzero pattern ``adj`` to the pieces that removing k leaves of
+    k's own connected component: sorted node lists, ordered by their
+    smallest node.  ``comp[v]`` is the sorted connected component
+    holding v.  One iterative depth-first search over all components
+    (Tarjan 1972) numbers the nodes in discovery order and tracks
+    low(v), the smallest discovery number reachable from v's subtree
+    through one non-tree edge.  The subtree of a child c of k splits
+    off when low(c) >= disc(k); what is left of k's component forms one
+    more piece.  A search root has no such rest and separates only with
+    two or more children.
     """
     d = adj.shape[0]
     nbrs = [np.flatnonzero(row).tolist() for row in adj]
     disc = [-1] * d
     low = [0] * d
     size = [1] * d
-    tree_of = [0] * d
+    comp = [None] * d
     order = []
-    trees = []
     cuts: dict = {}
     for root in range(d):
         if disc[root] >= 0:
@@ -264,26 +233,26 @@ def _separator_splits(adj: np.ndarray) -> dict:
                         cuts.setdefault(parent, []).append(v)
         if len(cuts.get(root, ())) < 2:
             cuts.pop(root, None)
-        for v in order[start:]:
-            tree_of[v] = len(trees)
-        trees.append(sorted(order[start:]))
+        tree = sorted(order[start:])
+        for v in tree:
+            comp[v] = tree
     splits = {}
     for k, children in cuts.items():
-        t = tree_of[k]
         pieces = [sorted(order[disc[c] : disc[c] + size[c]]) for c in children]
         cut = {v for piece in pieces for v in piece}
         cut.add(k)
-        rest = [v for v in trees[t] if v not in cut]
+        rest = [v for v in comp[k] if v not in cut]
         if rest:
             pieces.append(rest)
-        others = trees[:t] + trees[t + 1 :]
-        splits[k] = sorted(others + pieces, key=lambda comp: comp[0])
-    return splits
+        splits[k] = sorted(pieces, key=lambda piece: piece[0])
+    return splits, comp
 
 
 def _residual(p: np.ndarray, k: int, I: list, J: list) -> float:
     """max |rho_ij - rho_ik rho_kj| over i in I, j in J, from P = p."""
-    return float(np.max(np.abs(p[np.ix_(I, J)] - np.outer(p[I, k], p[k, J]))))
+    block = p[np.ix_(I, J)]
+    block -= np.outer(p[I, k], p[k, J])
+    return float(np.max(np.abs(block, out=block)))
 
 
 def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
@@ -317,15 +286,26 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
     Disconnected inputs are handled per component.
     """
     g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
-    splits = _separator_splits(g.weights != 0.0)
+    splits, comp = _separator_splits(g.weights != 0.0)
     p = partial_to_marginal_oracle(g).entries
+    everyone = frozenset(range(g.dim))
     reports = []
     for k in sorted(splits):
-        comps = splits[k]
-        # Residual over every pair split by k.
-        residual = max(_residual(p, k, a, b) for a, b in itertools.combinations(comps, 2))
-        rest = frozenset(v for comp in comps[1:] for v in comp)
-        reports.append(SeparatorReport(k, (frozenset(comps[0]), rest), residual))
+        # P is exactly 0 between components, so only pairs split inside
+        # k's own component count.  Every such pair has an end outside
+        # the largest piece: one block per other piece, against the rest.
+        sizes = [len(piece) for piece in splits[k]]
+        nodes = np.concatenate(splits[k])
+        largest = sizes.index(max(sizes))
+        residual = max(
+            _residual(p, k, nodes[b - n : b], np.concatenate((nodes[: b - n], nodes[b:])))
+            for t, (n, b) in enumerate(zip(sizes, itertools.accumulate(sizes)))
+            if t != largest
+        )
+        # The first side is the component of the smallest node but k.
+        other = 1 if k == 0 else 0
+        first = frozenset(splits[k][0] if comp[other] is comp[k] else comp[other])
+        reports.append(SeparatorReport(k, (first, everyone - first - {k}), residual))
     return tuple(reports)
 
 

@@ -87,6 +87,13 @@ class TestRecurrences:
                     sol.rho_endpoints[d], abs=1e-12
                 )
 
+    @pytest.mark.parametrize("d,r", [(200, 0.01), (400, 0.05), (1000, 0.2), (3000, 0.3)])
+    def test_recurrence_past_underflow_matches_sum_route(self, d, r):
+        # rho_d underflows to 0 on these chains; the recurrence stays at 0
+        # instead of dividing by it.
+        expected = chain_sums(ChainSpec(d=d, r=r)).rho_endpoints[d]
+        assert endpoint_corr_recurrence(ChainSpec(d=d, r=r)) == pytest.approx(expected, abs=1e-12)
+
     def test_recurrence_uncoupled(self):
         assert endpoint_corr_recurrence(ChainSpec(d=6, r=0.0)) == 0.0
         with pytest.raises(IndexOutOfRange):

@@ -554,16 +554,22 @@ class TestStructureCommands:
 
     def test_marginalize_matches_module(self, run, graph_file, tmp_path):
         g, path = graph_file
-        for method in ("block", "paths"):
-            out = tmp_path / f"m_{method}.json"
-            code, _, _ = run(
-                "marginalize", "--in", path, "--S", "x5", "--method", method,
-                "--out", str(out),
-            )
-            assert code == 0
-            loaded, _ = fileio.load_matrix(out)
-            expected = marginalize_nodes(g, {4}, method=method)
-            assert np.array_equal(loaded.weights, expected.weights)
+        out = tmp_path / "m.json"
+        code, stdout, _ = run("marginalize", "--in", path, "--S", "x5", "--out", str(out))
+        assert code == 0
+        assert stdout == f"marginalised 1 node(s); kept 4; wrote {out}\n"
+        loaded, _ = fileio.load_matrix(out)
+        assert np.array_equal(loaded.weights, marginalize_nodes(g, {4}).weights)
+
+    def test_marginalize_has_no_method_flag(self, run, graph_file, tmp_path):
+        _, path = graph_file
+        out = tmp_path / "m.json"
+        code, _, err = run(
+            "marginalize", "--in", path, "--S", "x5", "--method", "block", "--out", str(out)
+        )
+        assert code == 2
+        assert "unrecognized arguments: --method block" in err
+        assert not out.exists()
 
     def test_reduce_matches_module(self, run, tmp_path):
         w = np.zeros((6, 6))

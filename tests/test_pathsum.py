@@ -445,6 +445,16 @@ class TestClosedPairKernel:
                         marginal_corr_closed(g, i, j), abs=1e-15
                     )
 
+    @pytest.mark.parametrize("q", [1e-3, 1e-12, 1e-17, 1e-20])
+    def test_small_q_cancels_exactly(self, q):
+        # 1 - l_i is about q here; forming it as 1 - (1 - m_i) would lose
+        # every digit of m_i that q pushed below eps.
+        g = validate_partial_graph(np.array([[0, 0.3, 0.2], [0.3, 0, 0.1], [0.2, 0.1, 0]]))
+        oracle = partial_to_marginal_oracle(g).entries
+        rg = rescale(g, q)
+        for i, j in itertools.combinations(range(3), 2):
+            assert marginal_corr_closed(rg, i, j) == pytest.approx(oracle[i, j], abs=1e-12)
+
 
 class TestMarginalCorrelation:
     def test_closed_equals_oracle_on_random_graphs(self):

@@ -14,7 +14,6 @@ from pathcorr import (
     DimensionMismatch,
     EmptyRemainder,
     IndexOutOfRange,
-    NodePartition,
     ParamOutOfBound,
     PartialCorrelationGraph,
     PrecisionMatrix,
@@ -49,32 +48,6 @@ def star_graph(d, r):
     w = np.zeros((d, d))
     w[0, 1:] = w[1:, 0] = r
     return validate_partial_graph(w)
-
-
-class TestNodePartition:
-    def test_overlap_rejected(self):
-        with pytest.raises(IndexOutOfRange):
-            NodePartition(dim=3, kept=frozenset({0, 1}), removed=frozenset({1, 2}))
-
-    def test_cover_required(self):
-        with pytest.raises(IndexOutOfRange):
-            NodePartition(dim=4, kept=frozenset({0}), removed=frozenset({1}))
-
-    def test_separator_excluded_from_sides(self):
-        part = NodePartition(
-            dim=4, kept=frozenset({0, 1}), removed=frozenset({3}), separator=2
-        )
-        assert part.separator == 2
-        with pytest.raises(IndexOutOfRange):
-            NodePartition(
-                dim=4, kept=frozenset({0, 1, 2}), removed=frozenset({3}), separator=2
-            )
-
-    def test_from_removed(self):
-        part = NodePartition.from_removed(5, [3, 1])
-        assert part.kept == frozenset({0, 2, 4})
-        with pytest.raises(IndexOutOfRange):
-            NodePartition.from_removed(5, [7])
 
 
 class TestSever:
@@ -381,6 +354,30 @@ class TestSeparators:
             seen["cycle"] += edges > g.dim - len(comps)
             seen["bridge"] += has_inner_bridge(adj)
         assert all(count >= 10 for count in seen.values()), seen
+
+    def test_one_residual_block_per_smaller_piece(self, monkeypatch):
+        calls = []
+        real = transforms._residual
+
+        def counting(p, k, I, J):
+            calls.append((k, len(I), len(J)))
+            return real(p, k, I, J)
+
+        monkeypatch.setattr(transforms, "_residual", counting)
+        # The centre of a star leaves six single-node pieces: one block
+        # for each but the largest, against the other five.
+        detect_separating_nodes(star_graph(7, 0.3))
+        assert calls == [(0, 1, 5)] * 5
+        # A chain x1..x6 beside six isolated nodes: each block stays in
+        # the chain, but the reported split still covers every node.
+        calls.clear()
+        w = np.zeros((12, 12))
+        for k in range(5):
+            w[k, k + 1] = w[k + 1, k] = 0.4
+        reports = detect_separating_nodes(validate_partial_graph(w))
+        assert [rep.node for rep in reports] == [1, 2, 3, 4]
+        assert calls == [(1, 1, 4), (2, 2, 3), (3, 2, 3), (4, 1, 4)]
+        assert reports[0].components == (frozenset({0}), frozenset(range(2, 12)))
 
     def test_long_chain_interior(self):
         reports = detect_separating_nodes(chain_graph(200, 0.4))

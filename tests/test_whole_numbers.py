@@ -19,7 +19,6 @@ from pathcorr import (
     DimensionMismatch,
     IndexOutOfRange,
     MartingaleSpec,
-    NodePartition,
     ParamOutOfBound,
     PathQuery,
     SampleSpec,
@@ -95,12 +94,6 @@ SITES = [
     Site("sever", lambda v: sever_nodes(G, [v]).weights.tolist(), 1, IndexOutOfRange),
     Site("marginalize",
          lambda v: marginalize_nodes(G, [v]).weights.tolist(), 1, IndexOutOfRange),
-    Site("partition-removed",
-         lambda v: NodePartition.from_removed(4, [v]), 1, IndexOutOfRange),
-    Site("partition-dim", lambda v: NodePartition.from_removed(v, [0]), 4, IndexOutOfRange),
-    Site("partition-separator",
-         lambda v: NodePartition(dim=4, kept={0, 1}, removed={3}, separator=v),
-         2, IndexOutOfRange),
     Site("residual-k", lambda v: factorisation_residual(G, v, [0], [3]), 2, IndexOutOfRange),
     Site("residual-I", lambda v: factorisation_residual(G, 2, [v], [3]), 0, IndexOutOfRange),
     Site("tripartition-A",
@@ -189,7 +182,6 @@ def test_out_of_range_names_both_ends():
 ARRAY_SETS = [
     ("sever", lambda s: sever_nodes(G, s).weights.tolist(), [1, 2]),
     ("marginalize", lambda s: marginalize_nodes(G, s).weights.tolist(), [1, 2]),
-    ("partition", lambda s: NodePartition.from_removed(4, s), [0, 3]),
     ("avoid", lambda s: star_path_sum_truncated(G, 0, 0, 4, avoid=s), [1, 3]),
     ("within", lambda s: star_path_sum_closed(G, 0, 3, within=s), [1, 2]),
     ("query", lambda s: paths(PathQuery(0, 3, 3, interior_forbidden=s)), [1]),
