@@ -39,6 +39,10 @@ from .errors import (
     _whole,
 )
 
+# Longest chain whose sums are tabulated, checked before any is stored
+# (pathsum.MAX_LENGTH caps truncation lengths the same way).
+MAX_NODES = 100_000
+
 __all__ = [
     "ChainSpec",
     "ChainSolution",
@@ -101,17 +105,18 @@ def chain_sums(spec: ChainSpec) -> ChainSolution:
 
     The denominators 1 - l_k stay positive for |r| <= 1/2 because the
     loop sums are bounded by l_inf <= 1/2; the degenerate case is
-    guarded anyway.
+    guarded anyway.  Chains longer than ``MAX_NODES`` are refused.
     """
     spec = _instance(spec, ChainSpec, "spec", ParamOutOfBound)
+    d = _whole(spec.d, "chain length d", IndexOutOfRange, 1, MAX_NODES)
     c: dict = {}
     l: dict = {}
     rho: dict = {}
-    if spec.d >= 2:
+    if d >= 2:
         c[2] = spec.r
         l[2] = 0.0
         rho[2] = spec.r
-    for k in range(3, spec.d + 1):
+    for k in range(3, d + 1):
         den = 1.0 - l[k - 1]
         if den <= 0.0:
             raise DegenerateDenominator(
@@ -235,8 +240,8 @@ def amplification_factor(k: int, m: int, r: float) -> float:
     the value it approaches as k and m grow (1.0103 at r = 0.1, 1.125
     at r = 0.3).
     """
-    k = _whole(k, "k", ParamOutOfBound, 0)
-    m = _whole(m, "m", ParamOutOfBound, 0)
+    k = _whole(k, "k", ParamOutOfBound, 0, MAX_NODES - 2)
+    m = _whole(m, "m", ParamOutOfBound, 0, MAX_NODES - 2)
     sol = chain_sums(ChainSpec(d=max(k, m) + 2, r=r))
     lk = sol.l[k + 2]
     lm = sol.l[m + 2]

@@ -22,7 +22,14 @@ import warnings
 import numpy as np
 
 from . import chains, fileio, gaussinfo, pathsum, sampling, transforms
-from .errors import FileFormatError, ParamOutOfBound, PathcorrError, UndefinedAtZero, _real
+from .errors import (
+    FileFormatError,
+    ParamOutOfBound,
+    PathcorrError,
+    UndefinedAtZero,
+    _real,
+    _whole,
+)
 from .matrices import (
     CovarianceMatrix,
     PartialCorrelationGraph,
@@ -315,6 +322,8 @@ def _cmd_sample(args) -> int:
 
 
 def _fig4_rows(k: int, m_max: int) -> list:
+    # Every m reruns the recurrences, so the library's cap on m is checked first.
+    m_max = _whole(m_max, "m", ParamOutOfBound, 0, chains.MAX_NODES - 2)
     rows = []
     for r in FIG4_R_GRID:
         for m in range(1, m_max + 1):

@@ -51,7 +51,7 @@ from .matrices import (
     _paths_through,
     precision_to_partial,
 )
-from .pathsum import _check_pair, _check_q, star_path_sum_closed
+from .pathsum import MAX_LENGTH, _check_pair, _check_q, star_path_sum_closed
 
 # Trace series defaults: hard cap on the number of terms, and the size
 # below which the last term and the tail bound end the summation early.
@@ -182,9 +182,9 @@ def conditional_mi_series(
     q must lie in (0, 2 / (1 + nu(T))).  Without q, a spectral radius
     of T at or above 1 raises :class:`SpectralRadiusTooLarge` (a valid
     positive-definite system never reaches it).  A sum cut at n_max that comes out below zero
-    raises :class:`ParamOutOfBound`.
+    raises :class:`ParamOutOfBound`, and so does an n_max above ``pathsum.MAX_LENGTH``.
     """
-    n_max = _whole(n_max, "n_max", ParamOutOfBound, 1)
+    n_max = _whole(n_max, "n_max", ParamOutOfBound, 1, MAX_LENGTH)
     m_a, x = _blocks(system, part)
     d_a = m_a.shape[0]
     low, _ = _cho(m_a, SingularBlock, "1 - R[A, A]")

@@ -26,8 +26,9 @@ takes only its typed input, never a raw array, and its result is not
 validated again; every graph read off precision entries is split and checked
 once, by one helper here; every Cholesky factorisation goes through another, and
 every restricted block inverse W[E, K] (1 - W_K)^-1 W[K, E] through :func:`_paths_through`.
-Every array argument becomes floats through :func:`_floats`, and every
-kept array is a read-only copy by :func:`_freeze`: a caller's is never frozen.
+Every square input is checked by one helper, :func:`_square`; every array
+argument becomes floats through :func:`_floats`, and every kept array is a
+read-only copy by :func:`_freeze`: a caller's is never frozen.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
 """
 
@@ -111,19 +112,13 @@ def _floats(values, name: str, error: type, shape_error: type, shape: tuple) -> 
     return a
 
 
-def _as_square(raw) -> np.ndarray:
+def _square(raw, what: str) -> np.ndarray:
+    """``raw`` as a square float array averaged with its transpose; asymmetry
+    beyond TOL_SYM, relative to the largest entry magnitude (absolute for
+    the zero matrix), raises :class:`NotSymmetric` naming ``what``."""
     m = _floats(raw, "matrix entries", EntryOutOfRange, NotSquare, (None, None))
     if m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def _symmetrize(m: np.ndarray, what: str) -> np.ndarray:
-    """Average m with its transpose; reject asymmetry beyond TOL_SYM.
-
-    The tolerance is relative to the largest entry magnitude (absolute
-    for the zero matrix).
-    """
     asym = float(np.max(np.abs(m - m.T)))
     scale = float(np.max(np.abs(m)))
     rel = asym / scale if scale > 0.0 else asym
@@ -132,6 +127,13 @@ def _symmetrize(m: np.ndarray, what: str) -> np.ndarray:
             f"{what} asymmetric: relative asymmetry {rel:.3e} exceeds {TOL_SYM:.3e}"
         )
     return (m + m.T) / 2.0
+
+
+def _diagonal(m: np.ndarray, value: float, what: str) -> None:
+    """Set m's diagonal to ``value``, if no entry is off it by more than TOL_SYM."""
+    if np.max(np.abs(np.diag(m) - value)) > TOL_SYM:
+        raise EntryOutOfRange(f"{what} diagonal must be {value:g}")
+    np.fill_diagonal(m, value)
 
 
 def _check_pd(m: np.ndarray, what: str) -> float:
@@ -264,8 +266,25 @@ def default_labels(dim: int) -> tuple:
     return tuple(f"x{k + 1}" for k in range(dim))
 
 
+def _positive_definite(self):
+    """``__post_init__`` of the two positive-definite types, assigned in each class
+    body: the benchmark tracer wraps it there, in the class's own ``__dict__``."""
+    m = _square(self.entries, self._what)
+    object.__setattr__(self, "entries", _freeze(m))  # a copy: the check overwrites m
+    _check_pd(m, self._what)
+    object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
+
+
+class _Matrix:
+    """What the four matrix types share: ``dim``, read off the labels every object holds."""
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+
 @dataclass(frozen=True)
-class CovarianceMatrix:
+class CovarianceMatrix(_Matrix):
     """Symmetric positive-definite covariance matrix.
 
     Construct directly or through :func:`validate_covariance`; either
@@ -275,52 +294,31 @@ class CovarianceMatrix:
     entries: np.ndarray
     labels: tuple | None = None
 
-    def __post_init__(self):
-        m = _as_square(self.entries)
-        m = _symmetrize(m, "covariance matrix")
-        entries = _freeze(m)
-        _check_pd(m, "covariance matrix")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    _what = "covariance matrix"
+    __post_init__ = _positive_definite
 
 
 @dataclass(frozen=True)
-class PrecisionMatrix:
+class PrecisionMatrix(_Matrix):
     """Symmetric positive-definite precision (inverse covariance) matrix."""
 
     entries: np.ndarray
     labels: tuple | None = None
 
-    def __post_init__(self):
-        m = _as_square(self.entries)
-        m = _symmetrize(m, "precision matrix")
-        entries = _freeze(m)
-        _check_pd(m, "precision matrix")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    _what = "precision matrix"
+    __post_init__ = _positive_definite
 
 
 @dataclass(frozen=True)
-class MarginalCorrelationMatrix:
+class MarginalCorrelationMatrix(_Matrix):
     """Marginal (Pearson) correlation matrix: unit diagonal, PSD."""
 
     entries: np.ndarray
     labels: tuple | None = None
 
     def __post_init__(self):
-        m = _as_square(self.entries)
-        m = _symmetrize(m, "correlation matrix")
-        if np.max(np.abs(np.diag(m) - 1.0)) > TOL_SYM:
-            raise EntryOutOfRange("correlation matrix diagonal must be 1")
-        np.fill_diagonal(m, 1.0)
+        m = _square(self.entries, "correlation matrix")
+        _diagonal(m, 1.0, "correlation matrix")
         if np.max(np.abs(m)) > 1.0:
             raise EntryOutOfRange("correlation magnitudes cannot exceed 1")
         # Semi-definiteness only: perfectly correlated pairs are legal, and
@@ -333,13 +331,9 @@ class MarginalCorrelationMatrix:
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
-class PartialCorrelationGraph:
+class PartialCorrelationGraph(_Matrix):
     """Partial correlation graph: couplings R with (1 - R) positive definite.
 
     Parameters
@@ -365,11 +359,8 @@ class PartialCorrelationGraph:
     labels: tuple | None = None
 
     def __post_init__(self):
-        m = _as_square(self.weights)
-        m = _symmetrize(m, "partial correlation matrix")
-        if np.max(np.abs(np.diag(m))) > TOL_SYM:
-            raise EntryOutOfRange("partial correlation diagonal must be 0")
-        np.fill_diagonal(m, 0.0)
+        m = _square(self.weights, "partial correlation matrix")
+        _diagonal(m, 0.0, "partial correlation")
         if np.max(np.abs(m)) >= 1.0:
             raise EntryOutOfRange("partial correlation magnitudes must be below 1")
         cond = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
@@ -382,10 +373,6 @@ class PartialCorrelationGraph:
                 raise ParamOutOfBound("scale entries must be positive")
             object.__setattr__(self, "scale", _freeze(s))
         object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
 
     def label_index(self, label: str) -> int:
         try:
@@ -424,7 +411,8 @@ def _derived(cls, m: np.ndarray, labels):
     still checked, since an inverse can overflow.
     """
     out = object.__new__(cls)
-    object.__setattr__(out, "entries", _freeze(_as_square(m)))
+    m = _floats(m, "matrix entries", EntryOutOfRange, NotSquare, (None, None))
+    object.__setattr__(out, "entries", _freeze(m))
     object.__setattr__(out, "labels", labels)
     return out
 

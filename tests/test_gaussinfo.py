@@ -33,6 +33,7 @@ from pathcorr import (
 )
 from pathcorr import gaussinfo
 from pathcorr.gaussinfo import TERM_FLOOR
+from pathcorr.pathsum import MAX_LENGTH
 
 from conftest import complete_graph, scaled_random_graph
 
@@ -269,6 +270,17 @@ class TestSeries:
             conditional_mi_series(g, part, n_max=0)
         with pytest.raises(SingularBlock):
             conditional_mi_series(g, part)
+
+    def test_n_max_capped_before_factorising(self, monkeypatch):
+        g = chain_graph(3, 0.3)
+        part = TriPartition.complement(3, A=(0,), B=(2,))
+        closed = conditional_mi_closed(g, part).nats
+        res = conditional_mi_series(g, part, n_max=MAX_LENGTH)
+        assert res.nats == pytest.approx(closed, abs=1e-12)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
+        for n_max in (MAX_LENGTH + 1, 10**20):
+            with pytest.raises(ParamOutOfBound, match=r"n_max .* between 1 and 100000"):
+                conditional_mi_series(g, part, n_max=n_max)
 
     def test_slow_series_sums_its_tail(self):
         # With q = 0.001 the terms drop below TERM_FLOOR while the tail

@@ -411,12 +411,12 @@ class TestClosedPairKernel:
         for base in regime_graphs()[regime]:
             for g in (base, rescale(base), rescale(base, 0.5)):
                 for i, j in itertools.permutations(range(g.dim), 2):
-                    s, li, lj = pathsum._closed_pair_sums(g, i, j)
+                    s, mi, mj = pathsum._closed_pair_margins(g, i, j)
                     assert s == pytest.approx(star_path_sum_closed(g, i, j), abs=1e-12)
-                    assert li == pytest.approx(
+                    assert 1.0 - mi == pytest.approx(
                         star_path_sum_closed(g, i, i, avoid=(j,)), abs=1e-12
                     )
-                    assert lj == pytest.approx(
+                    assert 1.0 - mj == pytest.approx(
                         star_path_sum_closed(g, j, j, avoid=(i,)), abs=1e-12
                     )
 
@@ -426,7 +426,8 @@ class TestClosedPairKernel:
         r = 1.0 - 1e-9
         g = validate_partial_graph(np.array([[0.0, r], [r, 0.0]]))
         with pytest.warns(IllConditionedWarning):
-            s, li, lj = pathsum._closed_pair_sums(g, 0, 1)
+            s, mi, mj = pathsum._closed_pair_margins(g, 0, 1)
+        li, lj = 1.0 - mi, 1.0 - mj
         with pytest.warns(IllConditionedWarning):
             rho = marginal_corr_closed(g, 0, 1)
         assert all(math.isfinite(v) for v in (s, li, lj, rho))

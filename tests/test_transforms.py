@@ -625,3 +625,41 @@ def test_latent_reduction_preserves_kept_partials_property(seed):
     res = verify_reduction(g, red)
     assert res.partial_residual < 1e-10
     assert res.marginal_residual < 1e-8
+
+
+def disconnected_graph(seed):
+    """A graph of 2-3 dense components in shuffled node order, each node's
+    component, and a nonempty proper subset S of one component, c."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 6, size=rng.integers(2, 4))
+    w = scipy.linalg.block_diag(
+        *(scaled_random_graph(int(rng.integers(2**31)), int(n), rng.uniform(0.2, 0.9)).weights
+          for n in sizes)
+    )
+    perm = rng.permutation(len(w))
+    comp = np.repeat(np.arange(len(sizes)), sizes)[perm]
+    c = int(rng.integers(len(sizes)))
+    members = np.flatnonzero(comp == c)
+    S = rng.choice(members, size=int(rng.integers(1, len(members))), replace=False)
+    return validate_partial_graph(w[np.ix_(perm, perm)]), comp, c, sorted(int(v) for v in S)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_disconnected_graphs_stay_apart_property(seed):
+    g, comp, c, S = disconnected_graph(seed)
+    kept = [v for v in range(g.dim) if v not in S]
+    apart = comp[kept][:, None] != comp[kept][None, :]
+    # Severing and marginalising S couple no two components, not even by roundoff.
+    for out in (sever_nodes(g, S), marginalize_nodes(g, S)):
+        assert np.all(out.weights[apart] == 0.0)
+    red = latent_reduce(g, S)
+    res = verify_reduction(g, red)
+    assert res.partial_residual <= 1e-12 and res.marginal_residual <= 1e-12
+    # The latents couple only to S's own component ...
+    latent_to_kept = red.reduced_graph.weights[len(kept):, : len(kept)]
+    assert np.all(np.abs(latent_to_kept[:, comp[kept] != c]) <= 1e-12)
+    # ... and as many are needed as for that component on its own.
+    members = list(np.flatnonzero(comp == c))
+    alone = validate_partial_graph(g.weights[np.ix_(members, members)])
+    assert latent_reduce(alone, [members.index(v) for v in S]).latent_count == red.latent_count

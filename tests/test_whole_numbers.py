@@ -175,7 +175,7 @@ def test_out_of_range_names_both_ends():
         marginal_corr_closed(G, 0, 4)
     with pytest.raises(IndexOutOfRange, match="between 0 and 3, got an int of 16610 bits"):
         marginal_corr_closed(G, 0, 10**5000)
-    with pytest.raises(ParamOutOfBound, match="of at least 0, got -1"):
+    with pytest.raises(ParamOutOfBound, match="between 0 and 99998, got -1"):
         amplification_factor(-1, 1, 0.3)
 
 
