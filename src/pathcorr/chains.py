@@ -36,6 +36,7 @@ from .errors import (
     UndefinedAtZero,
     _instance,
     _real,
+    _shown,
     _whole,
 )
 
@@ -166,15 +167,27 @@ def endpoint_corr_recurrence(spec: ChainSpec) -> float:
     rho is 0 (an uncoupled chain, or a long weak one underflowing) it
     stays 0, where the recurrence itself would hit 0/0.  While rho is
     nonzero the denominator is too: |rho| <= |r| <= 1/2.
+
+    At most ``MAX_NODES`` steps are run.  A longer chain gets 0 when
+    rho has underflowed by then; otherwise (|r| = 1/2, where rho_d =
+    1/d, or |r| close to it) it is refused with ParamOutOfBound.
     """
-    if _instance(spec, ChainSpec, "spec", ParamOutOfBound).d < 2:
-        raise IndexOutOfRange(f"endpoint correlation needs d >= 2, got d={spec.d}")
+    d = _instance(spec, ChainSpec, "spec", ParamOutOfBound).d
+    if d < 2:
+        raise IndexOutOfRange(f"endpoint correlation needs d >= 2, got d={d}")
     prev2, prev1 = 1.0, spec.r
-    for _ in range(2, spec.d):
+    for _ in range(2, min(d, MAX_NODES)):
         if prev1 == 0.0:
             break
         prev2, prev1 = prev1, prev1**2 / (prev2 * (1.0 - prev1**2))
-    return 0.0 if prev1 == 0.0 else prev1
+    if prev1 == 0.0:
+        return 0.0
+    if d > MAX_NODES:
+        raise ParamOutOfBound(
+            f"rho_d has not underflowed by d={MAX_NODES} at r={spec.r}, so the "
+            f"chain length d must be at most {MAX_NODES}, got {_shown(d)}"
+        )
+    return prev1
 
 
 def correlation_length(r: float) -> float:
@@ -242,9 +255,15 @@ def amplification_factor(k: int, m: int, r: float) -> float:
     """
     k = _whole(k, "k", ParamOutOfBound, 0, MAX_NODES - 2)
     m = _whole(m, "m", ParamOutOfBound, 0, MAX_NODES - 2)
-    sol = chain_sums(ChainSpec(d=max(k, m) + 2, r=r))
-    lk = sol.l[k + 2]
-    lm = sol.l[m + 2]
+    return _gamma(chain_sums(ChainSpec(d=max(k, m) + 2, r=r)).l, k, m)
+
+
+def _gamma(l: dict, k: int, m: int) -> float:
+    """gamma of :func:`amplification_factor` from the loop sums ``l`` of
+    any chain of at least max(k, m) + 2 nodes: l_n does not depend on
+    the chain's length, so one chain serves every k and m up to it."""
+    lk = l[k + 2]
+    lm = l[m + 2]
     den = 1.0 - lk - lm
     if den <= 0.0:
         raise DegenerateDenominator(f"amplification denominator vanished: {den:.6g}")

@@ -322,12 +322,14 @@ def _cmd_sample(args) -> int:
 
 
 def _fig4_rows(k: int, m_max: int) -> list:
-    # Every m reruns the recurrences, so the library's cap on m is checked first.
+    # One chain per r, long enough for k and every m, gives every gamma
+    # the floats amplification_factor reads; its caps are checked first.
     m_max = _whole(m_max, "m", ParamOutOfBound, 0, chains.MAX_NODES - 2)
+    k = _whole(k, "k", ParamOutOfBound, 0, chains.MAX_NODES - 2)
     rows = []
     for r in FIG4_R_GRID:
-        for m in range(1, m_max + 1):
-            rows.append((r, m, chains.amplification_factor(k, m, r)))
+        l = chains.chain_sums(chains.ChainSpec(d=max(k, m_max) + 2, r=r)).l
+        rows += [(r, m, chains._gamma(l, k, m)) for m in range(1, m_max + 1)]
     return rows
 
 

@@ -25,6 +25,7 @@ from .errors import (
     SingularSampleCovariance,
     _instance,
     _real,
+    _shown,
     _whole,
 )
 from .matrices import (
@@ -40,6 +41,10 @@ from .matrices import (
 
 # Identifier for the pinned RNG algorithm + Gaussian transform pair.
 GENERATOR_ID = "philox4x64-10/inverse-cdf"
+
+# Largest n * d a sample may hold, checked before anything is drawn: one
+# draw keeps a few n x d float arrays alive, about 80 MB each at the cap.
+MAX_ENTRIES = 10_000_000
 
 __all__ = [
     "GENERATOR_ID",
@@ -59,7 +64,8 @@ class SampleSpec:
     """Recipe for one sampled system: dimension, sample count, seed.
 
     ``n`` must exceed ``d`` so the sample covariance is invertible
-    (with probability 1); the seed is a 64-bit unsigned integer.
+    (with probability 1), and n * d may not exceed ``MAX_ENTRIES``; the
+    seed is a 64-bit unsigned integer.
     """
 
     d: int
@@ -70,6 +76,10 @@ class SampleSpec:
         d = _whole(self.d, "dimension d", ParamOutOfBound, 1)
         # More samples than dimensions, so the sample covariance inverts.
         n = _whole(self.n, "sample count n", ParamOutOfBound, d + 1)
+        if n * d > MAX_ENTRIES:
+            raise ParamOutOfBound(
+                f"n * d must be at most {MAX_ENTRIES}, got n={_shown(n)} and d={_shown(d)}"
+            )
         seed = _whole(self.seed, "seed", ParamOutOfBound, 0, 2**64 - 1)
         for name, value in (("d", d), ("n", n), ("seed", seed)):
             object.__setattr__(self, name, value)

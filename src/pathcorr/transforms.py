@@ -28,6 +28,7 @@ rho_ij = rho_ik rho_kj, across the split.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -185,33 +186,34 @@ def marginalize_nodes(
 
 
 def _separator_splits(adj: np.ndarray) -> tuple:
-    """Pieces left behind by each separating node, from one DFS.
+    """Separating nodes and the ranges they cut, as positions of one DFS.
 
-    Returns (splits, comp).  ``splits`` maps every separating node k of
-    the nonzero pattern ``adj`` to the pieces that removing k leaves of
-    k's own connected component: sorted node lists, ordered by their
-    smallest node.  ``comp[v]`` is the sorted connected component
-    holding v.  One iterative depth-first search over all components
-    (Tarjan 1972) numbers the nodes in discovery order and tracks
-    low(v), the smallest discovery number reachable from v's subtree
-    through one non-tree edge.  The subtree of a child c of k splits
-    off when low(c) >= disc(k); what is left of k's component forms one
-    more piece.  A search root has no such rest and separates only with
-    two or more children.
+    Returns (order, cuts, spans).  One iterative depth-first search over
+    all components of the nonzero pattern ``adj`` (Tarjan 1972), each
+    started at its smallest node, lists the nodes in discovery order,
+    ``order``, and tracks low(v), the smallest discovery number
+    reachable from v's subtree through one non-tree edge.  In that order
+    every component and every subtree is one contiguous range of
+    positions: ``spans`` holds each component's (lo, hi), ascending.
+    The subtree of a child c of k splits off when low(c) >= disc(k);
+    ``cuts`` maps the position of every separating node k to the (a, b)
+    ranges of the subtrees it cuts off, ascending.  What is left of k's
+    component, order[lo:hi] less k and those ranges, forms one more
+    piece when nonempty.  A search root has no such rest and separates
+    only with two or more children.
     """
     d = adj.shape[0]
     nbrs = [np.flatnonzero(row).tolist() for row in adj]
     disc = [-1] * d
     low = [0] * d
-    size = [1] * d
-    comp = [None] * d
     order = []
+    spans = []
     cuts: dict = {}
     for root in range(d):
         if disc[root] >= 0:
             continue
-        start = len(order)
-        disc[root] = low[root] = start
+        lo = len(order)
+        disc[root] = low[root] = lo
         order.append(root)
         stack = [(root, -1, iter(nbrs[root]))]
         while stack:
@@ -228,31 +230,26 @@ def _separator_splits(adj: np.ndarray) -> tuple:
                 stack.pop()
                 if parent >= 0:
                     low[parent] = min(low[parent], low[v])
-                    size[parent] += size[v]
                     if low[v] >= disc[parent]:
-                        cuts.setdefault(parent, []).append(v)
-        if len(cuts.get(root, ())) < 2:
-            cuts.pop(root, None)
-        tree = sorted(order[start:])
-        for v in tree:
-            comp[v] = tree
-    splits = {}
-    for k, children in cuts.items():
-        pieces = [sorted(order[disc[c] : disc[c] + size[c]]) for c in children]
-        cut = {v for piece in pieces for v in piece}
-        cut.add(k)
-        rest = [v for v in comp[k] if v not in cut]
-        if rest:
-            pieces.append(rest)
-        splits[k] = sorted(pieces, key=lambda piece: piece[0])
-    return splits, comp
+                        # v's subtree is everything discovered since v.
+                        cuts.setdefault(disc[parent], []).append((disc[v], len(order)))
+        if len(cuts.get(lo, ())) < 2:
+            cuts.pop(lo, None)
+        spans.append((lo, len(order)))
+    return order, cuts, spans
 
 
-def _residual(p: np.ndarray, k: int, I: list, J: list) -> float:
-    """max |rho_ij - rho_ik rho_kj| over i in I, j in J, from P = p."""
-    block = p[np.ix_(I, J)]
-    block -= np.outer(p[I, k], p[k, J])
-    return float(np.max(np.abs(block, out=block)))
+def _cut_residual(q: np.ndarray, s: int, a: int, b: int, lo: int, hi: int) -> float:
+    """max |rho_ij - rho_ik rho_kj| from q = P in DFS order, k at position s:
+    i over positions a:b, j over lo:hi outside a:b and s."""
+    rows = q[a:b]
+    worst = 0.0
+    for c0, c1 in ((lo, s), (s + 1, a), (b, hi)):
+        if c0 < c1:
+            block = np.outer(rows[:, s], q[s, c0:c1])
+            np.subtract(rows[:, c0:c1], block, out=block)
+            worst = max(worst, float(np.max(np.abs(block, out=block))))
+    return worst
 
 
 def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
@@ -267,7 +264,10 @@ def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     I, J, _ = _parts(g.dim, IndexOutOfRange, False, I=I, J=J, k=(k,))
     if not I or not J:
         raise IndexOutOfRange("both sides of the split must be nonempty")
-    return _residual(partial_to_marginal_oracle(g).entries, k, I, J)
+    p = partial_to_marginal_oracle(g).entries
+    block = p[np.ix_(I, J)]
+    block -= np.outer(p[I, k], p[k, J])
+    return float(np.max(np.abs(block, out=block)))
 
 
 def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
@@ -276,36 +276,56 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
     A node is reported when removing it increases the number of
     connected components of the coupling pattern.  One depth-first
     search over the whole pattern finds these nodes (the articulation
-    points) and the pieces each one leaves.  Each report carries the
-    induced two-way split and the factorisation residual over every
-    pair the node separates; for an exactly separating node the
-    residual vanishes up to roundoff (compare against
-    :data:`TOL_FACT`), and conversely a node that leaves the pattern
-    connected admits no low-residual split at all, so the structural
-    and the numerical criterion single out the same nodes.
-    Disconnected inputs are handled per component.
+    points) and, as ranges of its discovery order, the pieces each one
+    leaves.  Each report carries the induced two-way split and the
+    factorisation residual over every pair the node separates; for an
+    exactly separating node the residual vanishes up to roundoff
+    (compare against :data:`TOL_FACT`), and conversely a node that
+    leaves the pattern connected admits no low-residual split at all,
+    so the structural and the numerical criterion single out the same
+    nodes.  Disconnected inputs are handled per component.
+
+    P is copied once with rows and columns in discovery order, so every
+    residual block is a plain slice of that copy: the rows of one cut
+    subtree against the rest of its component.
     """
     g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
-    splits, comp = _separator_splits(g.weights != 0.0)
+    order, cuts, spans = _separator_splits(g.weights != 0.0)
+    starts = [lo for lo, _ in spans]
+
+    def span(t: int) -> tuple:
+        return spans[bisect.bisect_right(starts, t) - 1]
+
+    # P is exactly 0 between components, so only pairs split inside k's
+    # own component count, and each such pair has an end in a subtree
+    # that k cuts off.  The copy is freed before the reports are built.
     p = partial_to_marginal_oracle(g).entries
+    q = p[np.ix_(order, order)]
+    residual = {
+        s: max(_cut_residual(q, s, a, b, *span(s)) for a, b in ranges)
+        for s, ranges in cuts.items()
+    }
+    del q
+
     everyone = frozenset(range(g.dim))
     reports = []
-    for k in sorted(splits):
-        # P is exactly 0 between components, so only pairs split inside
-        # k's own component count.  Every such pair has an end outside
-        # the largest piece: one block per other piece, against the rest.
-        sizes = [len(piece) for piece in splits[k]]
-        nodes = np.concatenate(splits[k])
-        largest = sizes.index(max(sizes))
-        residual = max(
-            _residual(p, k, nodes[b - n : b], np.concatenate((nodes[: b - n], nodes[b:])))
-            for t, (n, b) in enumerate(zip(sizes, itertools.accumulate(sizes)))
-            if t != largest
-        )
-        # The first side is the component of the smallest node but k.
-        other = 1 if k == 0 else 0
-        first = frozenset(splits[k][0] if comp[other] is comp[k] else comp[other])
-        reports.append(SeparatorReport(k, (first, everyone - first - {k}), residual))
+    for s in sorted(cuts, key=order.__getitem__):
+        k = order[s]
+        lo, hi = span(s)
+        # The first side is the piece, or the component, holding the
+        # smallest node but k: its position t lies outside k's component,
+        # in a cut subtree, or else in the rest, which holds k's root and
+        # is lo:hi less s and the cut ranges.
+        t = order.index(1) if k == 0 else 0
+        if not lo <= t < hi:
+            ranges = [span(t)]
+        else:
+            ranges = [(a, b) for a, b in cuts[s] if a <= t < b]
+            if not ranges:
+                bounds = [lo, s, s + 1, *itertools.chain.from_iterable(cuts[s]), hi]
+                ranges = zip(bounds[::2], bounds[1::2])
+        first = frozenset(itertools.chain.from_iterable(order[a:b] for a, b in ranges))
+        reports.append(SeparatorReport(k, (first, everyone - first - {k}), residual[s]))
     return tuple(reports)
 
 

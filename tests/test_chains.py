@@ -320,6 +320,16 @@ class TestLengthCap:
         # It keeps two numbers, not a table, and stops once rho underflows.
         assert endpoint_corr_recurrence(ChainSpec(d=10**20, r=0.3)) == 0.0
 
+    @pytest.mark.parametrize("r", [0.5, -0.5])
+    def test_endpoint_recurrence_at_half_coupling(self, r):
+        # rho_d = (+-1)^(d-1) / d never underflows at |r| = 1/2, so a chain
+        # past the cap is refused after at most MAX_NODES steps.
+        d = 1000
+        expected = math.copysign(1.0, r) ** (d - 1) / d
+        assert endpoint_corr_recurrence(ChainSpec(d=d, r=r)) == pytest.approx(expected, rel=1e-9)
+        with pytest.raises(ParamOutOfBound, match=r"at most 100000, got 100000000000000000000$"):
+            endpoint_corr_recurrence(ChainSpec(d=10**20, r=r))
+
 
 @settings(max_examples=30, deadline=None)
 @given(

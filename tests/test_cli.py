@@ -43,7 +43,7 @@ from pathcorr import (
     sever_nodes,
     validate_partial_graph,
 )
-from pathcorr import fileio
+from pathcorr import chains, fileio
 from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
@@ -806,6 +806,16 @@ class TestSampleCommand:
         _, provenance = fileio.load_matrix(out)
         assert provenance["regime"] == "rescale-required"
 
+    @pytest.mark.parametrize("which", ["sample", "fig5"])
+    def test_huge_sample_refused_before_drawing(self, run, tmp_path, which):
+        out = tmp_path / "s.out"
+        argv = ["sample"] if which == "sample" else ["figure", "fig5"]
+        argv += ["--d", "5", "--n", str(10**20), "--seed", "1", "--out", str(out)]
+        code, _, stderr = run(*argv)
+        assert code == 1
+        assert stderr.startswith("error: n * d must be at most") and stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestFigureCommand:
     def test_amplification_table(self, run, tmp_path):
@@ -819,6 +829,20 @@ class TestFigureCommand:
         for row in rows[1:]:
             r, m, gamma = float(row[0]), int(row[1]), float(row[2])
             assert gamma == amplification_factor(3, m, r)
+
+    def test_amplification_table_runs_one_chain_per_coupling(self, run, tmp_path, monkeypatch):
+        calls = []
+        real = chains.chain_sums
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(chains, "chain_sums", counting)
+        out = tmp_path / "fig4.csv"
+        code, _, _ = run("figure", "fig4", "--k", "3", "--m", "40", "--out", str(out))
+        assert code == 0
+        assert calls == [ChainSpec(d=42, r=r) for r in FIG4_R_GRID]
 
     def test_rescaling_table(self, run, tmp_path):
         out = tmp_path / "fig6.csv"
@@ -1047,9 +1071,6 @@ class TestInputFuzz:
 # valid or missing.
 ARG_POOL = ["x1", "x1,x2", "zz", "", "nan", "inf", "-1", "0", "0.3", "2.5", "3", str(10**20)]
 IN_FILES = ["g.json", "g.csv", "missing.json"]
-# `sample` and `figure fig5` allocate an n x d array unchecked, so 10**20
-# there still ends in a numpy error; those flags draw from the rest of the pool.
-NO_HUGE = {("sample", "d"), ("sample", "n"), ("figure", "d"), ("figure", "n")}
 
 
 def _parses(action, value) -> bool:
@@ -1079,10 +1100,9 @@ def argument_vectors(draw):
         elif action.dest == "infile":
             value = draw(st.sampled_from(IN_FILES))
         else:
-            pool = [v for v in ARG_POOL if (name, action.dest) not in NO_HUGE or v != str(10**20)]
-            typed = [v for v in pool if _parses(action, v)]
+            typed = [v for v in ARG_POOL if _parses(action, v)]
             wide = draw(st.integers(0, 3)) == 0
-            value = draw(st.sampled_from(pool if wide else sorted(action.choices or typed)))
+            value = draw(st.sampled_from(ARG_POOL if wide else sorted(action.choices or typed)))
         argv += [value] if not action.option_strings else [action.option_strings[0], value]
     return argv
 

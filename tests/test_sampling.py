@@ -36,6 +36,7 @@ from pathcorr import (
     sample_partial_graph,
     validate_partial_graph,
 )
+from pathcorr import sampling
 
 
 class TestSampleSpec:
@@ -53,6 +54,15 @@ class TestSampleSpec:
         with pytest.raises(ParamOutOfBound):
             SampleSpec(d=2, n=5, seed=2**64)
         assert SampleSpec(d=2, n=5, seed=2**64 - 1).seed == 2**64 - 1
+
+    def test_entries_capped_before_any_draw(self):
+        # n x d floats are drawn, so n * d past the cap is refused when
+        # the spec is built, before anything is drawn.
+        top = sampling.MAX_ENTRIES
+        assert SampleSpec(d=5, n=top // 5, seed=1).n == top // 5
+        for d, n in ((5, top // 5 + 1), (5, 10**20), (10**4, 10**4 + 1)):
+            with pytest.raises(ParamOutOfBound, match=rf"^n \* d must be at most {top}"):
+                SampleSpec(d=d, n=n, seed=1)
 
 
 class TestSampling:

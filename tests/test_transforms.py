@@ -355,28 +355,31 @@ class TestSeparators:
             seen["bridge"] += has_inner_bridge(adj)
         assert all(count >= 10 for count in seen.values()), seen
 
-    def test_one_residual_block_per_smaller_piece(self, monkeypatch):
+    def test_one_residual_block_per_cut_subtree(self, monkeypatch):
         calls = []
-        real = transforms._residual
+        real = transforms._cut_residual
 
-        def counting(p, k, I, J):
-            calls.append((k, len(I), len(J)))
-            return real(p, k, I, J)
+        def counting(q, s, a, b, lo, hi):
+            calls.append((s, a, b, lo, hi))
+            return real(q, s, a, b, lo, hi)
 
-        monkeypatch.setattr(transforms, "_residual", counting)
-        # The centre of a star leaves six single-node pieces: one block
-        # for each but the largest, against the other five.
+        monkeypatch.setattr(transforms, "_cut_residual", counting)
+        # In discovery order the centre of a star sits at position 0 and
+        # cuts off six one-node subtrees: one row block for each, against
+        # the rest of the star.
         detect_separating_nodes(star_graph(7, 0.3))
-        assert calls == [(0, 1, 5)] * 5
-        # A chain x1..x6 beside six isolated nodes: each block stays in
-        # the chain, but the reported split still covers every node.
+        assert calls == [(0, a, a + 1, 0, 7) for a in range(1, 7)]
+        # A chain x1..x6 beside six isolated nodes: node k of the chain
+        # sits at position k and cuts off the subtree at positions k+1..5.
+        # Every block stays in the chain's positions 0..5, but the
+        # reported split still covers every node.
         calls.clear()
         w = np.zeros((12, 12))
         for k in range(5):
             w[k, k + 1] = w[k + 1, k] = 0.4
         reports = detect_separating_nodes(validate_partial_graph(w))
         assert [rep.node for rep in reports] == [1, 2, 3, 4]
-        assert calls == [(1, 1, 4), (2, 2, 3), (3, 2, 3), (4, 1, 4)]
+        assert sorted(calls) == [(k, k + 1, 6, 0, 6) for k in (1, 2, 3, 4)]
         assert reports[0].components == (frozenset({0}), frozenset(range(2, 12)))
 
     def test_long_chain_interior(self):
