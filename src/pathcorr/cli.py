@@ -235,6 +235,10 @@ def _cmd_chain(args) -> int:
     pair = args.i is not None or args.j is not None
     if (args.pairs is not None) + args.gamma + pair > 1:
         raise FileFormatError("chain runs one mode per call: --pairs all, --gamma or --i/--j")
+    if args.out is not None and args.pairs is None:
+        raise FileFormatError("--out is read only with --pairs all")
+    if (args.k is not None or args.m is not None) and not args.gamma:
+        raise FileFormatError("--k and --m are read only with --gamma")
     if args.pairs == "all":
         if not args.out:
             raise FileFormatError("--pairs all writes a table; pass --out")
@@ -269,6 +273,8 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_mi(args) -> int:
+    if args.q is not None and args.method != "series":
+        raise FileFormatError("--q is read only with --method series")
     g = _load_graph(args)
     a = _nodes(g, args.A)
     b = _nodes(g, args.B)

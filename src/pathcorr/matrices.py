@@ -19,9 +19,11 @@ package is tested against it.
 
 All types are frozen dataclasses holding read-only arrays; every
 operation is a pure function, so values can be shared freely across
-threads.  A graph keeps its oracle result and its spectral radius,
-each filled on first use: the fill is idempotent, so a race between
-threads at worst computes the same read-only value twice.  A conversion
+threads.  A graph keeps its oracle matrix P, the one cached route to
+every rho_ij (closed pairs in :mod:`pathcorr.pathsum` read its entries),
+and its spectral radius, each filled on first use: the fill is
+idempotent, so a race between threads at worst computes the same
+read-only value twice.  A conversion
 takes only its typed input, never a raw array, and its result is not
 validated again; every graph read off precision entries is split and checked
 once, by one helper here; every Cholesky factorisation goes through another, and
@@ -39,7 +41,6 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -381,25 +382,16 @@ class PartialCorrelationGraph(_Matrix):
             raise IndexOutOfRange(f"unknown node label {_shown(label)}") from None
 
     @cached_property
-    def _inverse(self) -> _Inverse:
-        """The oracle's factorisation results, computed on first use."""
-        return _invert(self)
+    def _inverse(self) -> MarginalCorrelationMatrix:
+        """The oracle matrix P, from one inversion of (1 - R) on first use."""
+        eye = np.eye(self.dim)
+        minv = _spd_solve(eye - self.weights, eye, SingularMatrix, "(1 - R)")
+        return _derived(MarginalCorrelationMatrix, _correlations(minv), self.labels)
 
     @cached_property
     def _nu(self) -> float:
         """Spectral radius nu(R), computed on first use."""
         return float(np.max(np.abs(np.linalg.eigvalsh(self.weights))))
-
-
-class _Inverse(NamedTuple):
-    """What one inversion of (1 - R) yields, kept on its graph.
-
-    ``marginal`` is the oracle matrix P and ``cov_diag`` the read-only
-    diagonal of C = (1 - R)^-1 (so C = D^1/2 P D^1/2, D = diag(C)).
-    """
-
-    marginal: MarginalCorrelationMatrix
-    cov_diag: np.ndarray
 
 
 def _derived(cls, m: np.ndarray, labels):
@@ -532,12 +524,6 @@ def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
     return _derived(PrecisionMatrix, omega, g.labels)
 
 
-def _invert(g: PartialCorrelationGraph) -> _Inverse:
-    minv = _spd_solve(np.eye(g.dim) - g.weights, np.eye(g.dim), SingularMatrix, "(1 - R)")
-    p = _correlations(minv)
-    return _Inverse(_derived(MarginalCorrelationMatrix, p, g.labels), _freeze(np.diag(minv)))
-
-
 def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:
     """Exact marginal correlations by inversion of (1 - R).
 
@@ -553,14 +539,14 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
     :class:`IllConditionedWarning` reports it alongside the result, on
     every call.
     """
-    return _checked_inverse(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)).marginal
+    return _checked_inverse(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound))
 
 
-def _checked_inverse(g: PartialCorrelationGraph) -> _Inverse:
+def _checked_inverse(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:
     """``g._inverse``, with an :class:`IllConditionedWarning` on every call
     when the estimate of cond(1 - R) exceeds ``COND_WARN``, issued at the
     caller's caller."""
-    inv = g._inverse
+    p = g._inverse
     if g._cond > COND_WARN:
         warnings.warn(
             f"(1 - R) has condition estimate {g._cond:.3e}; "
@@ -568,7 +554,7 @@ def _checked_inverse(g: PartialCorrelationGraph) -> _Inverse:
             IllConditionedWarning,
             stacklevel=3,
         )
-    return inv
+    return p
 
 
 def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:

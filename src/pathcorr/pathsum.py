@@ -31,7 +31,6 @@ q (1 - R(q))^-1 = (1 - R)^-1 for every admissible q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -195,9 +194,9 @@ def _check_q(q, nu: float) -> float:
     return q
 
 
-def _base_and_q(g) -> tuple:
-    """The unrescaled graph behind ``g`` and its rescaling q (1 if none)."""
-    return (g.base, g.q) if isinstance(g, RescaledGraph) else (g, 1.0)
+def _base(g) -> PartialCorrelationGraph:
+    """The unrescaled graph behind ``g``."""
+    return g.base if isinstance(g, RescaledGraph) else g
 
 
 def _check_node(v: int, dim: int, name: str) -> int:
@@ -415,55 +414,20 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     return float(rho[-1])
 
 
-def _closed_pair_margins(g, i: int, j: int) -> tuple:
-    """Closed star sum s_ij and margins m_i = 1 - l_i, m_j = 1 - l_j of one pair.
-
-    With C = (1 - W)^-1 and p = {i, j}, s_ij and the avoiding loop sums
-    l_i, l_j are the entries of 1 - (C_pp)^-1 (the Schur-complement form
-    of the restricted block inverses).  C_pp = D^1/2 P_pp D^1/2 with
-    D = diag(c_i, c_j) comes from the base graph's cached oracle,
-    divided by q on a rescaled graph since 1 - W = q (1 - R); inverting
-    the 2x2 block gives
-
-        s_ij = rho / (sqrt(c_i c_j) (1 - rho^2)),
-        m_i  = 1 / (c_i (1 - rho^2)).
-
-    The margins are formed directly: 1 - l_i would cancel for small q.
-    """
-    base, q = _base_and_q(g)
-    inv = _checked_inverse(base)
-    rho = float(inv.marginal.entries[i, j])
-    c = inv.cov_diag
-    ci, cj = float(c[i]) / q, float(c[j]) / q
-    one_minus_rho2 = (1.0 - rho) * (1.0 + rho)
-    if one_minus_rho2 <= 0.0:
-        raise DenominatorNonPositive(
-            f"nodes {i} and {j} are perfectly correlated; their loop sums reach 1"
-        )
-    s = rho / (math.sqrt(ci) * math.sqrt(cj) * one_minus_rho2)
-    return s, 1.0 / (ci * one_minus_rho2), 1.0 / (cj * one_minus_rho2)
-
-
 def marginal_corr_closed(g, i: int, j: int) -> float:
     """Marginal correlation from exact star and loop sums.
 
-    Evaluates the star-path form s_ij / sqrt((1 - l_i)(1 - l_j)) with
-    every sum replaced by its closed value, read off the 2x2 block of
-    C = (1 - W)^-1 at the pair (see :func:`_closed_pair_margins`).
-    Dividing by sqrt(m_i) sqrt(m_j) cancels the rescaling q before any
-    rounding, so the result is the same for every q.  The block comes
-    from the graph's cached oracle, so after the first call on a graph
-    each pair costs O(1); an ill-conditioned 1 - R raises the oracle's
-    :class:`IllConditionedWarning` here too.
+    The star-path form s_ij / sqrt((1 - l_i)(1 - l_j)), with every sum
+    replaced by its closed value (:func:`star_path_sum_closed`), is
+    entry ij of the oracle matrix P, and that entry is what this
+    returns: P is cached on the base graph and shared by every
+    admissible q, since q (1 - R(q))^-1 = (1 - R)^-1.  After the first
+    call on a graph each pair costs O(1); an ill-conditioned 1 - R
+    raises the oracle's :class:`IllConditionedWarning` here too, at the
+    caller's line.
     """
     i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
-    s, mi, mj = _closed_pair_margins(g, i, j)
-    den = math.sqrt(mi) * math.sqrt(mj)
-    if den <= 0.0:
-        raise DenominatorNonPositive(
-            f"closed loop sums {1.0 - mi:.6g}, {1.0 - mj:.6g} leave no positive denominator"
-        )
-    return s / den
+    return float(_checked_inverse(_base(g)).entries[i, j])
 
 
 def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph:
@@ -473,7 +437,7 @@ def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph
     is used; values must lie strictly inside (0, bound).  Expanded
     correlations are independent of the choice.
     """
-    base, _ = _base_and_q(_instance(g, _GRAPHS, "g", ParamOutOfBound))
+    base = _base(_instance(g, _GRAPHS, "g", ParamOutOfBound))
     if q is None:
         q = Q_DEFAULT_FRACTION * _q_bound(base._nu)
     return RescaledGraph(base=base, q=q)
@@ -495,8 +459,7 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
             f"truncated loop sum at L={L} reaches {worst:.6g} >= 1; "
             "increase L or rescale the graph"
         )
-    base, _ = _base_and_q(g)
-    oracle = float(_checked_inverse(base).marginal.entries[i, j])
+    oracle = float(_checked_inverse(_base(g)).entries[i, j])
     return tuple(
         ProfilePoint(L=L, rho_hat=float(r), abs_gap=abs(float(r) - oracle))
         for L, r in enumerate(rho, start=1)

@@ -694,6 +694,26 @@ class TestChainCommand:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, start",
+        [
+            (("--out", "{out}"), "--out is"),
+            (("--i", "1", "--j", "2", "--out", "{out}"), "--out is"),
+            (("--k", "2"), "--k and --m are"),
+            (("--m", "3", "--out", "{out}"), "--out is"),
+            (("--i", "1", "--j", "2", "--m", "3"), "--k and --m are"),
+        ],
+        ids=["summary-out", "pair-out", "summary-k", "summary-m-out", "pair-m"],
+    )
+    def test_unread_flag_is_refused(self, run, tmp_path, flags, start):
+        out = tmp_path / "c.csv"
+        flags = [f.format(out=out) for f in flags]
+        code, stdout, stderr = run("chain", "--d", "5", "--r", "0.3", *flags)
+        assert code == 1
+        assert stderr.startswith(f"error: {start} read only with") and stderr.count("\n") == 1
+        assert stdout == ""
+        assert not out.exists()
+
     def test_pairs_table_needs_out(self, run):
         code, _, stderr = run("chain", "--d", "5", "--r", "0.3", "--pairs", "all")
         assert code == 1
@@ -751,6 +771,19 @@ class TestMiCommand:
         closed = conditional_mi_closed(g, TriPartition.complement(5, (0,), (4,))).nats
         assert doc["nats"] == pytest.approx(closed, abs=1e-10)
         assert "terms" in stdout
+
+    def test_q_without_series_is_refused(self, run, graph_file, tmp_path):
+        _, path = graph_file
+        out = tmp_path / "mi.json"
+        for method in ((), ("--method", "closed")):
+            code, stdout, stderr = run(
+                "mi", "--in", path, "--A", "x1", "--B", "x5", *method, "--q", "0.5",
+                "--out", str(out),
+            )
+            assert code == 1
+            assert stderr == "error: --q is read only with --method series\n"
+            assert stdout == ""
+            assert not out.exists()
 
     def test_slow_series_cut_short_is_one_error_line(self, run, tmp_path):
         # At q = 0.001 the rescaled series needs ~29k terms: cut at the

@@ -385,7 +385,7 @@ class TestOracleCache:
         partial_to_marginal_oracle(g)
         with pytest.raises(AttributeError):
             g._inverse = None
-        assert not g._inverse.cov_diag.flags.writeable
+        assert not g._inverse.entries.flags.writeable
 
 
 class TestFactorOnce:

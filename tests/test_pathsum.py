@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcorr import (
@@ -382,21 +382,27 @@ class TestClosedSums:
             star_path_sum_closed(g, 0, 1)
 
 
+def sample_graph(seed, d, n):
+    """The partial correlation graph of n iid standard-normal draws of d
+    variables: few draws put nu(R) anywhere from below 1 to far above it."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    omega = np.linalg.inv(x.T @ x / n)
+    lam = np.sqrt(np.diag(omega))
+    w = -omega / np.outer(lam, lam)
+    np.fill_diagonal(w, 0.0)
+    return validate_partial_graph(w)
+
+
 def regime_graphs():
     """Graphs of each summation regime, keyed by the regime's name."""
-    rng = np.random.default_rng(42)
-    x = rng.standard_normal((16, 8))
-    omega = np.linalg.inv(x.T @ x / 16)
-    lam = np.sqrt(np.diag(omega))
-    sample = -omega / np.outer(lam, lam)
-    np.fill_diagonal(sample, 0.0)
     graphs = {
         "absolute": [
             validate_partial_graph(0.5 * np.abs(scaled_random_graph(1000 + s, 7, 0.6).weights))
             for s in range(3)
         ],
         "conditional": [scaled_random_graph(1000 + s, 7, 0.9) for s in range(3)],
-        "rescale-required": [complete_graph(4, -0.45), validate_partial_graph(sample)],
+        "rescale-required": [complete_graph(4, -0.45), sample_graph(42, 8, 16)],
     }
     for regime, gs in graphs.items():
         assert all(spectral_report(g).regime == regime for g in gs)
@@ -404,21 +410,18 @@ def regime_graphs():
 
 
 class TestClosedPairKernel:
-    """The 2x2-block kernel against the per-pair restricted block inverses."""
+    """The cached oracle entry against the star-path form of restricted block inverses."""
 
     @pytest.mark.parametrize("regime", ["absolute", "conditional", "rescale-required"])
     def test_matches_restricted_blocks(self, regime):
         for base in regime_graphs()[regime]:
             for g in (base, rescale(base), rescale(base, 0.5)):
                 for i, j in itertools.permutations(range(g.dim), 2):
-                    s, mi, mj = pathsum._closed_pair_margins(g, i, j)
-                    assert s == pytest.approx(star_path_sum_closed(g, i, j), abs=1e-12)
-                    assert 1.0 - mi == pytest.approx(
-                        star_path_sum_closed(g, i, i, avoid=(j,)), abs=1e-12
-                    )
-                    assert 1.0 - mj == pytest.approx(
-                        star_path_sum_closed(g, j, j, avoid=(i,)), abs=1e-12
-                    )
+                    s = star_path_sum_closed(g, i, j)
+                    li = star_path_sum_closed(g, i, i, avoid=(j,))
+                    lj = star_path_sum_closed(g, j, j, avoid=(i,))
+                    star_form = s / math.sqrt((1.0 - li) * (1.0 - lj))
+                    assert marginal_corr_closed(g, i, j) == pytest.approx(star_form, abs=1e-12)
 
     def test_near_singular_pair_stays_finite(self):
         # 1 - R has eigenvalues 1e-9 and 2: cond = 2e9, so the inverse
@@ -426,25 +429,33 @@ class TestClosedPairKernel:
         r = 1.0 - 1e-9
         g = validate_partial_graph(np.array([[0.0, r], [r, 0.0]]))
         with pytest.warns(IllConditionedWarning):
-            s, mi, mj = pathsum._closed_pair_margins(g, 0, 1)
-        li, lj = 1.0 - mi, 1.0 - mj
-        with pytest.warns(IllConditionedWarning):
             rho = marginal_corr_closed(g, 0, 1)
-        assert all(math.isfinite(v) for v in (s, li, lj, rho))
-        # Without interior nodes the sums are the bare coupling and 0.
-        assert s == pytest.approx(star_path_sum_closed(g, 0, 1), abs=1e-6)
-        assert li == pytest.approx(0.0, abs=1e-6)
-        assert lj == pytest.approx(0.0, abs=1e-6)
+        assert math.isfinite(rho)
         assert rho == pytest.approx(r, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: marginal_corr_closed(g, 0, 1),
+            lambda g: marginal_corr_closed(rescale(g), 0, 1),
+            lambda g: convergence_profile(g, 0, 1, 3),
+            partial_to_marginal_oracle,
+        ],
+        ids=["closed", "closed-rescaled", "profile", "oracle"],
+    )
+    def test_warning_names_the_callers_file(self, call):
+        r = 1.0 - 1e-9
+        g = validate_partial_graph(np.array([[0.0, r], [r, 0.0]]))
+        with pytest.warns(IllConditionedWarning) as record:
+            call(g)
+        assert [w.filename for w in record] == [__file__]
 
     def test_rescaled_and_base_give_the_same_pairs(self):
         for gs in regime_graphs().values():
             for g in gs:
                 rg = rescale(g)
                 for i, j in itertools.combinations(range(g.dim), 2):
-                    assert marginal_corr_closed(rg, i, j) == pytest.approx(
-                        marginal_corr_closed(g, i, j), abs=1e-15
-                    )
+                    assert marginal_corr_closed(rg, i, j) == marginal_corr_closed(g, i, j)
 
     @pytest.mark.parametrize("q", [1e-3, 1e-12, 1e-17, 1e-20])
     def test_small_q_cancels_exactly(self, q):
@@ -638,6 +649,84 @@ class TestConvergenceProfile:
         with pytest.raises(DenominatorNonPositive, match="at L=4 "):
             convergence_profile(g, 0, 1, 10)
         assert len(convergence_profile(g, 0, 1, 3)) == 3
+
+
+def near_one_graph(seed, d, spread, nu):
+    """A graph with nu(R) = nu from its most negative eigenvalue: the
+    complete graph of couplings -1 plus ``spread`` times a random
+    symmetric matrix, scaled to that eigenvalue."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-1.0, 1.0, (d, d))
+    w = spread * (p + p.T) / 2.0 - 1.0
+    np.fill_diagonal(w, 0.0)
+    return validate_partial_graph(w * (nu / -np.linalg.eigvalsh(w)[0]))
+
+
+class TestNumericalEdges:
+    """Truncated loop sums crossing the guard, and nu(R) just above 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=st.none()
+        | st.tuples(st.integers(0, 10_000), st.integers(3, 7), st.integers(2, 14)),
+        L_max=st.integers(min_value=1, max_value=12),
+    )
+    @example(graph=None, L_max=10)
+    def test_guard_raises_exactly_where_a_loop_sum_crosses(self, graph, L_max):
+        # None is the divergent complete graph, whose loop sums cross at L = 4.
+        if graph is None:
+            g = complete_graph(6, -0.45)
+        else:
+            seed, d, extra = graph
+            g = sample_graph(seed, d, d + extra)
+        limit = 1.0 - pathsum.DENOM_GUARD
+        loops = [star_path_sum_truncated(g, a, a, L_max, avoid=(b,)) for a, b in ((0, 1), (1, 0))]
+        crossed = []
+        for L in range(1, L_max + 1):
+            sums = [res.cumulative[L] for res in loops]
+            # This reference propagates one row, the kernel two: they agree
+            # to roundoff of the terms summed, so a sum that close to the
+            # limit decides nothing.
+            room = [
+                1e-12 * max(1.0, sum(abs(res.per_length[ell]) for ell in range(1, L + 1)))
+                for res in loops
+            ]
+            if any(abs(x - limit) <= r for x, r in zip(sums, room)):
+                crossed.append(None)
+                continue
+            crossed.append(any(x >= limit for x in sums))
+            if crossed[-1]:
+                with pytest.raises(DenominatorNonPositive):
+                    marginal_corr_expansion(g, 0, 1, L)
+            else:
+                assert math.isfinite(marginal_corr_expansion(g, 0, 1, L))
+        first = next((L for L, c in enumerate(crossed, start=1) if c is not False), None)
+        if first is None:
+            assert len(convergence_profile(g, 0, 1, L_max)) == L_max
+        elif crossed[first - 1]:
+            with pytest.raises(DenominatorNonPositive, match=f"at L={first} "):
+                convergence_profile(g, 0, 1, L_max)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        d=st.integers(min_value=3, max_value=7),
+        spread=st.floats(min_value=0.0, max_value=0.5),
+        nu=st.floats(min_value=1.0 + 1e-6, max_value=1.1),
+    )
+    def test_rescaling_just_above_one_converges_to_closed(self, seed, d, spread, nu):
+        g = near_one_graph(seed, d, spread, nu)
+        report = spectral_report(g)
+        assert report.regime == "rescale-required"
+        closed = marginal_corr_closed(g, 0, 1)
+        bound = 2.0 / (1.0 + report.nu_R)
+        for q in (0.02 * bound, None, 0.995 * bound):
+            rg = rescale(g, q)
+            # Every family's tail past L is at most a multiple of radius**L
+            # (interior blocks interlace W's spectrum): take it to 1e-14.
+            radius = float(np.max(np.abs(np.linalg.eigvalsh(rg.weights))))
+            L = math.ceil(math.log(1e-14) / math.log(radius))
+            assert marginal_corr_expansion(rg, 0, 1, L) == pytest.approx(closed, abs=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
