@@ -3,8 +3,13 @@
 Every subcommand is a thin dispatch onto the library modules; nothing
 is recomputed here.  Matrix files use the JSON layout of
 :mod:`pathcorr.fileio` (CSV input is accepted with an explicit
-``--kind``).  Human-readable summaries go to stdout, data goes to the
-files named by ``--out``.
+``--kind``, which a JSON input refuses).  Human-readable summaries go
+to stdout, data goes to the files named by ``--out``.
+
+Each mode declares only the flags it reads, so a flag it would drop is
+refused, never ignored: ``figure fig4/fig5/fig6`` are sub-parsers of
+their own (argparse's exit 2), and ``chain`` and ``mi``, whose modes
+share one parser, check the flags given against one rule each (exit 1).
 
 Exit status: 0 on success, 1 on a domain error (the message names the
 violated precondition; no stack traces), 2 on a usage error.  A warning
@@ -53,6 +58,10 @@ FIG4_R_GRID = (0.1, 0.2, 0.3, 0.4, 0.47)
 FIG6_COUPLING = -0.45
 FIG6_Q_FRACTIONS = (0.3, 0.6, 0.95)
 
+# `chain --pairs all` writes d(d-1)/2 rows; d = 4472 is the longest
+# chain whose table stays within 10**7 rows (9 997 156).
+_MAX_PAIRS_D = 4472
+
 
 def _nodes(g: PartialCorrelationGraph, text: str) -> list:
     """Node indices of a comma-separated list of labels."""
@@ -71,11 +80,13 @@ def _load_any(path: str, kind: str | None):
                 f"{{{','.join(fileio.KINDS)}}} for {path}"
             )
         return fileio.load_csv_matrix(path, kind), None
+    if kind is not None:
+        raise FileFormatError(f"--kind is read only with CSV input; {path} carries its own")
     return fileio.load_matrix(path)
 
 
 def _load_graph(args) -> PartialCorrelationGraph:
-    obj, _ = _load_any(args.infile, getattr(args, "kind", None))
+    obj, _ = _load_any(args.infile, args.kind)
     return _convert(obj, "partial")
 
 
@@ -230,37 +241,8 @@ def _cmd_separators(args) -> int:
     return 0
 
 
-def _cmd_chain(args) -> int:
-    spec = chains.ChainSpec(d=args.d, r=args.r)
-    pair = args.i is not None or args.j is not None
-    if (args.pairs is not None) + args.gamma + pair > 1:
-        raise FileFormatError("chain runs one mode per call: --pairs all, --gamma or --i/--j")
-    if args.out is not None and args.pairs is None:
-        raise FileFormatError("--out is read only with --pairs all")
-    if (args.k is not None or args.m is not None) and not args.gamma:
-        raise FileFormatError("--k and --m are read only with --gamma")
-    if args.pairs == "all":
-        if not args.out:
-            raise FileFormatError("--pairs all writes a table; pass --out")
-        rows = []
-        for i in range(1, args.d + 1):
-            for j in range(i + 1, args.d + 1):
-                rows.append((i, j, chains.chain_pair_corr(spec, i, j)))
-        fileio.save_csv_table(args.out, ["i", "j", "rho"], rows)
-        print(f"wrote {len(rows)} chain pair correlations to {args.out}")
-        return 0
-    if args.gamma:
-        if args.k is None or args.m is None:
-            raise FileFormatError("--gamma needs --k and --m")
-        gamma = chains.amplification_factor(args.k, args.m, args.r)
-        print(f"gamma(k={args.k}, m={args.m}, r={args.r:g}) = {gamma:.10g}")
-        return 0
-    if pair:
-        if args.i is None or args.j is None:
-            raise FileFormatError("pair mode needs both --i and --j")
-        rho = chains.chain_pair_corr(spec, args.i, args.j)
-        print(f"rho({args.i}, {args.j}) = {rho:.12g}")
-        return 0
+def _chain_summary(args) -> None:
+    chains.ChainSpec(d=args.d, r=args.r)  # checks d and r; the summary reads only r
     try:
         xi = f"{chains.correlation_length(args.r):.10g}"
     except UndefinedAtZero:
@@ -269,12 +251,56 @@ def _cmd_chain(args) -> int:
         f"chain d={args.d}, r={args.r:g}: correlation length {xi}, "
         f"limiting loop sum {chains.l_infinity(args.r):.10g}"
     )
+
+
+def _chain_pair(args) -> None:
+    rho = chains.chain_pair_corr(chains.ChainSpec(d=args.d, r=args.r), args.i, args.j)
+    print(f"rho({args.i}, {args.j}) = {rho:.12g}")
+
+
+def _chain_gamma(args) -> None:
+    gamma = chains.amplification_factor(args.k, args.m, args.r)
+    print(f"gamma(k={args.k}, m={args.m}, r={args.r:g}) = {gamma:.10g}")
+
+
+def _chain_pairs(args) -> None:
+    d = _whole(args.d, "chain length d with --pairs all", ParamOutOfBound, 1, _MAX_PAIRS_D)
+    spec = chains.ChainSpec(d=d, r=args.r)
+    rows = (
+        (i, j, chains.chain_pair_corr(spec, i, j))
+        for i in range(1, d + 1)
+        for j in range(i + 1, d + 1)
+    )
+    fileio.save_csv_table(args.out, ["i", "j", "rho"], rows)
+    print(f"wrote {d * (d - 1) // 2} chain pair correlations to {args.out}")
+
+
+# Each chain mode by the flags it reads besides --r; a call must give
+# exactly one of these sets.
+_CHAIN_MODES = {
+    frozenset({"d"}): _chain_summary,
+    frozenset({"d", "i", "j"}): _chain_pair,
+    frozenset({"gamma", "k", "m"}): _chain_gamma,
+    frozenset({"d", "pairs", "out"}): _chain_pairs,
+}
+
+
+def _cmd_chain(args) -> int:
+    given = frozenset(vars(args)) - {"subcommand", "func", "r"}
+    if given not in _CHAIN_MODES:
+        sets = ", ".join("{--" + " --".join(sorted(flags)) + "}" for flags in _CHAIN_MODES)
+        shown = " ".join(f"--{flag}" for flag in sorted(given)) or "none"
+        raise FileFormatError(f"chain runs one mode per call: --r and one of {sets}; got {shown}")
+    _CHAIN_MODES[given](args)
     return 0
 
 
 def _cmd_mi(args) -> int:
-    if args.q is not None and args.method != "series":
-        raise FileFormatError("--q is read only with --method series")
+    # --q and --n-max are in args only when given.
+    series = {key: getattr(args, key) for key in ("q", "n_max") if key in args}
+    if series and args.method != "series":
+        flag = "--q" if "q" in series else "--n-max"
+        raise FileFormatError(f"{flag} is read only with --method series")
     g = _load_graph(args)
     a = _nodes(g, args.A)
     b = _nodes(g, args.B)
@@ -283,7 +309,7 @@ def _cmd_mi(args) -> int:
     else:
         part = gaussinfo.TriPartition.complement(g.dim, a, b)
     if args.method == "series":
-        res = gaussinfo.conditional_mi_series(g, part, n_max=args.n_max, q=args.q)
+        res = gaussinfo.conditional_mi_series(g, part, **series)
     else:
         res = gaussinfo.conditional_mi_closed(g, part)
     bits = res.nats / math.log(2.0)
@@ -327,42 +353,42 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _fig4_rows(k: int, m_max: int) -> list:
+def _fig4_table(args) -> tuple:
     # One chain per r, long enough for k and every m, gives every gamma
     # the floats amplification_factor reads; its caps are checked first.
-    m_max = _whole(m_max, "m", ParamOutOfBound, 0, chains.MAX_NODES - 2)
-    k = _whole(k, "k", ParamOutOfBound, 0, chains.MAX_NODES - 2)
+    m_max = _whole(args.m, "m", ParamOutOfBound, 0, chains.MAX_NODES - 2)
+    k = _whole(args.k, "k", ParamOutOfBound, 0, chains.MAX_NODES - 2)
     rows = []
     for r in FIG4_R_GRID:
         l = chains.chain_sums(chains.ChainSpec(d=max(k, m_max) + 2, r=r)).l
         rows += [(r, m, chains._gamma(l, k, m)) for m in range(1, m_max + 1)]
-    return rows
+    return ["r", "m", "gamma"], rows
 
 
-def _fig5_rows(d: int, n: int, base_seed: int, l_max: int) -> list:
+def _fig5_table(args) -> tuple:
     rows = []
     found = 0
-    seed = base_seed
+    seed = args.seed
     while found < 3:
-        if seed - base_seed > 25:
+        if seed - args.seed > 25:
             raise PathcorrError(
                 "could not find 3 samples with nu(R) < 1 near the base seed"
             )
-        result = sampling.sample_partial_graph(sampling.SampleSpec(d=d, n=n, seed=seed))
+        result = sampling.sample_partial_graph(sampling.SampleSpec(d=args.d, n=args.n, seed=seed))
         if result.flagged:
             seed += 1
             continue
         oracle = partial_to_marginal_oracle(result.graph).entries
-        off = np.abs(oracle - np.eye(d))
+        off = np.abs(oracle - np.eye(args.d))
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-        for p in pathsum.convergence_profile(result.graph, i, j, l_max):
+        for p in pathsum.convergence_profile(result.graph, i, j, args.Lmax):
             rows.append((seed, p.L, p.rho_hat, p.abs_gap))
         found += 1
         seed += 1
-    return rows
+    return ["seed", "L", "rho_hat", "abs_gap"], rows
 
 
-def _fig6_rows(l_max: int) -> list:
+def _fig6_table(args) -> tuple:
     d = 4
     w = np.full((d, d), FIG6_COUPLING)
     np.fill_diagonal(w, 0.0)
@@ -371,22 +397,13 @@ def _fig6_rows(l_max: int) -> list:
     rows = []
     for frac in FIG6_Q_FRACTIONS:
         q = frac * bound
-        for p in pathsum.convergence_profile(pathsum.rescale(g, q), 0, 1, l_max):
+        for p in pathsum.convergence_profile(pathsum.rescale(g, q), 0, 1, args.Lmax):
             rows.append((q, p.L, p.rho_hat, p.abs_gap))
-    return rows
+    return ["q", "L", "rho_hat", "abs_gap"], rows
 
 
 def _cmd_figure(args) -> int:
-    if args.which == "fig4":
-        rows = _fig4_rows(args.k, args.m)
-        header = ["r", "m", "gamma"]
-    elif args.which == "fig5":
-        l_max = 10 if args.Lmax is None else args.Lmax
-        rows = _fig5_rows(args.d, args.n, args.seed, l_max)
-        header = ["seed", "L", "rho_hat", "abs_gap"]
-    else:
-        rows = _fig6_rows(40 if args.Lmax is None else args.Lmax)
-        header = ["q", "L", "rho_hat", "abs_gap"]
+    header, rows = args.table(args)
     fileio.save_csv_table(args.out, header, rows)
     print(f"wrote {len(rows)} {args.which} rows to {args.out}")
     return 0
@@ -463,8 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional JSON report file")
     p.set_defaults(func=_cmd_separators)
 
-    p = sub.add_parser("chain", help="homogeneous chain formulas (no input file)")
-    p.add_argument("--d", type=int, required=True)
+    # Only the flags given reach args: their set picks the mode.
+    p = sub.add_parser(
+        "chain",
+        help="homogeneous chain formulas (no input file)",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("--d", type=int, help="chain length")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--pairs", choices=("all",), help="emit every pair correlation")
     p.add_argument("--i", type=int, help="chain position, 1-based")
@@ -481,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", required=True, help="comma-separated node labels")
     p.add_argument("--Z", help="conditioning labels; defaults to the complement")
     p.add_argument("--method", choices=("closed", "series"), default="closed")
-    p.add_argument("--q", type=float, help="series rescaling parameter")
-    p.add_argument("--n-max", dest="n_max", type=int, default=gaussinfo.N_MAX_DEFAULT)
+    p.add_argument("--q", type=float, default=argparse.SUPPRESS, help="series rescaling parameter")
+    p.add_argument("--n-max", type=int, default=argparse.SUPPRESS, help="series term cap")
     p.add_argument("--out", help="optional JSON result file")
     p.set_defaults(func=_cmd_mi)
 
@@ -494,15 +516,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("figure", help="emit figure data tables as CSV")
-    p.add_argument("which", choices=("fig4", "fig5", "fig6"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=10, help="fig4: distance to appendage")
-    p.add_argument("--m", type=int, default=10, help="fig4: largest appendage length")
-    p.add_argument("--d", type=int, default=100, help="fig5: dimension")
-    p.add_argument("--n", type=int, default=1000, help="fig5: sample count")
-    p.add_argument("--seed", type=int, default=1, help="fig5: base seed")
-    p.add_argument("--Lmax", type=int, help="largest L (fig5: 10, fig6: 40)")
     p.set_defaults(func=_cmd_figure)
+    figures = p.add_subparsers(dest="which", required=True)
+    f = figures.add_parser("fig4", help="amplification factor gamma(k, m) per coupling r")
+    f.add_argument("--k", type=int, default=10, help="distance to the appendage")
+    f.add_argument("--m", type=int, default=10, help="largest appendage length")
+    f.set_defaults(table=_fig4_table)
+    f = figures.add_parser("fig5", help="convergence profiles of three sampled graphs")
+    f.add_argument("--d", type=int, default=100, help="dimension")
+    f.add_argument("--n", type=int, default=1000, help="sample count")
+    f.add_argument("--seed", type=int, default=1, help="base seed")
+    f.add_argument("--Lmax", type=int, default=10, help="largest L")
+    f.set_defaults(table=_fig5_table)
+    f = figures.add_parser("fig6", help="convergence profiles of a rescaled graph per q")
+    f.add_argument("--Lmax", type=int, default=40, help="largest L")
+    f.set_defaults(table=_fig6_table)
+    for f in figures.choices.values():
+        f.add_argument("--out", required=True, help="CSV output file")
 
     return parser
 

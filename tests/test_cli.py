@@ -8,6 +8,7 @@ the modules.
 import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,9 +652,7 @@ class TestChainCommand:
         assert f"{rho:.12g}" in stdout
 
     def test_gamma_mode(self, run):
-        code, stdout, _ = run(
-            "chain", "--d", "13", "--r", "0.47", "--gamma", "--k", "10", "--m", "1"
-        )
+        code, stdout, _ = run("chain", "--r", "0.47", "--gamma", "--k", "10", "--m", "1")
         assert code == 0
         assert f"{amplification_factor(10, 1, 0.47):.10g}" in stdout
 
@@ -695,22 +694,28 @@ class TestChainCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags, start",
+        "flags, got",
         [
-            (("--out", "{out}"), "--out is"),
-            (("--i", "1", "--j", "2", "--out", "{out}"), "--out is"),
-            (("--k", "2"), "--k and --m are"),
-            (("--m", "3", "--out", "{out}"), "--out is"),
-            (("--i", "1", "--j", "2", "--m", "3"), "--k and --m are"),
+            (("--out", "{out}"), "--d --out"),
+            (("--i", "1", "--j", "2", "--out", "{out}"), "--d --i --j --out"),
+            (("--k", "2"), "--d --k"),
+            (("--m", "3", "--out", "{out}"), "--d --m --out"),
+            (("--i", "1", "--j", "2", "--m", "3"), "--d --i --j --m"),
+            # --gamma sizes its own chain from k and m; it never reads --d.
+            (("--gamma", "--k", "2", "--m", "3"), "--d --gamma --k --m"),
         ],
-        ids=["summary-out", "pair-out", "summary-k", "summary-m-out", "pair-m"],
+        ids=["summary-out", "pair-out", "summary-k", "summary-m-out", "pair-m", "gamma-d"],
     )
-    def test_unread_flag_is_refused(self, run, tmp_path, flags, start):
+    def test_unread_flag_is_refused(self, run, tmp_path, flags, got):
         out = tmp_path / "c.csv"
         flags = [f.format(out=out) for f in flags]
         code, stdout, stderr = run("chain", "--d", "5", "--r", "0.3", *flags)
         assert code == 1
-        assert stderr.startswith(f"error: {start} read only with") and stderr.count("\n") == 1
+        assert stderr.startswith("error: chain runs one mode per call") and stderr.count("\n") == 1
+        # The one error names every mode's flag set and the flags given.
+        for flag_set in ("{--d}", "{--d --i --j}", "{--gamma --k --m}", "{--d --out --pairs}"):
+            assert flag_set in stderr
+        assert stderr.endswith(f"got {got}\n")
         assert stdout == ""
         assert not out.exists()
 
@@ -718,6 +723,20 @@ class TestChainCommand:
         code, _, stderr = run("chain", "--d", "5", "--r", "0.3", "--pairs", "all")
         assert code == 1
         assert "error:" in stderr
+
+    def test_pairs_table_row_cap(self, run, tmp_path, monkeypatch):
+        # d = 4473 would write 10 001 628 rows, over the 10**7 cap: refused
+        # before the first pair is computed or the file is opened.
+        calls = []
+        monkeypatch.setattr(chains, "chain_pair_corr", lambda *a: calls.append(a))
+        out = tmp_path / "pairs.csv"
+        code, stdout, stderr = run(
+            "chain", "--d", "4473", "--r", "0.3", "--pairs", "all", "--out", str(out)
+        )
+        assert code == 1
+        assert stderr.startswith("error:") and "between 1 and 4472" in stderr
+        assert stderr.count("\n") == 1 and stdout == ""
+        assert calls == [] and not out.exists()
 
     def test_bad_coupling_is_domain_error(self, run):
         code, _, stderr = run("chain", "--d", "5", "--r", "0.6")
@@ -785,6 +804,19 @@ class TestMiCommand:
             assert stdout == ""
             assert not out.exists()
 
+    def test_n_max_without_series_is_refused(self, run, graph_file, tmp_path):
+        _, path = graph_file
+        out = tmp_path / "mi.json"
+        for method in ((), ("--method", "closed")):
+            code, stdout, stderr = run(
+                "mi", "--in", path, "--A", "x1", "--B", "x5", *method, "--n-max", "5",
+                "--out", str(out),
+            )
+            assert code == 1
+            assert stderr == "error: --n-max is read only with --method series\n"
+            assert stdout == ""
+            assert not out.exists()
+
     def test_slow_series_cut_short_is_one_error_line(self, run, tmp_path):
         # At q = 0.001 the rescaled series needs ~29k terms: cut at the
         # default n_max it lands far below 0, which names n_max and q.
@@ -848,6 +880,14 @@ class TestSampleCommand:
         assert code == 1
         assert stderr.startswith("error: n * d must be at most") and stderr.count("\n") == 1
         assert not out.exists()
+
+
+# The flags each figure reads; a flag of another figure is a usage error.
+FIGURE_FLAGS = {
+    "fig4": {"--k", "--m"},
+    "fig5": {"--d", "--n", "--seed", "--Lmax"},
+    "fig6": {"--Lmax"},
+}
 
 
 class TestFigureCommand:
@@ -933,6 +973,78 @@ class TestFigureCommand:
         seeds = {row[0] for row in rows[1:]}
         assert len(seeds) == 3
         assert len(rows) == 1 + 3 * 4
+
+    @pytest.mark.parametrize(
+        "which, flag",
+        [
+            (which, flag)
+            for which, own in FIGURE_FLAGS.items()
+            for flag in sorted(set().union(*FIGURE_FLAGS.values()) - own)
+        ],
+    )
+    def test_foreign_flag_is_usage_error(self, run, tmp_path, which, flag):
+        out = tmp_path / "f.csv"
+        code, stdout, stderr = run("figure", which, flag, "3", "--out", str(out))
+        assert code == 2
+        assert f"unrecognized arguments: {flag} 3" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+
+class TestKindFlag:
+    # One call per subcommand that reads --in; the test below checks the
+    # list against the parser, so a new one cannot be left out.
+    ARGV = {
+        "convert": ("--to", "marginal", "--out", "{out}"),
+        "expand": ("--i", "x1", "--j", "x2", "--L", "3", "--out", "{out}"),
+        "profile": ("--i", "x1", "--j", "x2", "--Lmax", "3", "--out", "{out}"),
+        "sever": ("--S", "x1", "--out", "{out}"),
+        "marginalize": ("--S", "x1", "--out", "{out}"),
+        "reduce": ("--S", "x1", "--out", "{out}"),
+        "separators": ("--out", "{out}"),
+        "mi": ("--A", "x1", "--B", "x3", "--out", "{out}"),
+    }
+
+    def test_every_input_subcommand_is_listed(self):
+        (subparsers,) = (
+            a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        with_input = {
+            name for name, p in subparsers.items() if any(a.dest == "infile" for a in p._actions)
+        }
+        assert with_input == set(self.ARGV)
+
+    @pytest.mark.parametrize("name", sorted(ARGV))
+    def test_kind_with_json_input_is_refused(self, run, tmp_path, name):
+        src, out = tmp_path / "g.json", tmp_path / "o.out"
+        fileio.save_matrix(chain_graph(3, 0.3), src)
+        rest = [a.format(out=out) for a in self.ARGV[name]]
+        code, stdout, stderr = run(name, "--in", str(src), "--kind", "partial", *rest)
+        assert code == 1
+        assert stderr == f"error: --kind is read only with CSV input; {src} carries its own\n"
+        assert stdout == ""
+        assert not out.exists()
+        # The same call without --kind runs.
+        assert run(name, "--in", str(src), *rest)[0] == 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenFiles:
+    # Each file was written by the CLI before its flag parsing changed;
+    # both tables are pure Python floats, so the bytes are exact.
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("fig4.csv", ("figure", "fig4")),
+            ("chain_pairs.csv", ("chain", "--d", "12", "--r", "0.3", "--pairs", "all")),
+        ],
+    )
+    def test_bytes_equal_golden(self, run, tmp_path, name, argv):
+        out = tmp_path / name
+        assert run(*argv, "--out", str(out))[0] == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 class TestExitStatus:
@@ -1094,11 +1206,6 @@ class TestInputFuzz:
             assert stderr.startswith("error:") and stderr.count("\n") == 1
 
 
-# Every subcommand's parser, read off the CLI's own, so a new subcommand
-# or flag is drawn without editing the fuzz test below.
-(SUBPARSERS,) = (
-    a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-)
 # Values for every flag: node labels known and unknown, bad and good
 # numbers and 10**20; input files, relative to the test's directory, are
 # valid or missing.
@@ -1115,13 +1222,17 @@ def _parses(action, value) -> bool:
 
 
 @st.composite
-def argument_vectors(draw):
-    """A subcommand and a random subset of its flags (every required one),
-    each with a value from the pool, three times in four one its type accepts."""
-    name = draw(st.sampled_from(sorted(SUBPARSERS)))
-    argv = [name]
-    for action in SUBPARSERS[name]._actions:
+def argument_vectors(draw, parser=None):
+    """A subcommand (and a figure, where it has sub-parsers of its own)
+    and a random subset of its flags (every required one), each with a
+    value from the pool, three times in four one its type accepts."""
+    argv = []
+    for action in (parser or build_parser())._actions:
         if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            name = draw(st.sampled_from(sorted(action.choices)))
+            argv += [name, *draw(argument_vectors(action.choices[name]))]
             continue
         if action.option_strings and not action.required and not draw(st.booleans()):
             continue
