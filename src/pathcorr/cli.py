@@ -8,8 +8,9 @@ to stdout, data goes to the files named by ``--out``.
 
 Each mode declares only the flags it reads, so a flag it would drop is
 refused, never ignored: ``figure fig4/fig5/fig6`` are sub-parsers of
-their own (argparse's exit 2), and ``chain`` and ``mi``, whose modes
-share one parser, check the flags given against one rule each (exit 1).
+their own (argparse's exit 2, with the sub-command's own usage line), and
+``chain`` and ``mi``, whose modes share one parser, check the flags given
+against one rule each (exit 1).
 
 Exit status: 0 on success, 1 on a domain error (the message names the
 violated precondition; no stack traces), 2 on a usage error.  A warning
@@ -418,13 +419,25 @@ def _add_input(p: argparse.ArgumentParser):
     )
 
 
+class _SubParser(argparse.ArgumentParser):
+    """A sub-command's parser: a flag it does not declare is a usage error
+    reported with its own usage line, not left for the root parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathcorr",
         description="Partial-correlation graphs: conversions, path expansions, "
         "transforms, chains, information, and sampled test systems.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Nested sub-parsers (the figures) inherit the class.
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_SubParser)
 
     p = sub.add_parser("convert", help="rewrite a matrix file in another form")
     _add_input(p)

@@ -35,7 +35,7 @@ from .matrices import (
     _floats,
     _freeze,
     _precision_graph,
-    _spd_solve,
+    _spd_inverse,
     spectral_report,
 )
 
@@ -122,7 +122,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     xc = x - x.mean(axis=0)
     s = (xc.T @ xc) / spec.n
     s = (s + s.T) / 2.0
-    omega = _spd_solve(s, np.eye(spec.d), SingularSampleCovariance, "sample covariance")
+    omega = _spd_inverse(s, SingularSampleCovariance, "sample covariance")
     graph = _precision_graph(omega, None)
     report = spectral_report(graph)
     return SampleResult(

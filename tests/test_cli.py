@@ -31,6 +31,7 @@ from pathcorr import (
     convergence_profile,
     cov_to_marginal,
     cov_to_precision,
+    detect_separating_nodes,
     latent_reduce,
     marginal_corr_expansion,
     marginalize_nodes,
@@ -617,12 +618,21 @@ class TestStructureCommands:
         assert "--tol" in stderr
 
     def test_separators_residual_at_tol_not_flagged(self, run, tmp_path):
-        # A 3-node chain factorises exactly: residual 0 is not above --tol 0.
+        # A residual equal to --tol is not above it; the next float below is.
+        # A 3-node chain factorises exactly, so its residual is roundoff of P.
         src = tmp_path / "g.json"
         fileio.save_matrix(chain_graph(3, 0.3), src)
-        code, stdout, _ = run("separators", "--in", str(src), "--tol", "0")
+        (rep,) = detect_separating_nodes(fileio.load_matrix(src)[0])
+        residual = rep.factorisation_residual
+        assert residual < 1e-15
+        code, stdout, _ = run("separators", "--in", str(src), "--tol", repr(residual))
         assert code == 0
-        assert "residual 0.000e+00" in stdout and "above tol" not in stdout
+        assert f"residual {residual:.3e}" in stdout and "above tol" not in stdout
+        if residual > 0.0:  # --tol must be at least 0: no tol lies below a zero residual
+            below = repr(float(np.nextafter(residual, 0.0)))
+            code, stdout, _ = run("separators", "--in", str(src), "--tol", below)
+            assert code == 0
+            assert stdout.endswith("[residual above tol]\n")
 
     def test_separators_none_found(self, run, tmp_path):
         src = tmp_path / "g.json"
@@ -657,9 +667,11 @@ class TestChainCommand:
         assert f"{amplification_factor(10, 1, 0.47):.10g}" in stdout
 
     def test_gamma_needs_both_params(self, run):
-        code, _, stderr = run("chain", "--d", "13", "--r", "0.3", "--gamma", "--k", "4")
+        code, stdout, stderr = run("chain", "--r", "0.3", "--gamma", "--k", "4")
         assert code == 1
-        assert "error:" in stderr
+        assert stderr.startswith("error: chain runs one mode per call")
+        assert stderr.endswith("got --gamma --k\n")
+        assert stdout == ""
 
     def test_pairs_table(self, run, tmp_path):
         out = tmp_path / "pairs.csv"
@@ -991,6 +1003,31 @@ class TestFigureCommand:
         assert not out.exists()
 
 
+class TestSubcommandUsage:
+    # A flag the sub-command does not declare is reported with that
+    # sub-command's own usage line and name, not the root's.
+    @pytest.mark.parametrize(
+        "argv, prog, extras",
+        [
+            (("figure", "fig6", "--k", "3"), "pathcorr figure fig6", "--k 3"),
+            (
+                ("marginalize", "--in", "g.csv", "--kind", "partial", "--S", "x2", "--method", "block"),
+                "pathcorr marginalize",
+                "--method block",
+            ),
+        ],
+        ids=["figure-fig6", "marginalize"],
+    )
+    def test_undeclared_flag_names_the_subcommand(self, run, tmp_path, argv, prog, extras):
+        out = tmp_path / "out"
+        code, stdout, stderr = run(*argv, "--out", str(out))
+        assert code == 2
+        assert stderr.startswith(f"usage: {prog} [-h]")
+        assert stderr.endswith(f"\n{prog}: error: unrecognized arguments: {extras}\n")
+        assert stdout == ""
+        assert not out.exists()
+
+
 class TestKindFlag:
     # One call per subcommand that reads --in; the test below checks the
     # list against the parser, so a new one cannot be left out.
@@ -1045,6 +1082,21 @@ class TestGoldenFiles:
         out = tmp_path / name
         assert run(*argv, "--out", str(out))[0] == 0
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_marginal_of_partial_graph(self, run, tmp_path):
+        # The oracle's numbers pass through BLAS, whose roundoff differs
+        # between CPUs: they are held to 1e-12, everything else exactly.
+        out = tmp_path / "m.json"
+        assert run("convert", "--in", str(GOLDEN / "partial6.json"), "--to", "marginal",
+                   "--out", str(out))[0] == 0
+        got = json.loads(out.read_text())
+        want = json.loads((GOLDEN / "partial6_marginal.json").read_text())
+        assert list(got) == list(want)
+        assert {k: got[k] for k in got if k != "data"} == {k: want[k] for k in want if k != "data"}
+        data, ref = np.array(got["data"]), np.array(want["data"])
+        assert data.shape == ref.shape == (6, 6)
+        assert np.max(np.abs(data - ref)) <= 1e-12
+        assert np.array_equal(data, data.T) and np.all(np.diag(data) == 1.0)
 
 
 class TestExitStatus:

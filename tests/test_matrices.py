@@ -321,6 +321,13 @@ class TestConversions:
         with pytest.raises(SingularMatrix):
             cov_to_precision(c)
 
+    def test_failed_inverse_mapped(self, monkeypatch):
+        # dpotri fails only on a zero pivot, which a factor that passed
+        # cho_factor cannot hold; its status is still read.
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", lambda c, **kw: (c, 1))
+        with pytest.raises(SingularMatrix, match="dpotri info 1"):
+            precision_to_cov(PrecisionMatrix(np.eye(2)))
+
 
 class TestSpectralReport:
     def test_chain_literal(self):
@@ -405,19 +412,34 @@ class TestFactorOnce:
     def count_eigvalsh(self, monkeypatch) -> list:
         return self.count(monkeypatch, np.linalg, "eigvalsh")
 
+    def count_perron(self, monkeypatch) -> list:
+        return self.count(monkeypatch, scipy.linalg, "eigh")
+
     def test_one_spectral_pass_per_graph(self, monkeypatch):
         g = scaled_random_graph(34, 6, 0.8)
         calls = self.count_eigvalsh(monkeypatch)
+        perron = self.count_perron(monkeypatch)
         partial_to_marginal_oracle(g)
         spectral_report(g)
         rg = rescale(g)
         RescaledGraph(g, 0.5 * rg.q)
-        # nu(R) once, nu(|R|) once; cond(1 - R) came with construction.
-        assert len(calls) == 2
+        # nu(R) once, from the full spectrum; nu(|R|) once, from its top
+        # eigenvalue alone; cond(1 - R) came with construction.
+        assert calls == perron == [(6, 6)]
+
+    def test_oracle_is_one_factor_and_one_inverse(self, monkeypatch):
+        g = scaled_random_graph(37, 6, 0.8)
+        chol = self.count(monkeypatch, scipy.linalg, "cho_factor")
+        inverse = self.count(monkeypatch, scipy.linalg.lapack, "dpotri")
+        solves = self.count(monkeypatch, scipy.linalg, "cho_solve")
+        partial_to_marginal_oracle(g)
+        assert chol == inverse == [(6, 6)]
+        assert solves == []
 
     def test_derived_graphs_are_checked_once(self, monkeypatch):
         g = scaled_random_graph(36, 7, 0.7)
         eig = self.count_eigvalsh(monkeypatch)
+        perron = self.count_perron(monkeypatch)
         chol = self.count(monkeypatch, scipy.linalg, "cho_factor")
         checks = self.count(monkeypatch, matrices, "_check_pd")
         red = latent_reduce(g, [4, 5, 6])
@@ -425,17 +447,17 @@ class TestFactorOnce:
         # only, by one factor and one rcond estimate; the third factor is
         # the eliminated block 1 - R_SS, taken first.
         mu = red.latent_count
-        assert eig == []
+        assert eig == perron == []
         assert chol == [(3, 3), (7 + mu, 7 + mu), (4 + mu, 4 + mu)]
         assert checks == chol[1:]
-        for calls in (eig, chol, checks):
+        for calls in (eig, perron, chol, checks):
             calls.clear()
         sample_partial_graph(SampleSpec(d=5, n=12, seed=3))
-        # The sample covariance's solve, then the graph's check; nu(R)
+        # The sample covariance's inverse, then the graph's check; nu(R)
         # and nu(|R|) for its report are the only eigenvalue solves.
         assert chol == [(5, 5), (5, 5)]
         assert checks == [(5, 5)]
-        assert len(eig) == 2
+        assert eig == perron == [(5, 5)]
 
     def test_exact_conversions_are_not_checked_again(self, monkeypatch):
         base = scaled_random_graph(35, 6, 0.8)
@@ -641,3 +663,107 @@ def test_oracle_diag_and_symmetry(seed):
     assert np.all(np.diag(rho) == 1.0)
     assert np.max(np.abs(rho - rho.T)) == 0.0
     assert np.max(np.abs(rho)) <= 1.0
+
+
+def spd_matrix(d, seed, kind):
+    """An exactly symmetric positive-definite d x d matrix with cond_2 below
+    about 100: unit-diagonal, or that with node scales from 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, 2 * d))
+    m = a @ a.T / (2 * d) + 0.1 * np.eye(d)
+    s = 1.0 / np.sqrt(np.diag(m))
+    m = (m + m.T) / 2.0 * np.outer(s, s)
+    np.fill_diagonal(m, 1.0)
+    if kind == "badly-scaled":
+        scale = 10.0 ** rng.uniform(-6.0, 6.0, d)
+        m = m * np.outer(scale, scale)
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from((1, 2, 7, 60)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(("unit-diagonal", "badly-scaled")),
+)
+def test_spd_inverse_matches_numpy_inverse(d, seed, kind):
+    # Independent route: numpy's LU inverse.  Entries are compared in the
+    # inverse's own node scales, |x_ij| <= sqrt(x_ii x_jj).
+    m = spd_matrix(d, seed, kind)
+    ref = np.linalg.inv(m)
+    x = matrices._spd_inverse(m.copy(), SingularMatrix, "m")
+    assert np.array_equal(x, x.T)
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.max(np.abs(x - ref) / scale) <= 1e-12
+    if kind == "unit-diagonal":
+        # The same matrix as 1 - R: its oracle is ref in correlation form.
+        p = partial_to_marginal_oracle(validate_partial_graph(np.eye(d) - m)).entries
+        assert np.array_equal(p, p.T)
+        assert np.all(np.diag(p) == 1.0)
+        assert np.max(np.abs(p - ref / scale)) <= 1e-12
+
+
+def full_spectrum_nu_plus(w):
+    """nu(|R|) as max |eigenvalue| of the whole spectrum of |R|."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(np.abs(w)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    nu=st.floats(min_value=0.05, max_value=0.99),
+)
+def test_perron_root_matches_full_spectrum(d, seed, nu):
+    # Signed couplings: nu(|R|) is |R|'s top eigenvalue (Perron-Frobenius),
+    # and no eigenvalue of |R| is larger in magnitude.
+    g = scaled_random_graph(seed, d, nu)
+    rep = spectral_report(g)
+    assert rep.nu_R_plus == pytest.approx(full_spectrum_nu_plus(g.weights), rel=1e-14)
+
+
+class TestPerronRoot:
+    def test_chain_spectrum_is_plus_minus(self):
+        # |R| of a chain has spectrum +-2r cos(k pi / (d + 1)): the top
+        # eigenvalue and the most negative share the magnitude nu.
+        for r in (0.45, -0.45):
+            rep = spectral_report(validate_partial_graph(chain_weights(10, r)))
+            assert rep.nu_R_plus == pytest.approx(CHAIN10_NU, rel=1e-14)
+            assert rep.nu_R_plus == pytest.approx(full_spectrum_nu_plus(chain_weights(10, r)), rel=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_edgeless_graph_reads_positive_zero(self, d):
+        rep = spectral_report(validate_partial_graph(np.zeros((d, d))))
+        assert rep.nu_R == rep.nu_R_plus == 0.0
+        assert math.copysign(1.0, rep.nu_R_plus) == 1.0
+        assert rep.regime == "absolute"
+
+    def test_regimes_match_full_spectrum(self):
+        # Every regime, near both thresholds: the regime from the top
+        # eigenvalue of |R| equals the one from its whole spectrum.
+        graphs = [
+            scaled_random_graph(seed, d, nu)
+            for seed in range(10)
+            for d in (3, 8, 20)
+            for nu in (0.3, 0.6, 0.9, 0.99)
+        ]
+        graphs += [
+            validate_partial_graph(np.abs(g.weights) * (0.95 / full_spectrum_nu_plus(g.weights)))
+            for g in graphs[::7]
+        ]
+        graphs += [complete_graph(4, -0.45), complete_graph(6, -0.3), complete_graph(6, 0.15)]
+        regimes = set()
+        for g in graphs:
+            nu = float(np.max(np.abs(np.linalg.eigvalsh(g.weights))))
+            nu_plus = max(nu, full_spectrum_nu_plus(g.weights))
+            if nu >= 1.0:
+                expected = "rescale-required"
+            elif nu_plus >= 1.0:
+                expected = "conditional"
+            else:
+                expected = "absolute"
+            rep = spectral_report(g)
+            assert rep.nu_R == nu
+            assert rep.regime == expected
+            regimes.add(expected)
+        assert regimes == {"absolute", "conditional", "rescale-required"}
