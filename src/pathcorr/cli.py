@@ -194,10 +194,12 @@ def _cmd_reduce(args) -> int:
     g = _load_graph(args)
     removed = _nodes(g, args.S)
     red = transforms.latent_reduce(g, removed)
+    # Built and checked on first read: a refused enlarged graph leaves no file.
+    enlarged = red.enlarged_graph if args.out_enlarged else None
     res = transforms.verify_reduction(g, red)
     fileio.save_matrix(red.reduced_graph, args.out)
-    if args.out_enlarged:
-        fileio.save_matrix(red.enlarged_graph, args.out_enlarged)
+    if enlarged is not None:
+        fileio.save_matrix(enlarged, args.out_enlarged)
     sv = ", ".join(f"{s:.6g}" for s in red.singular_values)
     print(
         f"replaced {len(removed)} node(s) by {red.latent_count} latent(s); "

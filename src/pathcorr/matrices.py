@@ -26,7 +26,12 @@ idempotent, so a race between threads at worst computes the same
 read-only value twice.  A conversion
 takes only its typed input, never a raw array, and its result is not
 validated again; every graph read off precision entries is split and checked
-once, by one helper here; every Cholesky factorisation goes through another;
+once, by one helper here.  A graph's constructor has two entries: a caller's
+array passes the raw-input checks (square, symmetric, zero diagonal) and then
+the shared tail (|r| < 1, the definiteness check, scale, labels); weights
+computed from a validated graph, read off precision entries or a severed
+graph's principal block, are exactly symmetric with a zero diagonal already
+and enter at the tail.  Every Cholesky factorisation goes through one helper;
 every whole-matrix inverse (the oracle's (1 - R)^-1, the covariance and
 precision conversions, the sampler's precision) through :func:`_spd_inverse`,
 one in-place factor and LAPACK's dpotri, exactly symmetric; and every
@@ -35,7 +40,8 @@ nu(R) comes from the full spectrum of R, nu(|R|) from the top eigenvalue of
 |R| alone.
 Every square input is checked by one helper, :func:`_square`; every array
 argument becomes floats through :func:`_floats`, and every kept array is a
-read-only copy by :func:`_freeze`: a caller's is never frozen.
+read-only copy by :func:`_freeze`, but for graph weights, a fresh array frozen
+in place: a caller's is never frozen.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
 """
 
@@ -378,12 +384,39 @@ class PartialCorrelationGraph(_Matrix):
     labels: tuple | None = None
 
     def __post_init__(self):
+        # The raw-input checks; _square returns a fresh array, kept as it is.
         m = _square(self.weights, "partial correlation matrix")
         _diagonal(m, 0.0, "partial correlation")
-        if np.max(np.abs(m)) >= 1.0:
+        self._settle(m)
+
+    @classmethod
+    def _computed(cls, m: np.ndarray, scale=None, labels=None) -> PartialCorrelationGraph:
+        """The graph of weights ``m`` computed from a validated graph.
+
+        m is exactly symmetric with an exactly zero diagonal, and nothing
+        else holds it: the raw-input checks would change no bit of it, so
+        it enters the constructor after them, at :meth:`_settle`.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "scale", scale)
+        object.__setattr__(out, "labels", labels)
+        out._settle(m)
+        return out
+
+    def _settle(self, m: np.ndarray) -> None:
+        """The constructor's tail, shared by both entries: finite |r| < 1,
+        (1 - R) positive definite, then the scale and the labels; m is frozen
+        in place and kept."""
+        top = float(np.max(np.abs(m)))
+        if not top < 1.0:
+            if not np.isfinite(top):  # the message of _floats, which a raw input met first
+                raise EntryOutOfRange(
+                    "matrix entries must be finite real numbers, got float64 entries"
+                )
             raise EntryOutOfRange("partial correlation magnitudes must be below 1")
         cond = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
-        object.__setattr__(self, "weights", _freeze(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "weights", m)
         # The check's estimate of cond(1 - R), kept for the oracle's warning.
         object.__setattr__(self, "_cond", cond)
         if self.scale is not None:
@@ -517,14 +550,15 @@ def _precision_graph(om: np.ndarray, labels, scale=1.0) -> PartialCorrelationGra
 
     r_ij = -om_ij / sqrt(om_ii om_jj); the graph's scale is ``scale *
     sqrt(diag(om))``, or none when ``scale`` is None.  ``om`` is
-    symmetrised exactly, then checked once, by the graph constructor:
-    (1 - R) is positive definite exactly when om is.
+    symmetrised exactly, so R is exactly symmetric with a zero diagonal,
+    and checked once, by the constructor's tail: (1 - R) is positive
+    definite exactly when om is.
     """
     om = (om + om.T) / 2.0
     lam = np.sqrt(np.diag(om))
     r = -om / np.outer(lam, lam)
     np.fill_diagonal(r, 0.0)
-    return PartialCorrelationGraph(r, scale=None if scale is None else scale * lam, labels=labels)
+    return PartialCorrelationGraph._computed(r, None if scale is None else scale * lam, labels)
 
 
 def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
@@ -583,7 +617,9 @@ def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     """
     nu = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)._nu
     top = g.dim - 1
-    perron = scipy.linalg.eigh(np.abs(g.weights), eigvals_only=True, subset_by_index=[top, top])
+    # |R| is a fresh, finite array: the solve may overwrite it unchecked.
+    perron = scipy.linalg.eigh(np.abs(g.weights), eigvals_only=True, subset_by_index=[top, top],
+                               overwrite_a=True, check_finite=False)
     # nu <= nu(|R|) holds exactly, but eigensolver noise can leave the
     # computed root a few ulp under nu.
     nu_plus = max(float(perron[0]), nu)

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -116,11 +117,13 @@ class LatentReduction:
     eliminated; columns follow ascending node index within each side.
     ``singular_values`` are the singular values of the coupling block
     R[S, T], with mu set by its numerical rank (the coupling strength
-    of latent u scales with their square roots).  ``enlarged_graph`` is
-    the intermediate network on S + T + latents (marginalising the
-    latents out of it reproduces the original exactly);
-    ``reduced_graph`` is the final network on T + latents, ordered kept
-    nodes first.
+    of latent u scales with their square roots).  ``reduced_graph`` is
+    the final network on T + latents, ordered kept nodes first.
+    ``enlarged_graph`` is the intermediate network on S + T + latents
+    (marginalising the latents out of it reproduces the original
+    exactly); nothing the reduction itself needs reads it, so it is
+    built and checked on first read, from the original graph's arrays
+    and the latent loading, and cached.
     """
 
     kept: tuple
@@ -129,7 +132,25 @@ class LatentReduction:
     b_tilde: np.ndarray
     singular_values: tuple
     reduced_graph: PartialCorrelationGraph
-    enlarged_graph: PartialCorrelationGraph
+    # What the enlarged network is built from: the original graph and the
+    # latent loading of each of its nodes (d x mu, in node order).
+    _source: PartialCorrelationGraph = field(repr=False, compare=False)
+    _load: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def enlarged_graph(self) -> PartialCorrelationGraph:
+        g, load = self._source, self._load
+        lam = g.scale if g.scale is not None else np.ones(g.dim)
+        mu = self.latent_count
+        omega_top = (
+            np.outer(lam, lam) * (np.eye(g.dim) - g.weights)
+            + (lam[:, None] * load) @ (lam[:, None] * load).T
+        )
+        enlarged = np.block(
+            [[omega_top, -lam[:, None] * load], [-(lam[:, None] * load).T, np.eye(mu)]]
+        )
+        latent_labels = self.reduced_graph.labels[len(self.kept):]
+        return _precision_graph(enlarged, g.labels + latent_labels)
 
 
 def _split(g: PartialCorrelationGraph, S) -> tuple:
@@ -156,7 +177,8 @@ def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
     if not removed:
         return g
     labels, scale = _kept_nodes(g, kept)
-    return PartialCorrelationGraph(g.weights[np.ix_(kept, kept)], scale=scale, labels=labels)
+    # A principal block of a checked graph: only the constructor's tail runs.
+    return PartialCorrelationGraph._computed(g.weights[np.ix_(kept, kept)], scale, labels)
 
 
 def marginalize_nodes(
@@ -371,16 +393,12 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     load[removed, :] = u * sigma
     load[kept, :] = vt.T * sigma
 
-    lam = g.scale if g.scale is not None else np.ones(g.dim)
-    latent_labels = _fresh_latent_labels(g.labels, mu)
-
-    m = np.eye(g.dim) - w
     # Reduced coupling V with V V^T = Q^T (1 - R_SS)^-1 Q, from the SVD
     # of the whitened block; only the leading mu directions are kept.
-    # Factorised before any graph is built, so a singular eliminated
+    # Factorised before the graph is built, so a singular eliminated
     # block raises SingularBlock first.
     if mu > 0:
-        m_ss = m[np.ix_(removed, removed)]
+        m_ss = np.eye(n_s) - w[np.ix_(removed, removed)]
         chol, _ = _cho(m_ss, SingularBlock, _ELIMINATED)
         b_white = scipy.linalg.solve_triangular(chol, q, lower=True)
         _, eta, zt = np.linalg.svd(b_white, full_matrices=False)
@@ -389,26 +407,20 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     else:
         v_cols = np.zeros((n_t, 0))
 
-    omega_top = np.outer(lam, lam) * m + (lam[:, None] * load) @ (lam[:, None] * load).T
-    enlarged = np.block(
-        [[omega_top, -lam[:, None] * load], [-(lam[:, None] * load).T, np.eye(mu)]]
-    )
-    enlarged_graph = _precision_graph(enlarged, g.labels + latent_labels)
-
     con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
     a_tilde = _freeze(con[removed, :].T)
     b_tilde = _freeze(con[kept, :].T)
 
-    lam_t = lam[kept]
-    m_tt = m[np.ix_(kept, kept)]
+    kept_labels, lam_t = _kept_nodes(g, kept)
+    lam_t = np.ones(n_t) if lam_t is None else lam_t
+    m_tt = np.eye(n_t) - w[np.ix_(kept, kept)]
     reduced = np.block(
         [
             [np.outer(lam_t, lam_t) * m_tt, -lam_t[:, None] * v_cols],
             [-(lam_t[:, None] * v_cols).T, np.eye(mu)],
         ]
     )
-    kept_labels, _ = _kept_nodes(g, kept)
-    reduced_graph = _precision_graph(reduced, kept_labels + latent_labels)
+    reduced_graph = _precision_graph(reduced, kept_labels + _fresh_latent_labels(g.labels, mu))
 
     return LatentReduction(
         kept=tuple(kept),
@@ -417,7 +429,8 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
         b_tilde=b_tilde,
         singular_values=tuple(float(x) for x in s),
         reduced_graph=reduced_graph,
-        enlarged_graph=enlarged_graph,
+        _source=g,
+        _load=_freeze(load),
     )
 
 

@@ -21,6 +21,7 @@ from pathcorr import (
     FileFormatError,
     MarginalCorrelationMatrix,
     MartingaleSpec,
+    NotPositiveDefinite,
     ParamOutOfBound,
     PartialCorrelationGraph,
     PrecisionMatrix,
@@ -45,7 +46,7 @@ from pathcorr import (
     sever_nodes,
     validate_partial_graph,
 )
-from pathcorr import chains, fileio
+from pathcorr import chains, fileio, transforms
 from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
@@ -595,6 +596,28 @@ class TestStructureCommands:
         big, _ = fileio.load_matrix(enlarged)
         assert big.dim == 7
 
+    def test_refused_enlarged_graph_writes_nothing(self, run, tmp_path, monkeypatch):
+        # The enlarged graph is built and checked before --out is written;
+        # its construction is forced to fail here (8 nodes: 6 + 2 latents).
+        original = transforms._precision_graph
+
+        def refuse(om, labels, scale=1.0):
+            if len(labels) == 8:
+                raise NotPositiveDefinite("(1 - R) is not positive definite: refused")
+            return original(om, labels, scale)
+
+        monkeypatch.setattr(transforms, "_precision_graph", refuse)
+        out, enlarged = tmp_path / "red.json", tmp_path / "enl.json"
+        argv = ("reduce", "--in", str(GOLDEN / "partial6.json"), "--S", "b,c", "--out", str(out))
+        code, stdout, stderr = run(*argv, "--out-enlarged", str(enlarged))
+        assert code == 1
+        assert stderr == "error: (1 - R) is not positive definite: refused\n"
+        assert stdout == ""
+        assert not out.exists() and not enlarged.exists()
+        # Without --out-enlarged the enlarged graph is never built.
+        assert run(*argv)[0] == 0
+        assert out.exists() and not enlarged.exists()
+
     def test_separators_report(self, run, tmp_path):
         src = tmp_path / "g.json"
         fileio.save_matrix(chain_graph(5, 0.4), src)
@@ -1097,6 +1120,42 @@ class TestGoldenFiles:
         assert data.shape == ref.shape == (6, 6)
         assert np.max(np.abs(data - ref)) <= 1e-12
         assert np.array_equal(data, data.T) and np.all(np.diag(data) == 1.0)
+
+    @pytest.mark.parametrize(
+        "command, outputs",
+        [
+            ("sever", ("partial6_sever.json",)),
+            ("marginalize", ("partial6_marginalize.json",)),
+            ("reduce", ("partial6_reduce.json", "partial6_enlarged.json")),
+        ],
+    )
+    def test_graph_surgery_of_partial_graph(self, run, tmp_path, command, outputs):
+        # Weights and computed scales pass through LAPACK and BLAS: they
+        # are held to 1e-12, keys, labels and shapes exactly.  A scale the
+        # command copies from the input is held exactly, against the input.
+        src = json.loads((GOLDEN / "partial6.json").read_text())
+        argv = [command, "--in", str(GOLDEN / "partial6.json"), "--S", "b,c",
+                "--out", str(tmp_path / outputs[0])]
+        if command == "reduce":
+            argv += ["--out-enlarged", str(tmp_path / outputs[1])]
+        assert run(*argv)[0] == 0
+        for name in outputs:
+            got = json.loads((tmp_path / name).read_text())
+            want = json.loads((GOLDEN / name).read_text())
+            assert list(got) == list(want) == ["kind", "dim", "labels", "data", "scale"]
+            assert [got[k] for k in ("kind", "dim", "labels")] == [
+                want[k] for k in ("kind", "dim", "labels")
+            ]
+            for key in ("data", "scale"):
+                a, b = np.array(got[key]), np.array(want[key])
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-12
+            data = np.array(got["data"])
+            assert np.array_equal(data, data.T) and np.all(np.diag(data) == 0.0)
+        kept = dict(zip(src["labels"], src["scale"]))
+        first = json.loads((tmp_path / outputs[0]).read_text())
+        if command != "marginalize":
+            assert first["scale"] == [kept.get(x, 1.0) for x in first["labels"]]
 
 
 class TestExitStatus:

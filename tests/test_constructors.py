@@ -3,16 +3,24 @@
 Every type reads its input through one square check, and the two
 positive-definite types through one constructor; each type still owns a
 ``__post_init__`` in its own ``__dict__``, which is where the benchmark
-tracer (``perfbench/tracer.py``) finds and wraps it, type by type.
+tracer (``perfbench/tracer.py``) finds and wraps it, type by type.  A
+graph whose weights are computed from a validated graph skips the
+raw-input checks and enters the graph constructor at its shared tail:
+it must be, bit for bit, the graph the public constructor builds from
+the same parts.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcorr import (
     CovarianceMatrix,
+    EntryOutOfRange,
+    FactorModel,
     MarginalCorrelationMatrix,
     NotSquare,
     NotSymmetric,
@@ -20,9 +28,16 @@ from pathcorr import (
     PrecisionMatrix,
     cov_to_marginal,
     cov_to_precision,
+    factor_model_partial,
+    latent_reduce,
+    marginalize_nodes,
     partial_to_marginal_oracle,
+    partial_to_precision,
     precision_to_partial,
+    sever_nodes,
 )
+
+from conftest import scaled_random_graph
 
 VALID = {
     CovarianceMatrix: [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]],
@@ -79,3 +94,64 @@ def test_one_square_check(cls):
     bent[0, 1] += 0.1
     with pytest.raises(NotSymmetric, match=rf"^{NAMES[cls]} asymmetric: relative asymmetry"):
         cls(bent)
+
+
+def _bits(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    d=st.integers(2, 12),
+    nu=st.sampled_from([0.3, 0.8, 0.99]),
+    scaled=st.booleans(),
+)
+def test_computed_graphs_equal_public_construction(seed, d, nu, scaled):
+    base = scaled_random_graph(seed, d, nu)
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.2, 5.0, d) if scaled else None
+    g = PartialCorrelationGraph(base.weights, scale=scale, labels=[f"n{k}" for k in range(d)])
+    removed = sorted(rng.choice(d, size=int(rng.integers(1, d)), replace=False).tolist())
+    red = latent_reduce(g, removed)
+    derived = [
+        marginalize_nodes(g, removed),
+        sever_nodes(g, removed),
+        red.reduced_graph,
+        red.enlarged_graph,
+        factor_model_partial(FactorModel(np.eye(d) + rng.uniform(-0.3, 0.3, (d, d)))),
+    ]
+    if scaled:
+        derived.append(precision_to_partial(partial_to_precision(g)))
+    for h in derived:
+        ref = PartialCorrelationGraph(np.array(h.weights), scale=h.scale, labels=h.labels)
+        assert _bits(h.weights) == _bits(ref.weights)
+        assert _bits(h.scale) == _bits(ref.scale)
+        assert h.labels == ref.labels
+        assert h._cond == ref._cond
+        assert not h.weights.flags.writeable
+        assert h.scale is None or not h.scale.flags.writeable
+        # The public entry still refuses what the computed one never holds.
+        if h.dim > 1:
+            bent = np.array(h.weights)
+            bent[0, 1] += 0.1
+            with pytest.raises(NotSymmetric):
+                PartialCorrelationGraph(bent)
+        bent = np.array(h.weights)
+        bent[0, 0] = 0.1
+        with pytest.raises(EntryOutOfRange, match="diagonal must be 0"):
+            PartialCorrelationGraph(bent)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_computed_graph_refuses_non_finite_weights(bad):
+    # An overflowed precision reaches the tail as NaN or inf; it is refused
+    # with the message a raw input of the same entries gets.
+    w = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(EntryOutOfRange) as raw:
+        PartialCorrelationGraph(w)
+    with pytest.raises(EntryOutOfRange) as computed:
+        PartialCorrelationGraph._computed(w)
+    assert str(computed.value) == str(raw.value) == (
+        "matrix entries must be finite real numbers, got float64 entries"
+    )

@@ -31,7 +31,7 @@ from pathcorr import (
     partial_to_precision,
     validate_partial_graph,
 )
-from pathcorr import gaussinfo
+from pathcorr import gaussinfo, matrices
 from pathcorr.gaussinfo import TERM_FLOOR
 from pathcorr.pathsum import MAX_LENGTH
 
@@ -346,18 +346,20 @@ class TestLoopIdentity:
         )
         precision = partial_to_precision(g)
         checks = []
-        original = PartialCorrelationGraph.__post_init__
+        original = matrices._check_pd
 
-        def counting(self):
-            checks.append(1)
-            original(self)
+        def counting(m, what):
+            checks.append(np.shape(m))
+            return original(m, what)
 
-        monkeypatch.setattr(PartialCorrelationGraph, "__post_init__", counting)
+        # Counted at the definiteness check, which every graph passes
+        # through, raw or computed from a validated matrix.
+        monkeypatch.setattr(matrices, "_check_pd", counting)
         assert loop_sum_mi_identity(precision, 2, 5) == pytest.approx(
             loop_sum_mi_identity(g, 2, 5), abs=1e-12
         )
         # One graph built from the precision input; the graph input needs none.
-        assert len(checks) == 1
+        assert checks == [(6, 6)]
 
     def test_inconsistency_detected(self, monkeypatch):
         g = chain_graph(4, 0.3)

@@ -443,13 +443,18 @@ class TestFactorOnce:
         chol = self.count(monkeypatch, scipy.linalg, "cho_factor")
         checks = self.count(monkeypatch, matrices, "_check_pd")
         red = latent_reduce(g, [4, 5, 6])
-        # The enlarged and the reduced graph, each checked as a graph
-        # only, by one factor and one rcond estimate; the third factor is
-        # the eliminated block 1 - R_SS, taken first.
+        # The eliminated block 1 - R_SS, factored first, then the reduced
+        # graph, checked as a graph only, by one factor and one rcond
+        # estimate; the enlarged graph is not built until it is read.
         mu = red.latent_count
         assert eig == perron == []
-        assert chol == [(3, 3), (7 + mu, 7 + mu), (4 + mu, 4 + mu)]
+        assert chol == [(3, 3), (4 + mu, 4 + mu)]
         assert checks == chol[1:]
+        enlarged = red.enlarged_graph
+        assert chol[2:] == checks[1:] == [(7 + mu, 7 + mu)]
+        # Cached: a second read builds and checks nothing.
+        assert red.enlarged_graph is enlarged
+        assert len(chol) == 3 and len(checks) == 2
         for calls in (eig, perron, chol, checks):
             calls.clear()
         sample_partial_graph(SampleSpec(d=5, n=12, seed=3))
@@ -767,3 +772,15 @@ class TestPerronRoot:
             assert rep.regime == expected
             regimes.add(expected)
         assert regimes == {"absolute", "conditional", "rescale-required"}
+
+    def test_overwriting_solve_is_bit_equal(self):
+        # The solve runs on a fresh |R| it may overwrite, unchecked: the
+        # same dsyevr call on the same data as the copying, checking one.
+        graphs = [scaled_random_graph(seed, d, 0.9) for seed, d in ((1, 2), (2, 7), (3, 40))]
+        graphs += [validate_partial_graph(chain_weights(10, -0.45)), complete_graph(6, -0.3)]
+        for g in graphs:
+            top = g.dim - 1
+            ref = scipy.linalg.eigh(np.abs(g.weights), eigvals_only=True,
+                                    subset_by_index=[top, top])
+            assert spectral_report(g).nu_R_plus == max(float(ref[0]), g._nu)
+            assert not g.weights.flags.writeable
