@@ -131,10 +131,10 @@ def save_matrix(obj, path, provenance: dict | None = None) -> None:
         "kind": kind,
         "dim": int(entries.shape[0]),
         "labels": list(obj.labels),
-        "data": [[float(x) for x in row] for row in entries],
+        "data": entries.tolist(),
     }
     if kind == "partial" and obj.scale is not None:
-        doc["scale"] = [float(x) for x in obj.scale]
+        doc["scale"] = obj.scale.tolist()
     if provenance is not None:
         doc["provenance"] = provenance
     save_json(doc, path)

@@ -26,12 +26,12 @@ idempotent, so a race between threads at worst computes the same
 read-only value twice.  A conversion
 takes only its typed input, never a raw array, and its result is not
 validated again; every graph read off precision entries is split and checked
-once, by one helper here.  A graph's constructor has two entries: a caller's
-array passes the raw-input checks (square, symmetric, zero diagonal) and then
-the shared tail (|r| < 1, the definiteness check, scale, labels); weights
-computed from a validated graph, read off precision entries or a severed
-graph's principal block, are exactly symmetric with a zero diagonal already
-and enter at the tail.  Every Cholesky factorisation goes through one helper;
+once, by one helper here.  Each type's constructor has two entries and one
+tail, ``_settle``: a caller's array passes the raw-input checks first; a
+result computed from a validated object (a conversion, the oracle, a graph
+read off precision entries or a severed graph's principal block) is exactly
+symmetric with its diagonal set and enters at the tail, through
+``_Matrix._computed``.  Every Cholesky factorisation goes through one helper;
 every whole-matrix inverse (the oracle's (1 - R)^-1, the covariance and
 precision conversions, the sampler's precision) through :func:`_spd_inverse`,
 one in-place factor and LAPACK's dpotri, exactly symmetric; and every
@@ -39,9 +39,9 @@ restricted block inverse W[E, K] (1 - W_K)^-1 W[K, E] through :func:`_paths_thro
 nu(R) comes from the full spectrum of R, nu(|R|) from the top eigenvalue of
 |R| alone.
 Every square input is checked by one helper, :func:`_square`; every array
-argument becomes floats through :func:`_floats`, and every kept array is a
-read-only copy by :func:`_freeze`, but for graph weights, a fresh array frozen
-in place: a caller's is never frozen.
+argument becomes floats through :func:`_floats`.  One rule keeps arrays: kept
+arrays are frozen in place (:func:`_keep`); a caller's array is copied once
+(:func:`_freeze`), and is never frozen or written.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
 """
 
@@ -79,6 +79,9 @@ TOL_PD = 1e-12
 # Condition estimate of (1 - R), from the same check, beyond which oracle
 # results are flagged.
 COND_WARN = 1e8
+
+# _floats' words for non-finite floats, said of an overflowed result too.
+_NOT_FINITE = "matrix entries must be finite real numbers, got float64 entries"
 
 __all__ = [
     "TOL_SYM",
@@ -256,10 +259,17 @@ def _paths_through(w: np.ndarray, rows, cols, interior, error, what: str) -> np.
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
-    """A read-only float copy of m; m itself stays as it was."""
-    out = np.array(m, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+    """A read-only float copy of a caller's array m; m itself stays as it was."""
+    return _keep(np.array(m, dtype=float, copy=True))
+
+
+def _keep(m: np.ndarray) -> np.ndarray:
+    """m, an array nothing else holds, frozen in place with the array that
+    owns its memory (a transposed view's base would stay writeable)."""
+    m.setflags(write=False)
+    if isinstance(m.base, np.ndarray):
+        m.base.setflags(write=False)
+    return m
 
 
 def _labels(labels, dim: int) -> tuple:
@@ -295,17 +305,35 @@ def _positive_definite(self):
     """``__post_init__`` of the two positive-definite types, assigned in each class
     body: the benchmark tracer wraps it there, in the class's own ``__dict__``."""
     m = _square(self.entries, self._what)
-    object.__setattr__(self, "entries", _freeze(m))  # a copy: the check overwrites m
-    _check_pd(m, self._what)
-    object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
+    _check_pd(m.copy(), self._what)  # a copy: the check overwrites it
+    self._settle(m)
 
 
 class _Matrix:
-    """What the four matrix types share: ``dim``, read off the labels every object holds."""
+    """What the four matrix types share: ``dim`` and the entry for computed results."""
 
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @classmethod
+    def _computed(cls, m: np.ndarray, labels=None, **fields):
+        """The ``cls`` of entries m computed from a validated object, exactly
+        symmetric with its diagonal set and held by nothing else: the raw-input
+        checks would change no bit of m, so it enters at :meth:`_settle`."""
+        out = object.__new__(cls)
+        for name, value in dict(fields, labels=labels).items():
+            object.__setattr__(out, name, value)
+        out._settle(m)
+        return out
+
+    def _settle(self, m: np.ndarray) -> None:
+        """The constructor's tail for entries m: finite (an inverse can
+        overflow), frozen in place and kept, then the labels."""
+        if not np.all(np.isfinite(m)):
+            raise EntryOutOfRange(_NOT_FINITE)
+        object.__setattr__(self, "entries", _keep(m))
+        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -353,8 +381,7 @@ class MarginalCorrelationMatrix(_Matrix):
             raise NotPositiveDefinite(
                 f"correlation matrix has eigenvalue {float(w[0]):.6e} < 0"
             )
-        object.__setattr__(self, "entries", _freeze(m))
-        object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
+        self._settle(m)
 
 
 @dataclass(frozen=True)
@@ -389,34 +416,17 @@ class PartialCorrelationGraph(_Matrix):
         _diagonal(m, 0.0, "partial correlation")
         self._settle(m)
 
-    @classmethod
-    def _computed(cls, m: np.ndarray, scale=None, labels=None) -> PartialCorrelationGraph:
-        """The graph of weights ``m`` computed from a validated graph.
-
-        m is exactly symmetric with an exactly zero diagonal, and nothing
-        else holds it: the raw-input checks would change no bit of it, so
-        it enters the constructor after them, at :meth:`_settle`.
-        """
-        out = object.__new__(cls)
-        object.__setattr__(out, "scale", scale)
-        object.__setattr__(out, "labels", labels)
-        out._settle(m)
-        return out
-
     def _settle(self, m: np.ndarray) -> None:
-        """The constructor's tail, shared by both entries: finite |r| < 1,
-        (1 - R) positive definite, then the scale and the labels; m is frozen
-        in place and kept."""
+        """The constructor's tail for weights m: finite |r| < 1, (1 - R)
+        positive definite, then the scale and the labels; m is frozen in
+        place and kept."""
         top = float(np.max(np.abs(m)))
         if not top < 1.0:
-            if not np.isfinite(top):  # the message of _floats, which a raw input met first
-                raise EntryOutOfRange(
-                    "matrix entries must be finite real numbers, got float64 entries"
-                )
+            if not np.isfinite(top):
+                raise EntryOutOfRange(_NOT_FINITE)
             raise EntryOutOfRange("partial correlation magnitudes must be below 1")
         cond = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
-        m.setflags(write=False)
-        object.__setattr__(self, "weights", m)
+        object.__setattr__(self, "weights", _keep(m))
         # The check's estimate of cond(1 - R), kept for the oracle's warning.
         object.__setattr__(self, "_cond", cond)
         if self.scale is not None:
@@ -436,27 +446,12 @@ class PartialCorrelationGraph(_Matrix):
     def _inverse(self) -> MarginalCorrelationMatrix:
         """The oracle matrix P, from one inversion of (1 - R) on first use."""
         minv = _spd_inverse(np.eye(self.dim) - self.weights, SingularMatrix, "(1 - R)")
-        return _derived(MarginalCorrelationMatrix, _correlations(minv), self.labels)
+        return MarginalCorrelationMatrix._computed(_correlations(minv), self.labels)
 
     @cached_property
     def _nu(self) -> float:
         """Spectral radius nu(R), computed on first use."""
         return float(np.max(np.abs(np.linalg.eigvalsh(self.weights))))
-
-
-def _derived(cls, m: np.ndarray, labels):
-    """A ``cls`` holding the result of an exact conversion, unchecked.
-
-    Only for entries computed from an already validated matrix, exactly
-    symmetric and with the diagonal set: the constructor's averaging
-    and definiteness check would change no bit of them.  Finiteness is
-    still checked, since an inverse can overflow.
-    """
-    out = object.__new__(cls)
-    m = _floats(m, "matrix entries", EntryOutOfRange, NotSquare, (None, None))
-    object.__setattr__(out, "entries", _freeze(m))
-    object.__setattr__(out, "labels", labels)
-    return out
 
 
 @dataclass(frozen=True)
@@ -517,21 +512,21 @@ def _correlations(c: np.ndarray) -> np.ndarray:
 def cov_to_marginal(C: CovarianceMatrix) -> MarginalCorrelationMatrix:
     """Marginal correlations rho_ij = c_ij / sqrt(c_ii c_jj)."""
     C = _instance(C, CovarianceMatrix, "C", ParamOutOfBound)
-    return _derived(MarginalCorrelationMatrix, _correlations(C.entries), C.labels)
+    return MarginalCorrelationMatrix._computed(_correlations(C.entries), C.labels)
 
 
 def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
     """Precision matrix Omega = C^-1 via a Cholesky inverse."""
     C = _instance(C, CovarianceMatrix, "C", ParamOutOfBound)
     omega = _spd_inverse(np.array(C.entries), SingularMatrix, "covariance matrix")
-    return _derived(PrecisionMatrix, omega, C.labels)
+    return PrecisionMatrix._computed(omega, C.labels)
 
 
 def precision_to_cov(Omega: PrecisionMatrix) -> CovarianceMatrix:
     """Covariance matrix C = Omega^-1 via a Cholesky inverse."""
     Omega = _instance(Omega, PrecisionMatrix, "Omega", ParamOutOfBound)
     c = _spd_inverse(np.array(Omega.entries), SingularMatrix, "precision matrix")
-    return _derived(CovarianceMatrix, c, Omega.labels)
+    return CovarianceMatrix._computed(c, Omega.labels)
 
 
 def precision_to_partial(Omega: PrecisionMatrix) -> PartialCorrelationGraph:
@@ -558,7 +553,8 @@ def _precision_graph(om: np.ndarray, labels, scale=1.0) -> PartialCorrelationGra
     lam = np.sqrt(np.diag(om))
     r = -om / np.outer(lam, lam)
     np.fill_diagonal(r, 0.0)
-    return PartialCorrelationGraph._computed(r, None if scale is None else scale * lam, labels)
+    lam = None if scale is None else scale * lam
+    return PartialCorrelationGraph._computed(r, labels, scale=lam)
 
 
 def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
@@ -571,7 +567,7 @@ def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
     lam = g.scale
     m = np.eye(g.dim) - g.weights
     omega = np.outer(lam, lam) * m
-    return _derived(PrecisionMatrix, omega, g.labels)
+    return PrecisionMatrix._computed(omega, g.labels)
 
 
 def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:

@@ -52,7 +52,7 @@ from .errors import (
 from .matrices import (
     PartialCorrelationGraph,
     _cho,
-    _freeze,
+    _keep,
     _paths_through,
     _precision_graph,
     partial_to_marginal_oracle,
@@ -178,7 +178,7 @@ def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
         return g
     labels, scale = _kept_nodes(g, kept)
     # A principal block of a checked graph: only the constructor's tail runs.
-    return PartialCorrelationGraph._computed(g.weights[np.ix_(kept, kept)], scale, labels)
+    return PartialCorrelationGraph._computed(g.weights[np.ix_(kept, kept)], labels, scale=scale)
 
 
 def marginalize_nodes(
@@ -408,8 +408,8 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
         v_cols = np.zeros((n_t, 0))
 
     con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
-    a_tilde = _freeze(con[removed, :].T)
-    b_tilde = _freeze(con[kept, :].T)
+    a_tilde = _keep(con[removed, :].T)
+    b_tilde = _keep(con[kept, :].T)
 
     kept_labels, lam_t = _kept_nodes(g, kept)
     lam_t = np.ones(n_t) if lam_t is None else lam_t
@@ -430,7 +430,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
         singular_values=tuple(float(x) for x in s),
         reduced_graph=reduced_graph,
         _source=g,
-        _load=_freeze(load),
+        _load=_keep(load),
     )
 
 

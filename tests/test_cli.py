@@ -1121,6 +1121,37 @@ class TestGoldenFiles:
         assert np.max(np.abs(data - ref)) <= 1e-12
         assert np.array_equal(data, data.T) and np.all(np.diag(data) == 1.0)
 
+    @pytest.mark.parametrize("kind", ["precision", "covariance"])
+    def test_conversion_of_partial_graph(self, run, tmp_path, kind):
+        # Omega = Lambda (1 - R) Lambda, and C its Cholesky inverse: numbers
+        # to 1e-12 of the largest entry, everything else exactly.
+        name = f"partial6_{kind}.json"
+        assert run("convert", "--in", str(GOLDEN / "partial6.json"), "--to", kind,
+                   "--out", str(tmp_path / name))[0] == 0
+        got = json.loads((tmp_path / name).read_text())
+        want = json.loads((GOLDEN / name).read_text())
+        assert list(got) == list(want) == ["kind", "dim", "labels", "data", "provenance"]
+        assert {k: got[k] for k in got if k != "data"} == {k: want[k] for k in want if k != "data"}
+        data, ref = np.array(got["data"]), np.array(want["data"])
+        assert data.shape == ref.shape == (6, 6)
+        assert np.max(np.abs(data - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(data, data.T)
+
+    @pytest.mark.parametrize("method", ["closed", "series"])
+    def test_mutual_information_of_partial_graph(self, run, tmp_path, method):
+        name = f"partial6_mi_{method}.json"
+        assert run("mi", "--in", str(GOLDEN / "partial6.json"), "--A", "a", "--B", "d",
+                   "--method", method, "--out", str(tmp_path / name))[0] == 0
+        got = json.loads((tmp_path / name).read_text())
+        want = json.loads((GOLDEN / name).read_text())
+        numbers = ("nats", "bits")
+        assert list(got) == list(want)
+        assert {k: got[k] for k in got if k not in numbers} == {
+            k: want[k] for k in want if k not in numbers
+        }
+        top = max(abs(want[k]) for k in numbers)
+        assert all(abs(got[k] - want[k]) <= 1e-12 * top for k in numbers)
+
     @pytest.mark.parametrize(
         "command, outputs",
         [

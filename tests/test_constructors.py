@@ -4,10 +4,12 @@ Every type reads its input through one square check, and the two
 positive-definite types through one constructor; each type still owns a
 ``__post_init__`` in its own ``__dict__``, which is where the benchmark
 tracer (``perfbench/tracer.py``) finds and wraps it, type by type.  A
-graph whose weights are computed from a validated graph skips the
-raw-input checks and enters the graph constructor at its shared tail:
-it must be, bit for bit, the graph the public constructor builds from
-the same parts.
+result computed from a validated object, of any of the four types, skips
+the raw-input checks and enters its type's constructor at the shared
+tail, ``_Matrix._computed``: it must be, bit for bit, the object the
+public constructor builds from the same parts.  Every kept array is
+frozen down to the array that owns its memory, and none shares memory
+with a caller's array, which stays writeable and unchanged.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ from pathcorr import (
     EntryOutOfRange,
     FactorModel,
     MarginalCorrelationMatrix,
+    MartingaleSpec,
     NotSquare,
     NotSymmetric,
     PartialCorrelationGraph,
@@ -31,8 +34,10 @@ from pathcorr import (
     factor_model_partial,
     latent_reduce,
     marginalize_nodes,
+    martingale_covariance,
     partial_to_marginal_oracle,
     partial_to_precision,
+    precision_to_cov,
     precision_to_partial,
     sever_nodes,
 )
@@ -141,6 +146,18 @@ def test_computed_graphs_equal_public_construction(seed, d, nu, scaled):
         bent[0, 0] = 0.1
         with pytest.raises(EntryOutOfRange, match="diagonal must be 0"):
             PartialCorrelationGraph(bent)
+    # The other three types: each conversion's result, and the oracle's,
+    # is the object both entries build from its entries and labels.
+    omega = partial_to_precision(PartialCorrelationGraph(g.weights, scale=rng.uniform(0.2, 5.0, d)))
+    cov = precision_to_cov(omega)
+    for h in (omega, cov, cov_to_marginal(cov), cov_to_precision(cov),
+              partial_to_marginal_oracle(g)):
+        cls = type(h)
+        for ref in (cls._computed(np.array(h.entries), h.labels),
+                    cls(np.array(h.entries), labels=h.labels)):
+            assert _bits(h.entries) == _bits(ref.entries)
+            assert h.labels == ref.labels
+            assert not ref.entries.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -155,3 +172,71 @@ def test_computed_graph_refuses_non_finite_weights(bad):
     assert str(computed.value) == str(raw.value) == (
         "matrix entries must be finite real numbers, got float64 entries"
     )
+
+
+def _frozen_down(a):
+    """a and every array down its ``.base`` chain are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 10), scaled=st.booleans())
+def test_kept_arrays_are_frozen_and_owned(seed, d, scaled):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d))
+    cov_in = a @ a.T + d * np.eye(d)
+    s = np.sqrt(np.diag(cov_in))
+    # The caller's arrays, each writeable; none may be frozen, written or held.
+    given_arrays = {
+        "weights": np.array(scaled_random_graph(seed, d, 0.8).weights),
+        "scale": rng.uniform(0.2, 5.0, d) if scaled else None,
+        "cov": cov_in,
+        "prec": np.linalg.inv(cov_in),
+        "marg": cov_in / np.outer(s, s),
+        "factor": np.eye(d) + rng.uniform(-0.3, 0.3, (d, d)),
+        "factor_var": rng.uniform(0.5, 2.0, d),
+        "innovations": rng.uniform(0.5, 2.0, d),
+    }
+    given_arrays = {k: v for k, v in given_arrays.items() if v is not None}
+    before = {k: v.copy() for k, v in given_arrays.items()}
+
+    g = PartialCorrelationGraph(given_arrays["weights"], scale=given_arrays.get("scale"))
+    C = CovarianceMatrix(given_arrays["cov"])
+    O = PrecisionMatrix(given_arrays["prec"])
+    removed = sorted(rng.choice(d, size=int(rng.integers(1, d)), replace=False).tolist())
+    red = latent_reduce(g, removed)
+    fm = FactorModel(given_arrays["factor"], given_arrays["factor_var"])
+    spec = MartingaleSpec(d, 0.7, given_arrays["innovations"])
+    graphs = [
+        g,
+        precision_to_partial(O),
+        sever_nodes(g, removed),
+        marginalize_nodes(g, removed),
+        red.reduced_graph,
+        red.enlarged_graph,
+        factor_model_partial(fm),
+    ]
+    matrices = [
+        C,
+        O,
+        MarginalCorrelationMatrix(given_arrays["marg"]),
+        cov_to_marginal(C),
+        cov_to_precision(C),
+        precision_to_cov(O),
+        partial_to_precision(graphs[1]),
+        partial_to_marginal_oracle(g),
+        martingale_covariance(spec),
+    ]
+    kept = [h.weights for h in graphs] + [h.scale for h in graphs if h.scale is not None]
+    kept += [h.entries for h in matrices]
+    kept += [red.a_tilde, red.b_tilde, red._load, fm.weights, fm.variances,
+             spec.innovation_variances]
+    for k in kept:
+        assert _frozen_down(k)
+        assert not any(np.shares_memory(k, v) for v in given_arrays.values())
+    for name, v in given_arrays.items():
+        assert v.flags.writeable and _bits(v) == _bits(before[name]), name
