@@ -48,6 +48,7 @@ from .matrices import (
     PartialCorrelationGraph,
     PrecisionMatrix,
     _cho,
+    _one_minus,
     _paths_through,
     precision_to_partial,
 )
@@ -144,7 +145,8 @@ def _blocks(system, part: TriPartition) -> tuple:
         )
     a, b = part.A, part.B
     x = _paths_through(r, a, a, b, SingularBlock, "1 - R[B, B]")
-    return np.eye(len(a)) - r[np.ix_(a, a)], (x + x.T) / 2.0
+    m_a = r[np.ix_(a, a)]
+    return _one_minus(m_a, out=m_a), (x + x.T) / 2.0
 
 
 def conditional_mi_closed(system, part: TriPartition) -> InfoResult:

@@ -41,7 +41,14 @@ nu(R) comes from the full spectrum of R, nu(|R|) from the top eigenvalue of
 Every square input is checked by one helper, :func:`_square`; every array
 argument becomes floats through :func:`_floats`.  One rule keeps arrays: kept
 arrays are frozen in place (:func:`_keep`); a caller's array is copied once
-(:func:`_freeze`), and is never frozen or written.
+(:func:`_freeze`), and is never frozen or written.  One rule builds them:
+each d x d result is made in the one array it keeps.  1 - m is
+:func:`_one_minus`, written into one array; the elementwise forms with an
+outer product or a transpose (``c / np.outer(s, s)``, ``(m + m.T) / 2``)
+run over blocks of rows (:func:`_rows`, :func:`_by_outer`); and a helper
+handed an array nothing else holds (``_check_pd``, ``_spd_inverse``,
+``_precision_graph``) works in it.  Every such form gives the bits of the
+whole-array numpy expression, signed zeros included.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
 """
 
@@ -134,14 +141,53 @@ def _square(raw, what: str) -> np.ndarray:
     m = _floats(raw, "matrix entries", EntryOutOfRange, NotSquare, (None, None))
     if m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.T)))
-    scale = float(np.max(np.abs(m)))
+    out = np.empty(m.shape)
+    asym = 0.0
+    for rows in _rows(len(m)):
+        # Each row block of the result holds |m - m.T| before (m + m.T) / 2.
+        block = np.subtract(m[rows], m[:, rows].T, out=out[rows])
+        asym = max(asym, float(np.max(np.abs(block, out=block))))
+        np.add(m[rows], m[:, rows].T, out=block)
+        block /= 2.0
+    scale = _largest_magnitude(m)
     rel = asym / scale if scale > 0.0 else asym
     if rel > TOL_SYM:
         raise NotSymmetric(
             f"{what} asymmetric: relative asymmetry {rel:.3e} exceeds {TOL_SYM:.3e}"
         )
-    return (m + m.T) / 2.0
+    return out
+
+
+def _rows(n: int) -> list:
+    """Slices of about 1/16 of n rows, 16384 entries at least: an elementwise
+    pass over them needs no n x n temporary, gives the same bits as the
+    whole pass and, on small n, makes few calls."""
+    step = max(-(-n // 16), -(-16384 // n))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def _largest_magnitude(m: np.ndarray) -> float:
+    """max |m_ij| without an |m| temporary (NaN when m holds one)."""
+    return max(float(np.max(m)), -float(np.min(m)))
+
+
+def _one_minus(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 - m in one array, ``out`` (m itself, say) or a fresh one.
+
+    Off the diagonal it holds 0.0 - m_ij, as ``np.eye(d) - m`` does, never
+    -m_ij, whose zeros carry the other sign."""
+    diagonal = 1.0 - np.diagonal(m)
+    out = np.subtract(0.0, m, out=out)
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
+def _by_outer(op, m: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op(m, np.outer(v, v))`` written into ``out`` (m itself, say), one
+    block of rows at a time: no d x d outer product is formed."""
+    for rows in _rows(len(m)):
+        op(m[rows], np.outer(v[rows], v), out=out[rows])
+    return out
 
 
 def _diagonal(m: np.ndarray, value: float, what: str) -> None:
@@ -253,8 +299,13 @@ def _paths_through(w: np.ndarray, rows, cols, interior, error, what: str) -> np.
     """W[rows, K] (1 - W_K)^-1 W[K, cols], K = ``interior``, from one solve; 0 if K is empty."""
     if len(interior) == 0:
         return np.zeros((len(rows), len(cols)))
-    mk = np.eye(len(interior)) - w[np.ix_(interior, interior)]
-    x = scipy.linalg.cho_solve(_cho(mk, error, what), w[np.ix_(interior, cols)])
+    mk = w[np.ix_(interior, interior)]
+    low = _cho(_one_minus(mk, out=mk).T, error, what, overwrite=True)  # .T: in place
+    # W[K, cols] as the Fortran-ordered transpose of W[cols, K] (W is
+    # exactly symmetric), so the solve overwrites it; the factor is freed
+    # before the product.
+    x = scipy.linalg.cho_solve(low, w[np.ix_(cols, interior)].T, overwrite_b=True)
+    del mk, low
     return w[np.ix_(rows, interior)] @ x
 
 
@@ -372,7 +423,7 @@ class MarginalCorrelationMatrix(_Matrix):
     def __post_init__(self):
         m = _square(self.entries, "correlation matrix")
         _diagonal(m, 1.0, "correlation matrix")
-        if np.max(np.abs(m)) > 1.0:
+        if _largest_magnitude(m) > 1.0:
             raise EntryOutOfRange("correlation magnitudes cannot exceed 1")
         # Semi-definiteness only: perfectly correlated pairs are legal, and
         # a Cholesky factor fails on them, so this check reads eigenvalues.
@@ -420,12 +471,12 @@ class PartialCorrelationGraph(_Matrix):
         """The constructor's tail for weights m: finite |r| < 1, (1 - R)
         positive definite, then the scale and the labels; m is frozen in
         place and kept."""
-        top = float(np.max(np.abs(m)))
+        top = _largest_magnitude(m)
         if not top < 1.0:
             if not np.isfinite(top):
                 raise EntryOutOfRange(_NOT_FINITE)
             raise EntryOutOfRange("partial correlation magnitudes must be below 1")
-        cond = _check_pd(np.eye(m.shape[0]) - m, "(1 - R)")
+        cond = _check_pd(_one_minus(m), "(1 - R)")
         object.__setattr__(self, "weights", _keep(m))
         # The check's estimate of cond(1 - R), kept for the oracle's warning.
         object.__setattr__(self, "_cond", cond)
@@ -445,8 +496,8 @@ class PartialCorrelationGraph(_Matrix):
     @cached_property
     def _inverse(self) -> MarginalCorrelationMatrix:
         """The oracle matrix P, from one inversion of (1 - R) on first use."""
-        minv = _spd_inverse(np.eye(self.dim) - self.weights, SingularMatrix, "(1 - R)")
-        return MarginalCorrelationMatrix._computed(_correlations(minv), self.labels)
+        minv = _spd_inverse(_one_minus(self.weights), SingularMatrix, "(1 - R)")
+        return MarginalCorrelationMatrix._computed(_correlations(minv, out=minv), self.labels)
 
     @cached_property
     def _nu(self) -> float:
@@ -501,10 +552,11 @@ def validate_partial_graph(raw, scale=None, labels=None) -> PartialCorrelationGr
     return PartialCorrelationGraph(raw, scale=scale, labels=labels)
 
 
-def _correlations(c: np.ndarray) -> np.ndarray:
-    """c_ij / sqrt(c_ii c_jj), with a unit diagonal; exactly symmetric when c is."""
+def _correlations(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """c_ij / sqrt(c_ii c_jj), with a unit diagonal, in ``out`` (c itself,
+    say) or a fresh array; exactly symmetric when c is."""
     s = np.sqrt(np.diag(c))
-    p = c / np.outer(s, s)
+    p = _by_outer(np.divide, c, s, np.empty(c.shape) if out is None else out)
     np.fill_diagonal(p, 1.0)
     return p
 
@@ -537,21 +589,29 @@ def precision_to_partial(Omega: PrecisionMatrix) -> PartialCorrelationGraph:
     :func:`partial_to_precision` can reassemble Omega exactly.
     """
     Omega = _instance(Omega, PrecisionMatrix, "Omega", ParamOutOfBound)
-    return _precision_graph(Omega.entries, Omega.labels)
+    return _precision_graph(np.array(Omega.entries), Omega.labels)
 
 
 def _precision_graph(om: np.ndarray, labels, scale=1.0) -> PartialCorrelationGraph:
     """The graph of precision entries ``om``, written in node scales ``scale``.
 
     r_ij = -om_ij / sqrt(om_ii om_jj); the graph's scale is ``scale *
-    sqrt(diag(om))``, or none when ``scale`` is None.  ``om`` is
-    symmetrised exactly, so R is exactly symmetric with a zero diagonal,
-    and checked once, by the constructor's tail: (1 - R) is positive
-    definite exactly when om is.
+    sqrt(diag(om))``, or none when ``scale`` is None.  ``om`` is an array
+    nothing else holds: it is symmetrised exactly, to (om + om.T) / 2, and
+    split in place, and it becomes the weights, so R is exactly symmetric
+    with a zero diagonal; it is checked once, by the constructor's tail:
+    (1 - R) is positive definite exactly when om is.
     """
-    om = (om + om.T) / 2.0
+    for rows in _rows(len(om)):
+        # The row block right of the diagonal and its mirror: the entries
+        # read here, both indices past earlier blocks, are not yet written.
+        k = rows.start
+        block = om[rows, k:] + om[k:, rows].T
+        block /= 2.0
+        om[rows, k:] = block
+        om[k:, rows] = block.T
     lam = np.sqrt(np.diag(om))
-    r = -om / np.outer(lam, lam)
+    r = _by_outer(np.divide, np.negative(om, out=om), lam, om)
     np.fill_diagonal(r, 0.0)
     lam = None if scale is None else scale * lam
     return PartialCorrelationGraph._computed(r, labels, scale=lam)
@@ -564,10 +624,8 @@ def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
         raise MissingScale(
             "graph carries no node scales; it cannot define a precision matrix"
         )
-    lam = g.scale
-    m = np.eye(g.dim) - g.weights
-    omega = np.outer(lam, lam) * m
-    return PrecisionMatrix._computed(omega, g.labels)
+    omega = _one_minus(g.weights)
+    return PrecisionMatrix._computed(_by_outer(np.multiply, omega, g.scale, omega), g.labels)
 
 
 def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:
@@ -613,9 +671,11 @@ def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     """
     nu = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)._nu
     top = g.dim - 1
-    # |R| is a fresh, finite array: the solve may overwrite it unchecked.
-    perron = scipy.linalg.eigh(np.abs(g.weights), eigvals_only=True, subset_by_index=[top, top],
-                               overwrite_a=True, check_finite=False)
+    # |R| is a fresh, finite array: the solve may overwrite it unchecked,
+    # and given as its Fortran-ordered transpose (|R| is exactly
+    # symmetric), it is not copied first.
+    perron = scipy.linalg.eigh(np.abs(g.weights).T, eigvals_only=True,
+                               subset_by_index=[top, top], overwrite_a=True, check_finite=False)
     # nu <= nu(|R|) holds exactly, but eigensolver noise can leave the
     # computed root a few ulp under nu.
     nu_plus = max(float(perron[0]), nu)

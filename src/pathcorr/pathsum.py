@@ -160,8 +160,12 @@ class RescaledGraph:
     @cached_property
     def weights(self) -> np.ndarray:
         """Dense effective weights (1 - q) 1 + q R, read-only, built once."""
-        w = self.q * self.base.weights
-        w = w + (1.0 - self.q) * np.eye(self.base.dim)
+        q, r = self.q, self.base.weights
+        w = q * r
+        # Off the diagonal the identity's zeros count too: adding
+        # (1 - q) * 0.0 turns -0.0 into +0.0 whenever q < 1.
+        w += (1.0 - q) * 0.0
+        np.fill_diagonal(w, q * np.diagonal(r) + (1.0 - q))
         w.setflags(write=False)
         return w
 

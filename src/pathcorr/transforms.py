@@ -51,8 +51,10 @@ from .errors import (
 )
 from .matrices import (
     PartialCorrelationGraph,
+    _by_outer,
     _cho,
     _keep,
+    _one_minus,
     _paths_through,
     _precision_graph,
     partial_to_marginal_oracle,
@@ -141,14 +143,20 @@ class LatentReduction:
     def enlarged_graph(self) -> PartialCorrelationGraph:
         g, load = self._source, self._load
         lam = g.scale if g.scale is not None else np.ones(g.dim)
-        mu = self.latent_count
-        omega_top = (
-            np.outer(lam, lam) * (np.eye(g.dim) - g.weights)
-            + (lam[:, None] * load) @ (lam[:, None] * load).T
-        )
-        enlarged = np.block(
-            [[omega_top, -lam[:, None] * load], [-(lam[:, None] * load).T, np.eye(mu)]]
-        )
+        d, mu = g.dim, self.latent_count
+        scaled = lam[:, None] * load
+        # The precision [[Lambda (1 - R) Lambda + A A^T, -A], [-A^T, 1]],
+        # A the scaled loading, built in the one array the graph keeps.
+        enlarged = np.empty((d + mu, d + mu))
+        # Two buffers for A A^T: given one, numpy calls syrk, not gemm, and
+        # the last bits move.
+        top = np.matmul(scaled, scaled.copy().T, out=enlarged[:d, :d])
+        omega = _one_minus(g.weights)
+        top += _by_outer(np.multiply, omega, lam, omega)
+        del omega
+        np.negative(scaled, out=enlarged[:d, d:])
+        enlarged[d:, :d] = enlarged[:d, d:].T
+        enlarged[d:, d:] = np.eye(mu)
         latent_labels = self.reduced_graph.labels[len(self.kept):]
         return _precision_graph(enlarged, g.labels + latent_labels)
 
@@ -200,8 +208,11 @@ def marginalize_nodes(
     kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
     if not removed:
         return g
-    m_red = np.eye(len(kept)) - g.weights[np.ix_(kept, kept)]
-    m_red -= _paths_through(g.weights, kept, kept, removed, SingularBlock, _ELIMINATED)
+    # The paths first, so the factor and solve behind them are freed
+    # before 1 - R_TT is formed, in place of its own index copy.
+    paths = _paths_through(g.weights, kept, kept, removed, SingularBlock, _ELIMINATED)
+    m_tt = g.weights[np.ix_(kept, kept)]
+    m_red = np.subtract(_one_minus(m_tt, out=m_tt), paths, out=paths)
     if np.any(np.diag(m_red) <= 0.0):
         raise DenominatorNonPositive("a loop sum through the removed set reaches 1")
     return _precision_graph(m_red, *_kept_nodes(g, kept))
@@ -376,10 +387,41 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     choice describes the same distribution.
     """
     kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
-    n_t, n_s = len(kept), len(removed)
-    w = g.weights
-    q = w[np.ix_(removed, kept)]
+    n_t, w = len(kept), g.weights
+    # In a helper, so its SVD temporaries are freed before the graph is built.
+    s, load, v_cols = _latent_factors(w, removed, kept)
+    mu = len(s)
 
+    kept_labels, lam_t = _kept_nodes(g, kept)
+    lam_t = np.ones(n_t) if lam_t is None else lam_t
+    # The precision [[Lambda (1 - R_TT) Lambda, -Lambda V], [-V^T Lambda, 1]]
+    # in the one array the reduced graph keeps.
+    reduced = np.empty((n_t + mu, n_t + mu))
+    top = _one_minus(w[np.ix_(kept, kept)], out=reduced[:n_t, :n_t])
+    _by_outer(np.multiply, top, lam_t, top)
+    np.negative(lam_t[:, None] * v_cols, out=reduced[:n_t, n_t:])
+    reduced[n_t:, :n_t] = reduced[:n_t, n_t:].T
+    reduced[n_t:, n_t:] = np.eye(mu)
+    reduced_graph = _precision_graph(reduced, kept_labels + _fresh_latent_labels(g.labels, mu))
+
+    con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
+    return LatentReduction(
+        kept=tuple(kept),
+        latent_count=mu,
+        a_tilde=_keep(con[removed, :].T),
+        b_tilde=_keep(con[kept, :].T),
+        singular_values=tuple(float(x) for x in s),
+        reduced_graph=reduced_graph,
+        _source=g,
+        _load=_keep(load),
+    )
+
+
+def _latent_factors(w: np.ndarray, removed: list, kept: list) -> tuple:
+    """(s, load, V) for the coupling block Q = R[S, T]: its mu leading
+    singular values, the latent loading of every node (d x mu, in node
+    order) and the reduced coupling V (|T| x mu)."""
+    q = w[np.ix_(removed, kept)]
     u, s, vt = np.linalg.svd(q, full_matrices=False)
     smax = float(s[0]) if s.size else 0.0
     mu = int(np.sum(s >= RANK_RTOL * smax)) if smax > 0.0 else 0
@@ -389,7 +431,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     sigma = np.sqrt(s)
 
     # Latent loading of every original node, in original node order.
-    load = np.zeros((g.dim, mu))
+    load = np.zeros((len(w), mu))
     load[removed, :] = u * sigma
     load[kept, :] = vt.T * sigma
 
@@ -398,40 +440,15 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     # Factorised before the graph is built, so a singular eliminated
     # block raises SingularBlock first.
     if mu > 0:
-        m_ss = np.eye(n_s) - w[np.ix_(removed, removed)]
-        chol, _ = _cho(m_ss, SingularBlock, _ELIMINATED)
+        m_ss = w[np.ix_(removed, removed)]
+        chol, _ = _cho(_one_minus(m_ss, out=m_ss), SingularBlock, _ELIMINATED)
         b_white = scipy.linalg.solve_triangular(chol, q, lower=True)
         _, eta, zt = np.linalg.svd(b_white, full_matrices=False)
         v_cols = zt[:mu, :].T * eta[:mu]
         v_cols = v_cols * _signs(v_cols)
     else:
-        v_cols = np.zeros((n_t, 0))
-
-    con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
-    a_tilde = _keep(con[removed, :].T)
-    b_tilde = _keep(con[kept, :].T)
-
-    kept_labels, lam_t = _kept_nodes(g, kept)
-    lam_t = np.ones(n_t) if lam_t is None else lam_t
-    m_tt = np.eye(n_t) - w[np.ix_(kept, kept)]
-    reduced = np.block(
-        [
-            [np.outer(lam_t, lam_t) * m_tt, -lam_t[:, None] * v_cols],
-            [-(lam_t[:, None] * v_cols).T, np.eye(mu)],
-        ]
-    )
-    reduced_graph = _precision_graph(reduced, kept_labels + _fresh_latent_labels(g.labels, mu))
-
-    return LatentReduction(
-        kept=tuple(kept),
-        latent_count=mu,
-        a_tilde=a_tilde,
-        b_tilde=b_tilde,
-        singular_values=tuple(float(x) for x in s),
-        reduced_graph=reduced_graph,
-        _source=g,
-        _load=_keep(load),
-    )
+        v_cols = np.zeros((len(kept), 0))
+    return s, load, v_cols
 
 
 def _signs(cols: np.ndarray) -> np.ndarray:

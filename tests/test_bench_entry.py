@@ -1,0 +1,102 @@
+"""``tools/bench_entry.py``: merging harness reports into BENCH_<n>.json.
+
+The harness itself is replaced by stored reports, so nothing is timed here.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_entry.py"
+_spec = importlib.util.spec_from_file_location("bench_entry", _PATH)
+bench_entry = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_entry)
+
+ENV = {"nproc": 2, "blas": "openblas", "blas_threads": 1, "python": "3.11.7",
+       "numpy": "2.4.6", "scipy": "1.17.1", "seed": 1, "run_seconds": 14.0,
+       "git_commit": "abc", "load": "closed loop, one client, one process"}
+
+
+def report(workload, trace, p50, **env):
+    return {"environment": dict(ENV, workload=workload, **env), "trace": trace,
+            "metrics": {"task_p50_ms": {"value": p50, "unit": "ms"}},
+            "series_ms": {"tasks": [p50, p50]}}
+
+
+@pytest.fixture
+def root(tmp_path):
+    (tmp_path / "src" / "pathcorr").mkdir(parents=True)
+    (tmp_path / "src" / "pathcorr" / "a.py").write_text("x = 1\n")
+    return tmp_path
+
+
+def fake_harness(p50, **env):
+    def run(root, workload, seed, seconds, trace):
+        assert (seed, seconds) == (1, 14.0)
+        return report(workload, trace, p50, **env)
+
+    return run
+
+
+def test_merges_every_run_with_its_series(monkeypatch, root, capsys):
+    monkeypatch.setattr(bench_entry, "ROOT", root)
+    monkeypatch.setattr(bench_entry, "run_harness", fake_harness(90.0))
+    assert bench_entry.main([]) == 0
+    entry = json.loads((root / "BENCH_1.json").read_text())
+    assert entry["entry"] == 1
+    assert sorted(entry["runs"]) == sorted(
+        [f"{w}-trace0" for w in bench_entry.WORKLOADS] + ["dense_500-trace1"])
+    assert entry["runs"]["dense_500-trace1"]["series_ms"] == {"tasks": [90.0, 90.0]}
+    assert entry["environment"] == {k: ENV[k] for k in bench_entry.FINGERPRINT
+                                    + bench_entry.SETTINGS}
+    assert entry["git_commit"] == "abc"
+    assert entry["source_sha256"] == bench_entry.source_digest(root)
+    assert capsys.readouterr().out == "wrote BENCH_1.json\n"
+
+
+def test_compares_with_the_last_entry_in_the_same_environment(monkeypatch, root, capsys):
+    monkeypatch.setattr(bench_entry, "ROOT", root)
+    monkeypatch.setattr(bench_entry, "run_harness", fake_harness(100.0))
+    assert bench_entry.main([]) == 0
+    monkeypatch.setattr(bench_entry, "run_harness", fake_harness(90.0))
+    assert bench_entry.main([]) == 0
+    out = capsys.readouterr().out
+    assert "wrote BENCH_2.json\nagainst BENCH_1.json:" in out
+    assert "dense_500-trace0 task_p50_ms: 100 -> 90 (0.900x)" in out
+
+
+def test_refuses_to_compare_across_environments(monkeypatch, root, capsys):
+    monkeypatch.setattr(bench_entry, "ROOT", root)
+    monkeypatch.setattr(bench_entry, "run_harness", fake_harness(100.0))
+    assert bench_entry.main([]) == 0
+    monkeypatch.setattr(bench_entry, "run_harness", fake_harness(90.0, numpy="2.5.0"))
+    assert bench_entry.main([]) == 0
+    out = capsys.readouterr().out
+    assert "not compared with BENCH_1.json: the environments differ" in out
+    assert "numpy: '2.4.6' vs '2.5.0'" in out
+    assert "task_p50_ms" not in out
+
+
+def test_a_failed_run_writes_no_entry(monkeypatch, root, capsys):
+    def failing(root, workload, seed, seconds, trace):
+        raise RuntimeError("perfbench/run.py exited with 1")
+
+    monkeypatch.setattr(bench_entry, "ROOT", root)
+    monkeypatch.setattr(bench_entry, "run_harness", failing)
+    assert bench_entry.main([]) == 1
+    assert not list(root.glob("BENCH_*.json"))
+    assert "no entry written" in capsys.readouterr().err
+
+
+def test_runs_of_one_entry_must_share_their_environment(root):
+    runs = {"a-trace0": report("a", 0, 1.0), "b-trace0": report("b", 0, 1.0, nproc=8)}
+    with pytest.raises(ValueError):
+        bench_entry.merge(runs, root)
+
+
+def test_entries_are_numbered_past_the_last(root):
+    for name in ("BENCH_2.json", "BENCH_10.json", "BENCH_x.json", "BENCH_1.json.bak"):
+        (root / name).write_text("{}")
+    assert [p.name for p in bench_entry.entries(root)] == ["BENCH_2.json", "BENCH_10.json"]

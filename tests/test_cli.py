@@ -346,6 +346,40 @@ class TestConvertCommand:
         # Neither a source path nor a source line of the package.
         assert ".py" not in stderr and "return" not in stderr
 
+    @pytest.mark.parametrize("kind", ["covariance", "precision", "marginal", "partial"])
+    def test_asymmetric_file_is_refused_for_every_kind(self, run, tmp_path, kind):
+        # Every matrix kind is read through one square check.
+        src = tmp_path / "asym.csv"
+        src.write_text("1,0.2\n0.1,1\n")
+        out = tmp_path / "asym.json"
+        code, stdout, stderr = run("convert", "--in", str(src), "--kind", kind,
+                                   "--to", "marginal", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert stderr.count("\n") == 1
+        assert stderr.startswith("error:") and "asymmetric" in stderr
+        assert not out.exists()
+
+    def test_indefinite_graph_is_refused_with_one_line(self, run, tmp_path):
+        # Three couplings of 0.7: 1 - R has the eigenvalue 1 - 1.4 < 0.
+        src = tmp_path / "indef.csv"
+        src.write_text("0,0.7,0.7\n0.7,0,0.7\n0.7,0.7,0\n")
+        out = tmp_path / "indef.json"
+        code, stdout, stderr = run("convert", "--in", str(src), "--kind", "partial",
+                                   "--to", "marginal", "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert stderr.count("\n") == 1
+        assert stderr.startswith("error:") and "not positive definite" in stderr
+        assert not out.exists()
+
+    def test_oracle_of_a_sample_is_exactly_symmetric(self, run, tmp_path):
+        # The oracle is one Cholesky inverse with its triangle mirrored.
+        src, out = tmp_path / "sample.json", tmp_path / "m.json"
+        assert run("sample", "--d", "4", "--seed", "1", "--out", str(src))[0] == 0
+        assert run("convert", "--in", str(src), "--to", "marginal", "--out", str(out))[0] == 0
+        m = json.loads(out.read_text())["data"]
+        assert all(m[i][j] == m[j][i] for i in range(4) for j in range(4))
+        assert all(m[i][i] == 1.0 for i in range(4))
+
     def test_covariance_to_partial(self, run, tmp_path):
         cov = martingale_covariance(
             MartingaleSpec(horizon=4, alpha=0.6, innovation_variances=np.ones(4))
@@ -1187,6 +1221,57 @@ class TestGoldenFiles:
         first = json.loads((tmp_path / outputs[0]).read_text())
         if command != "marginalize":
             assert first["scale"] == [kept.get(x, 1.0) for x in first["labels"]]
+
+
+    # The path sums pass through BLAS: numbers are held to 1e-12 of the
+    # largest one, keys, labels, L and q exactly.
+    @pytest.mark.parametrize(
+        "name, extra",
+        [("partial6_expand.json", ()), ("partial6_expand_q.json", ("--q", "0.8"))],
+    )
+    def test_expansion_of_partial_graph(self, run, tmp_path, name, extra):
+        assert run("expand", "--in", str(GOLDEN / "partial6.json"), "--i", "a", "--j", "d",
+                   "--L", "12", *extra, "--out", str(tmp_path / name))[0] == 0
+        got = json.loads((tmp_path / name).read_text())
+        want = json.loads((GOLDEN / name).read_text())
+        numbers = ("rho_hat", "oracle", "abs_gap")
+        assert list(got) == list(want) == ["i", "j", "L", "q", *numbers]
+        assert {k: got[k] for k in got if k not in numbers} == {
+            k: want[k] for k in want if k not in numbers
+        }
+        top = max(abs(want[k]) for k in numbers)
+        assert all(abs(got[k] - want[k]) <= 1e-12 * top for k in numbers)
+
+    def test_profile_of_partial_graph(self, run, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run("profile", "--in", str(GOLDEN / "partial6.json"), "--i", "a", "--j", "f",
+                   "--Lmax", "15", "--q", "0.9", "--out", str(out))[0] == 0
+        got = list(csv.reader(out.open()))
+        want = list(csv.reader((GOLDEN / "partial6_profile.csv").open()))
+        assert got[0] == want[0] == ["L", "rho_hat", "abs_gap"]
+        assert [row[0] for row in got[1:]] == [row[0] for row in want[1:]] == [
+            str(L) for L in range(1, 16)
+        ]
+        a = np.array([row[1:] for row in got[1:]], dtype=float)
+        b = np.array([row[1:] for row in want[1:]], dtype=float)
+        assert a.shape == b.shape == (15, 2)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_separators_of_partial_graph(self, run, tmp_path):
+        # Two separators in one component beside a second component.  Their
+        # residuals are roundoff: held to 1e-12 on the unit scale of
+        # correlations; nodes and pieces exactly.
+        out = tmp_path / "s.json"
+        assert run("separators", "--in", str(GOLDEN / "separators8.json"),
+                   "--out", str(out))[0] == 0
+        got = json.loads(out.read_text())
+        want = json.loads((GOLDEN / "separators8_report.json").read_text())
+        assert [list(r) for r in got] == [list(r) for r in want]
+        assert [(r["node"], r["components"]) for r in got] == [
+            (r["node"], r["components"]) for r in want
+        ] == [("c", [["a", "b"], ["d", "e", "f", "g", "h"]]),
+              ("d", [["a", "b", "c"], ["e", "f", "g", "h"]])]
+        assert all(abs(r["residual"] - w["residual"]) <= 1e-12 for r, w in zip(got, want))
 
 
 class TestExitStatus:
