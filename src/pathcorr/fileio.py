@@ -142,7 +142,8 @@ def save_matrix(obj, path, provenance: dict | None = None) -> None:
 
 def _floats(cells, path, what: str) -> np.ndarray:
     """A list of JSON numbers as a float array; anything else is refused."""
-    if not isinstance(cells, list) or not all(type(x) in (int, float) for x in cells):
+    # By exact type: a JSON true is a bool, which isinstance would take for an int.
+    if not isinstance(cells, list) or not set(map(type, cells)) <= {int, float}:
         raise FileFormatError(f"{path}: {what} must be a list of JSON numbers")
     try:
         return np.array(cells, dtype=float)

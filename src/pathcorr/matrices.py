@@ -36,8 +36,9 @@ every whole-matrix inverse (the oracle's (1 - R)^-1, the covariance and
 precision conversions, the sampler's precision) through :func:`_spd_inverse`,
 one in-place factor and LAPACK's dpotri, exactly symmetric; and every
 restricted block inverse W[E, K] (1 - W_K)^-1 W[K, E] through :func:`_paths_through`.
-nu(R) comes from the full spectrum of R, nu(|R|) from the top eigenvalue of
-|R| alone.
+Every end of a symmetric spectrum (nu(R), nu(|R|), a correlation matrix's
+lowest eigenvalue) comes from :func:`_spectrum_ends`: one tridiagonal
+reduction, then a bisection for each end, never the whole spectrum.
 Every square input is checked by one helper, :func:`_square`; every array
 argument becomes floats through :func:`_floats`.  One rule keeps arrays: kept
 arrays are frozen in place (:func:`_keep`); a caller's array is copied once
@@ -54,6 +55,7 @@ Node names are checked once, by :func:`_labels`, and kept by every derived objec
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from collections.abc import Iterable
@@ -238,7 +240,9 @@ def _inverse_norm(low: np.ndarray) -> float:
     Hager's estimator with Higham's alternating-sign probe, the algorithm
     of LAPACK's dpocon (Higham 1988): up to five steps toward the column
     of m^-1 with the largest 1-norm, each a solve with the factor, since
-    m^-1 is symmetric.  Run here on ``cho_solve``, the solve of
+    m^-1 is symmetric.  The first probe and the alternating-sign one do
+    not depend on the steps, so one two-column solve takes both: four
+    solves at most, not five.  Run here on ``cho_solve``, the solve of
     :func:`_paths_through`, rather than on dpocon, whose call tree pages
     in about 0.5 MB of LAPACK code on first use.
     """
@@ -248,7 +252,9 @@ def _inverse_norm(low: np.ndarray) -> float:
         return scipy.linalg.cho_solve((low, True), x, check_finite=False)
 
     x = np.full(d, 1.0 / d)
-    y = solve(x)
+    k = np.arange(d)
+    alternating = (1.0 - 2.0 * (k % 2)) * (1.0 + k / max(d - 1, 1))
+    y, alternating = solve(np.column_stack((x, alternating))).T
     est = float(np.abs(y).sum())
     for _ in range(5):
         z = solve(np.where(y >= 0.0, 1.0, -1.0))
@@ -262,9 +268,49 @@ def _inverse_norm(low: np.ndarray) -> float:
         if step <= est:
             break
         est = step
-    k = np.arange(d)
-    y = solve((1.0 - 2.0 * (k % 2)) * (1.0 + k / max(d - 1, 1)))
-    return max(est, 2.0 * float(np.abs(y).sum()) / (3.0 * d))
+    return max(est, 2.0 * float(np.abs(alternating).sum()) / (3.0 * d))
+
+
+def _spectrum_ends(m: np.ndarray, overwrite: bool = False) -> tuple:
+    """(lambda_min, lambda_max) of a symmetric, finite m.
+
+    One reduction to tridiagonal form (LAPACK's dsytrd, about 4/3 d^3
+    flops), then one bisection (dstebz) for each end: the rest of the
+    spectrum is never computed.  A zero end reads +0.0.  With
+    ``overwrite``, a C-ordered m may be reduced in place: its diagonal
+    and upper triangle are overwritten, its strict lower triangle is left
+    as it was.  Otherwise m is copied once and not written.
+    """
+    d = len(m)
+    top = _largest_magnitude(m)
+    if d == 1 or top == 0.0:
+        return float(m[0, 0]) + 0.0, float(m[0, 0]) + 0.0
+    # As LAPACK's dsyevd and dsyevr do, a matrix far from unit size is brought to
+    # it first, by a power of two, exactly: the reduction and the bisection
+    # drop entries whose squares underflow.  The copy is then the one reduced.
+    exponent = 0 if 2.0**-256 < top < 2.0**256 else math.frexp(top)[1]
+    if exponent:
+        m, overwrite = np.ldexp(m, -exponent), True
+    lwork, _ = scipy.linalg.lapack.dsytrd_lwork(d, lower=True)
+    # m.T: m in Fortran order, so the reduction works in place; its lower
+    # triangle is m's upper one, which m's symmetry makes the same numbers.
+    _, diagonal, offdiagonal, _, _ = scipy.linalg.lapack.dsytrd(
+        m.T, lower=True, lwork=int(lwork), overwrite_a=overwrite)
+    # The first and the d-th smallest eigenvalue alone (range "I", coded 2),
+    # as scipy's eigvalsh_tridiagonal(select="i") asks for them, less its
+    # checks: about 30 us a call at small d.
+    found = [scipy.linalg.lapack.dstebz(diagonal, offdiagonal, 2, 0.0, 0.0, k, k, 0.0, "E")
+             for k in (1, d)]
+    ends = [w[0] for _, w, _, _, info in found if info == 0]
+    if len(ends) < 2:
+        # dstebz can miss a cluster of equal eigenvalues at an end (a
+        # complete graph's top one, say); the tridiagonal's whole spectrum,
+        # in O(d^2) flops, cannot.
+        spectrum, info = scipy.linalg.lapack.dsterf(diagonal, offdiagonal)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"dsterf did not converge: info {info}")
+        ends = spectrum[[0, -1]]
+    return tuple(math.ldexp(float(x), exponent) + 0.0 for x in ends)
 
 
 def _cho(m: np.ndarray, error, what: str, overwrite: bool = False) -> tuple:
@@ -426,12 +472,16 @@ class MarginalCorrelationMatrix(_Matrix):
         if _largest_magnitude(m) > 1.0:
             raise EntryOutOfRange("correlation magnitudes cannot exceed 1")
         # Semi-definiteness only: perfectly correlated pairs are legal, and
-        # a Cholesky factor fails on them, so this check reads eigenvalues.
-        w = np.linalg.eigvalsh(m)
-        if float(w[0]) < -TOL_PD * max(float(w[-1]), 1.0):
-            raise NotPositiveDefinite(
-                f"correlation matrix has eigenvalue {float(w[0]):.6e} < 0"
-            )
+        # a Cholesky factor fails on them, so this check reads both ends of
+        # the spectrum.  The reduction runs in m, which is exactly symmetric
+        # with a unit diagonal: the strict lower triangle it leaves restores
+        # the rest, bit for bit.
+        lo, hi = _spectrum_ends(m, overwrite=True)
+        for k in range(len(m) - 1):
+            m[k, k + 1:] = m[k + 1:, k]
+        np.fill_diagonal(m, 1.0)
+        if lo < -TOL_PD * max(hi, 1.0):
+            raise NotPositiveDefinite(f"correlation matrix has eigenvalue {lo:.6e} < 0")
         self._settle(m)
 
 
@@ -500,9 +550,15 @@ class PartialCorrelationGraph(_Matrix):
         return MarginalCorrelationMatrix._computed(_correlations(minv, out=minv), self.labels)
 
     @cached_property
+    def _ends(self) -> tuple:
+        """(lambda_min, lambda_max) of R, from one reduction on first use."""
+        return _spectrum_ends(self.weights)
+
+    @cached_property
     def _nu(self) -> float:
-        """Spectral radius nu(R), computed on first use."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.weights))))
+        """Spectral radius nu(R) = max(-lambda_min, lambda_max), from the cached ends."""
+        lo, hi = self._ends
+        return max(hi, -lo)
 
 
 @dataclass(frozen=True)
@@ -665,20 +721,17 @@ def _checked_inverse(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:
 def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     """Spectral radii nu(R), nu(|R|) and the summation regime.
 
-    nu(R) is the cached full-spectrum value the default rescaling reads.
-    |R| is symmetric and nonnegative, so by Perron-Frobenius nu(|R|) is
-    its largest eigenvalue, taken alone by one selected-eigenvalue solve.
+    nu(R) is the value the default rescaling reads, cached on the graph
+    from one reduction of R to tridiagonal form.  |R| is symmetric and
+    nonnegative, so by Perron-Frobenius nu(|R|) is its largest
+    eigenvalue, the top end from one reduction of |R|.
     """
     nu = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)._nu
-    top = g.dim - 1
-    # |R| is a fresh, finite array: the solve may overwrite it unchecked,
-    # and given as its Fortran-ordered transpose (|R| is exactly
-    # symmetric), it is not copied first.
-    perron = scipy.linalg.eigh(np.abs(g.weights).T, eigvals_only=True,
-                               subset_by_index=[top, top], overwrite_a=True, check_finite=False)
+    # |R| is a fresh, finite array: the reduction may overwrite it.
+    _, perron = _spectrum_ends(np.abs(g.weights), overwrite=True)
     # nu <= nu(|R|) holds exactly, but eigensolver noise can leave the
     # computed root a few ulp under nu.
-    nu_plus = max(float(perron[0]), nu)
+    nu_plus = max(perron, nu)
     if nu >= 1.0:
         regime = "rescale-required"
     elif nu_plus >= 1.0:

@@ -8,6 +8,9 @@ the modules.
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -794,18 +797,20 @@ class TestChainCommand:
         assert "error:" in stderr
 
     def test_pairs_table_row_cap(self, run, tmp_path, monkeypatch):
-        # d = 4473 would write 10 001 628 rows, over the 10**7 cap: refused
-        # before the first pair is computed or the file is opened.
+        # d = 4473 would write 10 001 628 rows, over the 10**7 cap, and
+        # d = 100 000 5 * 10**9: refused before the first pair is computed
+        # or the file is opened.
         calls = []
         monkeypatch.setattr(chains, "chain_pair_corr", lambda *a: calls.append(a))
         out = tmp_path / "pairs.csv"
-        code, stdout, stderr = run(
-            "chain", "--d", "4473", "--r", "0.3", "--pairs", "all", "--out", str(out)
-        )
-        assert code == 1
-        assert stderr.startswith("error:") and "between 1 and 4472" in stderr
-        assert stderr.count("\n") == 1 and stdout == ""
-        assert calls == [] and not out.exists()
+        for d in ("4473", "100000"):
+            code, stdout, stderr = run(
+                "chain", "--d", d, "--r", "0.3", "--pairs", "all", "--out", str(out)
+            )
+            assert code == 1
+            assert stderr.startswith("error:") and "between 1 and 4472" in stderr
+            assert stderr.count("\n") == 1 and stdout == ""
+            assert calls == [] and not out.exists()
 
     def test_bad_coupling_is_domain_error(self, run):
         code, _, stderr = run("chain", "--d", "5", "--r", "0.6")
@@ -985,6 +990,12 @@ class TestFigureCommand:
         code, _, _ = run("figure", "fig4", "--k", "3", "--m", "40", "--out", str(out))
         assert code == 0
         assert calls == [ChainSpec(d=42, r=r) for r in FIG4_R_GRID]
+        # So 5 couplings x 5000 appendage lengths take five chains, not 25 000.
+        calls.clear()
+        code, _, _ = run("figure", "fig4", "--m", "5000", "--out", str(out))
+        assert code == 0 and len(calls) == len(FIG4_R_GRID)
+        with open(out, newline="") as fh:
+            assert sum(1 for _ in fh) == 1 + len(FIG4_R_GRID) * 5000 == 25001
 
     def test_rescaling_table(self, run, tmp_path):
         out = tmp_path / "fig6.csv"
@@ -1122,6 +1133,90 @@ class TestKindFlag:
         assert run(name, "--in", str(src), *rest)[0] == 0
 
 
+class TestThreeNodeCsvGraph:
+    # The chain x1 - x2 - x3 as a bare CSV table, read with --kind partial.
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("0,0.3,0\n0.3,0,0.2\n0,0.2,0\n")
+        return path
+
+    def test_mi_series_sums_to_the_closed_form(self, run, table, tmp_path):
+        nats = []
+        for method in ("closed", "series"):
+            out = tmp_path / f"{method}.json"
+            assert run("mi", "--in", str(table), "--kind", "partial", "--A", "x1", "--B", "x2",
+                       "--method", method, "--out", str(out))[0] == 0
+            nats.append(json.loads(out.read_text())["nats"])
+        assert abs(nats[0] - nats[1]) <= 1e-12
+
+    def test_enlarged_network_only_on_request(self, run, table, tmp_path):
+        # reduce writes one file; --out-enlarged adds the network on
+        # S + T + latents, the original nodes first.
+        out, enlarged = tmp_path / "r.json", tmp_path / "e.json"
+        argv = ("reduce", "--in", str(table), "--kind", "partial", "--S", "x2", "--out", str(out))
+        assert run(*argv)[0] == 0
+        assert out.exists() and not enlarged.exists()
+        assert run(*argv, "--out-enlarged", str(enlarged))[0] == 0
+        assert json.loads(enlarged.read_text())["labels"][:3] == ["x1", "x2", "x3"]
+
+    def test_convert_keeps_a_sample_provenance(self, run, tmp_path):
+        sample, marginal = tmp_path / "s.json", tmp_path / "m.json"
+        assert run("sample", "--d", "4", "--seed", "1", "--out", str(sample))[0] == 0
+        assert run("convert", "--in", str(sample), "--to", "marginal",
+                   "--out", str(marginal))[0] == 0
+        kept = json.loads(marginal.read_text())["provenance"]
+        assert kept == json.loads(sample.read_text())["provenance"]
+        assert kept["kind"] == "sample" and kept["seed"] == 1
+
+
+def test_separators_stay_inside_each_component(run, tmp_path, monkeypatch):
+    # A 40-node chain beside 400 isolated nodes has 38 separators; a
+    # residual block for every pair of components would take minutes.
+    # Every block stays inside the chain's own 40 positions.
+    spans = set()
+    original = transforms._cut_residual
+
+    def recorded(q, s, a, b, lo, hi):
+        spans.add(hi - lo)
+        return original(q, s, a, b, lo, hi)
+
+    monkeypatch.setattr(transforms, "_cut_residual", recorded)
+    n = 440
+    src = tmp_path / "sep.csv"
+    src.write_text("".join(
+        ",".join("0.3" if abs(i - j) == 1 and max(i, j) < 40 else "0" for j in range(n)) + "\n"
+        for i in range(n)
+    ))
+    code, stdout, _ = run("separators", "--in", str(src), "--kind", "partial")
+    assert code == 0
+    assert [line.split(":")[0] for line in stdout.splitlines()] == [
+        f"node x{k}" for k in range(2, 40)
+    ]
+    assert spans == {40}
+
+
+def test_scipy_special_is_imported_by_sampling_only(tmp_path):
+    # A fresh interpreter: the test modules import scipy.special themselves.
+    script = (
+        "import sys\n"
+        "from pathcorr.cli import main\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "convert = ['convert', '--in', sys.argv[1], '--to', 'marginal', '--out', sys.argv[2]]\n"
+        "assert main(convert) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "assert main(['sample', '--d', '3', '--seed', '1', '--out', sys.argv[2]]) == 0\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    path = [str(Path(fileio.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(GOLDEN / "partial6.json"), str(tmp_path / "o.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -1257,6 +1352,42 @@ class TestGoldenFiles:
         assert a.shape == b.shape == (15, 2)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
+    def test_sample(self, run, tmp_path):
+        # nu(R) in the provenance passes through an eigenvalue reduction,
+        # the weights and scales through BLAS: numbers are held to 1e-12
+        # of the largest one, everything else exactly.
+        out = tmp_path / "s.json"
+        assert run("sample", "--d", "4", "--seed", "1", "--out", str(out))[0] == 0
+        got = json.loads(out.read_text())
+        want = json.loads((GOLDEN / "sample4_seed1.json").read_text())
+        assert list(got) == list(want) == ["kind", "dim", "labels", "data", "scale", "provenance"]
+        header = ("kind", "dim", "labels")
+        assert [got[k] for k in header] == [want[k] for k in header]
+        assert list(got["provenance"]) == list(want["provenance"])
+        assert {k: v for k, v in got["provenance"].items() if k != "nu_R"} == {
+            k: v for k, v in want["provenance"].items() if k != "nu_R"
+        }
+        for key in ("data", "scale"):
+            a, b = np.array(got[key]), np.array(want[key])
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        nu, ref = got["provenance"]["nu_R"], want["provenance"]["nu_R"]
+        assert abs(nu - ref) <= 1e-12 * ref
+
+    def test_fig6(self, run, tmp_path):
+        # q is a fraction of 2 / (1 + nu(R)), so every number follows nu:
+        # held to 1e-12 of the largest one, the header and L exactly.
+        out = tmp_path / "f6.csv"
+        assert run("figure", "fig6", "--out", str(out))[0] == 0
+        got = list(csv.reader(out.open()))
+        want = list(csv.reader((GOLDEN / "fig6.csv").open()))
+        assert got[0] == want[0] == ["q", "L", "rho_hat", "abs_gap"]
+        assert [row[1] for row in got[1:]] == [row[1] for row in want[1:]]
+        a = np.array([[row[0], *row[2:]] for row in got[1:]], dtype=float)
+        b = np.array([[row[0], *row[2:]] for row in want[1:]], dtype=float)
+        assert a.shape == b.shape == (120, 3)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
     def test_separators_of_partial_graph(self, run, tmp_path):
         # Two separators in one component beside a second component.  Their
         # residuals are roundoff: held to 1e-12 on the unit scale of
@@ -1323,6 +1454,24 @@ class TestExitStatus:
         assert code == 1
         assert stderr.startswith("error:")
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
+    @pytest.mark.parametrize("cell", [True, "1.5", None, [0.3]],
+                             ids=["bool", "str", "null", "list"])
+    def test_data_cell_that_is_no_number_is_refused(self, run, tmp_path, cell):
+        # JSON true is a Python bool, an int subclass: it is refused by
+        # type, as a string, null and a nested list are.
+        src = tmp_path / "g.json"
+        doc = {"kind": "partial", "dim": 2, "data": [[0.0, cell], [0.3, 0.0]]}
+        src.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=r"data entries must be a list of JSON numbers$"):
+            fileio.load_matrix(src)
+        out = tmp_path / "m.json"
+        code, stdout, stderr = run("convert", "--in", str(src), "--to", "marginal",
+                                   "--out", str(out))
+        assert code == 1
+        assert stderr == f"error: {src}: data entries must be a list of JSON numbers\n"
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

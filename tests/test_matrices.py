@@ -415,17 +415,23 @@ class TestFactorOnce:
     def count_perron(self, monkeypatch) -> list:
         return self.count(monkeypatch, scipy.linalg, "eigh")
 
+    def count_reductions(self, monkeypatch) -> list:
+        return self.count(monkeypatch, scipy.linalg.lapack, "dsytrd")
+
     def test_one_spectral_pass_per_graph(self, monkeypatch):
         g = scaled_random_graph(34, 6, 0.8)
         calls = self.count_eigvalsh(monkeypatch)
         perron = self.count_perron(monkeypatch)
+        reductions = self.count_reductions(monkeypatch)
         partial_to_marginal_oracle(g)
         spectral_report(g)
         rg = rescale(g)
         RescaledGraph(g, 0.5 * rg.q)
-        # nu(R) once, from the full spectrum; nu(|R|) once, from its top
-        # eigenvalue alone; cond(1 - R) came with construction.
-        assert calls == perron == [(6, 6)]
+        # nu(R) once, from one reduction of R; nu(|R|) once, from one
+        # reduction of |R|; no eigensolver; cond(1 - R) came with
+        # construction.
+        assert reductions == [(6, 6), (6, 6)]
+        assert calls == perron == []
 
     def test_oracle_is_one_factor_and_one_inverse(self, monkeypatch):
         g = scaled_random_graph(37, 6, 0.8)
@@ -440,6 +446,7 @@ class TestFactorOnce:
         g = scaled_random_graph(36, 7, 0.7)
         eig = self.count_eigvalsh(monkeypatch)
         perron = self.count_perron(monkeypatch)
+        reductions = self.count_reductions(monkeypatch)
         chol = self.count(monkeypatch, scipy.linalg, "cho_factor")
         checks = self.count(monkeypatch, matrices, "_check_pd")
         red = latent_reduce(g, [4, 5, 6])
@@ -447,7 +454,7 @@ class TestFactorOnce:
         # graph, checked as a graph only, by one factor and one rcond
         # estimate; the enlarged graph is not built until it is read.
         mu = red.latent_count
-        assert eig == perron == []
+        assert eig == perron == reductions == []
         assert chol == [(3, 3), (4 + mu, 4 + mu)]
         assert checks == chol[1:]
         enlarged = red.enlarged_graph
@@ -455,14 +462,16 @@ class TestFactorOnce:
         # Cached: a second read builds and checks nothing.
         assert red.enlarged_graph is enlarged
         assert len(chol) == 3 and len(checks) == 2
-        for calls in (eig, perron, chol, checks):
+        for calls in (eig, perron, reductions, chol, checks):
             calls.clear()
         sample_partial_graph(SampleSpec(d=5, n=12, seed=3))
-        # The sample covariance's inverse, then the graph's check; nu(R)
-        # and nu(|R|) for its report are the only eigenvalue solves.
+        # The sample covariance's inverse, then the graph's check; one
+        # reduction of R and one of |R|, for nu(R) and nu(|R|) in its
+        # report, are the only eigenvalue work.
         assert chol == [(5, 5), (5, 5)]
         assert checks == [(5, 5)]
-        assert eig == perron == [(5, 5)]
+        assert reductions == [(5, 5), (5, 5)]
+        assert eig == perron == []
 
     def test_exact_conversions_are_not_checked_again(self, monkeypatch):
         base = scaled_random_graph(35, 6, 0.8)
@@ -768,19 +777,120 @@ class TestPerronRoot:
             else:
                 expected = "absolute"
             rep = spectral_report(g)
-            assert rep.nu_R == nu
+            assert abs(rep.nu_R - nu) <= 1e-13 * nu
             assert rep.regime == expected
             regimes.add(expected)
         assert regimes == {"absolute", "conditional", "rescale-required"}
 
     def test_overwriting_solve_is_bit_equal(self):
-        # The solve runs on a fresh |R| it may overwrite, unchecked: the
-        # same dsyevr call on the same data as the copying, checking one.
+        # The reduction runs on a fresh |R| it may overwrite: the same
+        # dsytrd and dstebz calls on the same data as the copying form.
         graphs = [scaled_random_graph(seed, d, 0.9) for seed, d in ((1, 2), (2, 7), (3, 40))]
         graphs += [validate_partial_graph(chain_weights(10, -0.45)), complete_graph(6, -0.3)]
         for g in graphs:
-            top = g.dim - 1
-            ref = scipy.linalg.eigh(np.abs(g.weights), eigvals_only=True,
-                                    subset_by_index=[top, top])
-            assert spectral_report(g).nu_R_plus == max(float(ref[0]), g._nu)
+            _, top = matrices._spectrum_ends(np.abs(g.weights))
+            assert spectral_report(g).nu_R_plus == max(top, g._nu)
             assert not g.weights.flags.writeable
+
+
+@st.composite
+def symmetric_pattern(draw):
+    """A symmetric zero-diagonal pattern, d = 1..60, of one of three kinds:
+    signed random entries with exact +0.0 and -0.0 and, when ``cut`` falls
+    inside, two disconnected blocks; a complete graph, whose one eigenvalue
+    repeats d - 1 times; or a chain, whose spectrum is symmetric about 0."""
+    d = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(("random", "complete", "chain")))
+    if kind == "complete":
+        w = np.full((d, d), draw(st.floats(-1.0, 1.0)))
+        np.fill_diagonal(w, 0.0)
+        return w
+    if kind == "chain":
+        return chain_weights(d, draw(st.floats(-1.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu = np.triu_indices(d, 1)
+    upper = rng.uniform(-1.0, 1.0, len(iu[0]))
+    upper[rng.random(len(upper)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] *= 0.0
+    w = np.zeros((d, d))
+    w[iu] = upper  # x * 0.0 above is a zero with the sign of x
+    cut = draw(st.integers(1, d))
+    w[:cut, cut:] *= 0.0
+    w[iu[::-1]] = w[iu]  # mirrored by copy: -0.0 + 0.0 would be +0.0
+    return w
+
+
+def hex_ends(ends):
+    """The ends as hex strings, so == compares bits, signed zeros included."""
+    return tuple(float(x).hex() for x in ends)
+
+
+def valid_graph_weights(w, nu):
+    """Pattern w scaled to spectral radius nu: a valid graph (if w is not zero)."""
+    if not np.any(w):
+        return w
+    w = w / np.max(np.abs(w))
+    return w * (nu / float(np.max(np.abs(np.linalg.eigvalsh(w)))))
+
+
+class TestSpectrumEnds:
+    @settings(max_examples=200, deadline=None)
+    @given(w=symmetric_pattern())
+    def test_ends_match_full_spectrum(self, w):
+        lam = np.linalg.eigvalsh(w)
+        top = float(np.max(np.abs(lam)))
+        lo, hi = matrices._spectrum_ends(w)
+        assert abs(lo - lam[0]) <= 1e-13 * top
+        assert abs(hi - lam[-1]) <= 1e-13 * top
+        # In place: the same bits, and m's strict lower triangle untouched.
+        m = w.copy()
+        assert hex_ends(matrices._spectrum_ends(m, overwrite=True)) == hex_ends((lo, hi))
+        assert np.tril(m, -1).tobytes() == np.tril(w, -1).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=symmetric_pattern(), nu=st.floats(0.05, 0.95))
+    def test_report_of_a_valid_graph(self, w, nu):
+        w = valid_graph_weights(w, nu)
+        rep = spectral_report(validate_partial_graph(w))
+        assert abs(rep.nu_R - nu * np.any(w)) <= 1e-13 * nu
+        assert rep.nu_R <= rep.nu_R_plus
+        assert abs(rep.nu_R_plus - full_spectrum_nu_plus(w)) <= 1e-13 * rep.nu_R_plus
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_edgeless_ends_are_positive_zero(self, d, zero):
+        w = np.full((d, d), zero)
+        assert hex_ends(matrices._spectrum_ends(w)) == hex_ends((0.0, 0.0))
+        assert hex_ends(matrices._spectrum_ends(w, overwrite=True)) == hex_ends((0.0, 0.0))
+
+    def test_one_node(self):
+        assert matrices._spectrum_ends(np.array([[-2.5]])) == (-2.5, -2.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=symmetric_pattern(), nu=st.floats(0.05, 0.95), noise=st.integers(0, 2**32 - 1))
+    def test_marginal_check_restores_its_matrix(self, w, nu, noise):
+        # The check reduces the validated array in place and rebuilds it:
+        # the kept entries are the bits of (m + m.T) / 2 with a unit diagonal.
+        w = valid_graph_weights(w, nu)
+        p = np.array(partial_to_marginal_oracle(validate_partial_graph(w)).entries)
+        d = len(p)
+        raw = p + 1e-13 * np.random.default_rng(noise).standard_normal((d, d)) * (p != 0.0)
+        np.fill_diagonal(raw, 1.0)
+        raw = np.clip(raw, -1.0, 1.0)
+        want = (raw + raw.T) / 2.0
+        assert MarginalCorrelationMatrix(raw).entries.tobytes() == want.tobytes()
+
+    def test_cluster_at_an_end(self, monkeypatch):
+        # R = r (J - 1) has the eigenvalue -r repeated d - 1 times: at an
+        # end, LAPACK's dstebz can fail to bisect such a cluster, and the
+        # tridiagonal's whole spectrum is read instead.
+        w = np.full((19, 19), -0.72)
+        np.fill_diagonal(w, 0.0)
+        want = (-0.72 * 18, 0.72)
+        assert np.allclose(matrices._spectrum_ends(w), want, rtol=0.0, atol=1e-13 * 0.72 * 18)
+        # The same route forced: every bisection fails as dstebz does
+        # there, with info = 2 and no eigenvalue.
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
+                            lambda d, *args: (0, np.zeros_like(d), None, None, 2))
+        g = complete_graph(6, -0.3)
+        assert spectral_report(g).nu_R == pytest.approx(1.5, rel=1e-13)
+        assert np.allclose(matrices._spectrum_ends(w), want, rtol=0.0, atol=1e-13 * 0.72 * 18)
