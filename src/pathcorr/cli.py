@@ -369,6 +369,8 @@ def _fig4_table(args) -> tuple:
 
 
 def _fig5_table(args) -> tuple:
+    # Each profile is of a pair of nodes: a smaller --d is refused before sampling.
+    _whole(args.d, "--d", ParamOutOfBound, 2)
     rows = []
     found = 0
     seed = args.seed

@@ -196,9 +196,12 @@ def load_csv_matrix(path, kind: str):
     """Read a bare d x d CSV table as the matrix type named by ``kind``."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [[float(cell) for cell in line] for line in csv.reader(fh) if line]
+            text = fh.read()
+        if not text.isascii() or "_" in text:  # float() reads 1_000 and non-ASCII digits
+            raise ValueError("a cell holds an underscore or a non-ASCII character")
+        rows = [list(map(float, line)) for line in csv.reader(text.splitlines(True)) if line]
     except ValueError as exc:
-        # A non-numeric cell, or bytes that are not UTF-8.
+        # A cell no JSON number could hold, or bytes that are not UTF-8.
         raise FileFormatError(f"{path}: not a numeric table: {exc}") from exc
     if not rows or any(len(row) != len(rows) for row in rows):
         raise FileFormatError(f"{path}: expected a square numeric table")

@@ -205,10 +205,11 @@ def _check_pd(m: np.ndarray, what: str) -> float:
     m is a symmetric array nothing else holds: it is divided by its
     largest diagonal entry (rcond does not depend on scale, and at unit
     scale its estimate cannot underflow) and overwritten by its factor.
-    rcond estimates 1 / (||m||_1 ||m^-1||_1), with ||m^-1||_1 from
-    :func:`_inverse_norm` or from the smallest pivot, whichever is
-    larger.  Its inverse, returned, is at most cond_1(m) <= d cond_2(m),
-    and in practice near or above cond_2(m), though it may fall below it.
+    rcond estimates 1 / (||m||_1 ||m^-1||_1), with ||m^-1||_1 from LAPACK's
+    dpocon (Hager's estimator with Higham's probe) or from the smallest
+    pivot, whichever is larger.  Its inverse, returned, is at most
+    cond_1(m) <= d cond_2(m), and in practice near or above cond_2(m),
+    though it may fall below it.
     """
     top = float(np.max(np.diagonal(m)))
     if not top > 0.0:
@@ -221,54 +222,17 @@ def _check_pd(m: np.ndarray, what: str) -> float:
     # ||m||_1 by blocks of 16 columns: no |m|-sized temporary.
     norm = max(float(np.abs(f[:, k:k + 16]).sum(axis=0).max()) for k in range(0, len(f), 16))
     low, _ = _cho(f, NotPositiveDefinite, what, overwrite=True)
-    # Each pivot L_ii^2 is at least lambda_min(m), so 1 / min L_ii^2 is a
-    # second lower bound on ||m^-1||: it catches a near-singular block
-    # that the estimator's probe vectors miss (a 2-node component, say).
-    inverse = max(_inverse_norm(low), 1.0 / float(np.min(np.diagonal(low))) ** 2)
-    rcond = 1.0 / (norm * inverse)
+    rcond, _ = scipy.linalg.lapack.dpocon(low, norm, uplo="L")
+    # Each pivot L_ii^2 is at least lambda_min(m), so min L_ii^2 / ||m||_1 is
+    # a second upper bound on rcond: it catches a near-singular block that
+    # the estimator's probe vectors miss (a 2-node component, say).
+    rcond = min(float(rcond), float(np.min(np.diagonal(low))) ** 2 / norm)
     if not rcond > TOL_PD:
         raise NotPositiveDefinite(
             f"{what} is not positive definite: reciprocal condition estimate "
             f"{rcond:.6e} <= TOL_PD = {TOL_PD:.0e}"
         )
     return 1.0 / rcond
-
-
-def _inverse_norm(low: np.ndarray) -> float:
-    """A lower bound on ||m^-1||_1 from the lower Cholesky factor ``low`` of m.
-
-    Hager's estimator with Higham's alternating-sign probe, the algorithm
-    of LAPACK's dpocon (Higham 1988): up to five steps toward the column
-    of m^-1 with the largest 1-norm, each a solve with the factor, since
-    m^-1 is symmetric.  The first probe and the alternating-sign one do
-    not depend on the steps, so one two-column solve takes both: four
-    solves at most, not five.  Run here on ``cho_solve``, the solve of
-    :func:`_paths_through`, rather than on dpocon, whose call tree pages
-    in about 0.5 MB of LAPACK code on first use.
-    """
-    d = len(low)
-
-    def solve(x):
-        return scipy.linalg.cho_solve((low, True), x, check_finite=False)
-
-    x = np.full(d, 1.0 / d)
-    k = np.arange(d)
-    alternating = (1.0 - 2.0 * (k % 2)) * (1.0 + k / max(d - 1, 1))
-    y, alternating = solve(np.column_stack((x, alternating))).T
-    est = float(np.abs(y).sum())
-    for _ in range(5):
-        z = solve(np.where(y >= 0.0, 1.0, -1.0))
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= z @ x:
-            break
-        x = np.zeros(d)
-        x[j] = 1.0
-        y = solve(x)
-        step = float(np.abs(y).sum())
-        if step <= est:
-            break
-        est = step
-    return max(est, 2.0 * float(np.abs(alternating).sum()) / (3.0 * d))
 
 
 def _spectrum_ends(m: np.ndarray, overwrite: bool = False) -> tuple:

@@ -67,6 +67,31 @@ def test_compares_with_the_last_entry_in_the_same_environment(monkeypatch, root,
     assert "dense_500-trace0 task_p50_ms: 100 -> 90 (0.900x)" in out
 
 
+def test_speed_probes_come_first_and_raw_timings_are_tagged():
+    def entry(scale):
+        runs = {}
+        for name, trace in (("a-trace0", 0), ("b-trace0", 0), ("b-trace1", 1)):
+            run = report(name[0], trace, 100.0 * scale)
+            run["metrics"].update({
+                "raw.speed_probe_ms": {"value": 25.0 * scale, "unit": "ms"},
+                "raw.setup_s": {"value": 0.5 * scale, "unit": "s"},
+                "m.calls": {"value": 3.0, "unit": "count"},
+            })
+            runs[name] = run
+        return {"environment": ENV, "runs": runs}
+
+    comparable, lines = bench_entry.compare(entry(1.0), entry(0.8))
+    assert comparable
+    assert lines[:3] == [f"{name} raw.speed_probe_ms: 25 -> 20 (0.800x) [raw]"
+                         for name in ("a-trace0", "b-trace0", "b-trace1")]
+    assert len(lines) == 3 * 4
+    assert "a-trace0 raw.setup_s: 0.5 -> 0.4 (0.800x) [raw]" in lines
+    # A probe-scaled figure and a count are not raw; a traced run's ms are.
+    assert "a-trace0 task_p50_ms: 100 -> 80 (0.800x)" in lines
+    assert "b-trace1 task_p50_ms: 100 -> 80 (0.800x) [raw]" in lines
+    assert "b-trace1 m.calls: 3 -> 3 (1.000x)" in lines
+
+
 def test_refuses_to_compare_across_environments(monkeypatch, root, capsys):
     monkeypatch.setattr(bench_entry, "ROOT", root)
     monkeypatch.setattr(bench_entry, "run_harness", fake_harness(100.0))

@@ -430,6 +430,26 @@ class TestConvertCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize("cell", ["0.1_0", "1_000", "\u0661\u0662", "\uff10.3"])
+    def test_csv_cell_a_json_number_could_not_hold_is_one(self, run, tmp_path, cell):
+        # Python's float() reads underscores and non-ASCII digits; a JSON
+        # number holds neither, and neither does a CSV cell.
+        path = tmp_path / "g.csv"
+        path.write_text(f"0.0,{cell}\n0.3,0.0\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        code, _, stderr = run("convert", "--in", str(path), "--kind", "partial",
+                              "--to", "marginal", "--out", str(out))
+        assert code == 1
+        assert stderr.startswith(f"error: {path}: not a numeric table:")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_csv_cell_may_have_surrounding_spaces(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text(" 0.0 , 0.3\n0.3 ,0.0 \n")
+        assert fileio.load_csv_matrix(path, "partial").weights[0, 1] == 0.3
+
+
 def _as_covariance(m):
     return CovarianceMatrix(m.entries, labels=m.labels)
 
@@ -1054,6 +1074,14 @@ class TestFigureCommand:
         assert len(seeds) == 3
         assert len(rows) == 1 + 3 * 4
 
+    @pytest.mark.parametrize("d", ["1", "0"])
+    def test_sampled_profiles_need_two_nodes(self, run, tmp_path, d):
+        out = tmp_path / "fig5.csv"
+        code, _, stderr = run("figure", "fig5", "--d", d, "--out", str(out))
+        assert code == 1
+        assert stderr == f"error: --d must be a whole number of at least 2, got {d}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "which, flag",
         [
@@ -1386,6 +1414,21 @@ class TestGoldenFiles:
         a = np.array([[row[0], *row[2:]] for row in got[1:]], dtype=float)
         b = np.array([[row[0], *row[2:]] for row in want[1:]], dtype=float)
         assert a.shape == b.shape == (120, 3)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_fig5(self, run, tmp_path):
+        # Three sampled graphs, each admitted by the positive-definite
+        # check, then the oracle and the path sums: numbers are held to
+        # 1e-12 of the largest one, the header, seeds and L exactly.
+        out = tmp_path / "f5.csv"
+        assert run("figure", "fig5", "--out", str(out))[0] == 0
+        got = list(csv.reader(out.open()))
+        want = list(csv.reader((GOLDEN / "fig5.csv").open()))
+        assert got[0] == want[0] == ["seed", "L", "rho_hat", "abs_gap"]
+        assert [row[:2] for row in got[1:]] == [row[:2] for row in want[1:]]
+        a = np.array([row[2:] for row in got[1:]], dtype=float)
+        b = np.array([row[2:] for row in want[1:]], dtype=float)
+        assert a.shape == b.shape == (30, 2)
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_separators_of_partial_graph(self, run, tmp_path):

@@ -582,10 +582,10 @@ near_singular = dict(
 )
 
 
-def test_inverse_norm_matches_lapack_dpocon():
-    # _inverse_norm runs dpocon's estimator on cho_solve; LAPACK's own
-    # dpocon (rcond with ||m||_1 passed as 1) is the independent route.
-    # Neither may exceed ||m^-1||_1 of the inverse from the same factor.
+def test_condition_estimate_is_at_most_cond_1():
+    # _check_pd's estimate is ||m||_1 times a lower bound on ||m^-1||_1
+    # (LAPACK's dpocon, or the smallest pivot): it may not exceed
+    # ||m||_1 ||m^-1||_1 of the inverse from the same factor.
     rng = np.random.default_rng(16)
     cases = [np.array([[2.0]])]
     for t in range(240):
@@ -594,13 +594,10 @@ def test_inverse_norm_matches_lapack_dpocon():
         w = near_singular_weights(d, gap, int(rng.integers(2**32)), PATTERNS[t % 4])
         cases.append(np.eye(d) - w)
     for m in cases:
-        low, _ = scipy.linalg.cho_factor(m, lower=True)
-        ours = matrices._inverse_norm(low)
-        rcond, info = scipy.linalg.lapack.dpocon(low, 1.0, uplo="L")
-        assert info == 0
-        assert ours == pytest.approx(1.0 / rcond, rel=1e-12)
-        inverse = scipy.linalg.cho_solve((low, True), np.eye(len(m)))
-        assert ours <= np.max(np.abs(inverse).sum(axis=0)) * (1.0 + 1e-8)
+        inverse = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), np.eye(len(m)))
+        cond_1 = np.max(np.abs(m).sum(axis=0)) * np.max(np.abs(inverse).sum(axis=0))
+        ours = matrices._check_pd(m.copy(), "m")
+        assert 1.0 <= ours <= cond_1 * (1.0 + 1e-8)
 
 
 @settings(max_examples=200, deadline=None)

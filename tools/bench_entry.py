@@ -14,8 +14,10 @@ Against an earlier entry (``--against``, else the last one) it compares
 the metrics only when both were made in the same environment: the same
 fingerprint (CPU count, BLAS and its thread count, Python, numpy and scipy
 versions) and the same seed and run length.  Otherwise it says so and
-compares nothing.  One entry holds one run per workload, so a claim still
-rests on alternating parent/change pairs; the entry keeps the figures.
+compares nothing.  Each workload's speed probe ratio is printed first,
+and raw timings, which move with the host's speed, are tagged [raw].
+One entry holds one run per workload, so a claim still rests on
+alternating parent/change pairs; the entry keeps the figures.
 Stdlib only.
 """
 
@@ -35,6 +37,8 @@ TRACED = "dense_500"
 # The environment keys two entries must share to be compared.
 FINGERPRINT = ("nproc", "blas", "blas_threads", "python", "numpy", "scipy")
 SETTINGS = ("seed", "run_seconds")
+# The harness's speed probe, a fixed loop timed between tasks: how fast the host ran.
+PROBE = "raw.speed_probe_ms"
 
 
 def run_harness(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -89,18 +93,27 @@ def entries(root: Path) -> list:
 
 def compare(old: dict, new: dict) -> tuple:
     """(comparable, lines): the differing fingerprint keys, or one line per
-    metric the two entries share, old -> new with the ratio."""
+    metric the two entries share, old -> new with the ratio.
+
+    Each run's speed probe comes first: raw timings of two sessions differ
+    by the host's speed as much as by the code.  Those raw timings (every
+    ``raw.*`` metric, and the ms and s of a traced run) are tagged [raw].
+    """
     a, b = old["environment"], new["environment"]
     differ = [k for k in FINGERPRINT + SETTINGS if a.get(k) != b.get(k)]
     if differ:
         return False, [f"{k}: {a.get(k)!r} vs {b.get(k)!r}" for k in differ]
+    shared = [(name, metric) for name in sorted(set(old["runs"]) & set(new["runs"]))
+              for metric in sorted(set(old["runs"][name]["metrics"])
+                                   & set(new["runs"][name]["metrics"]))]
     lines = []
-    for name in sorted(set(old["runs"]) & set(new["runs"])):
-        m0, m1 = old["runs"][name]["metrics"], new["runs"][name]["metrics"]
-        for metric in sorted(set(m0) & set(m1)):
-            x, y = m0[metric]["value"], m1[metric]["value"]
-            ratio = f"{y / x:.3f}x" if x else "n/a"
-            lines.append(f"{name} {metric}: {x:.6g} -> {y:.6g} ({ratio})")
+    for name, metric in sorted(shared, key=lambda pair: pair[1] != PROBE):  # stable: probes first
+        run = new["runs"][name]
+        x, y = old["runs"][name]["metrics"][metric]["value"], run["metrics"][metric]["value"]
+        ratio = f"{y / x:.3f}x" if x else "n/a"
+        raw = metric.startswith("raw.") or (
+            run.get("trace") == 1 and run["metrics"][metric].get("unit") in ("ms", "s"))
+        lines.append(f"{name} {metric}: {x:.6g} -> {y:.6g} ({ratio})" + (" [raw]" if raw else ""))
     return True, lines
 
 
