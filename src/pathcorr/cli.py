@@ -369,15 +369,17 @@ def _fig4_table(args) -> tuple:
 
 
 def _fig5_table(args) -> tuple:
-    # Each profile is of a pair of nodes: a smaller --d is refused before sampling.
+    # Flags are checked before sampling; seeds run 25 past the base, to 2^64 - 1 at most.
     _whole(args.d, "--d", ParamOutOfBound, 2)
+    _whole(args.Lmax, "--Lmax", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
+    last = min(_whole(args.seed, "--seed", ParamOutOfBound, 0, 2**64 - 1) + 25, 2**64 - 1)
     rows = []
     found = 0
     seed = args.seed
     while found < 3:
-        if seed - args.seed > 25:
+        if seed > last:
             raise PathcorrError(
-                "could not find 3 samples with nu(R) < 1 near the base seed"
+                f"could not find 3 samples with nu(R) < 1 among seeds {args.seed} to {last}"
             )
         result = sampling.sample_partial_graph(sampling.SampleSpec(d=args.d, n=args.n, seed=seed))
         if result.flagged:
@@ -394,6 +396,7 @@ def _fig5_table(args) -> tuple:
 
 
 def _fig6_table(args) -> tuple:
+    _whole(args.Lmax, "--Lmax", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
     d = 4
     w = np.full((d, d), FIG6_COUPLING)
     np.fill_diagonal(w, 0.0)

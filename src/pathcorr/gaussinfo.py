@@ -18,6 +18,8 @@ between A and B.  It is sum_k lambda_k^n / (2 n) over the eigenvalues
 of the pencil X v = lambda M_A v, X = R_AB (1 - R_BB)^-1 R_BA and
 M_A = 1 - R_AA, which are those of T; the series converges whenever
 they lie in (-1, 1), which every positive-definite system satisfies.
+With X = Y^T Y, Y = L_B^-1 R_BA and M_A = L_A L_A^T (L Cholesky factors),
+they are the eigenvalues of the exactly symmetric z z^T, z = L_A^-1 Y^T.
 A rescaled variant sums the series of T(q) = (1 - q) 1 + q T, whose
 spectrum is 1 - q + q lambda, and adds (d_A / 2) ln q, using that
 1 - T(q) = q (1 - T).
@@ -49,7 +51,7 @@ from .matrices import (
     PrecisionMatrix,
     _cho,
     _one_minus,
-    _paths_through,
+    _whitened,
     precision_to_partial,
 )
 from .pathsum import MAX_LENGTH, _check_pair, _check_q, star_path_sum_closed
@@ -136,7 +138,7 @@ def _logdet_spd(m: np.ndarray, what: str) -> float:
 
 
 def _blocks(system, part: TriPartition) -> tuple:
-    """(M_A, X) with M_A = 1 - R_AA and X = R_AB (1 - R_BB)^-1 R_BA."""
+    """(M_A, Y): M_A = 1 - R_AA, Y = L_B^-1 R_BA (1 - R_BB = L_B L_B^T), X = Y^T Y."""
     r = _coupling_graph(system).weights
     part = _instance(part, TriPartition, "part", ParamOutOfBound)
     if r.shape[0] != part.dim:
@@ -144,9 +146,9 @@ def _blocks(system, part: TriPartition) -> tuple:
             f"partition is over {part.dim} nodes, system has {r.shape[0]}"
         )
     a, b = part.A, part.B
-    x = _paths_through(r, a, a, b, SingularBlock, "1 - R[B, B]")
+    y = _whitened(r, a, b, SingularBlock, "1 - R[B, B]")
     m_a = r[np.ix_(a, a)]
-    return _one_minus(m_a, out=m_a), (x + x.T) / 2.0
+    return _one_minus(m_a, out=m_a), y
 
 
 def conditional_mi_closed(system, part: TriPartition) -> InfoResult:
@@ -157,10 +159,10 @@ def conditional_mi_closed(system, part: TriPartition) -> InfoResult:
     factors; this equals -1/2 ln det(1 - T) without ever forming the
     nonsymmetric T.  Accepts a coupling graph or a precision matrix.
     """
-    m_a, x = _blocks(system, part)
+    m_a, y = _blocks(system, part)
     nats = 0.5 * (
         _logdet_spd(m_a, "1 - R[A, A]")
-        - _logdet_spd(m_a - x, "the conditional covariance block")
+        - _logdet_spd(m_a - y.T @ y, "the conditional covariance block")
     )
     return InfoResult(nats=nats, method="closed")
 
@@ -174,7 +176,7 @@ def conditional_mi_series(
     """I(A; B | Z) by the trace series of T, truncated at n_max terms.
 
     Term n is sum_k lambda_k^n / (2 n) over the eigenvalues of the
-    pencil X v = lambda M_A v, from one Cholesky factor of M_A.  Terms
+    pencil X v = lambda M_A v: those of z z^T, z = L_A^-1 Y^T.  Terms
     are added in ascending order n = 1, 2, ... and the sum stops early
     once the last term and the tail bound d_A rho^(n+1) /
     (2 (n + 1) (1 - rho)), rho the spectral radius of the summed
@@ -187,11 +189,11 @@ def conditional_mi_series(
     raises :class:`ParamOutOfBound`, and so does an n_max above ``pathsum.MAX_LENGTH``.
     """
     n_max = _whole(n_max, "n_max", ParamOutOfBound, 1, MAX_LENGTH)
-    m_a, x = _blocks(system, part)
+    m_a, y = _blocks(system, part)
     d_a = m_a.shape[0]
     low, _ = _cho(m_a, SingularBlock, "1 - R[A, A]")
-    y = scipy.linalg.solve_triangular(low, x, lower=True)
-    lam = np.linalg.eigvalsh(scipy.linalg.solve_triangular(low, y.T, lower=True))
+    z = scipy.linalg.solve_triangular(low, y.T, lower=True)
+    lam = np.linalg.eigvalsh(z @ z.T)
     nu = rho = float(np.max(np.abs(lam)))
     offset = 0.0
     if q is not None:

@@ -35,7 +35,7 @@ symmetric with its diagonal set and enters at the tail, through
 every whole-matrix inverse (the oracle's (1 - R)^-1, the covariance and
 precision conversions, the sampler's precision) through :func:`_spd_inverse`,
 one in-place factor and LAPACK's dpotri, exactly symmetric; and every
-restricted block inverse W[E, K] (1 - W_K)^-1 W[K, E] through :func:`_paths_through`.
+restricted block inverse W[E, K] (1 - W_K)^-1 W[K, E] is Y^T Y, Y from :func:`_whitened`.
 Every end of a symmetric spectrum (nu(R), nu(|R|), a correlation matrix's
 lowest eigenvalue) comes from :func:`_spectrum_ends`: one tridiagonal
 reduction, then a bisection for each end, never the whole spectrum.
@@ -49,7 +49,9 @@ outer product or a transpose (``c / np.outer(s, s)``, ``(m + m.T) / 2``)
 run over blocks of rows (:func:`_rows`, :func:`_by_outer`); and a helper
 handed an array nothing else holds (``_check_pd``, ``_spd_inverse``,
 ``_precision_graph``) works in it.  Every such form gives the bits of the
-whole-array numpy expression, signed zeros included.
+whole-array numpy expression, signed zeros included.  A computed symmetric
+product is a Gram product of one array (one syrk, mirrored), so only a
+caller's raw array (:func:`_square`) is averaged with its transpose.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
 """
 
@@ -305,18 +307,22 @@ def _spd_inverse(m: np.ndarray, error, what: str) -> np.ndarray:
     return x.T
 
 
-def _paths_through(w: np.ndarray, rows, cols, interior, error, what: str) -> np.ndarray:
-    """W[rows, K] (1 - W_K)^-1 W[K, cols], K = ``interior``, from one solve; 0 if K is empty."""
+def _whitened(w: np.ndarray, ends, interior, error, what: str) -> np.ndarray:
+    """Y = L^-1 W[K, E], E = ``ends``, K = ``interior``, 1 - W_K = L L^T (no rows if K
+    is empty): one factor in place, one solve in W[E, K].T (W is exactly symmetric)."""
     if len(interior) == 0:
-        return np.zeros((len(rows), len(cols)))
+        return np.zeros((0, len(ends)))
     mk = w[np.ix_(interior, interior)]
-    low = _cho(_one_minus(mk, out=mk).T, error, what, overwrite=True)  # .T: in place
-    # W[K, cols] as the Fortran-ordered transpose of W[cols, K] (W is
-    # exactly symmetric), so the solve overwrites it; the factor is freed
-    # before the product.
-    x = scipy.linalg.cho_solve(low, w[np.ix_(cols, interior)].T, overwrite_b=True)
-    del mk, low
-    return w[np.ix_(rows, interior)] @ x
+    low, _ = _cho(_one_minus(mk, out=mk).T, error, what, overwrite=True)  # .T: in place
+    return scipy.linalg.solve_triangular(
+        low, w[np.ix_(ends, interior)].T, lower=True, overwrite_b=True)
+
+
+def _paths_through(w: np.ndarray, ends, interior, error, what: str) -> np.ndarray:
+    """W[E, K] (1 - W_K)^-1 W[K, E] = Y^T Y, Y = :func:`_whitened`: numpy forms
+    it with one syrk and mirrors it, so it is exactly symmetric."""
+    y = _whitened(w, ends, interior, error, what)
+    return y.T @ y
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -616,20 +622,12 @@ def _precision_graph(om: np.ndarray, labels, scale=1.0) -> PartialCorrelationGra
     """The graph of precision entries ``om``, written in node scales ``scale``.
 
     r_ij = -om_ij / sqrt(om_ii om_jj); the graph's scale is ``scale *
-    sqrt(diag(om))``, or none when ``scale`` is None.  ``om`` is an array
-    nothing else holds: it is symmetrised exactly, to (om + om.T) / 2, and
-    split in place, and it becomes the weights, so R is exactly symmetric
-    with a zero diagonal; it is checked once, by the constructor's tail:
-    (1 - R) is positive definite exactly when om is.
+    sqrt(diag(om))``, or none when ``scale`` is None.  ``om`` is an exactly
+    symmetric array nothing else holds, as every producer builds it: it is
+    split in place, not symmetrised, and becomes the weights, so R is exactly
+    symmetric with a zero diagonal; it is checked once, by the constructor's
+    tail: (1 - R) is positive definite exactly when om is.
     """
-    for rows in _rows(len(om)):
-        # The row block right of the diagonal and its mirror: the entries
-        # read here, both indices past earlier blocks, are not yet written.
-        k = rows.start
-        block = om[rows, k:] + om[k:, rows].T
-        block /= 2.0
-        om[rows, k:] = block
-        om[k:, rows] = block.T
     lam = np.sqrt(np.diag(om))
     r = _by_outer(np.divide, np.negative(om, out=om), lam, om)
     np.fill_diagonal(r, 0.0)

@@ -372,8 +372,8 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     j = _check_node(j, dim, "j")
     interior = _interior_indices(dim, {i, j}, avoid, within)
     what = f"1 - R restricted to {interior.size} interior nodes"
-    tail = _paths_through(w, [i], [j], interior, SingularRestrictedBlock, what)
-    return float(w[i, j] + tail[0, 0])
+    tail = _paths_through(w, sorted({i, j}), interior, SingularRestrictedBlock, what)
+    return float(w[i, j] + tail[0, -1])
 
 
 def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:

@@ -120,8 +120,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     # inverse CDF so the tails stay finite.
     x = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
     xc = x - x.mean(axis=0)
-    s = (xc.T @ xc) / spec.n
-    s = (s + s.T) / 2.0
+    s = (xc.T @ xc) / spec.n  # a Gram product: exactly symmetric
     omega = _spd_inverse(s, SingularSampleCovariance, "sample covariance")
     graph = _precision_graph(omega, None)
     report = spectral_report(graph)
@@ -163,8 +162,9 @@ class FactorModel:
             raise DegenerateColumn(
                 f"variable {dead} appears in no factor; its precision is zero"
             )
+        a = np.sqrt(v)[:, None] * w
         try:
-            graph = _precision_graph((v[:, None] * w).T @ w, None)
+            graph = _precision_graph(a.T @ a, None)  # a Gram product: exactly symmetric
         except (NotPositiveDefinite, EntryOutOfRange) as exc:
             # A partial correlation of magnitude 1 is a singular precision.
             raise NotPositiveDefinite(f"implied precision: {exc}") from exc

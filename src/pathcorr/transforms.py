@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DenominatorNonPositive,
@@ -52,11 +51,11 @@ from .errors import (
 from .matrices import (
     PartialCorrelationGraph,
     _by_outer,
-    _cho,
     _keep,
     _one_minus,
     _paths_through,
     _precision_graph,
+    _whitened,
     partial_to_marginal_oracle,
 )
 
@@ -144,17 +143,15 @@ class LatentReduction:
         g, load = self._source, self._load
         lam = g.scale if g.scale is not None else np.ones(g.dim)
         d, mu = g.dim, self.latent_count
-        scaled = lam[:, None] * load
+        a = lam[:, None] * load
         # The precision [[Lambda (1 - R) Lambda + A A^T, -A], [-A^T, 1]],
         # A the scaled loading, built in the one array the graph keeps.
         enlarged = np.empty((d + mu, d + mu))
-        # Two buffers for A A^T: given one, numpy calls syrk, not gemm, and
-        # the last bits move.
-        top = np.matmul(scaled, scaled.copy().T, out=enlarged[:d, :d])
+        top = np.matmul(a, a.T, out=enlarged[:d, :d])
         omega = _one_minus(g.weights)
         top += _by_outer(np.multiply, omega, lam, omega)
         del omega
-        np.negative(scaled, out=enlarged[:d, d:])
+        np.negative(a, out=enlarged[:d, d:])
         enlarged[d:, :d] = enlarged[:d, d:].T
         enlarged[d:, d:] = np.eye(mu)
         latent_labels = self.reduced_graph.labels[len(self.kept):]
@@ -210,7 +207,7 @@ def marginalize_nodes(
         return g
     # The paths first, so the factor and solve behind them are freed
     # before 1 - R_TT is formed, in place of its own index copy.
-    paths = _paths_through(g.weights, kept, kept, removed, SingularBlock, _ELIMINATED)
+    paths = _paths_through(g.weights, kept, removed, SingularBlock, _ELIMINATED)
     m_tt = g.weights[np.ix_(kept, kept)]
     m_red = np.subtract(_one_minus(m_tt, out=m_tt), paths, out=paths)
     if np.any(np.diag(m_red) <= 0.0):
@@ -440,9 +437,7 @@ def _latent_factors(w: np.ndarray, removed: list, kept: list) -> tuple:
     # Factorised before the graph is built, so a singular eliminated
     # block raises SingularBlock first.
     if mu > 0:
-        m_ss = w[np.ix_(removed, removed)]
-        chol, _ = _cho(_one_minus(m_ss, out=m_ss), SingularBlock, _ELIMINATED)
-        b_white = scipy.linalg.solve_triangular(chol, q, lower=True)
+        b_white = _whitened(w, kept, removed, SingularBlock, _ELIMINATED)
         _, eta, zt = np.linalg.svd(b_white, full_matrices=False)
         v_cols = zt[:mu, :].T * eta[:mu]
         v_cols = v_cols * _signs(v_cols)

@@ -155,6 +155,33 @@ def test_lapack_calls_and_peak_allocation(monkeypatch, system, name):
     assert result is not None
 
 
+# -- symmetric by construction ----------------------------------------------
+
+
+def test_derived_graphs_are_exactly_symmetric(system):
+    # Every computed precision is a Gram product or a sum of exactly
+    # symmetric parts, and nothing averages it with its transpose.
+    g = _graph(system)
+    red = pc.latent_reduce(g, system["latent"])
+    mixing = np.eye(D) + np.random.default_rng(7).uniform(-0.3, 0.3, (D, D))
+    graphs = {
+        "marginalised": pc.marginalize_nodes(g, system["half"]),
+        "reduced": red.reduced_graph,
+        "enlarged": red.enlarged_graph,
+        "factor model": pc.factor_model_partial(pc.FactorModel(mixing)),
+    }
+    for name, h in graphs.items():
+        assert np.array_equal(h.weights, h.weights.T), name
+
+
+@pytest.mark.parametrize("ends", [1, 2, D // 2])
+def test_paths_through_is_exactly_symmetric(system, ends):
+    removed = np.sort(system["half"])
+    kept = np.setdiff1d(np.arange(D), removed)[:ends]
+    x = matrices._paths_through(_graph(system).weights, kept, removed, pc.SingularBlock, "m")
+    assert x.shape == (ends, ends) and np.array_equal(x, x.T)
+
+
 # -- the buffer forms against the plain numpy expressions -------------------
 
 
@@ -185,7 +212,6 @@ def _bytes_equal(a, b) -> bool:
 
 def _split(om):
     """The plain form of ``_precision_graph``'s arithmetic."""
-    om = (om + om.T) / 2.0
     lam = np.sqrt(np.diag(om))
     r = -om / np.outer(lam, lam)
     np.fill_diagonal(r, 0.0)
@@ -228,13 +254,16 @@ class TestSameBits:
     @given(w=coupling(), noise=st.integers(0, 2**32 - 1), step=_STEP)
     def test_split_of_a_non_symmetric_precision(self, w, noise, step):
         with _row_step(step):
-            # A Schur complement or a GEMM result: symmetric only up to roundoff.
+            # A computed precision: exactly symmetric, each entry perturbed
+            # in its last bits.
             d = len(w)
             rng = np.random.default_rng(noise)
             lam = rng.uniform(0.5, 2.0, d)
             om = -np.outer(lam, lam) * w  # zeros of both signs, unlike 0.0 - w
             np.fill_diagonal(om, lam * lam)
             om += 1e-15 * rng.standard_normal((d, d)) * (om != 0.0)
+            iu = np.triu_indices(d, 1)
+            om[iu[::-1]] = om[iu]  # mirrored by copy: -0.0 + 0.0 would be +0.0
             r, scale = _split(om)
             g = matrices._precision_graph(om.copy(), None)
             assert _bytes_equal(g.weights, r) and _bytes_equal(g.scale, scale)
@@ -275,12 +304,13 @@ class TestSameBits:
             g = pc.PartialCorrelationGraph(w, scale=lam)
             removed = sorted(data.draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d - 1)))
             kept = [v for v in range(d) if v not in removed]
-            # Marginalisation: M' = 1 - R_TT - R_TS (1 - R_SS)^-1 R_ST.
-            low = scipy.linalg.cho_factor(np.eye(len(removed)) - w[np.ix_(removed, removed)],
-                                          lower=True)
-            x = scipy.linalg.cho_solve(low, w[np.ix_(removed, kept)])
+            # Marginalisation: M' = 1 - R_TT - Y^T Y, Y = L^-1 R_ST the
+            # whitened block, L the Cholesky factor of 1 - R_SS.
+            low = scipy.linalg.cholesky(np.eye(len(removed)) - w[np.ix_(removed, removed)],
+                                        lower=True)
+            y = scipy.linalg.solve_triangular(low, w[np.ix_(removed, kept)], lower=True)
             m_red = np.eye(len(kept)) - w[np.ix_(kept, kept)]
-            m_red -= w[np.ix_(kept, removed)] @ x
+            m_red -= y.T @ y
             r, scale = _split(m_red)
             got = pc.marginalize_nodes(g, removed)
             assert _bytes_equal(got.weights, r) and _bytes_equal(got.scale, lam[kept] * scale)
@@ -296,10 +326,9 @@ class TestSameBits:
             r, scale = _split(reduced)
             got = red.reduced_graph
             assert _bytes_equal(got.weights, r) and _bytes_equal(got.scale, scale)
-            top = (np.outer(lam, lam) * (np.eye(d) - w)
-                   + (lam[:, None] * load) @ (lam[:, None] * load).T)
-            enlarged = np.block([[top, -lam[:, None] * load],
-                                 [-(lam[:, None] * load).T, np.eye(mu)]])
+            a = lam[:, None] * load
+            top = np.outer(lam, lam) * (np.eye(d) - w) + a @ a.T
+            enlarged = np.block([[top, -a], [-a.T, np.eye(mu)]])
             r, scale = _split(enlarged)
             got = red.enlarged_graph
             assert _bytes_equal(got.weights, r) and _bytes_equal(got.scale, scale)

@@ -49,7 +49,7 @@ from pathcorr import (
     sever_nodes,
     validate_partial_graph,
 )
-from pathcorr import chains, fileio, transforms
+from pathcorr import chains, fileio, pathsum, sampling, transforms
 from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
@@ -1081,6 +1081,28 @@ class TestFigureCommand:
         assert code == 1
         assert stderr == f"error: --d must be a whole number of at least 2, got {d}\n"
         assert not out.exists()
+
+    def test_seed_search_stops_at_the_last_seed(self, run, tmp_path):
+        # Three samples from the last 64-bit seed would step past it.
+        out, seed = tmp_path / "fig5.csv", str(2**64 - 1)
+        code, _, stderr = run("figure", "fig5", "--d", "3", "--seed", seed, "--out", str(out))
+        assert code == 1
+        assert stderr == (
+            f"error: could not find 3 samples with nu(R) < 1 among seeds {seed} to {seed}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["fig5", "fig6"])
+    def test_lmax_is_checked_before_sampling(self, run, tmp_path, monkeypatch, which):
+        calls = []
+        monkeypatch.setattr(sampling, "sample_partial_graph", calls.append)
+        out = tmp_path / "fig.csv"
+        code, _, stderr = run("figure", which, "--Lmax", "0", "--out", str(out))
+        assert code == 1
+        assert stderr == (
+            f"error: --Lmax must be a whole number between 1 and {pathsum.MAX_LENGTH}, got 0\n"
+        )
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "which, flag",

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathcorr import (
@@ -677,18 +677,19 @@ def test_oracle_diag_and_symmetry(seed):
 
 
 def spd_matrix(d, seed, kind):
-    """An exactly symmetric positive-definite d x d matrix with cond_2 below
-    about 100: unit-diagonal, or that with node scales from 1e-6 to 1e6."""
+    """(m, m0, s): an exactly symmetric positive-definite d x d matrix m =
+    m0 * outer(s, s), m0 unit-diagonal with cond_2 below about 100 and the
+    node scales s all 1, or from 1e-6 to 1e6."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, 2 * d))
     m = a @ a.T / (2 * d) + 0.1 * np.eye(d)
     s = 1.0 / np.sqrt(np.diag(m))
-    m = (m + m.T) / 2.0 * np.outer(s, s)
-    np.fill_diagonal(m, 1.0)
+    m0 = (m + m.T) / 2.0 * np.outer(s, s)
+    np.fill_diagonal(m0, 1.0)
+    s = np.ones(d)
     if kind == "badly-scaled":
-        scale = 10.0 ** rng.uniform(-6.0, 6.0, d)
-        m = m * np.outer(scale, scale)
-    return m
+        s = 10.0 ** rng.uniform(-6.0, 6.0, d)
+    return m0 * np.outer(s, s), m0, s
 
 
 @settings(max_examples=80, deadline=None)
@@ -697,11 +698,14 @@ def spd_matrix(d, seed, kind):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=st.sampled_from(("unit-diagonal", "badly-scaled")),
 )
+@example(d=7, seed=2316, kind="badly-scaled")
 def test_spd_inverse_matches_numpy_inverse(d, seed, kind):
-    # Independent route: numpy's LU inverse.  Entries are compared in the
-    # inverse's own node scales, |x_ij| <= sqrt(x_ii x_jj).
-    m = spd_matrix(d, seed, kind)
-    ref = np.linalg.inv(m)
+    # Independent route: numpy's LU inverse of the well-conditioned core,
+    # m^-1 = m0^-1 / outer(s, s); an LU inverse of the scaled m itself can
+    # be off by 1e-12.  Entries are compared in the inverse's own node
+    # scales, |x_ij| <= sqrt(x_ii x_jj).
+    m, m0, s = spd_matrix(d, seed, kind)
+    ref = np.linalg.inv(m0) / np.outer(s, s)
     x = matrices._spd_inverse(m.copy(), SingularMatrix, "m")
     assert np.array_equal(x, x.T)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
