@@ -127,6 +127,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    _whole(args.L, "--L", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
     g = _load_graph(args)
     i = g.label_index(args.i)
     j = g.label_index(args.j)
@@ -154,6 +155,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    _whole(args.Lmax, "--Lmax", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
     g = _load_graph(args)
     i = g.label_index(args.i)
     j = g.label_index(args.j)
@@ -304,6 +306,8 @@ def _cmd_mi(args) -> int:
     if series and args.method != "series":
         flag = "--q" if "q" in series else "--n-max"
         raise FileFormatError(f"{flag} is read only with --method series")
+    if "n_max" in series:
+        _whole(series["n_max"], "--n-max", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
     g = _load_graph(args)
     a = _nodes(g, args.A)
     b = _nodes(g, args.B)
@@ -359,8 +363,8 @@ def _cmd_sample(args) -> int:
 def _fig4_table(args) -> tuple:
     # One chain per r, long enough for k and every m, gives every gamma
     # the floats amplification_factor reads; its caps are checked first.
-    m_max = _whole(args.m, "m", ParamOutOfBound, 0, chains.MAX_NODES - 2)
-    k = _whole(args.k, "k", ParamOutOfBound, 0, chains.MAX_NODES - 2)
+    m_max = _whole(args.m, "--m", ParamOutOfBound, 0, chains.MAX_NODES - 2)
+    k = _whole(args.k, "--k", ParamOutOfBound, 0, chains.MAX_NODES - 2)
     rows = []
     for r in FIG4_R_GRID:
         l = chains.chain_sums(chains.ChainSpec(d=max(k, m_max) + 2, r=r)).l

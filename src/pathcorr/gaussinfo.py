@@ -160,9 +160,10 @@ def conditional_mi_closed(system, part: TriPartition) -> InfoResult:
     nonsymmetric T.  Accepts a coupling graph or a precision matrix.
     """
     m_a, y = _blocks(system, part)
+    conditional = m_a - y.T @ y  # before M_A is factorised, maybe in place
     nats = 0.5 * (
         _logdet_spd(m_a, "1 - R[A, A]")
-        - _logdet_spd(m_a - y.T @ y, "the conditional covariance block")
+        - _logdet_spd(conditional, "the conditional covariance block")
     )
     return InfoResult(nats=nats, method="closed")
 

@@ -29,7 +29,8 @@ validated again; every graph read off precision entries is split and checked
 once, by one helper here.  Each type's constructor has two entries and one
 tail, ``_settle``: a caller's array passes the raw-input checks first; a
 result computed from a validated object (a conversion, the oracle, a graph
-read off precision entries or a severed graph's principal block) is exactly
+read off precision entries, a severed graph's principal block or the two
+graphs of a latent reduction, written from their weights) is exactly
 symmetric with its diagonal set and enters at the tail, through
 ``_Matrix._computed``.  Every Cholesky factorisation goes through one helper;
 every whole-matrix inverse (the oracle's (1 - R)^-1, the covariance and
@@ -45,11 +46,12 @@ arrays are frozen in place (:func:`_keep`); a caller's array is copied once
 (:func:`_freeze`), and is never frozen or written.  One rule builds them:
 each d x d result is made in the one array it keeps.  1 - m is
 :func:`_one_minus`, written into one array; the elementwise forms with an
-outer product or a transpose (``c / np.outer(s, s)``, ``(m + m.T) / 2``)
-run over blocks of rows (:func:`_rows`, :func:`_by_outer`); and a helper
-handed an array nothing else holds (``_check_pd``, ``_spd_inverse``,
-``_precision_graph``) works in it.  Every such form gives the bits of the
-whole-array numpy expression, signed zeros included.  A computed symmetric
+outer product (``c / np.outer(s, s)``) run over blocks of rows
+(:func:`_rows`, :func:`_by_outer`); and a helper handed an array nothing
+else holds (``_cho``, ``_check_pd``, ``_spd_inverse``, ``_spectrum_ends``,
+``_precision_graph``) works in it, with no switch to copy it instead.
+Every such form gives the bits of the whole-array numpy expression,
+signed zeros included.  A computed symmetric
 product is a Gram product of one array (one syrk, mirrored), so only a
 caller's raw array (:func:`_square`) is averaged with its transpose.
 Node names are checked once, by :func:`_labels`, and kept by every derived object.
@@ -145,14 +147,11 @@ def _square(raw, what: str) -> np.ndarray:
     m = _floats(raw, "matrix entries", EntryOutOfRange, NotSquare, (None, None))
     if m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    out = np.empty(m.shape)
-    asym = 0.0
-    for rows in _rows(len(m)):
-        # Each row block of the result holds |m - m.T| before (m + m.T) / 2.
-        block = np.subtract(m[rows], m[:, rows].T, out=out[rows])
-        asym = max(asym, float(np.max(np.abs(block, out=block))))
-        np.add(m[rows], m[:, rows].T, out=block)
-        block /= 2.0
+    # The one result holds |m - m.T| before (m + m.T) / 2.
+    out = np.subtract(m, m.T)
+    asym = float(np.max(np.abs(out, out=out)))
+    np.add(m, m.T, out=out)
+    out /= 2.0
     scale = _largest_magnitude(m)
     rel = asym / scale if scale > 0.0 else asym
     if rel > TOL_SYM:
@@ -223,7 +222,7 @@ def _check_pd(m: np.ndarray, what: str) -> float:
     f = m.T  # the same symmetric matrix in Fortran order, so LAPACK works in place
     # ||m||_1 by blocks of 16 columns: no |m|-sized temporary.
     norm = max(float(np.abs(f[:, k:k + 16]).sum(axis=0).max()) for k in range(0, len(f), 16))
-    low, _ = _cho(f, NotPositiveDefinite, what, overwrite=True)
+    low, _ = _cho(f, NotPositiveDefinite, what)
     rcond, _ = scipy.linalg.lapack.dpocon(low, norm, uplo="L")
     # Each pivot L_ii^2 is at least lambda_min(m), so min L_ii^2 / ||m||_1 is
     # a second upper bound on rcond: it catches a near-singular block that
@@ -237,15 +236,14 @@ def _check_pd(m: np.ndarray, what: str) -> float:
     return 1.0 / rcond
 
 
-def _spectrum_ends(m: np.ndarray, overwrite: bool = False) -> tuple:
-    """(lambda_min, lambda_max) of a symmetric, finite m.
+def _spectrum_ends(m: np.ndarray) -> tuple:
+    """(lambda_min, lambda_max) of a symmetric, finite m nothing else holds.
 
     One reduction to tridiagonal form (LAPACK's dsytrd, about 4/3 d^3
     flops), then one bisection (dstebz) for each end: the rest of the
-    spectrum is never computed.  A zero end reads +0.0.  With
-    ``overwrite``, a C-ordered m may be reduced in place: its diagonal
-    and upper triangle are overwritten, its strict lower triangle is left
-    as it was.  Otherwise m is copied once and not written.
+    spectrum is never computed.  A zero end reads +0.0.  A C-ordered m
+    is reduced in place: its diagonal and upper triangle are overwritten,
+    its strict lower triangle is left as it was.
     """
     d = len(m)
     top = _largest_magnitude(m)
@@ -253,15 +251,15 @@ def _spectrum_ends(m: np.ndarray, overwrite: bool = False) -> tuple:
         return float(m[0, 0]) + 0.0, float(m[0, 0]) + 0.0
     # As LAPACK's dsyevd and dsyevr do, a matrix far from unit size is brought to
     # it first, by a power of two, exactly: the reduction and the bisection
-    # drop entries whose squares underflow.  The copy is then the one reduced.
+    # drop entries whose squares underflow.  The scaled copy is the one reduced.
     exponent = 0 if 2.0**-256 < top < 2.0**256 else math.frexp(top)[1]
     if exponent:
-        m, overwrite = np.ldexp(m, -exponent), True
+        m = np.ldexp(m, -exponent)
     lwork, _ = scipy.linalg.lapack.dsytrd_lwork(d, lower=True)
     # m.T: m in Fortran order, so the reduction works in place; its lower
     # triangle is m's upper one, which m's symmetry makes the same numbers.
     _, diagonal, offdiagonal, _, _ = scipy.linalg.lapack.dsytrd(
-        m.T, lower=True, lwork=int(lwork), overwrite_a=overwrite)
+        m.T, lower=True, lwork=int(lwork), overwrite_a=True)
     # The first and the d-th smallest eigenvalue alone (range "I", coded 2),
     # as scipy's eigvalsh_tridiagonal(select="i") asks for them, less its
     # checks: about 30 us a call at small d.
@@ -279,13 +277,11 @@ def _spectrum_ends(m: np.ndarray, overwrite: bool = False) -> tuple:
     return tuple(math.ldexp(float(x), exponent) + 0.0 for x in ends)
 
 
-def _cho(m: np.ndarray, error, what: str, overwrite: bool = False) -> tuple:
-    """cho_factor(m, lower=True); a failure raises ``error`` naming ``what``.
-
-    With ``overwrite``, a Fortran-ordered m is factorised in place.
-    """
+def _cho(m: np.ndarray, error, what: str) -> tuple:
+    """cho_factor(m, lower=True), in place when m, held by nothing else, is in
+    Fortran order; a failure raises ``error`` naming ``what``."""
     try:
-        return scipy.linalg.cho_factor(m, lower=True, overwrite_a=overwrite)
+        return scipy.linalg.cho_factor(m, lower=True, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise error(f"{what} is not positive definite: {exc}") from exc
 
@@ -298,7 +294,7 @@ def _spd_inverse(m: np.ndarray, error, what: str) -> np.ndarray:
     only; the upper one is mirrored from it.  About d^3 flops, against
     2 d^3 for a factor and a solve with the identity.
     """
-    low, _ = _cho(m.T, error, what, overwrite=True)  # m.T: Fortran order, so in place
+    low, _ = _cho(m.T, error, what)  # m.T: Fortran order, so in place
     x, info = scipy.linalg.lapack.dpotri(low, lower=True, overwrite_c=True)
     if info != 0:
         raise error(f"{what} is singular: dpotri info {info}")
@@ -313,7 +309,7 @@ def _whitened(w: np.ndarray, ends, interior, error, what: str) -> np.ndarray:
     if len(interior) == 0:
         return np.zeros((0, len(ends)))
     mk = w[np.ix_(interior, interior)]
-    low, _ = _cho(_one_minus(mk, out=mk).T, error, what, overwrite=True)  # .T: in place
+    low, _ = _cho(_one_minus(mk, out=mk).T, error, what)  # .T: in place
     return scipy.linalg.solve_triangular(
         low, w[np.ix_(ends, interior)].T, lower=True, overwrite_b=True)
 
@@ -446,7 +442,7 @@ class MarginalCorrelationMatrix(_Matrix):
         # the spectrum.  The reduction runs in m, which is exactly symmetric
         # with a unit diagonal: the strict lower triangle it leaves restores
         # the rest, bit for bit.
-        lo, hi = _spectrum_ends(m, overwrite=True)
+        lo, hi = _spectrum_ends(m)
         for k in range(len(m) - 1):
             m[k, k + 1:] = m[k + 1:, k]
         np.fill_diagonal(m, 1.0)
@@ -522,7 +518,7 @@ class PartialCorrelationGraph(_Matrix):
     @cached_property
     def _ends(self) -> tuple:
         """(lambda_min, lambda_max) of R, from one reduction on first use."""
-        return _spectrum_ends(self.weights)
+        return _spectrum_ends(np.array(self.weights))
 
     @cached_property
     def _nu(self) -> float:
@@ -689,8 +685,8 @@ def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     eigenvalue, the top end from one reduction of |R|.
     """
     nu = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)._nu
-    # |R| is a fresh, finite array: the reduction may overwrite it.
-    _, perron = _spectrum_ends(np.abs(g.weights), overwrite=True)
+    # |R| is a fresh, finite array, reduced in place.
+    _, perron = _spectrum_ends(np.abs(g.weights))
     # nu <= nu(|R|) holds exactly, but eigensolver noise can leave the
     # computed root a few ulp under nu.
     nu_plus = max(perron, nu)

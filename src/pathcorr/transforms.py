@@ -115,11 +115,13 @@ class LatentReduction:
     ``a_tilde`` (shape mu x |S|) and ``b_tilde`` (mu x |T|) are the
     partial correlations connecting each latent Y_u to the removed and
     kept nodes in the enlarged network, before the removed set is
-    eliminated; columns follow ascending node index within each side.
+    eliminated; columns follow ascending node index within each side (the
+    enlarged graph's latent columns, bit for bit).
     ``singular_values`` are the singular values of the coupling block
     R[S, T], with mu set by its numerical rank (the coupling strength
     of latent u scales with their square roots).  ``reduced_graph`` is
-    the final network on T + latents, ordered kept nodes first.
+    the final network on T + latents, ordered kept nodes first, with
+    weights [[R_TT, V], [V^T, 0]], V V^T = Q^T (1 - R_SS)^-1 Q, Q = R[S, T].
     ``enlarged_graph`` is the intermediate network on S + T + latents
     (marginalising the latents out of it reproduces the original
     exactly); nothing the reduction itself needs reads it, so it is
@@ -141,21 +143,18 @@ class LatentReduction:
     @cached_property
     def enlarged_graph(self) -> PartialCorrelationGraph:
         g, load = self._source, self._load
-        lam = g.scale if g.scale is not None else np.ones(g.dim)
         d, mu = g.dim, self.latent_count
-        a = lam[:, None] * load
-        # The precision [[Lambda (1 - R) Lambda + A A^T, -A], [-A^T, 1]],
-        # A the scaled loading, built in the one array the graph keeps.
-        enlarged = np.empty((d + mu, d + mu))
-        top = np.matmul(a, a.T, out=enlarged[:d, :d])
-        omega = _one_minus(g.weights)
-        top += _by_outer(np.multiply, omega, lam, omega)
-        del omega
-        np.negative(a, out=enlarged[:d, d:])
-        enlarged[d:, :d] = enlarged[:d, d:].T
-        enlarged[d:, d:] = np.eye(mu)
+        # The weights [[(R - load load^T) / (c c^T), load / c], [(load / c)^T, 0]], zero on
+        # the diagonal, in the one array the graph keeps; load / c is latent_reduce's a~, b~.
+        c = np.sqrt(1.0 + np.sum(load * load, axis=1))
+        enlarged = np.zeros((d + mu, d + mu))
+        top = np.matmul(load, load.T, out=enlarged[:d, :d])
+        _by_outer(np.divide, np.subtract(g.weights, top, out=top), c, top)
+        np.fill_diagonal(top, 0.0)
+        enlarged[d:, :d] = np.divide(load, c[:, None], out=enlarged[:d, d:]).T
+        scale = np.concatenate([c if g.scale is None else g.scale * c, np.ones(mu)])
         latent_labels = self.reduced_graph.labels[len(self.kept):]
-        return _precision_graph(enlarged, g.labels + latent_labels)
+        return PartialCorrelationGraph._computed(enlarged, g.labels + latent_labels, scale=scale)
 
 
 def _split(g: PartialCorrelationGraph, S) -> tuple:
@@ -374,9 +373,11 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     reproduces the original network exactly.  Eliminating S then yields
     the reduced network on T + latents; it preserves, exactly up to
     rank truncation, both the partial and the marginal correlations
-    among the kept nodes.  The latent-to-kept couplings of the reduced
-    network are recomputed from the Schur complement, not copied from
-    b~.
+    among the kept nodes.  Both graphs are written from their weights:
+    the reduced one is [[R_TT, V], [V^T, 0]], V V^T = Q^T (1 - R_SS)^-1 Q
+    from the Schur complement, not b~; the enlarged one couples i and j
+    by (r_ij - sum_u l_iu l_ju) / (c_i c_j), l_iu = sigma_u a_u(i), c_i the
+    root above, and its latent columns are a~ and b~, bit for bit.
 
     Sign conventions: each singular vector pair is flipped so its
     largest-magnitude entry on the removed side is positive, and
@@ -384,22 +385,20 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     choice describes the same distribution.
     """
     kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
-    n_t, w = len(kept), g.weights
+    n_t = len(kept)
     # In a helper, so its SVD temporaries are freed before the graph is built.
-    s, load, v_cols = _latent_factors(w, removed, kept)
+    s, load, v_cols = _latent_factors(g.weights, removed, kept)
     mu = len(s)
 
     kept_labels, lam_t = _kept_nodes(g, kept)
-    lam_t = np.ones(n_t) if lam_t is None else lam_t
-    # The precision [[Lambda (1 - R_TT) Lambda, -Lambda V], [-V^T Lambda, 1]]
-    # in the one array the reduced graph keeps.
-    reduced = np.empty((n_t + mu, n_t + mu))
-    top = _one_minus(w[np.ix_(kept, kept)], out=reduced[:n_t, :n_t])
-    _by_outer(np.multiply, top, lam_t, top)
-    np.negative(lam_t[:, None] * v_cols, out=reduced[:n_t, n_t:])
-    reduced[n_t:, :n_t] = reduced[:n_t, n_t:].T
-    reduced[n_t:, n_t:] = np.eye(mu)
-    reduced_graph = _precision_graph(reduced, kept_labels + _fresh_latent_labels(g.labels, mu))
+    # The weights [[R_TT, V], [V^T, 0]] in the one array the reduced graph keeps.
+    reduced = np.zeros((n_t + mu, n_t + mu))
+    reduced[:n_t, :n_t] = g.weights[np.ix_(kept, kept)]
+    reduced[:n_t, n_t:] = v_cols
+    reduced[n_t:, :n_t] = v_cols.T
+    scale = np.concatenate([np.ones(n_t) if lam_t is None else lam_t, np.ones(mu)])
+    reduced_graph = PartialCorrelationGraph._computed(
+        reduced, kept_labels + _fresh_latent_labels(g.labels, mu), scale=scale)
 
     con = load / np.sqrt(1.0 + np.sum(load * load, axis=1))[:, None]
     return LatentReduction(

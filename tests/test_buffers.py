@@ -174,6 +174,32 @@ def test_derived_graphs_are_exactly_symmetric(system):
         assert np.array_equal(h.weights, h.weights.T), name
 
 
+def test_latent_columns_are_a_and_b_tilde(system):
+    # The enlarged graph is written from the loading, not split off a
+    # precision, so its latent columns are the very bits of a~ and b~.
+    red = pc.latent_reduce(_graph(system), system["latent"])
+    latent = red.enlarged_graph.weights[:, D:]
+    assert _bytes_equal(red.a_tilde, latent[system["latent"]].T)
+    assert _bytes_equal(red.b_tilde, latent[list(red.kept)].T)
+
+
+def test_reduced_weights_are_r_tt_and_v(system):
+    g = _graph(system)
+    red = pc.latent_reduce(g, system["latent"])
+    kept, n, mu = list(red.kept), len(red.kept), red.latent_count
+    _, _, v_cols = transforms._latent_factors(g.weights, list(system["latent"]), kept)
+    w = red.reduced_graph.weights
+    assert mu == D // 10 and _bytes_equal(w[:n, n:], v_cols) and _bytes_equal(w[n:, :n], v_cols.T)
+    assert _bytes_equal(w[:n, :n], g.weights[np.ix_(kept, kept)])
+    assert _bytes_equal(w[n:, n:], np.zeros((mu, mu)))
+    assert _bytes_equal(red.reduced_graph.scale, np.concatenate([g.scale[kept], np.ones(mu)]))
+
+
+def test_unscaled_reduction_has_unit_scale(system):
+    red = pc.latent_reduce(pc.validate_partial_graph(system["raw"]), system["latent"])
+    assert _bytes_equal(red.reduced_graph.scale, np.ones(red.reduced_graph.dim))
+
+
 @pytest.mark.parametrize("ends", [1, 2, D // 2])
 def test_paths_through_is_exactly_symmetric(system, ends):
     removed = np.sort(system["half"])
@@ -314,21 +340,20 @@ class TestSameBits:
             r, scale = _split(m_red)
             got = pc.marginalize_nodes(g, removed)
             assert _bytes_equal(got.weights, r) and _bytes_equal(got.scale, lam[kept] * scale)
-            # Latent reduction and the enlarged network, assembled by np.block.
+            # Latent reduction: the reduced weights [[R_TT, V], [V^T, 0]] and the
+            # enlarged ones from the loading, each assembled by np.block.
             red = pc.latent_reduce(g, removed)
             s, load, v_cols = transforms._latent_factors(g.weights, removed, kept)
-            lam_t, mu = lam[kept], len(s)
-            m_tt = np.eye(len(kept)) - w[np.ix_(kept, kept)]
-            reduced = np.block([
-                [np.outer(lam_t, lam_t) * m_tt, -lam_t[:, None] * v_cols],
-                [-(lam_t[:, None] * v_cols).T, np.eye(mu)],
-            ])
-            r, scale = _split(reduced)
+            mu, zeros = len(s), np.zeros((len(s), len(s)))
+            reduced = np.block([[w[np.ix_(kept, kept)], v_cols], [v_cols.T, zeros]])
             got = red.reduced_graph
-            assert _bytes_equal(got.weights, r) and _bytes_equal(got.scale, scale)
-            a = lam[:, None] * load
-            top = np.outer(lam, lam) * (np.eye(d) - w) + a @ a.T
-            enlarged = np.block([[top, -a], [-a.T, np.eye(mu)]])
-            r, scale = _split(enlarged)
+            assert _bytes_equal(got.weights, reduced)
+            assert _bytes_equal(got.scale, np.concatenate([lam[kept], np.ones(mu)]))
+            c = np.sqrt(1.0 + np.sum(load * load, axis=1))
+            con = load / c[:, None]
+            top = (w - load @ load.T) / np.outer(c, c)
+            np.fill_diagonal(top, 0.0)
+            enlarged = np.block([[top, con], [con.T, zeros]])
             got = red.enlarged_graph
-            assert _bytes_equal(got.weights, r) and _bytes_equal(got.scale, scale)
+            assert _bytes_equal(got.weights, enlarged)
+            assert _bytes_equal(got.scale, np.concatenate([lam * c, np.ones(mu)]))

@@ -49,7 +49,7 @@ from pathcorr import (
     sever_nodes,
     validate_partial_graph,
 )
-from pathcorr import chains, fileio, pathsum, sampling, transforms
+from pathcorr import chains, fileio, matrices, pathsum, sampling, transforms
 from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
@@ -655,15 +655,15 @@ class TestStructureCommands:
 
     def test_refused_enlarged_graph_writes_nothing(self, run, tmp_path, monkeypatch):
         # The enlarged graph is built and checked before --out is written;
-        # its construction is forced to fail here (8 nodes: 6 + 2 latents).
-        original = transforms._precision_graph
+        # its check is forced to fail here (8 nodes: 6 + 2 latents).
+        original = matrices._check_pd
 
-        def refuse(om, labels, scale=1.0):
-            if len(labels) == 8:
+        def refuse(m, what):
+            if len(m) == 8:
                 raise NotPositiveDefinite("(1 - R) is not positive definite: refused")
-            return original(om, labels, scale)
+            return original(m, what)
 
-        monkeypatch.setattr(transforms, "_precision_graph", refuse)
+        monkeypatch.setattr(matrices, "_check_pd", refuse)
         out, enlarged = tmp_path / "red.json", tmp_path / "enl.json"
         argv = ("reduce", "--in", str(GOLDEN / "partial6.json"), "--S", "b,c", "--out", str(out))
         code, stdout, stderr = run(*argv, "--out-enlarged", str(enlarged))
@@ -1539,40 +1539,42 @@ class TestExitStatus:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, flag",
         [
-            ("expand", "--in", "{g}", "--i", "x1", "--j", "x2", "--L", "{L}"),
-            ("profile", "--in", "{g}", "--i", "x1", "--j", "x2", "--Lmax", "{L}",
-             "--out", "{out}"),
-            ("figure", "fig5", "--d", "12", "--n", "50", "--Lmax", "{L}", "--out", "{out}"),
-            ("figure", "fig6", "--Lmax", "{L}", "--out", "{out}"),
+            (("expand", "--in", "{g}", "--i", "x1", "--j", "x2", "--L", "{L}"), "--L"),
+            (("profile", "--in", "{g}", "--i", "x1", "--j", "x2", "--Lmax", "{L}",
+              "--out", "{out}"), "--Lmax"),
+            (("figure", "fig5", "--d", "12", "--n", "50", "--Lmax", "{L}", "--out", "{out}"),
+             "--Lmax"),
+            (("figure", "fig6", "--Lmax", "{L}", "--out", "{out}"), "--Lmax"),
         ],
         ids=["expand", "profile", "fig5", "fig6"],
     )
-    def test_huge_length_is_one_error_line(self, run, tmp_path, argv):
+    def test_huge_length_is_one_error_line(self, run, tmp_path, argv, flag):
         # 10**20 floats cannot be allocated; the length cap must answer
-        # first, and fig6 must not loop over the lengths one by one.
+        # first, under the flag's own name, and fig6 must not loop over
+        # the lengths one by one.
         src, out = tmp_path / "g.json", tmp_path / "o.csv"
         fileio.save_matrix(chain_graph(3, 0.3), src)
         argv = [a.format(g=src, L=10**20, out=out) for a in argv]
         code, _, stderr = run(*argv)
         assert code == 1
-        assert stderr.startswith("error:") and "between 1 and" in stderr
+        assert stderr.startswith(f"error: {flag} must be") and "between 1 and" in stderr
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ("chain", "--d", "{n}", "--r", "0.3", "--i", "1", "--j", "2"),
-            ("figure", "fig4", "--k", "{n}", "--out", "{out}"),
-            ("figure", "fig4", "--m", "{n}", "--out", "{out}"),
-            ("mi", "--in", "{g}", "--A", "x1", "--B", "x2", "--method", "series",
-             "--q", "1e-9", "--n-max", "{n}", "--out", "{out}"),
+            (("chain", "--d", "{n}", "--r", "0.3", "--i", "1", "--j", "2"), "chain length d"),
+            (("figure", "fig4", "--k", "{n}", "--out", "{out}"), "--k"),
+            (("figure", "fig4", "--m", "{n}", "--out", "{out}"), "--m"),
+            (("mi", "--in", "{g}", "--A", "x1", "--B", "x2", "--method", "series",
+              "--q", "1e-9", "--n-max", "{n}", "--out", "{out}"), "--n-max"),
         ],
         ids=["chain-d", "fig4-k", "fig4-m", "mi-n-max"],
     )
-    def test_huge_count_is_one_error_line(self, run, tmp_path, argv):
+    def test_huge_count_is_one_error_line(self, run, tmp_path, argv, named):
         # A chain of 10**20 nodes, 10**20 appended ones or 10**20 series
         # terms would grow until memory or time ran out; the caps answer first.
         src, out = tmp_path / "g.json", tmp_path / "o.csv"
@@ -1580,9 +1582,37 @@ class TestExitStatus:
         argv = [a.format(g=src, n=10**20, out=out) for a in argv]
         code, _, stderr = run(*argv)
         assert code == 1
-        assert stderr.startswith("error:") and "between" in stderr
+        assert stderr.startswith(f"error: {named} must be") and "between" in stderr
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("expand", "--in", "{g}", "--i", "x1", "--j", "x2", "--L", "0"),
+            ("profile", "--in", "{g}", "--i", "x1", "--j", "x2", "--Lmax", "0", "--out", "{out}"),
+            ("mi", "--in", "{g}", "--A", "x1", "--B", "x2", "--method", "series",
+             "--n-max", "0", "--out", "{out}"),
+        ],
+        ids=["expand", "profile", "mi"],
+    )
+    def test_zero_length_is_refused_by_flag_before_loading(self, run, tmp_path, argv):
+        # The input file does not exist: the flag is checked, by its own
+        # name, before the input is read.
+        out = tmp_path / "o.csv"
+        argv = [a.format(g=tmp_path / "missing.json", out=out) for a in argv]
+        flag = argv[argv.index("0") - 1]
+        code, stdout, stderr = run(*argv)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {flag} must be a whole number between 1 and 100000, got 0\n"
+        assert not out.exists()
+        if flag == "--n-max":
+            # Without --method series the flag is refused as unread first.
+            argv.remove("--method")
+            argv.remove("series")
+            code, _, stderr = run(*argv)
+            assert code == 1
+            assert stderr == "error: --n-max is read only with --method series\n"
 
     def test_domain_error_is_one(self, run, tmp_path):
         src = tmp_path / "g.json"
