@@ -269,7 +269,7 @@ def _chain_gamma(args) -> None:
 
 
 def _chain_pairs(args) -> None:
-    d = _whole(args.d, "chain length d with --pairs all", ParamOutOfBound, 1, _MAX_PAIRS_D)
+    d = _whole(args.d, "chain length d with --pairs all", ParamOutOfBound, 2, _MAX_PAIRS_D)
     spec = chains.ChainSpec(d=d, r=args.r)
     rows = (
         (i, j, chains.chain_pair_corr(spec, i, j))
@@ -363,7 +363,7 @@ def _cmd_sample(args) -> int:
 def _fig4_table(args) -> tuple:
     # One chain per r, long enough for k and every m, gives every gamma
     # the floats amplification_factor reads; its caps are checked first.
-    m_max = _whole(args.m, "--m", ParamOutOfBound, 0, chains.MAX_NODES - 2)
+    m_max = _whole(args.m, "--m", ParamOutOfBound, 1, chains.MAX_NODES - 2)
     k = _whole(args.k, "--k", ParamOutOfBound, 0, chains.MAX_NODES - 2)
     rows = []
     for r in FIG4_R_GRID:

@@ -94,38 +94,22 @@ def save_json(doc, path) -> None:
         fh.write(text + "\n")
 
 
-def _round_trips(provenance, path) -> None:
-    """Refuse what JSON would not read back as saved, at any depth: a
-    non-``str`` dict key (written as a string), then a tuple (written as
-    a list).  Each container is walked once, so a cycle is left to the
-    JSON writer."""
-    todo, seen, tuples = [provenance], set(), []
-    while todo:
-        value = todo.pop()
-        if not isinstance(value, (dict, list, tuple)) or id(value) in seen:
-            continue
-        seen.add(id(value))
-        if isinstance(value, tuple):
-            tuples.append(value)
-        if isinstance(value, dict):
-            for key in value:
-                if not isinstance(key, str):
-                    raise FileFormatError(
-                        f"{path}: cannot write JSON: provenance key {_shown(key)} is not a string"
-                    )
-            value = value.values()
-        todo.extend(value)
-    if tuples:
-        raise FileFormatError(
-            f"{path}: cannot write JSON: provenance tuple {_shown(tuples[0])} "
-            "would read back as a list"
-        )
-
-
 def save_matrix(obj, path, provenance: dict | None = None) -> None:
-    """Write a typed matrix object to ``path`` in the JSON layout."""
+    """Write a typed matrix object to ``path`` in the JSON layout.
+
+    A provenance that would not read back equal (a non-``str`` key, a
+    tuple) raises :class:`FileFormatError` before the file is opened.
+    """
     kind = kind_of(obj)
-    _round_trips(_instance(provenance, (dict, type(None)), "provenance", FileFormatError), path)
+    _instance(provenance, (dict, type(None)), "provenance", FileFormatError)
+    try:
+        back = json.loads(json.dumps(provenance, allow_nan=False))
+    except (ValueError, TypeError) as exc:
+        raise FileFormatError(f"{path}: cannot write JSON: {exc}") from exc
+    if back != provenance:
+        raise FileFormatError(
+            f"{path}: provenance would not read back equal: it reads back as {_shown(back)}"
+        )
     entries = obj.weights if kind == "partial" else obj.entries
     doc = {
         "kind": kind,

@@ -220,8 +220,7 @@ def _check_pd(m: np.ndarray, what: str) -> float:
     if top != 1.0:
         m /= top
     f = m.T  # the same symmetric matrix in Fortran order, so LAPACK works in place
-    # ||m||_1 by blocks of 16 columns: no |m|-sized temporary.
-    norm = max(float(np.abs(f[:, k:k + 16]).sum(axis=0).max()) for k in range(0, len(f), 16))
+    norm = float(scipy.linalg.lapack.dlange("1", f))
     low, _ = _cho(f, NotPositiveDefinite, what)
     rcond, _ = scipy.linalg.lapack.dpocon(low, norm, uplo="L")
     # Each pivot L_ii^2 is at least lambda_min(m), so min L_ii^2 / ||m||_1 is

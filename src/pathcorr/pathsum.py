@@ -385,18 +385,34 @@ def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:
     entries of one two-row propagation over the interior.  Returns
     (rho_hat, l_i, l_j) as arrays over l = 1..L, the last two the
     cumulative loop sums.  Where either loop sum reaches
-    ``1 - DENOM_GUARD`` the ratio has no meaning: that entry of rho_hat
-    is set to NaN, never computed, and the caller decides what to raise.
+    ``1 - DENOM_GUARD``, or a sum or (1 - l_i)(1 - l_j) overflows, the
+    ratio has no meaning: that entry of rho_hat is set to NaN, never
+    computed, and the caller raises :func:`_refusal`.
     """
     w = g.weights
     L = _check_length(L, length_name)
     interior = _interior_indices(w.shape[0], {i, j}, (), None)
-    cum = np.cumsum(_per_length_restricted(w, (i, j), (i, j), L, interior), axis=0)
-    num, li, lj = cum[:, 0, 1], cum[:, 0, 0], cum[:, 1, 1]
-    ok = (li < 1.0 - DENOM_GUARD) & (lj < 1.0 - DENOM_GUARD)
+    with np.errstate(over="ignore", invalid="ignore"):  # a divergent series overflows
+        cum = np.cumsum(_per_length_restricted(w, (i, j), (i, j), L, interior), axis=0)
+        num, li, lj = cum[:, 0, 1], cum[:, 0, 0], cum[:, 1, 1]
+        denom = (1.0 - li) * (1.0 - lj)
+    # Both loop sums below 1 and a finite product: both loop sums are finite.
+    ok = np.isfinite(num) & np.isfinite(denom) & (li < 1.0 - DENOM_GUARD) & (lj < 1.0 - DENOM_GUARD)
     rho = np.full(L, np.nan)
-    rho[ok] = num[ok] / np.sqrt((1.0 - li[ok]) * (1.0 - lj[ok]))
+    rho[ok] = num[ok] / np.sqrt(denom[ok])
     return rho, li, lj
+
+
+def _refusal(li: float, lj: float, L: int) -> DenominatorNonPositive:
+    """The error for a length L that :func:`_rho_hat` refused, given the
+    loop sums l_i and l_j at L: a loop sum that reaches 1, or overflow."""
+    name, worst = ("i", li) if li >= lj else ("j", lj)
+    if np.isfinite(li) and np.isfinite(lj) and worst >= 1.0 - DENOM_GUARD:
+        return DenominatorNonPositive(
+            f"truncated loop sum at L={L} reaches {worst:.6g} >= 1 at node {name}; "
+            "increase L or rescale the graph"
+        )
+    return DenominatorNonPositive(f"truncated sums overflow at L={L}; rescale the graph")
 
 
 def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
@@ -410,11 +426,7 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
     rho, li, lj = _rho_hat(g, i, j, L, "truncation length")
     if np.isnan(rho[-1]):
-        name, val = ("i", li[-1]) if li[-1] >= lj[-1] else ("j", lj[-1])
-        raise DenominatorNonPositive(
-            f"truncated loop sum at node {name} is {val:.6g} >= 1; "
-            "increase L or rescale the graph"
-        )
+        raise _refusal(li[-1], lj[-1], len(rho))
     return float(rho[-1])
 
 
@@ -457,12 +469,8 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
     i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
     rho, li, lj = _rho_hat(g, i, j, L_max, "L_max")
     if np.isnan(rho).any():
-        L = int(np.argmax(np.isnan(rho))) + 1
-        worst = max(li[L - 1], lj[L - 1])
-        raise DenominatorNonPositive(
-            f"truncated loop sum at L={L} reaches {worst:.6g} >= 1; "
-            "increase L or rescale the graph"
-        )
+        k = int(np.argmax(np.isnan(rho)))
+        raise _refusal(li[k], lj[k], k + 1)
     oracle = float(_checked_inverse(_base(g)).entries[i, j])
     return tuple(
         ProfilePoint(L=L, rho_hat=float(r), abs_gap=abs(float(r) - oracle))

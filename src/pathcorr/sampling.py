@@ -218,8 +218,9 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
     kind "example_R":    params r12, r13, r23, r24, r34; the 4-node
                          graph with no 1-4 edge.
 
-    Violating a bound, an unknown kind, and a missing or extra
-    parameter raise :class:`ParamOutOfBound`.
+    Violating a bound, an unknown kind, a missing or extra parameter,
+    and weights the graph constructor refuses (a 1 - R too close to
+    singular, just inside a bound) raise :class:`ParamOutOfBound`.
     """
     names = _CANONICAL_PARAMS.get(kind)
     if names is None:
@@ -231,30 +232,28 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
         for key in names:
             i, j = int(key[1]) - 1, int(key[2]) - 1
             m[i, j] = m[j, i] = _real(params[key], key, ParamOutOfBound)
-        try:
-            return PartialCorrelationGraph(weights=m)
-        except NotPositiveDefinite as exc:
-            raise ParamOutOfBound(f"example_R weights are not admissible: {exc}") from exc
-    d = _whole(params["d"], f"{kind} d", ParamOutOfBound, 2 if kind == "chain" else 3)
-    if kind == "chain":
-        return PartialCorrelationGraph(weights=_chain_weights(d, _chain_r(params["r"])))
-    r = _real(params["r"], f"{kind} r", ParamOutOfBound)
-    if kind == "ring":
-        if abs(r) >= 0.5:
-            raise ParamOutOfBound(f"ring needs |r| < 1/2, got {r}")
-        m = _chain_weights(d, r)
-        m[0, d - 1] = m[d - 1, 0] = r
+    elif kind == "chain":
+        d = _whole(params["d"], "chain d", ParamOutOfBound, 2)
+        m = _chain_weights(d, _chain_r(params["r"]))
+    else:
+        d = _whole(params["d"], f"{kind} d", ParamOutOfBound, 3)
+        r = _real(params["r"], f"{kind} r", ParamOutOfBound)
+        if kind == "ring":
+            if abs(r) >= 0.5:
+                raise ParamOutOfBound(f"ring needs |r| < 1/2, got {r}")
+            m = _chain_weights(d, r)
+            m[0, d - 1] = m[d - 1, 0] = r
+        else:
+            if (d - 2) * r * r >= 0.5:
+                raise ParamOutOfBound(
+                    f"one_many_one needs (d-2) r^2 < 1/2, got {(d - 2) * r * r:.4g}"
+                )
+            m = np.zeros((d, d))
+            m[0, 1 : d - 1] = m[1 : d - 1, 0] = m[d - 1, 1 : d - 1] = m[1 : d - 1, d - 1] = r
+    try:
         return PartialCorrelationGraph(weights=m)
-    if (d - 2) * r * r >= 0.5:
-        raise ParamOutOfBound(
-            f"one_many_one needs (d-2) r^2 < 1/2, got {(d - 2) * r * r:.4g}"
-        )
-    m = np.zeros((d, d))
-    m[0, 1 : d - 1] = r
-    m[1 : d - 1, 0] = r
-    m[d - 1, 1 : d - 1] = r
-    m[1 : d - 1, d - 1] = r
-    return PartialCorrelationGraph(weights=m)
+    except (NotPositiveDefinite, EntryOutOfRange) as exc:
+        raise ParamOutOfBound(f"{kind} weights are not admissible: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ from pathcorr import chains, fileio, matrices, pathsum, sampling, transforms
 from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
-from conftest import scaled_random_graph
+from conftest import complete_graph, scaled_random_graph
 
 
 def chain_graph(d, r, **kw):
@@ -139,6 +139,20 @@ class TestFileRoundTrips:
                 writer.writerow([repr(float(x)) for x in row])
         loaded = fileio.load_csv_matrix(path, "partial")
         assert np.array_equal(loaded.weights, g.weights)
+
+
+# Provenance trees of what JSON can and cannot hold as saved: keys of
+# every type json.dumps takes, tuples beside lists, NaN and inf leaves.
+# Half the keys are strings, so that many trees are written.
+PROVENANCE_LEAVES = st.text(max_size=3) | st.integers() | st.booleans() | st.none() | st.floats()
+PROVENANCE_KEYS = st.booleans().flatmap(lambda s: st.text(max_size=3) if s else PROVENANCE_LEAVES)
+PROVENANCE_TREES = st.recursive(
+    PROVENANCE_LEAVES,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(PROVENANCE_KEYS, kids, max_size=3),
+    max_leaves=8,
+)
 
 
 class TestFileValidation:
@@ -261,7 +275,7 @@ class TestFileValidation:
         # JSON would write the key as a string: the file would not read
         # back what was saved.
         path = tmp_path / "g.json"
-        with pytest.raises(FileFormatError, match="is not a string"):
+        with pytest.raises(FileFormatError, match="would not read back equal"):
             fileio.save_matrix(chain_graph(2, 0.3), path, provenance=provenance)
         assert not path.exists()
 
@@ -273,9 +287,25 @@ class TestFileValidation:
     def test_tuple_in_provenance_refused_on_save(self, tmp_path, provenance):
         # JSON would write the tuple as an array, which loads as a list.
         path = tmp_path / "g.json"
-        with pytest.raises(FileFormatError, match="tuple .* would read back as a list"):
+        with pytest.raises(FileFormatError, match="would not read back equal"):
             fileio.save_matrix(chain_graph(2, 0.3), path, provenance=provenance)
         assert not path.exists()
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(provenance=st.dictionaries(PROVENANCE_KEYS, PROVENANCE_TREES, max_size=4))
+    def test_provenance_is_refused_or_reads_back_equal(self, tmp_path, provenance):
+        path = tmp_path / "g.json"
+        path.unlink(missing_ok=True)
+        try:
+            fileio.save_matrix(chain_graph(2, 0.3), path, provenance=provenance)
+        except FileFormatError:
+            assert not path.exists()
+        else:
+            assert fileio.load_matrix(path)[1] == provenance
 
     @pytest.mark.parametrize(
         "doc",
@@ -580,6 +610,32 @@ class TestExpandAndProfile:
         assert float(last[1]) == doc["rho_hat"]
         assert float(last[2]) == doc["abs_gap"]
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # shown as the command line shows it
+    @pytest.mark.parametrize(
+        "graph, argv",
+        [
+            ("complete", ("expand", "--L", "1501")),
+            ("complete", ("expand", "--L", "2501")),
+            ("complete", ("profile", "--Lmax", "2501")),
+            ("sample", ("expand", "--L", "2000")),
+            ("sample", ("profile", "--Lmax", "2000")),
+        ],
+    )
+    def test_overflowing_series_is_one_error_line(self, run, tmp_path, graph, argv):
+        # Overflowing sums once printed numpy's warnings before the error,
+        # or a result built from overflow (expand --L 1501 wrote -0.0).
+        src, out = tmp_path / "g.json", tmp_path / "p.csv"
+        if graph == "complete":
+            fileio.save_matrix(complete_graph(6, -0.45), src)
+        else:
+            assert run("sample", "--d", "30", "--n", "40", "--seed", "3", "--out", str(src))[0] == 0
+        extra = ["--out", str(out)] if argv[0] == "profile" else []
+        code, stdout, stderr = run(*argv, "--in", str(src), "--i", "x1", "--j", "x2", *extra)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        if argv[0] == "expand":
+            assert "overflow at L=" in stderr and "increase L" not in stderr
+
 
 class TestStructureCommands:
     def test_sever_matches_module(self, run, graph_file, tmp_path):
@@ -828,7 +884,7 @@ class TestChainCommand:
                 "chain", "--d", d, "--r", "0.3", "--pairs", "all", "--out", str(out)
             )
             assert code == 1
-            assert stderr.startswith("error:") and "between 1 and 4472" in stderr
+            assert stderr.startswith("error:") and "between 2 and 4472" in stderr
             assert stderr.count("\n") == 1 and stdout == ""
             assert calls == [] and not out.exists()
 
@@ -1613,6 +1669,26 @@ class TestExitStatus:
             code, _, stderr = run(*argv)
             assert code == 1
             assert stderr == "error: --n-max is read only with --method series\n"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (
+                ("chain", "--d", "1", "--r", "0.3", "--pairs", "all"),
+                "chain length d with --pairs all",
+            ),
+            (("figure", "fig4", "--m", "0"), "--m"),
+        ],
+        ids=["chain-pairs-d1", "fig4-m0"],
+    )
+    def test_empty_table_is_refused(self, run, tmp_path, argv, named):
+        # One node has no pair and m = 0 no appendage length: either
+        # would write a header and no rows.
+        out = tmp_path / "t.csv"
+        code, stdout, stderr = run(*argv, "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr.startswith(f"error: {named} must be a whole number between ")
+        assert stderr.count("\n") == 1
 
     def test_domain_error_is_one(self, run, tmp_path):
         src = tmp_path / "g.json"

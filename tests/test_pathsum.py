@@ -23,6 +23,7 @@ from pathcorr import (
     PathQuery,
     QOutOfRange,
     RescaledGraph,
+    SampleSpec,
     SingularRestrictedBlock,
     convergence_profile,
     enumerate_paths,
@@ -31,6 +32,7 @@ from pathcorr import (
     partial_to_marginal_oracle,
     path_sum_truncated,
     rescale,
+    sample_partial_graph,
     sever_nodes,
     spectral_report,
     star_path_sum_closed,
@@ -537,6 +539,28 @@ class TestMarginalCorrelation:
                 first_bad = L
                 break
         assert first_bad == 4
+
+    def test_overflowing_truncation_is_refused(self):
+        # Same graph: odd-length loop sums are negative and grow as
+        # 1.35^L, so L = 501 still gives a finite ratio, but by L = 1501
+        # (1 - l_i)(1 - l_j) overflows and by L = 2501 the sums do.
+        # pytest turns numpy's overflow warnings into errors.
+        g = complete_graph(6, -0.45)
+        assert math.isfinite(marginal_corr_expansion(g, 0, 1, 501))
+        for L in (1501, 2501):
+            overflow = f"^truncated sums overflow at L={L}; rescale the graph$"
+            with pytest.raises(DenominatorNonPositive, match=overflow):
+                marginal_corr_expansion(g, 0, 1, L)
+            with pytest.raises(DenominatorNonPositive, match="at L=4 reaches 1.19273 >= 1 "):
+                convergence_profile(g, 0, 1, L)
+
+    def test_overflowing_sampled_graph_is_refused(self):
+        # nu(R) = 7.3: every sum overflows long before L = 2000.
+        g = sample_partial_graph(SampleSpec(d=30, n=40, seed=3)).graph
+        with pytest.raises(DenominatorNonPositive, match="^truncated sums overflow at L=2000; "):
+            marginal_corr_expansion(g, 0, 1, 2000)
+        with pytest.raises(DenominatorNonPositive, match="at L=2 reaches "):
+            convergence_profile(g, 0, 1, 2000)
 
     def test_divergent_graph_fixed_by_rescaling(self):
         g = complete_graph(6, -0.45)

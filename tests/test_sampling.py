@@ -236,6 +236,13 @@ class TestCanonicalGraphs:
         with pytest.raises(ParamOutOfBound):
             canonical_graph("ring", d=2, r=0.3)
 
+    @pytest.mark.parametrize("kind, d", [("ring", 5), ("one_many_one", 4)])
+    def test_numerically_singular_inside_the_bound(self, kind, d):
+        # r = 1/2 - 1e-14 satisfies the stated bound, but 1 - R has
+        # rcond near 1e-14: the refusal keeps the documented class.
+        with pytest.raises(ParamOutOfBound, match=f"^{kind} weights are not admissible: "):
+            canonical_graph(kind, d=d, r=0.5 - 1e-14)
+
     def test_one_many_one_structure(self):
         g = canonical_graph("one_many_one", d=6, r=0.25)
         w = g.weights
