@@ -84,11 +84,12 @@ def save_json(doc, path) -> None:
     """Write ``doc`` as JSON with a two-space indent and a final newline.
 
     The text is built before the file is opened, so what JSON cannot hold
-    (inf, a numpy int) raises :class:`FileFormatError` and leaves no file.
+    (inf, a numpy int, nesting too deep to encode) raises
+    :class:`FileFormatError` and leaves no file.
     """
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise FileFormatError(f"{path}: cannot write JSON: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -104,7 +105,7 @@ def save_matrix(obj, path, provenance: dict | None = None) -> None:
     _instance(provenance, (dict, type(None)), "provenance", FileFormatError)
     try:
         back = json.loads(json.dumps(provenance, allow_nan=False))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise FileFormatError(f"{path}: cannot write JSON: {exc}") from exc
     if back != provenance:
         raise FileFormatError(

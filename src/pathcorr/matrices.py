@@ -37,9 +37,13 @@ every whole-matrix inverse (the oracle's (1 - R)^-1, the covariance and
 precision conversions, the sampler's precision) through :func:`_spd_inverse`,
 one in-place factor and LAPACK's dpotri, exactly symmetric; and every
 restricted block inverse W[E, K] (1 - W_K)^-1 W[K, E] is Y^T Y, Y from :func:`_whitened`.
-Every end of a symmetric spectrum (nu(R), nu(|R|), a correlation matrix's
-lowest eigenvalue) comes from :func:`_spectrum_ends`: one tridiagonal
+Every end of a symmetric spectrum (nu(R), a correlation matrix's lowest
+eigenvalue) comes from :func:`_spectrum_ends`: one tridiagonal
 reduction, then a bisection for each end, never the whole spectrum.
+nu(|R|) comes from a certified Collatz-Wielandt bracket, a few O(d^2)
+power steps (:func:`_perron_bracket`); :func:`_spectrum_ends` of |R| is
+its fallback where |R| has a zero row, where the bracket's width has not
+halved within two steps, or where nu(R) < 1 and the bracket holds 1.
 Every square input is checked by one helper, :func:`_square`; every array
 argument becomes floats through :func:`_floats`.  One rule keeps arrays: kept
 arrays are frozen in place (:func:`_keep`); a caller's array is copied once
@@ -274,6 +278,38 @@ def _spectrum_ends(m: np.ndarray) -> tuple:
             raise scipy.linalg.LinAlgError(f"dsterf did not converge: info {info}")
         ends = spectrum[[0, -1]]
     return tuple(math.ldexp(float(x), exponent) + 0.0 for x in ends)
+
+
+def _perron_bracket(a: np.ndarray) -> tuple | None:
+    """(lo, hi, nu) for a nonnegative symmetric a: lo <= nu(a) <= hi, or None.
+
+    Unshifted power steps y = a x from x = 1.  For every positive x,
+    min_i y_i / x_i <= nu(a) <= max_i y_i / x_i (Collatz-Wielandt), and
+    each step's bracket lies inside the last.  Once it is at most 1e-13 of
+    its top wide, nu is the Rayleigh quotient x.y / x.x, which lies in
+    [lo, nu(a)]; lo and hi are then widened by d eps, the relative roundoff
+    of a sum of d nonnegative terms, so the bracket holds for the computed
+    ratios too.  None where the steps cannot serve: a zero row (an
+    isolated node), or a width that has not halved within two steps (a
+    bipartite or slowly mixing a, such as a chain's).  O(d^2) a step; a
+    is only read.
+    """
+    x = np.ones(len(a))
+    widths = [math.inf, math.inf]  # two steps back, one step back
+    while True:
+        y = a @ x
+        ratio = y / x
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if not 0.0 < lo <= hi < math.inf:
+            return None
+        width = hi - lo
+        if width <= 1e-13 * hi:
+            slack = len(a) * math.ulp(1.0)
+            return lo * (1.0 - slack), hi * (1.0 + slack), float(x @ y) / float(x @ x)
+        if width > widths[0] / 2.0:
+            return None
+        widths = [widths[1], width]
+        x = y / hi
 
 
 def _cho(m: np.ndarray, error, what: str) -> tuple:
@@ -681,13 +717,25 @@ def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     nu(R) is the value the default rescaling reads, cached on the graph
     from one reduction of R to tridiagonal form.  |R| is symmetric and
     nonnegative, so by Perron-Frobenius nu(|R|) is its largest
-    eigenvalue, the top end from one reduction of |R|.
+    eigenvalue.  It is read from a certified Collatz-Wielandt bracket, a
+    few O(d^2) power steps on |R| (:func:`_perron_bracket`).  The top end
+    from one reduction of |R| is read instead in three cases: |R| has a
+    zero row (an isolated node); the bracket's width has not halved
+    within two steps (a bipartite or slowly mixing graph, such as a
+    chain); or nu(R) < 1 and 1 lies in the bracket, which then cannot
+    decide the regime.
     """
     nu = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)._nu
-    # |R| is a fresh, finite array, reduced in place.
-    _, perron = _spectrum_ends(np.abs(g.weights))
-    # nu <= nu(|R|) holds exactly, but eigensolver noise can leave the
-    # computed root a few ulp under nu.
+    # |R| is a fresh, finite array: the bracket reads it, a reduction
+    # overwrites it.
+    plus = np.abs(g.weights)
+    bracket = _perron_bracket(plus)
+    if bracket is None or (nu < 1.0 and bracket[0] <= 1.0 <= bracket[1]):
+        _, perron = _spectrum_ends(plus)
+    else:
+        perron = bracket[2]
+    # nu <= nu(|R|) holds exactly, but roundoff in either route can leave
+    # the computed root a few ulp under nu.
     nu_plus = max(perron, nu)
     if nu >= 1.0:
         regime = "rescale-required"

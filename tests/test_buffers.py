@@ -60,6 +60,13 @@ def _graph(s):
     return pc.validate_partial_graph(s["raw"], scale=s["lam"])
 
 
+def _chain():
+    """A d = 500 chain at r = 0.45: its |R| is bipartite, so nu(|R|) falls
+    back from the Collatz-Wielandt bracket to a reduction of |R|."""
+    w = np.diag(np.full(D - 1, 0.45), 1)
+    return pc.validate_partial_graph(w + w.T)
+
+
 # name: (set-up, operation, LAPACK calls (Cholesky factors, dpotri
 # inverses, eigenvalue solves, SVDs), peak allocation in d^2 doubles).
 # An eigenvalue solve is a full or selected one, or the tridiagonal
@@ -68,7 +75,8 @@ def _graph(s):
 OPERATIONS = {
     "validate_partial_graph": (lambda s: s, lambda s: _graph(s), (1, 0, 0, 0), 2.23),
     "oracle": (_graph, pc.partial_to_marginal_oracle, (1, 1, 0, 0), 1.24),
-    "spectral_report": (_graph, pc.spectral_report, (0, 0, 2, 0), 1.18),
+    "spectral_report": (_graph, pc.spectral_report, (0, 0, 1, 0), 1.18),
+    "spectral_report_chain": (lambda s: _chain(), pc.spectral_report, (0, 0, 2, 0), 1.18),
     "rescale": (_graph, lambda g: pc.rescale(g).weights, (0, 0, 1, 0), 1.11),
     "sever_nodes": (_graph, lambda g: pc.sever_nodes(g, range(D // 2)), (1, 0, 0, 0), 0.64),
     "marginalize_nodes": (

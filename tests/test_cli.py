@@ -321,6 +321,19 @@ class TestFileValidation:
             fileio.save_matrix(chain_graph(2, 0.3), path, provenance=doc)
         assert not path.exists()
 
+    def test_too_deep_to_encode_refused(self, tmp_path):
+        # JSON's encoder stops at the interpreter's recursion limit.
+        deep = []
+        for _ in range(1000):
+            deep = [deep]
+        path = tmp_path / "r.json"
+        with pytest.raises(FileFormatError, match="cannot write JSON"):
+            fileio.save_json({"p": deep}, path)
+        assert not path.exists()
+        with pytest.raises(FileFormatError, match="cannot write JSON"):
+            fileio.save_matrix(chain_graph(2, 0.3), path, provenance={"p": deep})
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "name, content, kind",
         [

@@ -9,6 +9,7 @@ the tridiagonal eigenvalue formula.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -427,10 +428,10 @@ class TestFactorOnce:
         spectral_report(g)
         rg = rescale(g)
         RescaledGraph(g, 0.5 * rg.q)
-        # nu(R) once, from one reduction of R; nu(|R|) once, from one
-        # reduction of |R|; no eigensolver; cond(1 - R) came with
-        # construction.
-        assert reductions == [(6, 6), (6, 6)]
+        # nu(R) once, from one reduction of R; nu(|R|) from the
+        # Collatz-Wielandt bracket, with no reduction; no eigensolver;
+        # cond(1 - R) came with construction.
+        assert reductions == [(6, 6)]
         assert calls == perron == []
 
     def test_oracle_is_one_factor_and_one_inverse(self, monkeypatch):
@@ -783,15 +784,52 @@ class TestPerronRoot:
             regimes.add(expected)
         assert regimes == {"absolute", "conditional", "rescale-required"}
 
-    def test_overwriting_solve_is_bit_equal(self):
-        # The reduction runs on a fresh |R| it may overwrite: the same
-        # dsytrd and dstebz calls on the same data as the copying form.
-        graphs = [scaled_random_graph(seed, d, 0.9) for seed, d in ((1, 2), (2, 7), (3, 40))]
-        graphs += [validate_partial_graph(chain_weights(10, -0.45)), complete_graph(6, -0.3)]
+    def test_reduction_route_is_bit_equal(self):
+        # Where the bracket gives up (a chain's bipartite |R|, a zero row)
+        # or holds 1 while nu(R) < 1, the reduction runs on a fresh |R| it
+        # may overwrite: the same dsytrd and dstebz calls on the same data
+        # as the copying form.
+        isolated = np.array(scaled_random_graph(4, 6, 0.7).weights)
+        isolated[5, :] = isolated[:, 5] = 0.0
+        rng = np.random.default_rng(0)
+        signed = np.triu(rng.uniform(-1.0, 1.0, (20, 20)), 1)
+        signed += signed.T
+        signed /= full_spectrum_nu_plus(signed)  # nu(|R|) = 1, nu(R) near 0.48
+        graphs = [validate_partial_graph(chain_weights(10, -0.45)),
+                  validate_partial_graph(np.zeros((5, 5))),
+                  validate_partial_graph(isolated),
+                  validate_partial_graph(signed)]
         for g in graphs:
-            _, top = matrices._spectrum_ends(np.abs(g.weights))
-            assert spectral_report(g).nu_R_plus == max(top, g._nu)
-            assert not g.weights.flags.writeable
+            assert check_perron_route(g) == "reduction"
+
+    def test_bracket_route_is_within_roundoff(self):
+        graphs = [scaled_random_graph(seed, d, 0.9) for seed, d in ((1, 2), (2, 7), (3, 40))]
+        graphs += [complete_graph(6, -0.3)]
+        for g in graphs:
+            assert check_perron_route(g) == "bracket"
+
+
+def check_perron_route(g) -> str:
+    """Which route gave spectral_report(g) its nu(|R|), checked against the
+    top end from a reduction of |R|: the same bits where the reduction ran,
+    within 1e-13 relative where the bracket answered, and the same regime
+    either way; the graph's weights stay read-only."""
+    nu = g._nu  # nu(R) first: every later reduction is one of |R|
+    with mock.patch.object(matrices, "_spectrum_ends", wraps=matrices._spectrum_ends) as spy:
+        rep = spectral_report(g)
+    _, top = matrices._spectrum_ends(np.abs(g.weights))
+    want = max(top, nu)
+    if spy.called:
+        assert float(rep.nu_R_plus).hex() == float(want).hex()
+    else:
+        assert abs(rep.nu_R_plus - want) <= 1e-13 * want
+    if nu >= 1.0:
+        regime = "rescale-required"
+    else:
+        regime = "conditional" if want >= 1.0 else "absolute"
+    assert rep.regime == regime
+    assert not g.weights.flags.writeable
+    return "reduction" if spy.called else "bracket"
 
 
 @st.composite
@@ -855,6 +893,11 @@ class TestSpectrumEnds:
         assert abs(rep.nu_R - nu * np.any(w)) <= 1e-13 * nu
         assert rep.nu_R <= rep.nu_R_plus
         assert abs(rep.nu_R_plus - full_spectrum_nu_plus(w)) <= 1e-13 * rep.nu_R_plus
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=symmetric_pattern(), nu=st.floats(0.05, 0.95))
+    def test_either_route_agrees_with_the_reduction(self, w, nu):
+        check_perron_route(validate_partial_graph(valid_graph_weights(w, nu)))
 
     @pytest.mark.parametrize("d", [1, 2, 5])
     @pytest.mark.parametrize("zero", [0.0, -0.0])
