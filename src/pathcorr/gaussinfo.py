@@ -24,8 +24,10 @@ A rescaled variant sums the series of T(q) = (1 - q) 1 + q T, whose
 spectrum is 1 - q + q lambda, and adds (d_A / 2) ln q, using that
 1 - T(q) = q (1 - T).
 
-Everything here interprets its input as a Gaussian density; the
-information is returned in nats.
+With A = {i}, B every node but i and j, and Z = {j}, X is the closed
+loop sum l at i avoiding j: :func:`loop_sum_mi_identity` returns l and
+I = -1/2 ln(1 - l) from the one factorisation behind l.  Everything
+here reads its input as a Gaussian density; information is in nats.
 """
 
 from __future__ import annotations
@@ -238,21 +240,15 @@ def loop_sum_mi_identity(system, i: int, j: int) -> tuple:
 
         loop_sum = 1 - exp(-2 mi),
 
-    and the function checks that identity to 1e-10 before returning.
+    so both come from the one factorisation behind the loop sum (the
+    tests check the identity); one at or above 1 raises SingularBlock.
     Needs at least three nodes, else there is no "rest" to talk to.
     """
     system = _coupling_graph(system)
-    dim = system.dim
-    i, j = _check_pair(i, j, dim)
-    if dim < 3:
+    i, j = _check_pair(i, j, system.dim)
+    if system.dim < 3:
         raise IndexOutOfRange("identity needs at least 3 nodes")
     loop = star_path_sum_closed(system, i, i, avoid=(j,))
-    part = TriPartition(dim=dim, A=(i,), B=set(range(dim)) - {i, j}, Z=(j,))
-    mi = conditional_mi_closed(system, part).nats
-    residual = abs(loop - (1.0 - math.exp(-2.0 * mi)))
-    if residual > 1e-10:
-        raise PathcorrError(
-            f"loop sum and information disagree by {residual:.3e}; "
-            "the system is numerically inconsistent"
-        )
-    return float(loop), float(mi)
+    if not loop < 1.0:
+        raise SingularBlock(f"loop sum at node {i} avoiding {j} is {loop:.6g} >= 1")
+    return loop, -0.5 * math.log1p(-loop)

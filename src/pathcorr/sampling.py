@@ -11,6 +11,7 @@ is embedded in file provenance blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ GENERATOR_ID = "philox4x64-10/inverse-cdf"
 # Largest n * d a sample may hold, checked before anything is drawn: one
 # draw keeps a few n x d float arrays alive, about 80 MB each at the cap.
 MAX_ENTRIES = 10_000_000
+_MAX_SIDE = math.isqrt(MAX_ENTRIES)  # largest d with d x d floats within the cap
 
 __all__ = [
     "GENERATOR_ID",
@@ -89,9 +91,9 @@ class SampleSpec:
 class SampleResult:
     """A sampled coupling graph plus its spectral classification.
 
-    ``flagged`` is True when nu(R) >= 1: the draw falls outside the
-    plain path-expansion regime and the caller decides whether to
-    discard it or rescale.  The graph itself is always valid.
+    ``flagged`` is True in the "rescale-required" regime (nu(R) >= 1):
+    the draw falls outside the plain path-expansion regime; the caller
+    decides whether to discard it or rescale.  The graph is always valid.
     """
 
     graph: PartialCorrelationGraph
@@ -125,7 +127,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     graph = _precision_graph(omega, None)
     report = spectral_report(graph)
     return SampleResult(
-        graph=graph, spectral=report, flagged=bool(report.nu_R >= 1.0)
+        graph=graph, spectral=report, flagged=report.regime == "rescale-required"
     )
 
 
@@ -208,11 +210,11 @@ _CANONICAL_PARAMS = {
 def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
     """Build one of the named reference topologies.
 
-    kind "chain":        params d >= 2, |r| <= 1/2.
-    kind "ring":         params d >= 3, |r| < 1/2 (strict: the ring
+    kind "chain":        params 2 <= d <= 3162, |r| <= 1/2.
+    kind "ring":         params 3 <= d <= 3162, |r| < 1/2 (strict: the ring
                          closes a cycle, so the chain's edge case
                          fails positive definiteness).
-    kind "one_many_one": params d >= 3, (d-2) r^2 < 1/2; nodes 1 and d
+    kind "one_many_one": params 3 <= d <= 3162, (d-2) r^2 < 1/2; nodes 1 and d
                          each couple with weight r to every middle
                          node, middles are mutually uncoupled.
     kind "example_R":    params r12, r13, r23, r24, r34; the 4-node
@@ -233,10 +235,10 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
             i, j = int(key[1]) - 1, int(key[2]) - 1
             m[i, j] = m[j, i] = _real(params[key], key, ParamOutOfBound)
     elif kind == "chain":
-        d = _whole(params["d"], "chain d", ParamOutOfBound, 2)
+        d = _whole(params["d"], "chain d", ParamOutOfBound, 2, _MAX_SIDE)
         m = _chain_weights(d, _chain_r(params["r"]))
     else:
-        d = _whole(params["d"], f"{kind} d", ParamOutOfBound, 3)
+        d = _whole(params["d"], f"{kind} d", ParamOutOfBound, 3, _MAX_SIDE)
         r = _real(params["r"], f"{kind} r", ParamOutOfBound)
         if kind == "ring":
             if abs(r) >= 0.5:
@@ -259,7 +261,7 @@ def canonical_graph(kind: str, **params) -> PartialCorrelationGraph:
 @dataclass(frozen=True)
 class MartingaleSpec:
     """Discrete-time process E(X_t | past) = alpha X_{t-1} over
-    ``horizon`` steps with independent innovations of the given
+    ``horizon`` <= 3162 steps with independent innovations of the given
     positive variances (one per step, the first being Var(X_1))."""
 
     horizon: int
@@ -267,7 +269,8 @@ class MartingaleSpec:
     innovation_variances: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", _whole(self.horizon, "horizon", ParamOutOfBound, 1))
+        horizon = _whole(self.horizon, "horizon", ParamOutOfBound, 1, _MAX_SIDE)
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "alpha", _real(self.alpha, "alpha", ParamOutOfBound))
         v = _variances(self.innovation_variances, self.horizon, "innovation")
         object.__setattr__(self, "innovation_variances", v)

@@ -5,6 +5,7 @@ The harness itself is replaced by stored reports, so nothing is timed here.
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ def fake_harness(p50, **env):
 
 def test_merges_every_run_with_its_series(monkeypatch, root, capsys):
     monkeypatch.setattr(bench_entry, "ROOT", root)
+    monkeypatch.setattr(bench_entry, "sources_committed", lambda root: True)
     monkeypatch.setattr(bench_entry, "run_harness", fake_harness(90.0))
     assert bench_entry.main([]) == 0
     entry = json.loads((root / "BENCH_1.json").read_text())
@@ -54,6 +56,35 @@ def test_merges_every_run_with_its_series(monkeypatch, root, capsys):
     assert entry["git_commit"] == "abc"
     assert entry["source_sha256"] == bench_entry.source_digest(root)
     assert capsys.readouterr().out == "wrote BENCH_1.json\n"
+
+
+class FakeGit:
+    """Stands in for subprocess.run: records the git call, answers with
+    ``stdout`` and ``returncode``, or raises ``error``."""
+
+    def __init__(self, stdout="", returncode=0, error=None):
+        self.stdout, self.returncode, self.error, self.calls = stdout, returncode, error, []
+
+    def __call__(self, cmd, cwd, **kw):
+        self.calls.append((cmd, cwd))
+        if self.error:
+            raise self.error
+        return subprocess.CompletedProcess(cmd, self.returncode, self.stdout, "")
+
+
+def test_names_the_commit_only_when_head_holds_the_sources(monkeypatch, root, capsys):
+    runs = {"a-trace0": report("a", 0, 1.0)}
+    clean = FakeGit()
+    monkeypatch.setattr(bench_entry.subprocess, "run", clean)
+    assert bench_entry.merge(runs, root)["git_commit"] == "abc"
+    assert clean.calls == [(["git", "status", "--porcelain", "--", "src/pathcorr"], root)]
+    assert capsys.readouterr().err == ""
+    for git in (FakeGit(stdout=" M src/pathcorr/a.py\n"), FakeGit(stdout="?? src/pathcorr/\n"),
+                FakeGit(returncode=128), FakeGit(error=FileNotFoundError("git"))):
+        monkeypatch.setattr(bench_entry.subprocess, "run", git)
+        assert bench_entry.merge(runs, root)["git_commit"] is None
+        assert capsys.readouterr().err == (
+            "the entry's sources are not a commit's: git_commit is null\n")
 
 
 def test_compares_with_the_last_entry_in_the_same_environment(monkeypatch, root, capsys):

@@ -405,6 +405,18 @@ class TestConvertCommand:
         assert stderr.startswith("error:") and "asymmetric" in stderr
         assert not out.exists()
 
+    def test_entries_past_the_float_range_are_refused_with_one_line(
+            self, run, tmp_path, monkeypatch):
+        # JSON reads a 400-digit integer exactly; no float holds it.
+        monkeypatch.chdir(tmp_path)
+        Path("big.json").write_text(
+            '{"kind": "partial", "dim": 2, "data": [[0, %s], [0.5, 0]]}' % ("9" * 400))
+        code, stdout, stderr = run("convert", "--in", "big.json", "--to", "marginal",
+                                   "--out", "out.json")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: big.json: data entries exceed the float range\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json"]
+
     def test_indefinite_graph_is_refused_with_one_line(self, run, tmp_path):
         # Three couplings of 0.7: 1 - R has the eigenvalue 1 - 1.4 < 0.
         src = tmp_path / "indef.csv"

@@ -1,8 +1,9 @@
 """Conditional mutual information: closed form, trace series, loop identity.
 
 The reference route here is the entropy difference computed with raw
-numpy inverses and log-determinants of the implied covariance; it
-shares no code with the functions under test.
+numpy inverses and log-determinants of the implied covariance, and for
+the loop sum the conditional variance read from the raw inverse; they
+share no code with the functions under test.
 """
 
 import math
@@ -361,10 +362,50 @@ class TestLoopIdentity:
         # One graph built from the precision input; the graph input needs none.
         assert checks == [(6, 6)]
 
+    def test_against_raw_inverse_and_entropy_difference(self):
+        # Routes that share no arithmetic with the function: the loop sum
+        # from the raw inverse S of 1 - R, through the conditional variance
+        # S_ii - S_ij^2 / S_jj of X_i given X_j (its variance given all
+        # else is 1), and the information from covariance log-determinants.
+        for seed, nu in ((130, 0.3), (131, 0.6), (132, 0.8), (133, 0.95), (134, 0.99)):
+            g = scaled_random_graph(seed, 6, nu)
+            sigma = np.linalg.inv(np.eye(6) - g.weights)
+            for i in range(6):
+                for j in range(6):
+                    if i == j:
+                        continue
+                    loop, mi = loop_sum_mi_identity(g, i, j)
+                    given_j = sigma[i, i] - sigma[i, j] ** 2 / sigma[j, j]
+                    assert loop == pytest.approx(1.0 - 1.0 / given_j, abs=1e-12), (seed, i, j)
+                    part = TriPartition.complement(6, A=(i,), B=set(range(6)) - {i, j})
+                    assert mi == pytest.approx(
+                        entropy_difference_oracle(g, part), abs=1e-10
+                    ), (seed, i, j)
+
+    def test_one_factor_of_one_block(self, monkeypatch):
+        # The loop sum and the information come from one factorisation of
+        # 1 - R over the rest; the determinant form is never called.
+        g = scaled_random_graph(135, 7, 0.7)
+        calls = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def counted(*a, **k):
+            calls.append(np.shape(a[0]))
+            return cho_factor(*a, **k)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        monkeypatch.setattr(gaussinfo, "conditional_mi_closed", explode)
+        for i, j in ((0, 6), (3, 1)):
+            calls.clear()
+            loop_sum_mi_identity(g, i, j)
+            assert calls == [(5, 5)], (i, j)
+
     def test_inconsistency_detected(self, monkeypatch):
+        # A loop sum at 1 leaves X_i no conditional variance: the system is
+        # not positive definite to working precision.
         g = chain_graph(4, 0.3)
-        monkeypatch.setattr(gaussinfo, "star_path_sum_closed", lambda *a, **k: 0.9)
-        with pytest.raises(PathcorrError):
+        monkeypatch.setattr(gaussinfo, "star_path_sum_closed", lambda *a, **k: 1.0)
+        with pytest.raises(SingularBlock, match="loop sum at node 0 avoiding 3 is 1 >= 1"):
             loop_sum_mi_identity(g, 0, 3)
 
 

@@ -808,6 +808,22 @@ class TestPerronRoot:
         for g in graphs:
             assert check_perron_route(g) == "bracket"
 
+    def test_bracket_answers_on_large_dense_matrices(self):
+        # Past d ~ 450 the worst-case roundoff of one product, d eps, is
+        # above the 1e-13 acceptance width, but the computed ratios still
+        # close below it: dense nonnegative matrices get a bracket.
+        rng = np.random.default_rng(11)
+        for d in (1000, 2000):
+            a = np.triu(rng.uniform(0.0, 1.0, (d, d)))
+            a += np.triu(a, 1).T
+            bracket = matrices._perron_bracket(a)
+            assert bracket is not None, d
+            lo, hi, nu = bracket
+            assert lo <= nu <= hi
+            if d == 1000:
+                _, top = matrices._spectrum_ends(a)
+                assert abs(nu - top) <= 1e-13 * top
+
 
 def check_perron_route(g) -> str:
     """Which route gave spectral_report(g) its nu(|R|), checked against the

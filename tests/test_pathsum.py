@@ -373,6 +373,24 @@ class TestClosedSums:
         loop_q = star_path_sum_closed(rg, 0, 0, avoid=(1,))
         assert 1.0 - loop_q == pytest.approx(q * (1.0 - loop), abs=1e-12)
 
+    def test_empty_interior_is_the_single_edge(self, monkeypatch):
+        # With no node allowed inside, the family is the edge i - j alone:
+        # the closed sum is w_ij with nothing factorised, and the truncated
+        # sum is w_ij at every length.
+        pair = validate_partial_graph(np.array([[0.0, 0.3], [0.3, 0.0]]))
+        g = scaled_random_graph(810, 5, 0.7)
+        cases = [(pair, None), (rescale(pair, 0.5), None), (g, ()), (rescale(g, 0.5), ())]
+
+        def explode(*a, **k):
+            raise AssertionError("nothing to factorise")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
+        for h, within in cases:
+            edge = h.weights[0, 1]
+            assert star_path_sum_closed(h, 0, 1, within=within) == edge
+            trunc = star_path_sum_truncated(h, 0, 1, 6, within=within)
+            assert trunc.cumulative == {L: edge for L in range(1, 7)}
+
     def test_singular_block_mapped(self, monkeypatch):
         g = scaled_random_graph(800, 4, 0.5)
 

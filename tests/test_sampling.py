@@ -291,6 +291,34 @@ class TestCanonicalGraphs:
             canonical_graph("example_R", r12=0.2, r13=0.1, r23=-0.2, r24=0.3)
 
 
+def refuse_allocation(monkeypatch):
+    def fail(*a, **k):
+        raise AssertionError("allocated before the size was checked")
+
+    monkeypatch.setattr(np, "zeros", fail)
+    monkeypatch.setattr(np, "empty", fail)
+
+
+@pytest.mark.parametrize("size", [3163, 10**7])
+@pytest.mark.parametrize("kind, lo", [("chain", 2), ("ring", 3), ("one_many_one", 3)])
+def test_canonical_size_capped_before_allocating(monkeypatch, kind, lo, size):
+    # The d x d weights stay within MAX_ENTRIES floats: d <= isqrt(MAX_ENTRIES).
+    assert sampling._MAX_SIDE == 3162
+    refuse_allocation(monkeypatch)
+    with pytest.raises(ParamOutOfBound, match=f"^{kind} d must be a whole number "
+                                              f"between {lo} and 3162, got {size}$"):
+        canonical_graph(kind, d=size, r=0.0)
+
+
+@pytest.mark.parametrize("size", [3163, 10**7])
+def test_martingale_horizon_capped_before_allocating(monkeypatch, size):
+    refuse_allocation(monkeypatch)
+    with pytest.raises(ParamOutOfBound, match=f"^horizon must be a whole number "
+                                              f"between 1 and 3162, got {size}$"):
+        martingale_covariance(MartingaleSpec(horizon=size, alpha=0.5,
+                                             innovation_variances=[1.0]))
+
+
 class TestMartingale:
     def test_hand_worked_horizon_four(self):
         spec = MartingaleSpec(horizon=4, alpha=0.5, innovation_variances=np.ones(4))

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from pathcorr import errors
 from pathcorr import (
     ChainSpec,
     DimensionMismatch,
@@ -177,6 +178,12 @@ def test_out_of_range_names_both_ends():
         marginal_corr_closed(G, 0, 10**5000)
     with pytest.raises(ParamOutOfBound, match="between 0 and 99998, got -1"):
         amplification_factor(-1, 1, 0.3)
+
+
+def test_a_container_too_long_to_print_is_named_by_its_type():
+    assert errors._shown([10**5000]) == "a list"
+    with pytest.raises(ParamOutOfBound, match="chain d must be a whole number .*, got a list$"):
+        canonical_graph("chain", d=[10**5000], r=0.3)
 
 
 ARRAY_SETS = [

@@ -8,7 +8,9 @@ every workload with ``--trace 0``, then once for dense_500 with ``--trace 1``
 (the layer table, at d = 100, 400 and 1000).  It reads the report each run
 stores under ``perfbench/.out/`` and writes all of them, raw series
 included, to ``BENCH_<n>.json`` at the repository root, n one past the
-last entry there; a run that fails leaves no entry.
+last entry there; a run that fails leaves no entry.  The entry names the
+harness's git commit only when ``git status`` shows no change under
+``src/pathcorr``; otherwise its ``git_commit`` is null.
 
 Against an earlier entry (``--against``, else the last one) it compares
 the metrics only when both were made in the same environment: the same
@@ -72,11 +74,30 @@ def fingerprint(entry: dict) -> dict:
     return first
 
 
+def sources_committed(root: Path) -> bool:
+    """True when git at ``root`` sees no change to the package's sources
+    against HEAD, so HEAD holds the sources that were measured."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src/pathcorr"],
+                              cwd=root, capture_output=True, text=True)
+    except OSError:
+        return False
+    return proc.returncode == 0 and proc.stdout == ""
+
+
 def merge(runs: dict, root: Path) -> dict:
-    """The entry for ``runs`` ({"<workload>-trace<t>": report})."""
+    """The entry for ``runs`` ({"<workload>-trace<t>": report}).
+
+    ``git_commit`` is the harness's HEAD only when HEAD holds the measured
+    sources; otherwise it is null, and one line says so.
+    """
     entry = {"source_sha256": source_digest(root), "runs": runs}
     entry["environment"] = fingerprint(entry)
-    entry["git_commit"] = next(iter(runs.values()))["environment"].get("git_commit")
+    commit = next(iter(runs.values()))["environment"].get("git_commit")
+    if not sources_committed(root):
+        print("the entry's sources are not a commit's: git_commit is null", file=sys.stderr)
+        commit = None
+    entry["git_commit"] = commit
     return entry
 
 
