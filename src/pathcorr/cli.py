@@ -64,11 +64,14 @@ FIG6_Q_FRACTIONS = (0.3, 0.6, 0.95)
 _MAX_PAIRS_D = 4472
 
 
-def _nodes(g: PartialCorrelationGraph, text: str) -> list:
-    """Node indices of a comma-separated list of labels."""
+def _nodes(g: PartialCorrelationGraph, text: str, flag: str) -> list:
+    """Node indices of the comma-separated labels ``flag`` gave, each once."""
     labels = [part.strip() for part in text.split(",") if part.strip()]
     if not labels:
         raise FileFormatError(f"empty node list {text!r}")
+    for k, lbl in enumerate(labels):
+        if lbl in labels[:k]:
+            raise FileFormatError(f"node {lbl} repeats in {flag}")
     return [g.label_index(lbl) for lbl in labels]
 
 
@@ -176,7 +179,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_sever(args) -> int:
     g = _load_graph(args)
-    removed = _nodes(g, args.S)
+    removed = _nodes(g, args.S, "--S")
     out = transforms.sever_nodes(g, removed)
     fileio.save_matrix(out, args.out)
     print(f"severed {len(removed)} node(s); kept {out.dim}; wrote {args.out}")
@@ -185,7 +188,7 @@ def _cmd_sever(args) -> int:
 
 def _cmd_marginalize(args) -> int:
     g = _load_graph(args)
-    removed = _nodes(g, args.S)
+    removed = _nodes(g, args.S, "--S")
     out = transforms.marginalize_nodes(g, removed)
     fileio.save_matrix(out, args.out)
     print(f"marginalised {len(removed)} node(s); kept {out.dim}; wrote {args.out}")
@@ -194,7 +197,7 @@ def _cmd_marginalize(args) -> int:
 
 def _cmd_reduce(args) -> int:
     g = _load_graph(args)
-    removed = _nodes(g, args.S)
+    removed = _nodes(g, args.S, "--S")
     red = transforms.latent_reduce(g, removed)
     # Built and checked on first read: a refused enlarged graph leaves no file.
     enlarged = red.enlarged_graph if args.out_enlarged else None
@@ -309,12 +312,12 @@ def _cmd_mi(args) -> int:
     if "n_max" in series:
         _whole(series["n_max"], "--n-max", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
     g = _load_graph(args)
-    a = _nodes(g, args.A)
-    b = _nodes(g, args.B)
-    if args.Z is not None:
-        part = gaussinfo.TriPartition(dim=g.dim, A=a, B=b, Z=_nodes(g, args.Z))
-    else:
-        part = gaussinfo.TriPartition.complement(g.dim, a, b)
+    a = _nodes(g, args.A, "--A")
+    b = _nodes(g, args.B, "--B")
+    both = [v for v in a if v in b]
+    if both:
+        raise FileFormatError(f"node {g.labels[both[0]]} is in both --A and --B")
+    part = gaussinfo.TriPartition(dim=g.dim, A=a, B=b)
     if args.method == "series":
         res = gaussinfo.conditional_mi_series(g, part, **series)
     else:
@@ -521,11 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output file (pairs mode)")
     p.set_defaults(func=_cmd_chain)
 
-    p = sub.add_parser("mi", help="Gaussian conditional mutual information")
+    p = sub.add_parser("mi", help="Gaussian MI of --A and --B given every other node")
     _add_input(p)
     p.add_argument("--A", required=True, help="comma-separated node labels")
     p.add_argument("--B", required=True, help="comma-separated node labels")
-    p.add_argument("--Z", help="conditioning labels; defaults to the complement")
     p.add_argument("--method", choices=("closed", "series"), default="closed")
     p.add_argument("--q", type=float, default=argparse.SUPPRESS, help="series rescaling parameter")
     p.add_argument("--n-max", type=int, default=argparse.SUPPRESS, help="series term cap")

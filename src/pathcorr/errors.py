@@ -115,18 +115,14 @@ def _nodes(values, dim: int, name: str, error: type) -> tuple:
     return tuple(sorted(_node_list(values, dim, name, error)))
 
 
-def _parts(dim: int, error: type, cover: bool, **parts) -> tuple:
-    """The named node sets ``parts``, each by :func:`_nodes`: pairwise
-    disjoint and, with ``cover``, holding every node 0..dim-1."""
+def _parts(dim: int, error: type, **parts) -> tuple:
+    """The named node sets ``parts``, each by :func:`_nodes`, pairwise disjoint."""
     out = tuple(_nodes(nodes, dim, name, error) for name, nodes in parts.items())
     owner = {}
     for name, nodes in zip(parts, out):
         for v in nodes:
             if owner.setdefault(v, name) != name:
                 raise error(f"node {v} is in both {owner[v]} and {name}")
-    if cover and len(owner) < dim:
-        v = min(set(range(dim)) - owner.keys())
-        raise error(f"{', '.join(parts)} must cover every node 0..{dim - 1}; node {v} is in none")
     return out
 
 

@@ -8,8 +8,8 @@ determinant built from blocks of the coupling matrix R:
     I(A; B | Z) = -1/2 ln det(1 - T).
 
 Conditioning on Z never appears explicitly: partial correlations
-already hold everything else fixed, which is exactly the conditioning
-the formula needs.  The same quantity expands into a trace series,
+already hold everything else fixed, so :class:`TriPartition` takes A
+and B and derives Z.  The same quantity expands into a trace series,
 
     I = sum_(n>=1) tr(T^n) / (2 n),
 
@@ -33,7 +33,7 @@ here reads its input as a Gaussian density; information is in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -80,30 +80,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TriPartition:
-    """Disjoint node sets A, B, Z covering a system; Z may be empty.
-
-    Build with explicit sets, or through :meth:`complement`, which
-    fills Z with every node outside A and B.
-    """
+    """Disjoint nonempty node sets A and B of a ``dim``-node system, and Z,
+    every other node, worked out rather than given: the formulas read only
+    the A and B blocks of R, so they condition on all the rest."""
 
     dim: int
     A: tuple
     B: tuple
-    Z: tuple = ()
+    Z: tuple = field(init=False)
 
     def __post_init__(self):
         dim = _whole(self.dim, "dim", IndexOutOfRange, 0)
-        parts = _parts(dim, IndexOutOfRange, True, A=self.A, B=self.B, Z=self.Z)
-        if not parts[0] or not parts[1]:
+        A, B = _parts(dim, IndexOutOfRange, A=self.A, B=self.B)
+        if not A or not B:
             raise IndexOutOfRange("A and B must both be nonempty")
-        for name, value in zip(("dim", "A", "B", "Z"), (dim, *parts)):
+        Z = tuple(sorted(set(range(dim)).difference(A, B)))
+        for name, value in zip(("dim", "A", "B", "Z"), (dim, A, B, Z)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def complement(cls, dim: int, A, B) -> "TriPartition":
-        dim = _whole(dim, "dim", IndexOutOfRange, 0)
-        A, B = _parts(dim, IndexOutOfRange, False, A=A, B=B)
-        return cls(dim=dim, A=A, B=B, Z=set(range(dim)).difference(A, B))
+        """``TriPartition(dim, A, B)``: A, B and every other node as Z."""
+        return cls(dim=dim, A=A, B=B)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .matrices import (
 GENERATOR_ID = "philox4x64-10/inverse-cdf"
 
 # Largest n * d a sample may hold, checked before anything is drawn: one
-# draw keeps a few n x d float arrays alive, about 80 MB each at the cap.
+# draw keeps one n x d float array alive, about 80 MB at the cap.
 MAX_ENTRIES = 10_000_000
 _MAX_SIDE = math.isqrt(MAX_ENTRIES)  # largest d with d x d floats within the cap
 
@@ -98,7 +98,10 @@ class SampleResult:
 
     graph: PartialCorrelationGraph
     spectral: SpectralReport
-    flagged: bool
+
+    @property
+    def flagged(self) -> bool:
+        return self.spectral.regime == "rescale-required"
 
 
 def sample_partial_graph(spec: SampleSpec) -> SampleResult:
@@ -112,23 +115,20 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     """
     spec = _instance(spec, SampleSpec, "spec", ParamOutOfBound)
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
-    u = gen.random((spec.n, spec.d))
+    x = gen.random((spec.n, spec.d))
     # Imported here, not with the module: scipy.special costs every
     # process that imports pathcorr tens of milliseconds, and only this
     # inverse CDF needs it.
     from scipy.special import ndtri
 
     # Uniforms live in [0, 1); clamp into the open interval before the
-    # inverse CDF so the tails stay finite.
-    x = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
-    xc = x - x.mean(axis=0)
-    s = (xc.T @ xc) / spec.n  # a Gram product: exactly symmetric
+    # inverse CDF so the tails stay finite.  Each step runs in the drawn array.
+    ndtri(np.clip(x, 1e-300, 1.0 - 1e-16, out=x), out=x)
+    x -= x.mean(axis=0)
+    s = (x.T @ x) / spec.n  # a Gram product: exactly symmetric
     omega = _spd_inverse(s, SingularSampleCovariance, "sample covariance")
     graph = _precision_graph(omega, None)
-    report = spectral_report(graph)
-    return SampleResult(
-        graph=graph, spectral=report, flagged=report.regime == "rescale-required"
-    )
+    return SampleResult(graph=graph, spectral=spectral_report(graph))
 
 
 def _variances(values, n: int, what: str) -> np.ndarray:
@@ -281,7 +281,10 @@ def martingale_covariance(spec: MartingaleSpec) -> CovarianceMatrix:
 
     Var(X_1) = v_1, Var(X_t) = alpha^2 Var(X_{t-1}) + v_t, and
     Cov(X_s, X_t) = alpha^(t-s) Var(X_s) for s <= t.  Positive
-    innovation variances keep it positive definite for any alpha.
+    innovation variances make it positive definite for any alpha, but with
+    |alpha| > 1 its reciprocal condition estimate falls to ``TOL_PD`` as T grows
+    and the covariance check raises :class:`NotPositiveDefinite`: with unit
+    innovations, from T = 19 at alpha = 2, 31 at 1.5, 117 at 1.1 and 891 at 1.01.
     """
     spec = _instance(spec, MartingaleSpec, "spec", ParamOutOfBound)
     t_n = spec.horizon
@@ -291,7 +294,7 @@ def martingale_covariance(spec: MartingaleSpec) -> CovarianceMatrix:
     for t in range(1, t_n):
         var[t] = spec.alpha**2 * var[t - 1] + v[t]
     cov = np.empty((t_n, t_n))
-    for s in range(t_n):
-        for t in range(s, t_n):
-            cov[s, t] = cov[t, s] = spec.alpha ** (t - s) * var[s]
+    for k in range(t_n):  # lag k: the entries (s, s + k) and (s + k, s)
+        s = np.arange(t_n - k)
+        cov[s, s + k] = cov[s + k, s] = spec.alpha**k * var[: t_n - k]
     return CovarianceMatrix(entries=cov)

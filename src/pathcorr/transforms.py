@@ -290,7 +290,7 @@ def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     """
     g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
     k = _whole(k, "k", IndexOutOfRange, 0, g.dim - 1)
-    I, J, _ = _parts(g.dim, IndexOutOfRange, False, I=I, J=J, k=(k,))
+    I, J, _ = _parts(g.dim, IndexOutOfRange, I=I, J=J, k=(k,))
     if not I or not J:
         raise IndexOutOfRange("both sides of the split must be nonempty")
     p = partial_to_marginal_oracle(g).entries

@@ -26,10 +26,19 @@ def report(workload, trace, p50, **env):
             "series_ms": {"tasks": [p50, p50]}}
 
 
+WORKLOADS = ("cli_small", "dense_500", "pair_sweep", "convert_large")
+
+
+def write_benchmark(root, names):
+    doc = {"workloads": [{"name": name} for name in names]}
+    (root / "BENCHMARK.json").write_text(json.dumps(doc))
+
+
 @pytest.fixture
 def root(tmp_path):
     (tmp_path / "src" / "pathcorr").mkdir(parents=True)
     (tmp_path / "src" / "pathcorr" / "a.py").write_text("x = 1\n")
+    write_benchmark(tmp_path, WORKLOADS)
     return tmp_path
 
 
@@ -49,13 +58,23 @@ def test_merges_every_run_with_its_series(monkeypatch, root, capsys):
     entry = json.loads((root / "BENCH_1.json").read_text())
     assert entry["entry"] == 1
     assert sorted(entry["runs"]) == sorted(
-        [f"{w}-trace0" for w in bench_entry.WORKLOADS] + ["dense_500-trace1"])
+        [f"{w}-trace0" for w in WORKLOADS] + ["dense_500-trace1"])
     assert entry["runs"]["dense_500-trace1"]["series_ms"] == {"tasks": [90.0, 90.0]}
     assert entry["environment"] == {k: ENV[k] for k in bench_entry.FINGERPRINT
                                     + bench_entry.SETTINGS}
     assert entry["git_commit"] == "abc"
     assert entry["source_sha256"] == bench_entry.source_digest(root)
     assert capsys.readouterr().out == "wrote BENCH_1.json\n"
+
+
+def test_runs_every_workload_the_benchmark_names(monkeypatch, root):
+    write_benchmark(root, WORKLOADS + ("fifth",))
+    monkeypatch.setattr(bench_entry, "ROOT", root)
+    monkeypatch.setattr(bench_entry, "run_harness", fake_harness(90.0))
+    assert bench_entry.main([]) == 0
+    entry = json.loads((root / "BENCH_1.json").read_text())
+    assert sorted(entry["runs"]) == sorted(
+        [f"{w}-trace0" for w in WORKLOADS + ("fifth",)] + ["dense_500-trace1"])
 
 
 class FakeGit:

@@ -112,6 +112,12 @@ OPERATIONS = {
         (1, 1, 0, 0),
         1.24,
     ),
+    "sample_partial_graph": (
+        lambda s: pc.SampleSpec(d=D, n=2 * D, seed=1),
+        pc.sample_partial_graph,
+        (2, 1, 1, 0),
+        4.23,
+    ),
     "conditional_mi_closed": (
         lambda s: (_graph(s), s["part"]),
         lambda a: pc.conditional_mi_closed(*a),

@@ -691,7 +691,15 @@ class TestStructureCommands:
         _, path = graph_file
         out = tmp_path / "s.json"
         code, _, err = run("sever", "--in", path, "--S", "x2,x2", "--out", str(out))
-        assert (code, err) == (1, "error: node 1 repeats in removed\n")
+        assert (code, err) == (1, "error: node x2 repeats in --S\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["marginalize", "reduce"])
+    def test_repeated_label_is_refused_by_name(self, run, graph_file, tmp_path, command):
+        _, path = graph_file
+        out = tmp_path / "s.json"
+        code, stdout, err = run(command, "--in", path, "--S", "x3, x1,x3", "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: node x3 repeats in --S\n")
         assert not out.exists()
 
     def test_marginalize_matches_module(self, run, graph_file, tmp_path):
@@ -937,19 +945,33 @@ class TestMiCommand:
         assert "terms" not in doc
         assert "nats" in stdout
 
-    def test_explicit_conditioning_set(self, run, graph_file, tmp_path):
-        g, path = graph_file
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("x1", "x1", "node x1 is in both --A and --B"),
+            ("x2,x4", "x5,x4", "node x4 is in both --A and --B"),
+            ("x2,x2", "x4", "node x2 repeats in --A"),
+            ("x2", "x4,x4", "node x4 repeats in --B"),
+        ],
+    )
+    def test_node_sets_are_refused_by_label(self, run, graph_file, tmp_path, a, b, message):
+        _, path = graph_file
         out = tmp_path / "mi.json"
-        code, _, _ = run(
-            "mi", "--in", path, "--A", "x1", "--B", "x3", "--Z", "x2,x4,x5",
-            "--out", str(out),
+        code, stdout, err = run("mi", "--in", path, "--A", a, "--B", b, "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_explicit_conditioning_set(self, run, graph_file, tmp_path):
+        # mi conditions on every node outside --A and --B: there is no --Z.
+        _, path = graph_file
+        out = tmp_path / "mi.json"
+        code, stdout, err = run(
+            "mi", "--in", path, "--A", "x1", "--B", "x2", "--Z", "x3", "--out", str(out)
         )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        expected = conditional_mi_closed(
-            g, TriPartition(dim=5, A=(0,), B=(2,), Z=(1, 3, 4))
-        ).nats
-        assert doc["nats"] == pytest.approx(expected, abs=1e-15)
+        assert code == 2 and stdout == ""
+        assert err.startswith("usage: pathcorr mi [-h]")
+        assert err.endswith("\npathcorr mi: error: unrecognized arguments: --Z x3\n")
+        assert not out.exists()
 
     def test_series_reports_terms(self, run, graph_file, tmp_path):
         g, path = graph_file

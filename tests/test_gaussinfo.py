@@ -67,33 +67,37 @@ def entropy_difference_oracle(g, part):
 
 class TestTriPartition:
     def test_sorted_tuples(self):
-        part = TriPartition(dim=5, A=(3, 0), B=(4, 1), Z=(2,))
+        part = TriPartition(dim=5, A=(3, 0), B=(4, 1))
         assert part.A == (0, 3) and part.B == (1, 4) and part.Z == (2,)
 
     def test_nonempty_sides_required(self):
         with pytest.raises(IndexOutOfRange):
-            TriPartition(dim=3, A=(), B=(1,), Z=(0, 2))
+            TriPartition(dim=3, A=(), B=(1,))
         with pytest.raises(IndexOutOfRange):
-            TriPartition(dim=3, A=(0,), B=(), Z=(1, 2))
+            TriPartition(dim=3, A=(0,), B=())
 
     def test_disjointness_required(self):
         with pytest.raises(IndexOutOfRange):
-            TriPartition(dim=3, A=(0, 1), B=(1, 2), Z=())
+            TriPartition(dim=3, A=(0, 1), B=(1, 2))
         with pytest.raises(IndexOutOfRange):
-            TriPartition(dim=4, A=(0, 0), B=(1, 2), Z=(3,))
+            TriPartition(dim=4, A=(0, 0), B=(1, 2))
 
     def test_cover_required(self):
-        with pytest.raises(IndexOutOfRange):
-            TriPartition(dim=4, A=(0,), B=(1,), Z=())
+        # Z is worked out as every node outside A and B, never given.
+        part = TriPartition(dim=6, A=(4, 0), B=(2,))
+        assert part.Z == (1, 3, 5)
+        assert TriPartition(dim=2, A=(1,), B=(0,)).Z == ()
+        with pytest.raises(TypeError):
+            TriPartition(dim=4, A=(0,), B=(1,), Z=(2, 3))
 
     def test_range_checked(self):
         with pytest.raises(IndexOutOfRange):
-            TriPartition(dim=3, A=(0,), B=(7,), Z=(1, 2))
+            TriPartition(dim=3, A=(0,), B=(7,))
 
     def test_complement_fills_z(self):
         part = TriPartition.complement(6, A=(0, 2), B=(5,))
         assert part.Z == (1, 3, 4)
-        explicit = TriPartition(dim=6, A=(0, 2), B=(5,), Z=(1, 3, 4))
+        explicit = TriPartition(dim=6, A=(0, 2), B=(5,))
         assert part == explicit
 
 
@@ -126,7 +130,7 @@ class TestClosedForm:
 
     def test_markov_chain_screens(self):
         g = chain_graph(3, 0.4)
-        res = conditional_mi_closed(g, TriPartition(dim=3, A=(0,), B=(2,), Z=(1,)))
+        res = conditional_mi_closed(g, TriPartition(dim=3, A=(0,), B=(2,)))
         assert abs(res.nats) < 1e-14
 
     def test_symmetry_in_arguments(self):

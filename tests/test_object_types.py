@@ -69,7 +69,7 @@ G = _graph()
 RG = rescale(G, 0.5)
 COV = CovarianceMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
 PREC = PrecisionMatrix(np.array([[2.0, -0.3], [-0.3, 1.0]]))
-PART = TriPartition(dim=4, A=(0,), B=(3,), Z=(1, 2))
+PART = TriPartition(dim=4, A=(0,), B=(3,))
 QUERY = PathQuery(source=0, target=3, max_length=3)
 RED = latent_reduce(G, [2])
 CHAIN = ChainSpec(d=6, r=0.3)

@@ -105,6 +105,11 @@ class TestSampling:
         assert res.spectral.regime == "rescale-required"
         assert res.spectral.nu_R == pytest.approx(4.6744586897446965, abs=1e-12)
 
+    def test_flag_is_read_from_the_regime(self):
+        res = sample_partial_graph(SampleSpec(d=20, n=23, seed=0))
+        with pytest.raises(TypeError):
+            sampling.SampleResult(graph=res.graph, spectral=res.spectral, flagged=False)
+
     def test_well_sampled_draw_is_calm(self):
         res = sample_partial_graph(SampleSpec(d=5, n=10_000, seed=1))
         assert not res.flagged
@@ -386,6 +391,28 @@ class TestMartingale:
         cov = martingale_covariance(spec)
         assert isinstance(cov, CovarianceMatrix)
         assert np.all(np.linalg.eigvalsh(cov.entries) > 0)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 12, 40])
+    def test_lag_fill_gives_the_bits_of_the_pairwise_formula(self, horizon):
+        rng = np.random.default_rng(horizon)
+        spec = MartingaleSpec(
+            horizon=horizon, alpha=-0.8, innovation_variances=rng.uniform(0.5, 2.0, horizon)
+        )
+        var = np.diag(martingale_covariance(spec).entries)
+        want = np.empty((horizon, horizon))
+        for s in range(horizon):
+            for t in range(s, horizon):
+                want[s, t] = want[t, s] = spec.alpha ** (t - s) * var[s]
+        assert martingale_covariance(spec).entries.tobytes() == want.tobytes()
+
+    def test_explosive_alpha_refused_over_a_long_horizon(self):
+        # Positive definite in exact arithmetic, but Var(X_t) grows like
+        # 4^t: at T = 40 the condition estimate is past TOL_PD.
+        martingale_covariance(MartingaleSpec(horizon=10, alpha=2.0, innovation_variances=np.ones(10)))
+        with pytest.raises(NotPositiveDefinite):
+            martingale_covariance(
+                MartingaleSpec(horizon=40, alpha=2.0, innovation_variances=np.ones(40))
+            )
 
 
 @settings(max_examples=20, deadline=None)

@@ -56,7 +56,7 @@ def _graph():
 
 
 G = _graph()
-PART = TriPartition(dim=4, A=(0,), B=(3,), Z=(1, 2))
+PART = TriPartition(dim=4, A=(0,), B=(3,))
 SPEC = ChainSpec(d=6, r=0.3)
 RED = latent_reduce(G, [2])
 
@@ -98,9 +98,9 @@ SITES = [
     Site("residual-k", lambda v: factorisation_residual(G, v, [0], [3]), 2, IndexOutOfRange),
     Site("residual-I", lambda v: factorisation_residual(G, 2, [v], [3]), 0, IndexOutOfRange),
     Site("tripartition-A",
-         lambda v: TriPartition(dim=4, A=(v,), B=(3,), Z=(1, 2)), 0, IndexOutOfRange),
+         lambda v: TriPartition(dim=4, A=(v,), B=(3,)), 0, IndexOutOfRange),
     Site("tripartition-dim",
-         lambda v: TriPartition(dim=v, A=(0,), B=(3,), Z=(1, 2)), 4, IndexOutOfRange),
+         lambda v: TriPartition(dim=v, A=(0,), B=(3,)), 4, IndexOutOfRange),
     Site("complement-B", lambda v: TriPartition.complement(4, [0], [v]), 3, IndexOutOfRange),
     Site("complement-dim", lambda v: TriPartition.complement(v, [0], [3]), 4, IndexOutOfRange),
     Site("verify-kept",
@@ -193,7 +193,7 @@ ARRAY_SETS = [
     ("within", lambda s: star_path_sum_closed(G, 0, 3, within=s), [1, 2]),
     ("query", lambda s: paths(PathQuery(0, 3, 3, interior_forbidden=s)), [1]),
     ("residual", lambda s: factorisation_residual(G, 2, s, [3]), [0, 1]),
-    ("tripartition", lambda s: TriPartition(dim=4, A=s, B=(3,), Z=(2,)), [0, 1]),
+    ("tripartition", lambda s: TriPartition(dim=4, A=s, B=(3,)), [0, 1]),
     ("complement", lambda s: TriPartition.complement(4, s, [3]), [0, 1]),
 ]
 

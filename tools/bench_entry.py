@@ -4,11 +4,11 @@
     python3 tools/bench_entry.py [--seed 1] [--seconds 14] [--against BENCH_<k>.json]
 
 From the repository root it runs ``perfbench/run.py`` as a subprocess for
-every workload with ``--trace 0``, then once for dense_500 with ``--trace 1``
-(the layer table, at d = 100, 400 and 1000).  It reads the report each run
-stores under ``perfbench/.out/`` and writes all of them, raw series
-included, to ``BENCH_<n>.json`` at the repository root, n one past the
-last entry there; a run that fails leaves no entry.  The entry names the
+every workload the root ``BENCHMARK.json`` names, with ``--trace 0``, then
+once for dense_500 with ``--trace 1`` (the layer table, at d = 100, 400 and
+1000).  It reads the report each run stores under ``perfbench/.out/``
+and writes all of them, raw series included, to ``BENCH_<n>.json`` at the
+repository root, n one past the last entry there; a run that fails leaves no entry.  The entry names the
 harness's git commit only when ``git status`` shows no change under
 ``src/pathcorr``; otherwise its ``git_commit`` is null.
 
@@ -34,7 +34,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("cli_small", "dense_500", "pair_sweep", "convert_large")
 TRACED = "dense_500"
 # The environment keys two entries must share to be compared.
 FINGERPRINT = ("nproc", "blas", "blas_threads", "python", "numpy", "scipy")
@@ -149,7 +148,8 @@ def main(argv=None) -> int:
     against = args.against or (earlier[-1] if earlier else None)
     runs = {}
     try:
-        for workload, trace in [(w, 0) for w in WORKLOADS] + [(TRACED, 1)]:
+        names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+        for workload, trace in [(w, 0) for w in names] + [(TRACED, 1)]:
             print(f"running {workload} --trace {trace}", file=sys.stderr)
             runs[f"{workload}-trace{trace}"] = run_harness(ROOT, workload, args.seed,
                                                            args.seconds, trace)
