@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    DegenerateDenominator,
     IndexOutOfRange,
     ParamOutOfBound,
     UndefinedAtZero,
@@ -104,9 +103,10 @@ class ChainSolution:
 def chain_sums(spec: ChainSpec) -> ChainSolution:
     """Run the c/l recurrences out to the full chain length.
 
-    The denominators 1 - l_k stay positive for |r| <= 1/2 because the
-    loop sums are bounded by l_inf <= 1/2; the degenerate case is
-    guarded anyway.  Chains longer than ``MAX_NODES`` are refused.
+    l_k grows with r^2 and is exactly 1/2 - 1/(2(k - 1)) at |r| = 1/2,
+    so every denominator 1 - l_k is at least 1/2, and every 1 - l_a - l_b
+    of a pair or an amplification factor stays positive.  Chains longer
+    than ``MAX_NODES`` are refused.
     """
     spec = _instance(spec, ChainSpec, "spec", ParamOutOfBound)
     d = _whole(spec.d, "chain length d", IndexOutOfRange, 1, MAX_NODES)
@@ -119,10 +119,6 @@ def chain_sums(spec: ChainSpec) -> ChainSolution:
         rho[2] = spec.r
     for k in range(3, d + 1):
         den = 1.0 - l[k - 1]
-        if den <= 0.0:
-            raise DegenerateDenominator(
-                f"loop sum l_{k - 1} = {l[k - 1]:.6g} reaches 1"
-            )
         c[k] = spec.r * c[k - 1] / den
         l[k] = l[k - 1] + c[k - 1] ** 2 / den
         rho[k] = c[k] / (1.0 - l[k])
@@ -150,10 +146,6 @@ def chain_pair_corr(spec: ChainSpec, i: int, j: int) -> float:
     tail = spec.d - j + 2
     den_i = 1.0 - sol.l[span] - sol.l[i + 1]
     den_j = 1.0 - sol.l[span] - sol.l[tail]
-    if den_i <= 0.0 or den_j <= 0.0:
-        raise DegenerateDenominator(
-            f"pair ({i}, {j}) denominator vanished: {den_i:.6g}, {den_j:.6g}"
-        )
     return sol.c[span] / math.sqrt(den_i * den_j)
 
 
@@ -263,8 +255,4 @@ def _gamma(l: dict, k: int, m: int) -> float:
     any chain of at least max(k, m) + 2 nodes: l_n does not depend on
     the chain's length, so one chain serves every k and m up to it."""
     lk = l[k + 2]
-    lm = l[m + 2]
-    den = 1.0 - lk - lm
-    if den <= 0.0:
-        raise DegenerateDenominator(f"amplification denominator vanished: {den:.6g}")
-    return (1.0 - lk) / den
+    return (1.0 - lk) / (1.0 - lk - l[m + 2])

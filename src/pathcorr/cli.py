@@ -77,7 +77,7 @@ def _nodes(g: PartialCorrelationGraph, text: str, flag: str) -> list:
 
 def _load_any(path: str, kind: str | None):
     """(matrix object, provenance) from a JSON or CSV file."""
-    if str(path).endswith(".csv"):
+    if str(path).lower().endswith(".csv"):
         if kind is None:
             raise FileFormatError(
                 "CSV files carry no kind; pass --kind "

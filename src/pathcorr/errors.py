@@ -36,7 +36,6 @@ __all__ = [
     "SingularRestrictedBlock",
     "SingularBlock",
     "DenominatorNonPositive",
-    "DegenerateDenominator",
     "QOutOfRange",
     "EmptyRemainder",
     "DimensionMismatch",
@@ -169,10 +168,6 @@ class SingularBlock(PathcorrError):
 
 class DenominatorNonPositive(PathcorrError):
     """A normalising factor ``1 - (loop sum)`` is zero or negative."""
-
-
-class DegenerateDenominator(PathcorrError):
-    """A chain formula denominator is zero or negative."""
 
 
 class QOutOfRange(PathcorrError):

@@ -20,7 +20,9 @@ Truncated series are summed length by length, in ascending order.  That
 ordering is mandatory: when couplings carry mixed signs the series may
 converge only conditionally, and only the length-grouped order is
 guaranteed to approach the oracle value.  When the spectral radius of R
-reaches 1 the plain series diverges; the graph must then be rescaled,
+reaches 1 the plain series may diverge: a pair's series does when R on
+the nodes other than the pair reaches it.  The graph must then be
+rescaled,
 
     R(q) = (1 - q) 1 + q R,       0 < q < 2 / (1 + nu(R)),
 
@@ -43,12 +45,13 @@ from .errors import (
     ParamOutOfBound,
     QOutOfRange,
     SingularRestrictedBlock,
+    SpectralRadiusTooLarge,
     _instance,
     _node_list,
     _real,
     _whole,
 )
-from .matrices import PartialCorrelationGraph, _checked_inverse, _paths_through
+from .matrices import PartialCorrelationGraph, _checked_inverse, _paths_through, _spectrum_ends
 
 # A truncated loop sum this close to 1 (or beyond) makes the
 # denominator square root meaningless.
@@ -384,10 +387,14 @@ def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:
     other endpoint, length by length in ascending order: all three are
     entries of one two-row propagation over the interior.  Returns
     (rho_hat, l_i, l_j) as arrays over l = 1..L, the last two the
-    cumulative loop sums.  Where either loop sum reaches
-    ``1 - DENOM_GUARD``, or a sum or (1 - l_i)(1 - l_j) overflows, the
-    ratio has no meaning: that entry of rho_hat is set to NaN, never
-    computed, and the caller raises :func:`_refusal`.
+    cumulative loop sums.  A row whose loop sum reaches
+    ``1 - DENOM_GUARD``, or whose sums overflow, has no meaning and
+    reads NaN.  All three sums run over powers of R on the interior, so
+    on a plain graph whose interior block has spectral radius >= 1 any
+    such row means divergence (:class:`SpectralRadiusTooLarge`); that
+    radius is computed only then.  By interlacing it is at most nu(R),
+    and below 1 on every rescaled graph.  Elsewhere only a NaN at L
+    itself is refused (:class:`DenominatorNonPositive`).
     """
     w = g.weights
     L = _check_length(L, length_name)
@@ -398,36 +405,35 @@ def _rho_hat(g, i: int, j: int, L: int, length_name: str) -> tuple:
         denom = (1.0 - li) * (1.0 - lj)
     # Both loop sums below 1 and a finite product: both loop sums are finite.
     ok = np.isfinite(num) & np.isfinite(denom) & (li < 1.0 - DENOM_GUARD) & (lj < 1.0 - DENOM_GUARD)
+    if not ok.all() and isinstance(g, PartialCorrelationGraph):
+        lo, hi = _spectrum_ends(w[np.ix_(interior, interior)])
+        nu = max(hi, -lo)
+        if nu >= 1.0:
+            raise SpectralRadiusTooLarge(
+                f"R off the pair has spectral radius {nu:.6g} >= 1: "
+                "the truncated series diverges; rescale the graph"
+            )
+    if not ok[-1]:
+        name, worst = ("i", li[-1]) if li[-1] >= lj[-1] else ("j", lj[-1])
+        raise DenominatorNonPositive(
+            f"truncated loop sum at L={L} reaches {worst:.6g} >= 1 at node {name}; increase L"
+        )
     rho = np.full(L, np.nan)
     rho[ok] = num[ok] / np.sqrt(denom[ok])
     return rho, li, lj
 
 
-def _refusal(li: float, lj: float, L: int) -> DenominatorNonPositive:
-    """The error for a length L that :func:`_rho_hat` refused, given the
-    loop sums l_i and l_j at L: a loop sum that reaches 1, or overflow."""
-    name, worst = ("i", li) if li >= lj else ("j", lj)
-    if np.isfinite(li) and np.isfinite(lj) and worst >= 1.0 - DENOM_GUARD:
-        return DenominatorNonPositive(
-            f"truncated loop sum at L={L} reaches {worst:.6g} >= 1 at node {name}; "
-            "increase L or rescale the graph"
-        )
-    return DenominatorNonPositive(f"truncated sums overflow at L={L}; rescale the graph")
-
-
 def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     """Marginal correlation estimate from paths of length at most L.
 
-    Numerator and both loop sums are truncated at the same L.  The
-    caller must hand in a rescaled graph when nu(R) >= 1; on such a
-    graph the plain truncation has no limit.  Equal to the last row of
-    :func:`convergence_profile` up to L, where that profile exists.
+    Numerator and both loop sums are truncated at the same L, and
+    refused as :func:`_rho_hat` says: once a loop sum up to L reaches 1
+    where the pair's series diverges, else where one at L does.  Equal,
+    bit for bit, to the last row of :func:`convergence_profile` up to
+    L, which is refused exactly where this is.
     """
     i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
-    rho, li, lj = _rho_hat(g, i, j, L, "truncation length")
-    if np.isnan(rho[-1]):
-        raise _refusal(li[-1], lj[-1], len(rho))
-    return float(rho[-1])
+    return float(_rho_hat(g, i, j, L, "truncation length")[0][-1])
 
 
 def marginal_corr_closed(g, i: int, j: int) -> float:
@@ -464,13 +470,11 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
 
     Per-length sums are accumulated once, so the whole profile costs as
     much as the single longest truncation.  The gap column compares
-    against the matrix-inversion oracle of the (base) graph.
+    against the matrix-inversion oracle of the (base) graph.  Rows that
+    :func:`_rho_hat` leaves undefined read NaN in both columns.
     """
     i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
-    rho, li, lj = _rho_hat(g, i, j, L_max, "L_max")
-    if np.isnan(rho).any():
-        k = int(np.argmax(np.isnan(rho)))
-        raise _refusal(li[k], lj[k], k + 1)
+    rho = _rho_hat(g, i, j, L_max, "L_max")[0]
     oracle = float(_checked_inverse(_base(g)).entries[i, j])
     return tuple(
         ProfilePoint(L=L, rho_hat=float(r), abs_gap=abs(float(r) - oracle))

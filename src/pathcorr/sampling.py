@@ -126,6 +126,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     ndtri(np.clip(x, 1e-300, 1.0 - 1e-16, out=x), out=x)
     x -= x.mean(axis=0)
     s = (x.T @ x) / spec.n  # a Gram product: exactly symmetric
+    del x  # the n x d draw is not read again
     omega = _spd_inverse(s, SingularSampleCovariance, "sample covariance")
     graph = _precision_graph(omega, None)
     return SampleResult(graph=graph, spectral=spectral_report(graph))

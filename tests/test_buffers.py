@@ -116,7 +116,7 @@ OPERATIONS = {
         lambda s: pc.SampleSpec(d=D, n=2 * D, seed=1),
         pc.sample_partial_graph,
         (2, 1, 1, 0),
-        4.23,
+        3.10,
     ),
     "conditional_mi_closed": (
         lambda s: (_graph(s), s["part"]),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pathcorr import (
     ChainSpec,
-    DegenerateDenominator,
     IndexOutOfRange,
     ParamOutOfBound,
     UndefinedAtZero,
@@ -25,7 +24,6 @@ from pathcorr import (
     validate_partial_graph,
 )
 from pathcorr import chains
-from pathcorr.chains import ChainSolution
 
 R_GRID = (-0.45, -0.2, 0.1, 0.3, 0.45, 0.5)
 
@@ -148,15 +146,21 @@ class TestPairCorrelation:
             chain_pair_corr(spec, i, j)
         assert len(calls) == 1
 
-    def test_degenerate_denominator_guard(self, monkeypatch):
-        # Unreachable for a valid chain (the loop sums stay below 1/2),
-        # so the guard is exercised with a doctored solution.
-        fake = ChainSolution(
-            c={2: 0.5, 3: 0.5}, l={2: 0.6, 3: 0.6}, rho_endpoints={2: 0.5, 3: 0.5}
-        )
-        monkeypatch.setattr(chains, "chain_sums", lambda spec: fake)
-        with pytest.raises(DegenerateDenominator):
-            chain_pair_corr(ChainSpec(d=3, r=0.4), 1, 3)
+    @pytest.mark.parametrize("r", [0.5, -0.5])
+    def test_denominators_stay_positive_at_the_critical_coupling(self, r):
+        # l_k grows with r^2 and is 1/2 - 1/(2(k - 1)) at |r| = 1/2, so
+        # 1 - l_a - l_b >= 1/(2(a - 1)) + 1/(2(b - 1)): no denominator of
+        # the recurrences, a pair or an amplification factor can vanish.
+        d = chains.MAX_NODES
+        spec = ChainSpec(d=d, r=r)
+        l = chain_sums(spec).l
+        assert max(abs(l[k] - (0.5 - 0.5 / (k - 1))) for k in l) < 1e-12
+        assert max(l.values()) < 0.5 - 1 / (2 * d)
+        # The smallest pair denominator: l_(i+1) = l_(j-i+1) at i = d/2, j = d.
+        i = d // 2
+        assert 1.0 - 2.0 * l[i + 1] == pytest.approx(2.0 / d, rel=1e-6)
+        assert abs(chain_pair_corr(spec, i, d)) < 1.0
+        assert 1.0 < amplification_factor(d - 2, d - 2, r) < math.inf
 
 
 class TestCorrelationLength:

@@ -644,22 +644,41 @@ class TestExpandAndProfile:
             ("complete", ("profile", "--Lmax", "2501")),
             ("sample", ("expand", "--L", "2000")),
             ("sample", ("profile", "--Lmax", "2000")),
+            ("complete", ("expand", "--L", "4")),
+            ("complete", ("profile", "--Lmax", "10")),
         ],
     )
     def test_overflowing_series_is_one_error_line(self, run, tmp_path, graph, argv):
         # Overflowing sums once printed numpy's warnings before the error,
         # or a result built from overflow (expand --L 1501 wrote -0.0).
-        src, out = tmp_path / "g.json", tmp_path / "p.csv"
+        # A divergent series is refused whether or not its sums overflow.
+        src, out = tmp_path / "g.json", tmp_path / "out"
         if graph == "complete":
             fileio.save_matrix(complete_graph(6, -0.45), src)
         else:
             assert run("sample", "--d", "30", "--n", "40", "--seed", "3", "--out", str(src))[0] == 0
-        extra = ["--out", str(out)] if argv[0] == "profile" else []
-        code, stdout, stderr = run(*argv, "--in", str(src), "--i", "x1", "--j", "x2", *extra)
+        code, stdout, stderr = run(*argv, "--in", str(src), "--i", "x1", "--j", "x2", "--out", str(out))
         assert code == 1 and stdout == "" and not out.exists()
-        assert stderr.startswith("error:") and stderr.count("\n") == 1
-        if argv[0] == "expand":
-            assert "overflow at L=" in stderr and "increase L" not in stderr
+        assert stderr.startswith("error: R off the pair has spectral radius ")
+        assert stderr.count("\n") == 1
+        assert "diverges; rescale the graph" in stderr and "increase L" not in stderr
+
+    def test_profile_writes_undefined_rows_as_nan(self, run, tmp_path):
+        # Default q on this graph puts a loop sum above 1 at L = 2 alone;
+        # expand refuses that length, and profile writes it as nan.
+        src, prof = tmp_path / "g.json", tmp_path / "p.csv"
+        assert run("sample", "--d", "30", "--n", "40", "--seed", "3", "--out", str(src))[0] == 0
+        q = repr(rescale(fileio.load_matrix(src)[0]).q)
+        common = ("--in", str(src), "--i", "x1", "--j", "x2", "--q", q)
+        code, _, stderr = run("expand", *common, "--L", "2")
+        assert code == 1 and stderr.startswith("error: truncated loop sum at L=2 ")
+        assert run("profile", *common, "--Lmax", "50", "--out", str(prof))[0] == 0
+        with open(prof, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows if r[1] == "nan"] == ["2"] and rows[1][2] == "nan"
+        doc = tmp_path / "r.json"
+        assert run("expand", *common, "--L", "50", "--out", str(doc))[0] == 0
+        assert float(rows[-1][1]) == json.loads(doc.read_text())["rho_hat"]
 
 
 class TestStructureCommands:
@@ -1293,6 +1312,21 @@ class TestThreeNodeCsvGraph:
         path = tmp_path / "g.csv"
         path.write_text("0,0.3,0\n0.3,0,0.2\n0,0.2,0\n")
         return path
+
+    def test_csv_suffix_is_read_in_any_case(self, run, table, tmp_path):
+        upper = tmp_path / "u.CSV"
+        upper.write_bytes(table.read_bytes())
+        outs = []
+        for src in (table, upper):
+            outs.append(tmp_path / f"{src.name}.json")
+            assert run("convert", "--in", str(src), "--kind", "partial", "--to", "marginal",
+                       "--out", str(outs[-1]))[0] == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        code, stdout, stderr = run("convert", "--in", str(upper), "--to", "marginal",
+                                   "--out", str(tmp_path / "none.json"))
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: CSV files carry no kind; pass --kind ")
+        assert stderr.endswith(f" for {upper}\n")
 
     def test_mi_series_sums_to_the_closed_form(self, run, table, tmp_path):
         nats = []

@@ -25,6 +25,7 @@ from pathcorr import (
     RescaledGraph,
     SampleSpec,
     SingularRestrictedBlock,
+    SpectralRadiusTooLarge,
     convergence_profile,
     enumerate_paths,
     marginal_corr_closed,
@@ -488,6 +489,16 @@ class TestClosedPairKernel:
             assert marginal_corr_closed(rg, i, j) == pytest.approx(oracle[i, j], abs=1e-12)
 
 
+# The refusal of a truncation whose series diverges.
+DIVERGES = r"^R off the pair has spectral radius {nu} >= 1: the truncated series diverges; rescale the graph$"
+
+
+def interior_radius(g, i, j):
+    """Spectral radius of R on the nodes other than i and j, by numpy."""
+    keep = [k for k in range(g.dim) if k not in (i, j)]
+    return float(np.max(np.abs(np.linalg.eigvalsh(g.weights[np.ix_(keep, keep)]))))
+
+
 class TestMarginalCorrelation:
     def test_closed_equals_oracle_on_random_graphs(self):
         for seed in range(10):
@@ -545,40 +556,37 @@ class TestMarginalCorrelation:
                 call(g, L)
 
     def test_divergent_truncation_raises(self):
-        # Complete graph on 6 nodes, couplings -0.45: the interior
-        # block of 4 nodes has spectral radius 1.35, so truncated loop
-        # sums grow without bound and cross 1.
+        # Complete graph on 6 nodes, couplings -0.45: nu(R) = 2.25, and
+        # the interior block of 4 nodes has spectral radius 1.35, so
+        # truncated loop sums grow without bound and first cross 1 at
+        # L = 4.  From there on every length is refused as divergent,
+        # the odd ones too, whose own loop sums are negative.
         g = complete_graph(6, -0.45)
-        first_bad = None
         for L in range(1, 20):
-            try:
+            if L < 4:
+                assert math.isfinite(marginal_corr_expansion(g, 0, 1, L))
+                continue
+            with pytest.raises(SpectralRadiusTooLarge, match=DIVERGES.format(nu="1.35")):
                 marginal_corr_expansion(g, 0, 1, L)
-            except DenominatorNonPositive:
-                first_bad = L
-                break
-        assert first_bad == 4
 
     def test_overflowing_truncation_is_refused(self):
-        # Same graph: odd-length loop sums are negative and grow as
-        # 1.35^L, so L = 501 still gives a finite ratio, but by L = 1501
-        # (1 - l_i)(1 - l_j) overflows and by L = 2501 the sums do.
-        # pytest turns numpy's overflow warnings into errors.
+        # Same graph: by L = 1501 (1 - l_i)(1 - l_j) overflows and by
+        # L = 2501 the sums do.  Those lengths are refused as divergent,
+        # like L = 501; pytest turns numpy's overflow warnings into errors.
         g = complete_graph(6, -0.45)
-        assert math.isfinite(marginal_corr_expansion(g, 0, 1, 501))
-        for L in (1501, 2501):
-            overflow = f"^truncated sums overflow at L={L}; rescale the graph$"
-            with pytest.raises(DenominatorNonPositive, match=overflow):
-                marginal_corr_expansion(g, 0, 1, L)
-            with pytest.raises(DenominatorNonPositive, match="at L=4 reaches 1.19273 >= 1 "):
-                convergence_profile(g, 0, 1, L)
+        for L in (501, 1501, 2501):
+            for call in (marginal_corr_expansion, convergence_profile):
+                with pytest.raises(SpectralRadiusTooLarge, match=DIVERGES.format(nu="1.35")):
+                    call(g, 0, 1, L)
 
     def test_overflowing_sampled_graph_is_refused(self):
         # nu(R) = 7.3: every sum overflows long before L = 2000.
         g = sample_partial_graph(SampleSpec(d=30, n=40, seed=3)).graph
-        with pytest.raises(DenominatorNonPositive, match="^truncated sums overflow at L=2000; "):
-            marginal_corr_expansion(g, 0, 1, 2000)
-        with pytest.raises(DenominatorNonPositive, match="at L=2 reaches "):
-            convergence_profile(g, 0, 1, 2000)
+        nu = f"{interior_radius(g, 0, 1):.6g}"
+        assert float(nu) > 1.0
+        for call in (marginal_corr_expansion, convergence_profile):
+            with pytest.raises(SpectralRadiusTooLarge, match=DIVERGES.format(nu=nu)):
+                call(g, 0, 1, 2000)
 
     def test_divergent_graph_fixed_by_rescaling(self):
         g = complete_graph(6, -0.45)
@@ -686,11 +694,41 @@ class TestConvergenceProfile:
             assert marginal_corr_expansion(g, 0, 1, L) == points[L - 1].rho_hat
 
     def test_divergent_profile_stops_at_first_bad_length(self):
-        # Same graph as TestMarginalCorrelation.test_divergent_truncation_raises.
+        # Same graph as TestMarginalCorrelation.test_divergent_truncation_raises:
+        # the profile is refused from L = 4 on, exactly as the expansion is.
         g = complete_graph(6, -0.45)
-        with pytest.raises(DenominatorNonPositive, match="at L=4 "):
-            convergence_profile(g, 0, 1, 10)
-        assert len(convergence_profile(g, 0, 1, 3)) == 3
+        for L_max in (4, 5, 10):
+            with pytest.raises(SpectralRadiusTooLarge, match=DIVERGES.format(nu="1.35")):
+                convergence_profile(g, 0, 1, L_max)
+        rows = [p.rho_hat for p in convergence_profile(g, 0, 1, 3)]
+        assert rows == [marginal_corr_expansion(g, 0, 1, L) for L in (1, 2, 3)]
+
+    def test_undefined_rows_read_nan_on_a_rescaled_graph(self):
+        # Default q on this graph puts the loop sum at node 0 above 1 at
+        # L = 2 alone.  A rescaled series converges, so only that length
+        # is refused, and the profile carries a NaN row there.
+        rg = rescale(sample_partial_graph(SampleSpec(d=30, n=40, seed=3)).graph)
+        points = convergence_profile(rg, 0, 1, 50)
+        assert [p.L for p in points if math.isnan(p.rho_hat)] == [2]
+        assert math.isnan(points[1].abs_gap)
+        assert points[-1].rho_hat == marginal_corr_expansion(rg, 0, 1, 50)
+        refusal = "^truncated loop sum at L=2 reaches 1.00804 >= 1 at node i; increase L$"
+        with pytest.raises(DenominatorNonPositive, match=refusal):
+            marginal_corr_expansion(rg, 0, 1, 2)
+        with pytest.raises(DenominatorNonPositive, match=refusal):
+            convergence_profile(rg, 0, 1, 2)
+
+    def test_convergent_pair_on_a_divergent_graph_is_not_refused(self):
+        # nu(R) = 2.02, but R off the pair has spectral radius below 1,
+        # so the pair's sums converge: only L = 2, where a loop sum
+        # overshoots 1, is refused, and the profile reaches the oracle.
+        g = sample_graph(6, 4, 5)
+        assert spectral_report(g).nu_R > 2.0 and interior_radius(g, 0, 1) < 1.0
+        points = convergence_profile(g, 0, 1, 60)
+        assert [p.L for p in points if math.isnan(p.rho_hat)] == [2]
+        assert points[-1].abs_gap < 1e-14
+        with pytest.raises(DenominatorNonPositive, match="^truncated loop sum at L=2 .*; increase L$"):
+            marginal_corr_expansion(g, 0, 1, 2)
 
 
 def near_one_graph(seed, d, spread, nu):
@@ -721,6 +759,7 @@ class TestNumericalEdges:
         else:
             seed, d, extra = graph
             g = sample_graph(seed, d, d + extra)
+        divergent = interior_radius(g, 0, 1) >= 1.0
         limit = 1.0 - pathsum.DENOM_GUARD
         loops = [star_path_sum_truncated(g, a, a, L_max, avoid=(b,)) for a, b in ((0, 1), (1, 0))]
         crossed = []
@@ -735,19 +774,37 @@ class TestNumericalEdges:
             ]
             if any(abs(x - limit) <= r for x, r in zip(sums, room)):
                 crossed.append(None)
-                continue
-            crossed.append(any(x >= limit for x in sums))
-            if crossed[-1]:
-                with pytest.raises(DenominatorNonPositive):
-                    marginal_corr_expansion(g, 0, 1, L)
             else:
-                assert math.isfinite(marginal_corr_expansion(g, 0, 1, L))
-        first = next((L for L, c in enumerate(crossed, start=1) if c is not False), None)
-        if first is None:
-            assert len(convergence_profile(g, 0, 1, L_max)) == L_max
-        elif crossed[first - 1]:
-            with pytest.raises(DenominatorNonPositive, match=f"at L={first} "):
-                convergence_profile(g, 0, 1, L_max)
+                crossed.append(any(x >= limit for x in sums))
+
+        def outcome(call, L):
+            try:
+                return call(g, 0, 1, L)
+            except (SpectralRadiusTooLarge, DenominatorNonPositive) as exc:
+                return type(exc)
+
+        # A crossing up to L refuses a divergent pair; elsewhere only a
+        # crossing at L itself refuses.
+        for L in range(1, L_max + 1):
+            got = outcome(marginal_corr_expansion, L)
+            deciding = crossed[:L] if divergent else crossed[L - 1 : L]
+            if divergent and True in deciding:
+                assert got is SpectralRadiusTooLarge
+            elif None not in deciding:
+                if crossed[L - 1]:
+                    assert got is DenominatorNonPositive
+                else:
+                    assert math.isfinite(got)
+        # The profile is refused exactly where the expansion at L_max is;
+        # otherwise its NaN rows are the crossed lengths, and its last row
+        # is the expansion bit for bit.
+        profile = outcome(convergence_profile, L_max)
+        if isinstance(profile, tuple):
+            assert profile[-1].rho_hat == got
+            for p, c in zip(profile, crossed):
+                assert c is None or math.isnan(p.rho_hat) == c
+        else:
+            assert profile is got
 
     @settings(max_examples=20, deadline=None)
     @given(
