@@ -21,6 +21,7 @@ the library raises, such as an ill-conditioned 1 - R, is one
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import warnings
@@ -583,5 +584,18 @@ def main(argv=None) -> int:
             return 1
 
 
+def console_main() -> None:
+    """Process entry of both ``pathcorr`` and ``python -m pathcorr.cli``.
+
+    Runs :func:`main`, then freezes the objects left alive, so the
+    collection at interpreter exit does not scan what the numpy, scipy
+    and pathcorr imports made.  ``main`` itself leaves the collector
+    alone, for callers that stay in the process.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

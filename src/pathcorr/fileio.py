@@ -13,7 +13,12 @@ The JSON layout is one object per file:
 
 ``data`` is row-major.  Floats are written with Python's shortest
 round-trip representation, so saving the same object twice produces
-byte-identical files; non-finite numbers are refused on save.  Loading
+byte-identical files; non-finite numbers are refused on save.  The
+writer's text is ``json.dumps(doc, indent=2, allow_nan=False)`` byte for
+byte: a row of finite floats is one C-level join of ``float.__repr__``
+(the repr ``json`` itself writes), lists and ``str``-keyed dicts recurse
+with json's indent and separators, and every other value goes to
+``json.dumps``, so its text and its errors are json's own.  Loading
 holds a file to this layout strictly (``labels``, ``scale`` and
 ``provenance`` may also be null).  CSV files carry a bare d x d table
 with no header; their kind travels out of band (a flag, for the
@@ -80,6 +85,23 @@ def matrix_from_kind(kind: str, data, labels=None, scale=None):
     return cls(data, labels=labels, **extra)
 
 
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` for a value whose
+    line starts with ``pad`` (a newline and its indent)."""
+    inner = pad + "  "
+    if type(obj) is list and obj:
+        if set(map(type, obj)) == {float}:
+            row = ("," + inner).join(map(float.__repr__, obj))
+            if "n" not in row:  # no inf or nan: those go to json for its error
+                return "[" + inner + row + pad + "]"
+        return "[" + inner + ("," + inner).join([_indented(x, inner) for x in obj]) + pad + "]"
+    if type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        items = [json.dumps(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # JSON text holds no raw newline, so re-indenting json's lines is exact.
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", pad)
+
+
 def save_json(doc, path) -> None:
     """Write ``doc`` as JSON with a two-space indent and a final newline.
 
@@ -88,7 +110,10 @@ def save_json(doc, path) -> None:
     :class:`FileFormatError` and leaves no file.
     """
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        try:
+            text = _indented(doc, "\n")
+        except RecursionError:  # json's own walk, for json's own message
+            text = json.dumps(doc, indent=2, allow_nan=False)
     except (ValueError, TypeError, RecursionError) as exc:
         raise FileFormatError(f"{path}: cannot write JSON: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:

@@ -155,6 +155,8 @@ def test_lapack_calls_and_peak_allocation(monkeypatch, system, name):
         (scipy.linalg, "eigh"),
         (scipy.linalg.lapack, "dsytrd"),
         (np.linalg, "svd"),
+        (scipy.linalg.lapack, "dstebz"),
+        (scipy.linalg.lapack, "dsterf"),
     ])
     tracemalloc.start()
     try:
@@ -163,8 +165,11 @@ def test_lapack_calls_and_peak_allocation(monkeypatch, system, name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    factor, inverse, eigvalsh, eigh, reduction, svd = (len(c) for c in counts)
+    factor, inverse, eigvalsh, eigh, reduction, svd, bisection, whole = (len(c) for c in counts)
     assert (factor, inverse, eigvalsh + eigh + reduction, svd) == calls
+    # Each reduction's two ends come from one bisection each; the whole
+    # tridiagonal spectrum (dsterf) is only the fallback for a missed end.
+    assert (bisection, whole) == (2 * reduction, 0)
     assert (peak - base) / (D * D * 8) <= bound
     assert result is not None
 

@@ -7,7 +7,9 @@ the modules.
 
 import argparse
 import csv
+import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pathcorr import (
@@ -49,7 +51,7 @@ from pathcorr import (
     sever_nodes,
     validate_partial_graph,
 )
-from pathcorr import chains, fileio, matrices, pathsum, sampling, transforms
+from pathcorr import chains, cli, fileio, matrices, pathsum, sampling, transforms
 from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
@@ -356,6 +358,100 @@ class TestFileValidation:
         path = tmp_path / "r.json"
         fileio.save_json({"a": [1, 2.5], "b": None}, path)
         assert path.read_text() == json.dumps({"a": [1, 2.5], "b": None}, indent=2) + "\n"
+
+
+# Documents JSON can hold: rows of finite floats (the writer's joined
+# case) and lists of them beside every other leaf, edge floats, ints past
+# 64 bits, and strings with quotes, escapes and non-ASCII characters.
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 1e-7]
+)
+JSON_TEXT = st.text(st.sampled_from('a "\\\n\t\x00\x7fé€\U0001f600') | st.characters(), max_size=6)
+JSON_LEAVES = (
+    JSON_FLOATS
+    | st.lists(JSON_FLOATS, min_size=1, max_size=6)
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.booleans()
+    | st.none()
+    | JSON_TEXT
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(JSON_TEXT, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    """``save_json`` writes ``json.dumps(doc, indent=2, allow_nan=False)``
+    byte for byte, and refuses with json's own message."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=JSON_DOCS)
+    # Values json converts, which the writer hands to json: numpy floats,
+    # tuples, non-str keys, rows that mix floats with other leaves.
+    @example(doc=[0.5, np.float64(0.25)])
+    @example(doc={"a": [[np.float64(-0.0), 1.0], (2.0, 3)]})
+    @example(doc={"a": {1: [0.5, 1.5], "b": {2.5: [], None: {}}}})
+    @example(doc=[[0.1, True], [1, 2**64], ["x", None]])
+    def test_bytes_are_json_dumps(self, tmp_path, doc):
+        path = tmp_path / "r.json"
+        fileio.save_json(doc, path)
+        assert path.read_bytes() == (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [math.inf, -math.inf, math.nan, np.float64("inf"), np.int64(3)],
+        ids=["inf", "-inf", "nan", "numpy-inf", "numpy-int"],
+    )
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda x: x,
+            lambda x: [0.5, x],
+            lambda x: {"data": [[0.5, 1.0], [0.25, x]]},
+            lambda x: {"a": [1.0], "b": {"c": [x, math.nan]}},
+        ],
+        ids=["bare", "in-row", "in-table", "nested"],
+    )
+    def test_refusal_is_json_own(self, tmp_path, bad, wrap):
+        doc = wrap(bad)
+        path = tmp_path / "r.json"
+        with pytest.raises((ValueError, TypeError)) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(FileFormatError) as got:
+            fileio.save_json(doc, path)
+        assert str(got.value) == f"{path}: cannot write JSON: {want.value}"
+        assert not path.exists()
+
+    def test_nesting_past_the_recursion_limit_is_json_own(self, tmp_path):
+        deep = [0.5]
+        for _ in range(sys.getrecursionlimit() + 10):
+            deep = [deep]
+        doc = {"p": deep}
+        path = tmp_path / "r.json"
+        try:
+            want = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except RecursionError as exc:
+            with pytest.raises(FileFormatError) as got:
+                fileio.save_json(doc, path)
+            assert str(got.value) == f"{path}: cannot write JSON: {exc}"
+            assert not path.exists()
+        else:  # an encoder in C may go deeper than Python frames
+            fileio.save_json(doc, path)
+            assert path.read_text() == want
+
+    def test_a_cycle_is_json_own(self, tmp_path):
+        doc = {"a": [0.5]}
+        doc["a"].append(doc)
+        path = tmp_path / "r.json"
+        with pytest.raises(FileFormatError, match="cannot write JSON: Circular reference detected"):
+            fileio.save_json(doc, path)
+        assert not path.exists()
 
 
 @pytest.fixture
@@ -1402,6 +1498,48 @@ def test_scipy_special_is_imported_by_sampling_only(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_alone(run, tmp_path, enabled):
+    # Only the process entry freezes; tests and the benchmark call main in process.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.isenabled(), gc.get_freeze_count()
+        out = tmp_path / "m.json"
+        assert run("convert", "--in", str(GOLDEN / "partial6.json"), "--to", "marginal",
+                   "--out", str(out))[0] == 0
+        assert run("convert", "--in", str(out), "--to", "nothing")[0] == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_console_main_freezes_after_main_and_exits_with_its_status(monkeypatch):
+    calls, before = [], gc.get_freeze_count()
+    monkeypatch.setattr(cli, "main", lambda: calls.append(gc.get_freeze_count()) or 3)
+    try:
+        with pytest.raises(SystemExit) as done:
+            cli.console_main()
+        assert done.value.code == 3
+        assert calls == [before] and gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+
+
+def test_fresh_process_writes_the_bytes_of_main_in_process(tmp_path):
+    src, fresh, here = GOLDEN / "partial6.json", tmp_path / "fresh.json", tmp_path / "here.json"
+    path = [str(Path(fileio.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    convert = ["convert", "--in", str(src), "--to", "marginal", "--out"]
+    done = subprocess.run(
+        [sys.executable, "-m", "pathcorr.cli", *convert, str(fresh)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main([*convert, str(here)]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -237,6 +237,38 @@ class TestSeries:
         assert abs(res.series_terms[-1]) < TERM_FLOOR
         assert res.nats == pytest.approx(sum(res.series_terms), abs=1e-16)
 
+    @pytest.mark.parametrize("n_max", [1, 3, 5])
+    def test_cut_series_holds_n_max_terms(self, n_max):
+        g = complete_graph(5, -0.3)
+        part = TriPartition(dim=5, A=(0, 1), B=(2, 3, 4))
+        full = conditional_mi_series(g, part).series_terms
+        res = conditional_mi_series(g, part, n_max=n_max)
+        assert len(full) > 5
+        assert res.series_terms == full[:n_max]
+        assert res.nats == sum(full[:n_max])
+
+    def test_default_stop_is_the_first_n_the_tail_bound_allows(self):
+        # Only the edge 0-1 couples A = {0} to B = {1}, so the pencil has one
+        # eigenvalue, rho = r**2, and term 1 is rho / 2 exactly.  The series
+        # stops at the first n whose term and tail bound
+        # rho**(n+1) / (2 (n + 1) (1 - rho)) are both below TERM_FLOOR,
+        # and the tail it leaves is within that bound.
+        part = TriPartition(dim=3, A=(0,), B=(1,))
+        for r in np.linspace(0.05, 0.95, 61):
+            w = np.zeros((3, 3))
+            w[0, 1] = w[1, 0] = r
+            res = conditional_mi_series(validate_partial_graph(w), part)
+            terms = res.series_terms
+            rho = 2.0 * terms[0]
+
+            def bound(n):
+                return 1 / (2.0 * (1.0 - rho)) * rho ** (n + 1) / (n + 1)
+
+            met = [n for n in range(1, len(terms) + 1)
+                   if abs(terms[n - 1]) < TERM_FLOOR and bound(n) < TERM_FLOOR]
+            assert met == [len(terms)], r
+            assert -0.5 * math.log1p(-rho) - res.nats <= bound(len(terms)) + 1e-15, r
+
     def test_truncation_bites_with_tiny_n_max(self):
         g = complete_graph(5, -0.3)
         part = TriPartition(dim=5, A=(0, 1), B=(2, 3, 4))

@@ -806,6 +806,16 @@ class TestNumericalEdges:
         else:
             assert profile is got
 
+    def test_a_loop_sum_inside_the_guard_band_is_refused(self):
+        # Four interior nodes give l_0(2) = 4 c**2 = 1 - 5e-13: below 1, but
+        # within DENOM_GUARD of it.  The interior's radius is 3 |c| = 1.5.
+        c = -math.sqrt((1 - 5e-13) / 4)
+        g = complete_graph(6, c)
+        loop = star_path_sum_truncated(g, 0, 0, 2, avoid=(1,)).cumulative[2]
+        assert 1.0 - pathsum.DENOM_GUARD < loop < 1.0
+        with pytest.raises(SpectralRadiusTooLarge, match="spectral radius 1.5 >= 1"):
+            marginal_corr_expansion(g, 0, 1, 2)
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
