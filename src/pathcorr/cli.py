@@ -1,7 +1,9 @@
 """Command-line front end: file conversion, expansions, and figure data.
 
-Every subcommand is a thin dispatch onto the library modules; nothing
-is recomputed here.  Matrix files use the JSON layout of
+Every subcommand is a thin dispatch onto the library modules: nothing
+is recomputed and no library rule restated here, so a length flag
+(``--L``, ``--Lmax``, ``--n-max``) goes through ``pathsum._check_length``,
+the one cap on truncation lengths.  Matrix files use the JSON layout of
 :mod:`pathcorr.fileio` (CSV input is accepted with an explicit
 ``--kind``, which a JSON input refuses).  Human-readable summaries go
 to stdout, data goes to the files named by ``--out``.
@@ -56,7 +58,7 @@ __all__ = ["main", "build_parser"]
 FIG4_R_GRID = (0.1, 0.2, 0.3, 0.4, 0.47)
 
 # The rescaling study runs on a complete 4-node graph with uniform
-# negative couplings: nu(R) = 1.35, so plain truncation diverges.
+# negative couplings: nu(R) = 1.35, in the rescale-required regime.
 FIG6_COUPLING = -0.45
 FIG6_Q_FRACTIONS = (0.3, 0.6, 0.95)
 
@@ -91,12 +93,17 @@ def _load_any(path: str, kind: str | None):
 
 
 def _load_graph(args) -> PartialCorrelationGraph:
-    obj, _ = _load_any(args.infile, args.kind)
-    return _convert(obj, "partial")
+    return _convert(_load_any(args.infile, args.kind)[0], "partial")
 
 
-def _target_graph(g: PartialCorrelationGraph, q: float | None):
-    return pathsum.rescale(g, q) if q is not None else g
+def _pair(args, L: int, flag: str) -> tuple:
+    """(graph, i, j, graph to expand): the length ``flag`` gave is checked
+    first, then --i and --j are resolved; --q, if given, rescales the graph."""
+    pathsum._check_length(L, flag)
+    g = _load_graph(args)
+    i = g.label_index(args.i)
+    j = g.label_index(args.j)
+    return g, i, j, (pathsum.rescale(g, args.q) if args.q is not None else g)
 
 
 def _convert(obj, to: str):
@@ -122,22 +129,17 @@ def _convert(obj, to: str):
     return precision_to_partial(_convert(obj, "precision"))
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> None:
     obj, provenance = _load_any(args.infile, args.kind)
     out = _convert(obj, args.to)
     fileio.save_matrix(out, args.out, provenance=provenance)
     print(f"wrote {args.to} matrix ({out.dim} nodes) to {args.out}")
-    return 0
 
 
-def _cmd_expand(args) -> int:
-    _whole(args.L, "--L", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
-    g = _load_graph(args)
-    i = g.label_index(args.i)
-    j = g.label_index(args.j)
-    target = _target_graph(g, args.q)
+def _cmd_expand(args) -> None:
+    g, i, j, target = _pair(args, args.L, "--L")
     rho_hat = pathsum.marginal_corr_expansion(target, i, j, args.L)
-    oracle = float(partial_to_marginal_oracle(g).entries[i, j])
+    oracle = pathsum.marginal_corr_closed(g, i, j)
     gap = abs(rho_hat - oracle)
     print(
         f"rho_hat({args.i}, {args.j}; L={args.L}"
@@ -155,48 +157,32 @@ def _cmd_expand(args) -> int:
             "abs_gap": gap,
         }
         fileio.save_json(doc, args.out)
-    return 0
 
 
-def _cmd_profile(args) -> int:
-    _whole(args.Lmax, "--Lmax", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
-    g = _load_graph(args)
-    i = g.label_index(args.i)
-    j = g.label_index(args.j)
-    target = _target_graph(g, args.q)
+def _cmd_profile(args) -> None:
+    _, i, j, target = _pair(args, args.Lmax, "--Lmax")
     points = pathsum.convergence_profile(target, i, j, args.Lmax)
     fileio.save_csv_table(
         args.out,
         ["L", "rho_hat", "abs_gap"],
         [(p.L, p.rho_hat, p.abs_gap) for p in points],
     )
-    last = points[-1]
     print(
         f"profile({args.i}, {args.j}) to L={args.Lmax}: "
-        f"final gap {last.abs_gap:.3e}; wrote {args.out}"
+        f"final gap {points[-1].abs_gap:.3e}; wrote {args.out}"
     )
-    return 0
 
 
-def _cmd_sever(args) -> int:
+def _cmd_remove(args) -> None:
+    # sever and marginalize: the parser's defaults name the transform and its verb.
     g = _load_graph(args)
     removed = _nodes(g, args.S, "--S")
-    out = transforms.sever_nodes(g, removed)
+    out = args.transform(g, removed)
     fileio.save_matrix(out, args.out)
-    print(f"severed {len(removed)} node(s); kept {out.dim}; wrote {args.out}")
-    return 0
+    print(f"{args.verb} {len(removed)} node(s); kept {out.dim}; wrote {args.out}")
 
 
-def _cmd_marginalize(args) -> int:
-    g = _load_graph(args)
-    removed = _nodes(g, args.S, "--S")
-    out = transforms.marginalize_nodes(g, removed)
-    fileio.save_matrix(out, args.out)
-    print(f"marginalised {len(removed)} node(s); kept {out.dim}; wrote {args.out}")
-    return 0
-
-
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> None:
     g = _load_graph(args)
     removed = _nodes(g, args.S, "--S")
     red = transforms.latent_reduce(g, removed)
@@ -215,10 +201,9 @@ def _cmd_reduce(args) -> int:
         f"kept-set residuals: partial {res.partial_residual:.3e}, "
         f"marginal {res.marginal_residual:.3e}; wrote {args.out}"
     )
-    return 0
 
 
-def _cmd_separators(args) -> int:
+def _cmd_separators(args) -> None:
     tol = _real(args.tol, "--tol", ParamOutOfBound)
     if tol < 0.0:
         raise ParamOutOfBound(f"--tol must be at least 0, got {tol:g}")
@@ -238,16 +223,12 @@ def _cmd_separators(args) -> int:
         doc = [
             {
                 "node": labels[rep.node],
-                "components": [
-                    sorted(labels[v] for v in rep.components[0]),
-                    sorted(labels[v] for v in rep.components[1]),
-                ],
+                "components": [sorted(labels[v] for v in part) for part in rep.components],
                 "residual": rep.factorisation_residual,
             }
             for rep in reports
         ]
         fileio.save_json(doc, args.out)
-    return 0
 
 
 def _chain_summary(args) -> None:
@@ -294,24 +275,23 @@ _CHAIN_MODES = {
 }
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args) -> None:
     given = frozenset(vars(args)) - {"subcommand", "func", "r"}
     if given not in _CHAIN_MODES:
         sets = ", ".join("{--" + " --".join(sorted(flags)) + "}" for flags in _CHAIN_MODES)
         shown = " ".join(f"--{flag}" for flag in sorted(given)) or "none"
         raise FileFormatError(f"chain runs one mode per call: --r and one of {sets}; got {shown}")
     _CHAIN_MODES[given](args)
-    return 0
 
 
-def _cmd_mi(args) -> int:
+def _cmd_mi(args) -> None:
     # --q and --n-max are in args only when given.
     series = {key: getattr(args, key) for key in ("q", "n_max") if key in args}
     if series and args.method != "series":
         flag = "--q" if "q" in series else "--n-max"
         raise FileFormatError(f"{flag} is read only with --method series")
     if "n_max" in series:
-        _whole(series["n_max"], "--n-max", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
+        pathsum._check_length(series["n_max"], "--n-max")
     g = _load_graph(args)
     a = _nodes(g, args.A, "--A")
     b = _nodes(g, args.B, "--B")
@@ -334,10 +314,9 @@ def _cmd_mi(args) -> int:
         if terms is not None:
             doc["terms"] = terms
         fileio.save_json(doc, args.out)
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     spec = sampling.SampleSpec(d=args.d, n=args.n, seed=args.seed)
     result = sampling.sample_partial_graph(spec)
     provenance = {
@@ -352,8 +331,8 @@ def _cmd_sample(args) -> int:
     fileio.save_matrix(result.graph, args.out, provenance=provenance)
     if result.flagged:
         print(
-            f"warning: nu(R) = {result.spectral.nu_R:.6g} >= 1; "
-            "plain truncated expansion will not converge on this sample",
+            f"warning: nu(R) = {result.spectral.nu_R:.6g} >= 1; some pairs' truncated series "
+            "may diverge; expand and profile refuse those and ask for --q",
             file=sys.stderr,
         )
     print(
@@ -361,7 +340,6 @@ def _cmd_sample(args) -> int:
         f"nu(R) = {result.spectral.nu_R:.6g} ({result.spectral.regime}); "
         f"wrote {args.out}"
     )
-    return 0
 
 
 def _fig4_table(args) -> tuple:
@@ -379,7 +357,7 @@ def _fig4_table(args) -> tuple:
 def _fig5_table(args) -> tuple:
     # Flags are checked before sampling; seeds run 25 past the base, to 2^64 - 1 at most.
     _whole(args.d, "--d", ParamOutOfBound, 2)
-    _whole(args.Lmax, "--Lmax", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
+    pathsum._check_length(args.Lmax, "--Lmax")
     last = min(_whole(args.seed, "--seed", ParamOutOfBound, 0, 2**64 - 1) + 25, 2**64 - 1)
     rows = []
     found = 0
@@ -390,23 +368,20 @@ def _fig5_table(args) -> tuple:
                 f"could not find 3 samples with nu(R) < 1 among seeds {args.seed} to {last}"
             )
         result = sampling.sample_partial_graph(sampling.SampleSpec(d=args.d, n=args.n, seed=seed))
-        if result.flagged:
-            seed += 1
-            continue
-        oracle = partial_to_marginal_oracle(result.graph).entries
-        off = np.abs(oracle - np.eye(args.d))
-        i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-        for p in pathsum.convergence_profile(result.graph, i, j, args.Lmax):
-            rows.append((seed, p.L, p.rho_hat, p.abs_gap))
-        found += 1
+        if not result.flagged:
+            oracle = partial_to_marginal_oracle(result.graph).entries
+            off = np.abs(oracle - np.eye(args.d))
+            i, j = np.unravel_index(int(np.argmax(off)), off.shape)
+            for p in pathsum.convergence_profile(result.graph, i, j, args.Lmax):
+                rows.append((seed, p.L, p.rho_hat, p.abs_gap))
+            found += 1
         seed += 1
     return ["seed", "L", "rho_hat", "abs_gap"], rows
 
 
 def _fig6_table(args) -> tuple:
-    _whole(args.Lmax, "--Lmax", ParamOutOfBound, 1, pathsum.MAX_LENGTH)
-    d = 4
-    w = np.full((d, d), FIG6_COUPLING)
+    pathsum._check_length(args.Lmax, "--Lmax")
+    w = np.full((4, 4), FIG6_COUPLING)
     np.fill_diagonal(w, 0.0)
     g = validate_partial_graph(w)
     bound = pathsum._q_bound(spectral_report(g).nu_R)
@@ -418,11 +393,10 @@ def _fig6_table(args) -> tuple:
     return ["q", "L", "rho_hat", "abs_gap"], rows
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> None:
     header, rows = args.table(args)
     fileio.save_csv_table(args.out, header, rows)
     print(f"wrote {len(rows)} {args.which} rows to {args.out}")
-    return 0
 
 
 def _add_input(p: argparse.ArgumentParser):
@@ -478,17 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output file")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("sever", help="delete nodes and their links")
-    _add_input(p)
-    p.add_argument("--S", required=True, help="comma-separated node labels")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sever)
-
-    p = sub.add_parser("marginalize", help="integrate nodes out of the network")
-    _add_input(p)
-    p.add_argument("--S", required=True, help="comma-separated node labels")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_marginalize)
+    for name, what, transform, verb in (
+        ("sever", "delete nodes and their links", transforms.sever_nodes, "severed"),
+        ("marginalize", "integrate nodes out of the network", transforms.marginalize_nodes,
+         "marginalised"),
+    ):
+        p = sub.add_parser(name, help=what)
+        _add_input(p)
+        p.add_argument("--S", required=True, help="comma-separated node labels")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_remove, transform=transform, verb=verb)
 
     p = sub.add_parser("reduce", help="replace nodes by few latent variables")
     _add_input(p)
@@ -578,10 +551,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return int(args.func(args) or 0)
+            args.func(args)
         except (PathcorrError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    return 0
 
 
 def console_main() -> None:

@@ -572,8 +572,9 @@ class SpectralReport:
       and may be summed in any order;
     - ``"conditional"``: nu(R) < 1 <= nu(|R|), series converge only when
       paths are grouped by length, in ascending order;
-    - ``"rescale-required"``: nu(R) >= 1, truncated series diverge and
-      the graph must be rescaled before expansion.
+    - ``"rescale-required"``: nu(R) >= 1, some pairs' truncated series
+      may diverge (those where R off the pair reaches 1); expansion
+      refuses those pairs and asks for a rescaled graph.
     """
 
     nu_R: float

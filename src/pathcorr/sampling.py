@@ -92,8 +92,9 @@ class SampleResult:
     """A sampled coupling graph plus its spectral classification.
 
     ``flagged`` is True in the "rescale-required" regime (nu(R) >= 1):
-    the draw falls outside the plain path-expansion regime; the caller
-    decides whether to discard it or rescale.  The graph is always valid.
+    some pairs' plain truncated series may diverge, and expansion refuses
+    those pairs; the caller decides whether to discard the draw or
+    rescale.  The graph is always valid.
     """
 
     graph: PartialCorrelationGraph
@@ -109,8 +110,9 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
 
     The sample covariance S uses denominator n, the precision is
     Omega = S^-1, and the graph is its partial-correlation form.
-    Spectral radius at or above 1 is reported through ``flagged``
-    rather than raised; a singular S raises
+    Spectral radius at or above 1, where some pairs' plain truncated
+    series may diverge, is reported through ``flagged`` rather than
+    raised; a singular S raises
     :class:`SingularSampleCovariance`.
     """
     spec = _instance(spec, SampleSpec, "spec", ParamOutOfBound)

@@ -802,6 +802,23 @@ class TestPerronRoot:
         for g in graphs:
             assert check_perron_route(g) == "reduction"
 
+    @pytest.mark.parametrize("d", range(4, 12))
+    def test_bracket_holding_one_falls_back_to_the_reduction(self, monkeypatch, d):
+        # Mixed signs scaled so nu(|R|) = 1 to roundoff, nu(R) < 1: the
+        # bracket forms but holds 1, so nu(|R|) and the regime come from
+        # a reduction of |R|, after the one of R behind nu(R).
+        rng = np.random.default_rng(d - 4)
+        w = np.triu(rng.uniform(-1.0, 1.0, (d, d)), 1)
+        w += w.T
+        g = validate_partial_graph(w / full_spectrum_nu_plus(w))
+        assert matrices._perron_bracket(np.abs(g.weights)) is not None
+        reductions = TestFactorOnce.count(monkeypatch, scipy.linalg.lapack, "dsytrd")
+        rep = spectral_report(g)
+        assert reductions == [(d, d), (d, d)]
+        assert rep.nu_R < 1.0
+        _, top = matrices._spectrum_ends(np.abs(g.weights))
+        assert rep.regime == ("conditional" if max(top, rep.nu_R) >= 1.0 else "absolute")
+
     def test_bracket_route_is_within_roundoff(self):
         graphs = [scaled_random_graph(seed, d, 0.9) for seed, d in ((1, 2), (2, 7), (3, 40))]
         graphs += [complete_graph(6, -0.3)]

@@ -43,3 +43,20 @@ def test_chains_and_errors_import_only_the_stdlib():
                 assert name in siblings, (module.__name__, name)
             else:
                 assert name in sys.stdlib_module_names, (module.__name__, name)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # Scope-blind: a name read anywhere in the module counts as used.
+    # Star and __future__ imports bind nothing to check.
+    for path in sorted(Path(pathcorr.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names if a.name != "*")
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        assert bound <= read, (path.name, sorted(bound - read))
