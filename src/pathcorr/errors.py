@@ -5,6 +5,9 @@ Every exception raised deliberately by this package derives from
 ``except`` clause.  The subclasses are semantic: they name the violated
 precondition rather than the place where it was detected, and the same
 condition raises the same class no matter which routine noticed it first.
+So a failed factorisation raises the class of what failed: a matrix being
+validated, :class:`NotPositiveDefinite`; a whole matrix being inverted,
+:class:`SingularMatrix`; a principal block of 1 - R, :class:`SingularBlock`.
 
 Every integer argument of the library (node indices, truncation
 lengths, counts, dimensions and seeds) is checked by one rule,
@@ -33,7 +36,6 @@ __all__ = [
     "EntryOutOfRange",
     "MissingScale",
     "SingularMatrix",
-    "SingularRestrictedBlock",
     "SingularBlock",
     "DenominatorNonPositive",
     "QOutOfRange",
@@ -42,8 +44,6 @@ __all__ = [
     "IndexOutOfRange",
     "UndefinedAtZero",
     "ParamOutOfBound",
-    "DegenerateColumn",
-    "SingularSampleCovariance",
     "SpectralRadiusTooLarge",
     "FileFormatError",
     "IllConditionedWarning",
@@ -158,12 +158,8 @@ class SingularMatrix(PathcorrError):
     """A matrix that must be inverted is singular."""
 
 
-class SingularRestrictedBlock(PathcorrError):
-    """The interior block ``1 - R[K, K]`` of a restricted sum is singular."""
-
-
 class SingularBlock(PathcorrError):
-    """The block ``(1 - R)[S, S]`` eliminated by marginalisation is singular."""
+    """A principal block of 1 - R that must be factorised is singular."""
 
 
 class DenominatorNonPositive(PathcorrError):
@@ -192,14 +188,6 @@ class UndefinedAtZero(PathcorrError):
 
 class ParamOutOfBound(PathcorrError):
     """A parameter, or its name, lies outside what its function admits."""
-
-
-class DegenerateColumn(PathcorrError):
-    """A factor loading column is identically zero."""
-
-
-class SingularSampleCovariance(PathcorrError):
-    """A sample covariance matrix is singular and cannot be inverted."""
 
 
 class SpectralRadiusTooLarge(PathcorrError):

@@ -168,7 +168,7 @@ def load_matrix(path):
     object itself is validated on construction.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON and bytes that are not UTF-8.
@@ -205,7 +205,7 @@ def load_matrix(path):
 def load_csv_matrix(path, kind: str):
     """Read a bare d x d CSV table as the matrix type named by ``kind``."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a leading BOM is dropped
             text = fh.read()
         if not text.isascii() or "_" in text:  # float() reads 1_000 and non-ASCII digits
             raise ValueError("a cell holds an underscore or a non-ASCII character")

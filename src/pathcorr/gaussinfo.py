@@ -39,6 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DenominatorNonPositive,
     IndexOutOfRange,
     ParamOutOfBound,
     PathcorrError,
@@ -146,7 +147,7 @@ def _blocks(system, part: TriPartition) -> tuple:
             f"partition is over {part.dim} nodes, system has {r.shape[0]}"
         )
     a, b = part.A, part.B
-    y = _whitened(r, a, b, SingularBlock, "1 - R[B, B]")
+    y = _whitened(r, a, b, "1 - R[B, B]")
     m_a = r[np.ix_(a, a)]
     return _one_minus(m_a, out=m_a), y
 
@@ -240,7 +241,7 @@ def loop_sum_mi_identity(system, i: int, j: int) -> tuple:
         loop_sum = 1 - exp(-2 mi),
 
     so both come from the one factorisation behind the loop sum (the
-    tests check the identity); one at or above 1 raises SingularBlock.
+    tests check the identity); a loop sum >= 1 raises DenominatorNonPositive.
     Needs at least three nodes, else there is no "rest" to talk to.
     """
     system = _coupling_graph(system)
@@ -249,5 +250,5 @@ def loop_sum_mi_identity(system, i: int, j: int) -> tuple:
         raise IndexOutOfRange("identity needs at least 3 nodes")
     loop = star_path_sum_closed(system, i, i, avoid=(j,))
     if not loop < 1.0:
-        raise SingularBlock(f"loop sum at node {i} avoiding {j} is {loop:.6g} >= 1")
+        raise DenominatorNonPositive(f"loop sum at node {i} avoiding {j} is {loop:.6g} >= 1")
     return loop, -0.5 * math.log1p(-loop)

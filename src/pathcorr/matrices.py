@@ -82,6 +82,7 @@ from .errors import (
     NotSquare,
     NotSymmetric,
     ParamOutOfBound,
+    SingularBlock,
     SingularMatrix,
     _instance,
     _shown,
@@ -321,7 +322,7 @@ def _cho(m: np.ndarray, error, what: str) -> tuple:
         raise error(f"{what} is not positive definite: {exc}") from exc
 
 
-def _spd_inverse(m: np.ndarray, error, what: str) -> np.ndarray:
+def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     """m^-1, exactly symmetric, for a positive-definite m nothing else holds.
 
     m is overwritten: factorised in place through :func:`_cho`, then
@@ -329,30 +330,30 @@ def _spd_inverse(m: np.ndarray, error, what: str) -> np.ndarray:
     only; the upper one is mirrored from it.  About d^3 flops, against
     2 d^3 for a factor and a solve with the identity.
     """
-    low, _ = _cho(m.T, error, what)  # m.T: Fortran order, so in place
+    low, _ = _cho(m.T, SingularMatrix, what)  # m.T: Fortran order, so in place
     x, info = scipy.linalg.lapack.dpotri(low, lower=True, overwrite_c=True)
     if info != 0:
-        raise error(f"{what} is singular: dpotri info {info}")
+        raise SingularMatrix(f"{what} is singular: dpotri info {info}")
     for k in range(1, len(x)):  # column by column: contiguous in Fortran order
         x[:k, k] = x[k, :k]
     return x.T
 
 
-def _whitened(w: np.ndarray, ends, interior, error, what: str) -> np.ndarray:
+def _whitened(w: np.ndarray, ends, interior, what: str) -> np.ndarray:
     """Y = L^-1 W[K, E], E = ``ends``, K = ``interior``, 1 - W_K = L L^T (no rows if K
     is empty): one factor in place, one solve in W[E, K].T (W is exactly symmetric)."""
     if len(interior) == 0:
         return np.zeros((0, len(ends)))
     mk = w[np.ix_(interior, interior)]
-    low, _ = _cho(_one_minus(mk, out=mk).T, error, what)  # .T: in place
+    low, _ = _cho(_one_minus(mk, out=mk).T, SingularBlock, what)  # .T: in place
     return scipy.linalg.solve_triangular(
         low, w[np.ix_(ends, interior)].T, lower=True, overwrite_b=True)
 
 
-def _paths_through(w: np.ndarray, ends, interior, error, what: str) -> np.ndarray:
+def _paths_through(w: np.ndarray, ends, interior, what: str) -> np.ndarray:
     """W[E, K] (1 - W_K)^-1 W[K, E] = Y^T Y, Y = :func:`_whitened`: numpy forms
     it with one syrk and mirrors it, so it is exactly symmetric."""
-    y = _whitened(w, ends, interior, error, what)
+    y = _whitened(w, ends, interior, what)
     return y.T @ y
 
 
@@ -547,7 +548,7 @@ class PartialCorrelationGraph(_Matrix):
     @cached_property
     def _inverse(self) -> MarginalCorrelationMatrix:
         """The oracle matrix P, from one inversion of (1 - R) on first use."""
-        minv = _spd_inverse(_one_minus(self.weights), SingularMatrix, "(1 - R)")
+        minv = _spd_inverse(_one_minus(self.weights), "(1 - R)")
         return MarginalCorrelationMatrix._computed(_correlations(minv, out=minv), self.labels)
 
     @cached_property
@@ -628,14 +629,14 @@ def cov_to_marginal(C: CovarianceMatrix) -> MarginalCorrelationMatrix:
 def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
     """Precision matrix Omega = C^-1 via a Cholesky inverse."""
     C = _instance(C, CovarianceMatrix, "C", ParamOutOfBound)
-    omega = _spd_inverse(np.array(C.entries), SingularMatrix, "covariance matrix")
+    omega = _spd_inverse(np.array(C.entries), "covariance matrix")
     return PrecisionMatrix._computed(omega, C.labels)
 
 
 def precision_to_cov(Omega: PrecisionMatrix) -> CovarianceMatrix:
     """Covariance matrix C = Omega^-1 via a Cholesky inverse."""
     Omega = _instance(Omega, PrecisionMatrix, "Omega", ParamOutOfBound)
-    c = _spd_inverse(np.array(Omega.entries), SingularMatrix, "precision matrix")
+    c = _spd_inverse(np.array(Omega.entries), "precision matrix")
     return CovarianceMatrix._computed(c, Omega.labels)
 
 

@@ -44,7 +44,6 @@ from .errors import (
     IndexOutOfRange,
     ParamOutOfBound,
     QOutOfRange,
-    SingularRestrictedBlock,
     SpectralRadiusTooLarge,
     _instance,
     _node_list,
@@ -219,6 +218,12 @@ def _check_pair(i: int, j: int, dim: int) -> tuple:
     return i, j
 
 
+def _weights_pair(g, i: int, j: int) -> tuple:
+    """(W, i, j) for a path family: the graph's weights and two checked nodes."""
+    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
+    return w, _check_node(i, len(w), "i"), _check_node(j, len(w), "j")
+
+
 def _check_length(L: int, name: str) -> int:
     return _whole(L, name, ParamOutOfBound, 1, MAX_LENGTH)
 
@@ -320,12 +325,9 @@ def path_sum_truncated(g, i: int, j: int, L: int) -> PathSumResult:
     The length-l term is simply (W^l)_ij, so the cumulative sums are the
     partial Neumann series of (1 - W)^-1 - 1.
     """
-    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
-    dim = w.shape[0]
-    i = _check_node(i, dim, "i")
-    j = _check_node(j, dim, "j")
+    w, i, j = _weights_pair(g, i, j)
     L = _check_length(L, "truncation length")
-    per = _per_length_restricted(w, (i,), (j,), L, np.arange(dim))
+    per = _per_length_restricted(w, (i,), (j,), L, np.arange(len(w)))
     return _result_from_per_length(per[:, 0, 0])
 
 
@@ -346,12 +348,9 @@ def star_path_sum_truncated(
     i -> i of weight 1 - q is a closed path of length 1, and interior
     vertices may linger via their own self-loops.
     """
-    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
-    dim = w.shape[0]
-    i = _check_node(i, dim, "i")
-    j = _check_node(j, dim, "j")
+    w, i, j = _weights_pair(g, i, j)
     L = _check_length(L, "truncation length")
-    interior = _interior_indices(dim, {i, j}, avoid, within)
+    interior = _interior_indices(len(w), {i, j}, avoid, within)
     per = _per_length_restricted(w, (i,), (j,), L, interior)
     return _result_from_per_length(per[:, 0, 0])
 
@@ -369,13 +368,10 @@ def star_path_sum_closed(g, i: int, j: int, avoid=(), within=None) -> float:
     valid graph 1 - W_K inherits positive definiteness from 1 - W, so
     the closed value exists even when the truncated series diverges.
     """
-    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
-    dim = w.shape[0]
-    i = _check_node(i, dim, "i")
-    j = _check_node(j, dim, "j")
-    interior = _interior_indices(dim, {i, j}, avoid, within)
+    w, i, j = _weights_pair(g, i, j)
+    interior = _interior_indices(len(w), {i, j}, avoid, within)
     what = f"1 - R restricted to {interior.size} interior nodes"
-    tail = _paths_through(w, sorted({i, j}), interior, SingularRestrictedBlock, what)
+    tail = _paths_through(w, sorted({i, j}), interior, what)
     return float(w[i, j] + tail[0, -1])
 
 

@@ -18,12 +18,10 @@ import numpy as np
 
 from .chains import _chain_r
 from .errors import (
-    DegenerateColumn,
     DimensionMismatch,
     EntryOutOfRange,
     NotPositiveDefinite,
     ParamOutOfBound,
-    SingularSampleCovariance,
     _instance,
     _real,
     _shown,
@@ -112,8 +110,8 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     Omega = S^-1, and the graph is its partial-correlation form.
     Spectral radius at or above 1, where some pairs' plain truncated
     series may diverge, is reported through ``flagged`` rather than
-    raised; a singular S raises
-    :class:`SingularSampleCovariance`.
+    raised; a singular S raises :class:`SingularMatrix`, as any whole
+    matrix that must be inverted does.
     """
     spec = _instance(spec, SampleSpec, "spec", ParamOutOfBound)
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
@@ -129,7 +127,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     x -= x.mean(axis=0)
     s = (x.T @ x) / spec.n  # a Gram product: exactly symmetric
     del x  # the n x d draw is not read again
-    omega = _spd_inverse(s, SingularSampleCovariance, "sample covariance")
+    omega = _spd_inverse(s, "sample covariance")
     graph = _precision_graph(omega, None)
     return SampleResult(graph=graph, spectral=spectral_report(graph))
 
@@ -148,8 +146,8 @@ class FactorModel:
     vector of factor l, ``variances`` its variance (default all 1).
 
     The implied precision sum_l v_l w_l w_l^T must be positive
-    definite; a variable carried by no factor at all raises
-    :class:`DegenerateColumn`.  Its graph is built and checked here.
+    definite, else :class:`NotPositiveDefinite`, whose message names a
+    variable carried by no factor at all.  Its graph is built and checked here.
     """
 
     weights: np.ndarray
@@ -164,7 +162,7 @@ class FactorModel:
         diag = (v[:, None] * w**2).sum(axis=0)
         if np.any(diag == 0):
             dead = int(np.argmin(diag))
-            raise DegenerateColumn(
+            raise NotPositiveDefinite(
                 f"variable {dead} appears in no factor; its precision is zero"
             )
         a = np.sqrt(v)[:, None] * w

@@ -41,7 +41,6 @@ from .errors import (
     EmptyRemainder,
     IndexOutOfRange,
     ParamOutOfBound,
-    SingularBlock,
     _instance,
     _node_list,
     _nodes,
@@ -206,7 +205,7 @@ def marginalize_nodes(
         return g
     # The paths first, so the factor and solve behind them are freed
     # before 1 - R_TT is formed, in place of its own index copy.
-    paths = _paths_through(g.weights, kept, removed, SingularBlock, _ELIMINATED)
+    paths = _paths_through(g.weights, kept, removed, _ELIMINATED)
     m_tt = g.weights[np.ix_(kept, kept)]
     m_red = np.subtract(_one_minus(m_tt, out=m_tt), paths, out=paths)
     if np.any(np.diag(m_red) <= 0.0):
@@ -436,7 +435,7 @@ def _latent_factors(w: np.ndarray, removed: list, kept: list) -> tuple:
     # Factorised before the graph is built, so a singular eliminated
     # block raises SingularBlock first.
     if mu > 0:
-        b_white = _whitened(w, kept, removed, SingularBlock, _ELIMINATED)
+        b_white = _whitened(w, kept, removed, _ELIMINATED)
         _, eta, zt = np.linalg.svd(b_white, full_matrices=False)
         v_cols = zt[:mu, :].T * eta[:mu]
         v_cols = v_cols * _signs(v_cols)

@@ -29,6 +29,15 @@ def complete_graph(d: int, r: float):
     return validate_partial_graph(w)
 
 
+def chain_graph(d: int, r: float, **kw):
+    """Chain 0 - 1 - ... - (d-1) with every coupling equal to r; ``kw``
+    (scale, labels) goes to the graph."""
+    w = np.zeros((d, d))
+    for k in range(d - 1):
+        w[k, k + 1] = w[k + 1, k] = r
+    return validate_partial_graph(w, **kw)
+
+
 @pytest.fixture
 def random_graph():
     return scaled_random_graph

@@ -223,7 +223,7 @@ def test_unscaled_reduction_has_unit_scale(system):
 def test_paths_through_is_exactly_symmetric(system, ends):
     removed = np.sort(system["half"])
     kept = np.setdiff1d(np.arange(D), removed)[:ends]
-    x = matrices._paths_through(_graph(system).weights, kept, removed, pc.SingularBlock, "m")
+    x = matrices._paths_through(_graph(system).weights, kept, removed, "m")
     assert x.shape == (ends, ends) and np.array_equal(x, x.T)
 
 
@@ -320,7 +320,7 @@ class TestSameBits:
             d = len(w)
             lam = np.random.default_rng(seed).uniform(0.5, 2.0, d) if scaled else None
             g = pc.PartialCorrelationGraph(w, scale=lam)
-            c = matrices._spd_inverse(np.eye(d) - g.weights, pc.SingularMatrix, "m")
+            c = matrices._spd_inverse(np.eye(d) - g.weights, "m")
             s = np.sqrt(np.diag(c))
             p = c / np.outer(s, s)
             np.fill_diagonal(p, 1.0)

@@ -21,18 +21,12 @@ from pathcorr import (
     l_infinity,
     l_infinity_series,
     partial_to_marginal_oracle,
-    validate_partial_graph,
 )
 from pathcorr import chains
 
+from conftest import chain_graph
+
 R_GRID = (-0.45, -0.2, 0.1, 0.3, 0.45, 0.5)
-
-
-def chain_graph(d, r):
-    w = np.zeros((d, d))
-    for k in range(d - 1):
-        w[k, k + 1] = w[k + 1, k] = r
-    return validate_partial_graph(w)
 
 
 class TestSpec:

@@ -55,14 +55,7 @@ from pathcorr import chains, cli, fileio, matrices, pathsum, sampling, transform
 from pathcorr.cli import FIG4_R_GRID, FIG6_COUPLING, build_parser, main
 from pathcorr.gaussinfo import TriPartition
 
-from conftest import complete_graph, scaled_random_graph
-
-
-def chain_graph(d, r, **kw):
-    w = np.zeros((d, d))
-    for k in range(d - 1):
-        w[k, k + 1] = w[k + 1, k] = r
-    return PartialCorrelationGraph(w, **kw)
+from conftest import chain_graph, complete_graph, scaled_random_graph
 
 
 @pytest.fixture
@@ -606,6 +599,29 @@ class TestConvertCommand:
         path = tmp_path / "g.csv"
         path.write_text(" 0.0 , 0.3\n0.3 ,0.0 \n")
         assert fileio.load_csv_matrix(path, "partial").weights[0, 1] == 0.3
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_leading_bom_reads_as_the_file_without_it(self, run, tmp_path, suffix):
+        # A spreadsheet's "CSV UTF-8" export starts with a UTF-8 byte-order mark.
+        plain = tmp_path / f"plain.{suffix}"
+        if suffix == "csv":
+            plain.write_text("0.0,0.3,0\n0.3,0.0,-0.2\n0,-0.2,0.0\n")
+            load, kind = (lambda p: fileio.load_csv_matrix(p, "partial")), ("--kind", "partial")
+        else:
+            fileio.save_matrix(chain_graph(3, 0.3, labels=("a", "b", "c")), plain)
+            load, kind = (lambda p: fileio.load_matrix(p)[0]), ()
+        bom = tmp_path / f"bom.{suffix}"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load(plain), load(bom)
+        assert np.array_equal(a.weights, b.weights) and a.labels == b.labels
+        written = []
+        for src in (plain, bom):
+            out = tmp_path / f"{src.stem}_out.json"
+            code, _, _ = run("convert", "--in", str(src), *kind, "--to", "marginal",
+                             "--out", str(out))
+            assert code == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 def _as_covariance(m):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcorr import (
+    DenominatorNonPositive,
     IndexOutOfRange,
     InfoResult,
     ParamOutOfBound,
@@ -36,18 +37,11 @@ from pathcorr import gaussinfo, matrices
 from pathcorr.gaussinfo import TERM_FLOOR
 from pathcorr.pathsum import MAX_LENGTH
 
-from conftest import complete_graph, scaled_random_graph
+from conftest import chain_graph, complete_graph, scaled_random_graph
 
 
 def explode(*a, **k):
     raise scipy.linalg.LinAlgError("boom")
-
-
-def chain_graph(d, r):
-    w = np.zeros((d, d))
-    for k in range(d - 1):
-        w[k, k + 1] = w[k + 1, k] = r
-    return validate_partial_graph(w)
 
 
 def entropy_difference_oracle(g, part):
@@ -102,12 +96,6 @@ class TestTriPartition:
 
 
 class TestClosedForm:
-    def test_singular_block_mapped(self, monkeypatch):
-        g = chain_graph(4, 0.3)
-        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
-        with pytest.raises(SingularBlock):
-            conditional_mi_closed(g, TriPartition.complement(4, A=(0,), B=(3,)))
-
     def test_two_node_literal(self):
         g = validate_partial_graph(np.array([[0.0, 0.3], [0.3, 0.0]]))
         res = conditional_mi_closed(g, TriPartition(dim=2, A=(0,), B=(1,)))
@@ -441,7 +429,7 @@ class TestLoopIdentity:
         # not positive definite to working precision.
         g = chain_graph(4, 0.3)
         monkeypatch.setattr(gaussinfo, "star_path_sum_closed", lambda *a, **k: 1.0)
-        with pytest.raises(SingularBlock, match="loop sum at node 0 avoiding 3 is 1 >= 1"):
+        with pytest.raises(DenominatorNonPositive, match="loop sum at node 0 avoiding 3 is 1 >= 1"):
             loop_sum_mi_identity(g, 0, 3)
 
 

@@ -32,10 +32,16 @@ from pathcorr import (
     PartialCorrelationGraph,
     PrecisionMatrix,
     SampleSpec,
+    SingularBlock,
     SingularMatrix,
+    TriPartition,
+    conditional_mi_closed,
+    conditional_mi_series,
     cov_to_marginal,
     cov_to_precision,
     latent_reduce,
+    loop_sum_mi_identity,
+    marginalize_nodes,
     partial_to_marginal_oracle,
     partial_to_precision,
     precision_to_cov,
@@ -43,6 +49,7 @@ from pathcorr import (
     rescale,
     sample_partial_graph,
     spectral_report,
+    star_path_sum_closed,
     validate_covariance,
     validate_partial_graph,
     validate_precision,
@@ -312,22 +319,52 @@ class TestConversions:
         ).entries
         assert np.max(np.abs(direct - via_graph)) < 1e-12
 
-    def test_singular_matrix_mapped(self, monkeypatch):
-        c = CovarianceMatrix(np.eye(2))
-
-        def explode(*a, **k):
-            raise scipy.linalg.LinAlgError("boom")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
-        with pytest.raises(SingularMatrix):
-            cov_to_precision(c)
-
     def test_failed_inverse_mapped(self, monkeypatch):
         # dpotri fails only on a zero pivot, which a factor that passed
         # cho_factor cannot hold; its status is still read.
         monkeypatch.setattr(scipy.linalg.lapack, "dpotri", lambda c, **kw: (c, 1))
         with pytest.raises(SingularMatrix, match="dpotri info 1"):
             precision_to_cov(PrecisionMatrix(np.eye(2)))
+
+
+# Every route that factorises, each run with the factorisation failing.  A
+# failed factorisation raises the class of what failed: a matrix that must
+# be positive definite, a whole matrix that must be inverted, or a principal
+# block of 1 - R; never a class chosen by the caller.
+_PART = TriPartition.complement(4, A=(0,), B=(3,))
+_C, _OMEGA = CovarianceMatrix(np.eye(2)), PrecisionMatrix(np.eye(2))
+_FAILED_FACTORISATION = [
+    ("validate_partial_graph", lambda g: validate_partial_graph(np.array(g.weights)),
+     NotPositiveDefinite),
+    ("validate_covariance", lambda g: validate_covariance(np.eye(2)), NotPositiveDefinite),
+    ("validate_precision", lambda g: validate_precision(np.eye(2)), NotPositiveDefinite),
+    ("oracle", partial_to_marginal_oracle, SingularMatrix),
+    ("cov_to_precision", lambda g: cov_to_precision(_C), SingularMatrix),
+    ("precision_to_cov", lambda g: precision_to_cov(_OMEGA), SingularMatrix),
+    ("sample_partial_graph", lambda g: sample_partial_graph(SampleSpec(d=3, n=10, seed=5)),
+     SingularMatrix),
+    ("star_path_sum_closed", lambda g: star_path_sum_closed(g, 0, 1), SingularBlock),
+    ("loop_sum_mi_identity", lambda g: loop_sum_mi_identity(g, 0, 3), SingularBlock),
+    ("marginalize_nodes", lambda g: marginalize_nodes(g, {3}), SingularBlock),
+    ("latent_reduce", lambda g: latent_reduce(g, {1, 2}), SingularBlock),
+    ("conditional_mi_closed", lambda g: conditional_mi_closed(g, _PART), SingularBlock),
+    ("conditional_mi_series", lambda g: conditional_mi_series(g, _PART), SingularBlock),
+]
+
+
+@pytest.mark.parametrize(
+    "route, error", [pytest.param(f, e, id=name) for name, f, e in _FAILED_FACTORISATION])
+def test_failed_factorisation_raises_class_of_what_failed(monkeypatch, route, error):
+    # The inputs are built first, the failure forced after, except where
+    # building the input is the route: the three validations.
+    g = scaled_random_graph(800, 4, 0.5)
+
+    def explode(*a, **k):
+        raise scipy.linalg.LinAlgError("boom")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
+    with pytest.raises(error, match="boom"):
+        route(g)
 
 
 class TestSpectralReport:
@@ -707,7 +744,7 @@ def test_spd_inverse_matches_numpy_inverse(d, seed, kind):
     # scales, |x_ij| <= sqrt(x_ii x_jj).
     m, m0, s = spd_matrix(d, seed, kind)
     ref = np.linalg.inv(m0) / np.outer(s, s)
-    x = matrices._spd_inverse(m.copy(), SingularMatrix, "m")
+    x = matrices._spd_inverse(m.copy(), "m")
     assert np.array_equal(x, x.T)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.max(np.abs(x - ref) / scale) <= 1e-12

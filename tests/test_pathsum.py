@@ -24,7 +24,6 @@ from pathcorr import (
     QOutOfRange,
     RescaledGraph,
     SampleSpec,
-    SingularRestrictedBlock,
     SpectralRadiusTooLarge,
     convergence_profile,
     enumerate_paths,
@@ -391,16 +390,6 @@ class TestClosedSums:
             assert star_path_sum_closed(h, 0, 1, within=within) == edge
             trunc = star_path_sum_truncated(h, 0, 1, 6, within=within)
             assert trunc.cumulative == {L: edge for L in range(1, 7)}
-
-    def test_singular_block_mapped(self, monkeypatch):
-        g = scaled_random_graph(800, 4, 0.5)
-
-        def explode(*a, **k):
-            raise scipy.linalg.LinAlgError("boom")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
-        with pytest.raises(SingularRestrictedBlock):
-            star_path_sum_closed(g, 0, 1)
 
 
 def sample_graph(seed, d, n):

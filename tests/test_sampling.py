@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 import pathcorr
 from pathcorr import (
     CovarianceMatrix,
-    DegenerateColumn,
     DimensionMismatch,
     FactorModel,
     GENERATOR_ID,
@@ -24,7 +22,6 @@ from pathcorr import (
     ParamOutOfBound,
     PrecisionMatrix,
     SampleSpec,
-    SingularSampleCovariance,
     canonical_graph,
     cov_to_marginal,
     cov_to_precision,
@@ -116,14 +113,6 @@ class TestSampling:
         assert res.spectral.regime == "absolute"
         assert res.spectral.nu_R == pytest.approx(0.026126425238093925, abs=1e-12)
 
-    def test_singular_covariance_mapped(self, monkeypatch):
-        def explode(*a, **k):
-            raise scipy.linalg.LinAlgError("boom")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
-        with pytest.raises(SingularSampleCovariance):
-            sample_partial_graph(SampleSpec(d=3, n=10, seed=5))
-
 
     def test_inverse_cdf_module_imported_on_use(self):
         # A fresh interpreter: this module imports scipy.special itself.
@@ -191,10 +180,10 @@ class TestFactorModel:
             FactorModel(weights=np.eye(2), variances=np.array([1.0, 0.0]))
 
     def test_uncarried_variable_detected(self):
-        # Column 1 is zero in every factor: reported as the degenerate
-        # variable, not as a generic definiteness failure.
+        # Column 1 is zero in every factor: the precision is not positive
+        # definite, and the refusal names that variable.
         w = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0], [0.3, 0.0, 1.0]])
-        with pytest.raises(DegenerateColumn):
+        with pytest.raises(NotPositiveDefinite, match="variable 1 appears in no factor"):
             FactorModel(weights=w)
 
     def test_rank_deficiency_without_dead_column(self):

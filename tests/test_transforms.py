@@ -18,7 +18,6 @@ from pathcorr import (
     PartialCorrelationGraph,
     PrecisionMatrix,
     SeparatorReport,
-    SingularBlock,
     detect_separating_nodes,
     factorisation_residual,
     latent_reduce,
@@ -33,14 +32,7 @@ from pathcorr import (
 from pathcorr import matrices, pathsum, transforms
 from pathcorr.transforms import TOL_FACT
 
-from conftest import complete_graph, scaled_random_graph
-
-
-def chain_graph(d, r, **kw):
-    w = np.zeros((d, d))
-    for k in range(d - 1):
-        w[k, k + 1] = w[k + 1, k] = r
-    return PartialCorrelationGraph(w, **kw)
+from conftest import chain_graph, complete_graph, scaled_random_graph
 
 
 def star_graph(d, r):
@@ -182,16 +174,6 @@ class TestMarginalize:
         g = chain_graph(3, 0.3)
         with pytest.raises(ParamOutOfBound, match="magic"):
             marginalize_nodes(g, {2}, method="magic")
-
-    def test_singular_block_mapped(self, monkeypatch):
-        g = chain_graph(4, 0.3)
-
-        def explode(*a, **k):
-            raise scipy.linalg.LinAlgError("boom")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
-        with pytest.raises(SingularBlock):
-            marginalize_nodes(g, {3})
 
     def test_path_route_divergence_guard(self, monkeypatch):
         # Loop sums through the removed set cannot reach 1 for a valid
@@ -501,16 +483,6 @@ class TestLatentReduction:
             g.weights[np.ix_(removed, [0, 1, 2, 3])], compute_uv=False
         )
         assert red.singular_values == pytest.approx(tuple(oracle), abs=1e-12)
-
-    def test_singular_block_mapped(self, monkeypatch):
-        g = one_many_one(6, 0.2)
-
-        def explode(*a, **k):
-            raise scipy.linalg.LinAlgError("boom")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", explode)
-        with pytest.raises(SingularBlock):
-            latent_reduce(g, {1, 2, 3, 4})
 
     def test_planted_rank_two(self):
         g = rank2_cross_graph()
