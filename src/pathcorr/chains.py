@@ -72,7 +72,7 @@ class ChainSpec:
     r: float
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _whole(self.d, "chain length d", IndexOutOfRange, 1))
+        object.__setattr__(self, "d", _whole(self.d, "chain length d", ParamOutOfBound, 1))
         object.__setattr__(self, "r", _chain_r(self.r))
 
     @cached_property
@@ -108,8 +108,8 @@ def chain_sums(spec: ChainSpec) -> ChainSolution:
     of a pair or an amplification factor stays positive.  Chains longer
     than ``MAX_NODES`` are refused.
     """
-    spec = _instance(spec, ChainSpec, "spec", ParamOutOfBound)
-    d = _whole(spec.d, "chain length d", IndexOutOfRange, 1, MAX_NODES)
+    spec = _instance(spec, ChainSpec, "spec")
+    d = _whole(spec.d, "chain length d", ParamOutOfBound, 1, MAX_NODES)
     c: dict = {}
     l: dict = {}
     rho: dict = {}
@@ -138,7 +138,7 @@ def chain_pair_corr(spec: ChainSpec, i: int, j: int) -> float:
     Nodes are 1-based and i < j is required.  The recurrences run once
     per spec object; later pairs on the same spec read their results.
     """
-    spec = _instance(spec, ChainSpec, "spec", ParamOutOfBound)
+    spec = _instance(spec, ChainSpec, "spec")
     i = _whole(i, "i", IndexOutOfRange, 1, spec.d - 1)
     j = _whole(j, "j", IndexOutOfRange, i + 1, spec.d)
     sol = spec._solution
@@ -164,7 +164,7 @@ def endpoint_corr_recurrence(spec: ChainSpec) -> float:
     rho has underflowed by then; otherwise (|r| = 1/2, where rho_d =
     1/d, or |r| close to it) it is refused with ParamOutOfBound.
     """
-    d = _instance(spec, ChainSpec, "spec", ParamOutOfBound).d
+    d = _instance(spec, ChainSpec, "spec").d
     if d < 2:
         raise IndexOutOfRange(f"endpoint correlation needs d >= 2, got d={d}")
     prev2, prev1 = 1.0, spec.r
@@ -197,13 +197,15 @@ def correlation_length(r: float) -> float:
         raise UndefinedAtZero("correlation length is undefined for an uncoupled chain")
     if abs(r) == 0.5:
         return math.inf
-    return 1.0 / math.log((1.0 + math.sqrt(1.0 - 4.0 * r * r)) / (2.0 * abs(r)))
+    # A difference of logs: (1 + s) / (2 |r|) overflows for subnormal r.
+    return 1.0 / (math.log((1.0 + math.sqrt(1.0 - 4.0 * r * r)) / 2.0) - math.log(abs(r)))
 
 
 def l_infinity(r: float) -> float:
-    """Infinite-chain loop sum, closed form (1 - sqrt(1 - 4 r^2)) / 2."""
+    """Infinite-chain loop sum (1 - sqrt(1 - 4 r^2)) / 2, as the equal
+    2 r^2 / (1 + sqrt(1 - 4 r^2)): no cancellation for small r, 1/2 at |r| = 1/2."""
     r = _chain_r(r)
-    return (1.0 - math.sqrt(1.0 - 4.0 * r * r)) / 2.0
+    return 2.0 * r * r / (1.0 + math.sqrt(1.0 - 4.0 * r * r))
 
 
 def l_infinity_series(r: float, terms: int = 50) -> float:
@@ -211,19 +213,17 @@ def l_infinity_series(r: float, terms: int = 50) -> float:
 
         l_inf = sum_(n>=1) C_(n-1) r^(2n),
 
-    truncated after ``terms`` terms.  Cross-check route for
-    :func:`l_infinity`; convergence slows toward |r| = 1/2.
+    truncated after ``terms`` terms, at most ``MAX_NODES``.  Cross-check
+    route for :func:`l_infinity`; convergence slows toward |r| = 1/2.
     """
     r = _chain_r(r)
-    terms = _whole(terms, "terms", ParamOutOfBound, 1)
+    terms = _whole(terms, "terms", ParamOutOfBound, 1, MAX_NODES)
     total = 0.0
-    catalan = 1.0
-    power = 1.0
+    term = r * r
     for n in range(1, terms + 1):
-        power *= r * r
-        total += catalan * power
-        # C_n = C_(n-1) * 2 (2n - 1) / (n + 1)
-        catalan *= 2.0 * (2 * n - 1) / (n + 1)
+        total += term
+        # C_n r^(2n+2) from C_(n-1) r^(2n): never above 1/4, so no inf * 0.
+        term *= r * r * (2.0 * (2 * n - 1) / (n + 1))
     return total
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from . import chains, fileio, gaussinfo, pathsum, sampling, transforms
 from .errors import (
     FileFormatError,
+    IndexOutOfRange,
     ParamOutOfBound,
     PathcorrError,
     UndefinedAtZero,
@@ -71,10 +72,10 @@ def _nodes(g: PartialCorrelationGraph, text: str, flag: str) -> list:
     """Node indices of the comma-separated labels ``flag`` gave, each once."""
     labels = [part.strip() for part in text.split(",") if part.strip()]
     if not labels:
-        raise FileFormatError(f"empty node list {text!r}")
+        raise IndexOutOfRange(f"empty node list {text!r}")
     for k, lbl in enumerate(labels):
         if lbl in labels[:k]:
-            raise FileFormatError(f"node {lbl} repeats in {flag}")
+            raise IndexOutOfRange(f"node {lbl} repeats in {flag}")
     return [g.label_index(lbl) for lbl in labels]
 
 
@@ -88,7 +89,7 @@ def _load_any(path: str, kind: str | None):
             )
         return fileio.load_csv_matrix(path, kind), None
     if kind is not None:
-        raise FileFormatError(f"--kind is read only with CSV input; {path} carries its own")
+        raise ParamOutOfBound(f"--kind is read only with CSV input; {path} carries its own")
     return fileio.load_matrix(path)
 
 
@@ -280,7 +281,7 @@ def _cmd_chain(args) -> None:
     if given not in _CHAIN_MODES:
         sets = ", ".join("{--" + " --".join(sorted(flags)) + "}" for flags in _CHAIN_MODES)
         shown = " ".join(f"--{flag}" for flag in sorted(given)) or "none"
-        raise FileFormatError(f"chain runs one mode per call: --r and one of {sets}; got {shown}")
+        raise ParamOutOfBound(f"chain runs one mode per call: --r and one of {sets}; got {shown}")
     _CHAIN_MODES[given](args)
 
 
@@ -289,7 +290,7 @@ def _cmd_mi(args) -> None:
     series = {key: getattr(args, key) for key in ("q", "n_max") if key in args}
     if series and args.method != "series":
         flag = "--q" if "q" in series else "--n-max"
-        raise FileFormatError(f"{flag} is read only with --method series")
+        raise ParamOutOfBound(f"{flag} is read only with --method series")
     if "n_max" in series:
         pathsum._check_length(series["n_max"], "--n-max")
     g = _load_graph(args)
@@ -297,7 +298,7 @@ def _cmd_mi(args) -> None:
     b = _nodes(g, args.B, "--B")
     both = [v for v in a if v in b]
     if both:
-        raise FileFormatError(f"node {g.labels[both[0]]} is in both --A and --B")
+        raise IndexOutOfRange(f"node {g.labels[both[0]]} is in both --A and --B")
     part = gaussinfo.TriPartition(dim=g.dim, A=a, B=b)
     if args.method == "series":
         res = gaussinfo.conditional_mi_series(g, part, **series)

@@ -2,23 +2,28 @@
 
 Every exception raised deliberately by this package derives from
 :class:`PathcorrError`, so callers can catch the whole family with a single
-``except`` clause.  The subclasses are semantic: they name the violated
-precondition rather than the place where it was detected, and the same
-condition raises the same class no matter which routine noticed it first.
-So a failed factorisation raises the class of what failed: a matrix being
-validated, :class:`NotPositiveDefinite`; a whole matrix being inverted,
-:class:`SingularMatrix`; a principal block of 1 - R, :class:`SingularBlock`.
+``except`` clause.  A subclass names the violated condition, never the
+routine that noticed it, and no check takes its class from its caller:
 
-Every integer argument of the library (node indices, truncation
-lengths, counts, dimensions and seeds) is checked by one rule,
-:func:`_whole`, every node set by :func:`_nodes`, which also refuses a
-repeated node, every real argument (r, q, alpha) by :func:`_real` and
-every typed object (a graph, matrix, spec or partition) by :func:`_instance`.
+- a failed factorisation of a matrix being validated: NotPositiveDefinite;
+  of a whole matrix being inverted: SingularMatrix; of a principal block
+  of 1 - R: SingularBlock;
+- a typed argument of another type (:func:`_instance`): ParamOutOfBound;
+- a node or node set that is malformed, out of range or repeated
+  (:func:`_node_list`, :func:`_nodes`, :func:`_parts`): IndexOutOfRange;
+- an array entry that is not a finite real, or is outside the range its
+  form demands: EntryOutOfRange;
+- an array, or a list of labels, of the wrong shape or length:
+  DimensionMismatch;
+- a whole number (:func:`_whole`) or a real one (:func:`_real`): the class
+  of what the number is, which only the caller can tell, so these two
+  take it: IndexOutOfRange for a node, QOutOfRange for q and
+  ParamOutOfBound for any other (a length, count, dimension, seed, coupling).
+
 A whole or a finite number passes, plain or numpy, a bool or 3.0
 included; anything else (a fraction where a whole number is due, NaN,
-inf, None, a string) is refused with the class of the call site, never
-truncated or parsed; an object is never converted.  This module imports
-only the standard library, so every layer of the package can use it.
+inf, None, a string) is refused, never truncated or parsed; an object
+is never converted.  This module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import operator
 
 __all__ = [
     "PathcorrError",
-    "NotSquare",
     "NotSymmetric",
     "NotPositiveDefinite",
     "EntryOutOfRange",
@@ -87,50 +91,46 @@ def _real(value, name: str, error: type) -> float:
     raise error(f"{name} must be a finite real number, got {_shown(value)}")
 
 
-def _instance(value, types, name: str, error: type):
-    """``value``, if an instance of ``types`` (a class or a tuple of them); else ``error``."""
+def _instance(value, types, name: str):
+    """``value``, if an instance of ``types`` (a class or a tuple of them); else ParamOutOfBound."""
     if isinstance(value, types):
         return value
     want = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-    raise error(f"{name} must be a {want}, got {type(value).__name__}")
+    raise ParamOutOfBound(f"{name} must be a {want}, got {type(value).__name__}")
 
 
-def _node_list(values, dim: int, name: str, error: type) -> list:
-    """The nodes ``values`` in the order given, each by :func:`_whole`; a
-    node out of 0..dim-1 or repeated, or no collection, raises ``error``."""
+def _node_list(values, dim: int, name: str) -> list:
+    """The nodes ``values`` in the order given, each by :func:`_whole`; a node
+    out of 0..dim-1 or repeated, or no collection, raises IndexOutOfRange."""
     label = f"a node of {name}"
     try:
-        nodes = [_whole(v, label, error, 0, dim - 1) for v in values]
-    except TypeError:  # _whole raises only ``error``: ``values`` is not iterable
-        raise error(f"{name} must be a collection of nodes, got {_shown(values)}") from None
+        nodes = [_whole(v, label, IndexOutOfRange, 0, dim - 1) for v in values]
+    except TypeError:  # _whole raises only IndexOutOfRange: ``values`` is not iterable
+        raise IndexOutOfRange(f"{name} must be a collection of nodes, got {_shown(values)}") from None
     if len(set(nodes)) < len(nodes):
         v = next(v for k, v in enumerate(nodes) if v in nodes[:k])
-        raise error(f"node {v} repeats in {name}")
+        raise IndexOutOfRange(f"node {v} repeats in {name}")
     return nodes
 
 
-def _nodes(values, dim: int, name: str, error: type) -> tuple:
+def _nodes(values, dim: int, name: str) -> tuple:
     """The node set ``values`` as a sorted tuple, by :func:`_node_list`."""
-    return tuple(sorted(_node_list(values, dim, name, error)))
+    return tuple(sorted(_node_list(values, dim, name)))
 
 
-def _parts(dim: int, error: type, **parts) -> tuple:
+def _parts(dim: int, **parts) -> tuple:
     """The named node sets ``parts``, each by :func:`_nodes`, pairwise disjoint."""
-    out = tuple(_nodes(nodes, dim, name, error) for name, nodes in parts.items())
+    out = tuple(_nodes(nodes, dim, name) for name, nodes in parts.items())
     owner = {}
     for name, nodes in zip(parts, out):
         for v in nodes:
             if owner.setdefault(v, name) != name:
-                raise error(f"node {v} is in both {owner[v]} and {name}")
+                raise IndexOutOfRange(f"node {v} is in both {owner[v]} and {name}")
     return out
 
 
 class PathcorrError(Exception):
     """Base class for all errors raised by pathcorr."""
-
-
-class NotSquare(PathcorrError):
-    """A matrix argument is not square."""
 
 
 class NotSymmetric(PathcorrError):
@@ -142,11 +142,11 @@ class NotPositiveDefinite(PathcorrError):
 
 
 class EntryOutOfRange(PathcorrError):
-    """A matrix entry violates the range its form demands.
+    """An array entry is not a finite real, or violates the range its form demands.
 
-    Covers a nonzero diagonal where zeros are required, a non-unit
-    diagonal where ones are required, and off-diagonal magnitudes at or
-    beyond 1 in correlation-type matrices.
+    Covers a nonzero diagonal where zeros are required, a non-unit diagonal
+    where ones are required, off-diagonal magnitudes at or beyond 1 in
+    correlation-type matrices, and a scale or variance that is not positive.
     """
 
 
@@ -175,7 +175,7 @@ class EmptyRemainder(PathcorrError):
 
 
 class DimensionMismatch(PathcorrError):
-    """Two arguments that must agree in shape or length do not."""
+    """An array, or a list of labels, has the wrong shape or length."""
 
 
 class IndexOutOfRange(PathcorrError):

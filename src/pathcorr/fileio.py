@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, ParamOutOfBound, _instance, _shown
+from .errors import FileFormatError, _instance, _shown
 from .matrices import (
     CovarianceMatrix,
     MarginalCorrelationMatrix,
@@ -64,7 +64,7 @@ __all__ = [
 
 def kind_of(obj) -> str:
     """The JSON kind string for a matrix object."""
-    obj = _instance(obj, tuple(_TYPE_OF_KIND.values()), "obj", ParamOutOfBound)
+    obj = _instance(obj, tuple(_TYPE_OF_KIND.values()), "obj")
     return next(kind for kind, cls in _TYPE_OF_KIND.items() if isinstance(obj, cls))
 
 
@@ -123,11 +123,12 @@ def save_json(doc, path) -> None:
 def save_matrix(obj, path, provenance: dict | None = None) -> None:
     """Write a typed matrix object to ``path`` in the JSON layout.
 
-    A provenance that would not read back equal (a non-``str`` key, a
-    tuple) raises :class:`FileFormatError` before the file is opened.
+    A provenance other than a dict or None raises :class:`ParamOutOfBound`,
+    and one that would not read back equal (a non-``str`` key, a tuple)
+    :class:`FileFormatError`, both before the file is opened.
     """
     kind = kind_of(obj)
-    _instance(provenance, (dict, type(None)), "provenance", FileFormatError)
+    _instance(provenance, (dict, type(None)), "provenance")
     try:
         back = json.loads(json.dumps(provenance, allow_nan=False))
     except (ValueError, TypeError, RecursionError) as exc:

@@ -40,6 +40,7 @@ import scipy.linalg
 
 from .errors import (
     DenominatorNonPositive,
+    DimensionMismatch,
     IndexOutOfRange,
     ParamOutOfBound,
     PathcorrError,
@@ -91,8 +92,8 @@ class TriPartition:
     Z: tuple = field(init=False)
 
     def __post_init__(self):
-        dim = _whole(self.dim, "dim", IndexOutOfRange, 0)
-        A, B = _parts(dim, IndexOutOfRange, A=self.A, B=self.B)
+        dim = _whole(self.dim, "dim", ParamOutOfBound, 0)
+        A, B = _parts(dim, A=self.A, B=self.B)
         if not A or not B:
             raise IndexOutOfRange("A and B must both be nonempty")
         Z = tuple(sorted(set(range(dim)).difference(A, B)))
@@ -128,8 +129,7 @@ class InfoResult:
 
 
 def _coupling_graph(system) -> PartialCorrelationGraph:
-    kinds = (PartialCorrelationGraph, PrecisionMatrix)
-    system = _instance(system, kinds, "system", ParamOutOfBound)
+    system = _instance(system, (PartialCorrelationGraph, PrecisionMatrix), "system")
     return precision_to_partial(system) if isinstance(system, PrecisionMatrix) else system
 
 
@@ -141,11 +141,9 @@ def _logdet_spd(m: np.ndarray, what: str) -> float:
 def _blocks(system, part: TriPartition) -> tuple:
     """(M_A, Y): M_A = 1 - R_AA, Y = L_B^-1 R_BA (1 - R_BB = L_B L_B^T), X = Y^T Y."""
     r = _coupling_graph(system).weights
-    part = _instance(part, TriPartition, "part", ParamOutOfBound)
+    part = _instance(part, TriPartition, "part")
     if r.shape[0] != part.dim:
-        raise IndexOutOfRange(
-            f"partition is over {part.dim} nodes, system has {r.shape[0]}"
-        )
+        raise DimensionMismatch(f"partition is over {part.dim} nodes, system has {r.shape[0]}")
     a, b = part.A, part.B
     y = _whitened(r, a, b, "1 - R[B, B]")
     m_a = r[np.ix_(a, a)]

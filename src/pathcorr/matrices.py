@@ -74,14 +74,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    DimensionMismatch,
     EntryOutOfRange,
     IllConditionedWarning,
     IndexOutOfRange,
     MissingScale,
     NotPositiveDefinite,
-    NotSquare,
     NotSymmetric,
-    ParamOutOfBound,
     SingularBlock,
     SingularMatrix,
     _instance,
@@ -124,24 +123,24 @@ __all__ = [
 ]
 
 
-def _floats(values, name: str, error: type, shape_error: type, shape: tuple) -> np.ndarray:
+def _floats(values, name: str, shape: tuple) -> np.ndarray:
     """``values`` as a float array of ``shape`` (None: any length on that axis).
 
-    A string, complex, ragged or non-finite entry raises ``error``, another
-    shape ``shape_error``.  Nothing is parsed or reshaped, and a float array
-    may come back as it is: the result is read, never written.
+    A string, complex, ragged or non-finite entry raises EntryOutOfRange,
+    another shape DimensionMismatch.  Nothing is parsed or reshaped, and a
+    float array may come back as it is: the result is read, never written.
     """
     try:
         a = np.asarray(values)
         real = a.dtype.kind in "biuf" or all(isinstance(x, numbers.Real) for x in a.flat)
         a = a.astype(float, copy=False) if real else a
     except (ValueError, OverflowError) as exc:  # ragged rows; an int beyond the float range
-        raise error(f"{name} must be an array of real numbers: {exc}") from None
+        raise EntryOutOfRange(f"{name} must be an array of real numbers: {exc}") from None
     if a.dtype != float or not np.all(np.isfinite(a)):
-        raise error(f"{name} must be finite real numbers, got {a.dtype} entries")
+        raise EntryOutOfRange(f"{name} must be finite real numbers, got {a.dtype} entries")
     if a.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, a.shape)):
         want = str(shape).replace("None", "any")
-        raise shape_error(f"{name} must have shape {want}, got shape {a.shape}")
+        raise DimensionMismatch(f"{name} must have shape {want}, got shape {a.shape}")
     return a
 
 
@@ -149,9 +148,9 @@ def _square(raw, what: str) -> np.ndarray:
     """``raw`` as a square float array averaged with its transpose; asymmetry
     beyond TOL_SYM, relative to the largest entry magnitude (absolute for
     the zero matrix), raises :class:`NotSymmetric` naming ``what``."""
-    m = _floats(raw, "matrix entries", EntryOutOfRange, NotSquare, (None, None))
+    m = _floats(raw, "matrix entries", (None, None))
     if m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     # The one result holds |m - m.T| before (m + m.T) / 2.
     out = np.subtract(m, m.T)
     asym = float(np.max(np.abs(out, out=out)))
@@ -375,8 +374,9 @@ def _labels(labels, dim: int) -> tuple:
     """``labels`` as a tuple of ``dim`` unique names, x1..xd when None.
 
     A name is a nonempty ``str`` with no comma and no leading or trailing
-    whitespace, so it can stand in a comma-separated list; anything else
-    raises :class:`IndexOutOfRange`, and no name is rewritten."""
+    whitespace, so it fits a comma-separated list; anything else raises
+    IndexOutOfRange, and no name is rewritten.  A count other than dim
+    raises DimensionMismatch."""
     if labels is None:
         return default_labels(dim)
     if isinstance(labels, str) or not isinstance(labels, Iterable):
@@ -389,7 +389,7 @@ def _labels(labels, dim: int) -> tuple:
                 f"or trailing whitespace, got {_shown(x)}"
             )
     if len(labels) != dim:
-        raise IndexOutOfRange(f"got {len(labels)} labels for a {dim}-node system")
+        raise DimensionMismatch(f"got {len(labels)} labels for a {dim}-node system")
     if len(set(labels)) != len(labels):
         raise IndexOutOfRange("node labels must be unique")
     return labels
@@ -533,9 +533,9 @@ class PartialCorrelationGraph(_Matrix):
         # The check's estimate of cond(1 - R), kept for the oracle's warning.
         object.__setattr__(self, "_cond", cond)
         if self.scale is not None:
-            s = _floats(self.scale, "scale", ParamOutOfBound, IndexOutOfRange, m.shape[:1])
+            s = _floats(self.scale, "scale", m.shape[:1])
             if np.any(s <= 0.0):
-                raise ParamOutOfBound("scale entries must be positive")
+                raise EntryOutOfRange("scale entries must be positive")
             object.__setattr__(self, "scale", _freeze(s))
         object.__setattr__(self, "labels", _labels(self.labels, m.shape[0]))
 
@@ -622,20 +622,20 @@ def _correlations(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def cov_to_marginal(C: CovarianceMatrix) -> MarginalCorrelationMatrix:
     """Marginal correlations rho_ij = c_ij / sqrt(c_ii c_jj)."""
-    C = _instance(C, CovarianceMatrix, "C", ParamOutOfBound)
+    C = _instance(C, CovarianceMatrix, "C")
     return MarginalCorrelationMatrix._computed(_correlations(C.entries), C.labels)
 
 
 def cov_to_precision(C: CovarianceMatrix) -> PrecisionMatrix:
     """Precision matrix Omega = C^-1 via a Cholesky inverse."""
-    C = _instance(C, CovarianceMatrix, "C", ParamOutOfBound)
+    C = _instance(C, CovarianceMatrix, "C")
     omega = _spd_inverse(np.array(C.entries), "covariance matrix")
     return PrecisionMatrix._computed(omega, C.labels)
 
 
 def precision_to_cov(Omega: PrecisionMatrix) -> CovarianceMatrix:
     """Covariance matrix C = Omega^-1 via a Cholesky inverse."""
-    Omega = _instance(Omega, PrecisionMatrix, "Omega", ParamOutOfBound)
+    Omega = _instance(Omega, PrecisionMatrix, "Omega")
     c = _spd_inverse(np.array(Omega.entries), "precision matrix")
     return CovarianceMatrix._computed(c, Omega.labels)
 
@@ -647,7 +647,7 @@ def precision_to_partial(Omega: PrecisionMatrix) -> PartialCorrelationGraph:
     it; the scale vector sqrt(omega_ii) is stored on the graph so
     :func:`partial_to_precision` can reassemble Omega exactly.
     """
-    Omega = _instance(Omega, PrecisionMatrix, "Omega", ParamOutOfBound)
+    Omega = _instance(Omega, PrecisionMatrix, "Omega")
     return _precision_graph(np.array(Omega.entries), Omega.labels)
 
 
@@ -670,7 +670,7 @@ def _precision_graph(om: np.ndarray, labels, scale=1.0) -> PartialCorrelationGra
 
 def partial_to_precision(g: PartialCorrelationGraph) -> PrecisionMatrix:
     """Reassemble Omega = Lambda (1 - R) Lambda from a scaled graph."""
-    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
+    g = _instance(g, PartialCorrelationGraph, "g")
     if g.scale is None:
         raise MissingScale(
             "graph carries no node scales; it cannot define a precision matrix"
@@ -695,7 +695,7 @@ def partial_to_marginal_oracle(g: PartialCorrelationGraph) -> MarginalCorrelatio
     :class:`IllConditionedWarning` reports it alongside the result, on
     every call.
     """
-    return _checked_inverse(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound))
+    return _checked_inverse(_instance(g, PartialCorrelationGraph, "g"))
 
 
 def _checked_inverse(g: PartialCorrelationGraph) -> MarginalCorrelationMatrix:
@@ -727,7 +727,7 @@ def spectral_report(g: PartialCorrelationGraph) -> SpectralReport:
     chain); or nu(R) < 1 and 1 lies in the bracket, which then cannot
     decide the regime.
     """
-    nu = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)._nu
+    nu = _instance(g, PartialCorrelationGraph, "g")._nu
     # |R| is a fresh, finite array: the bracket reads it, a reduction
     # overwrites it.
     plus = np.abs(g.weights)

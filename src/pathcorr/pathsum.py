@@ -152,7 +152,7 @@ class RescaledGraph:
     q: float
 
     def __post_init__(self):
-        base = _instance(self.base, PartialCorrelationGraph, "base", ParamOutOfBound)
+        base = _instance(self.base, PartialCorrelationGraph, "base")
         object.__setattr__(self, "q", _check_q(self.q, base._nu))
 
     @property
@@ -220,7 +220,7 @@ def _check_pair(i: int, j: int, dim: int) -> tuple:
 
 def _weights_pair(g, i: int, j: int) -> tuple:
     """(W, i, j) for a path family: the graph's weights and two checked nodes."""
-    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
+    w = _instance(g, _GRAPHS, "g").weights
     return w, _check_node(i, len(w), "i"), _check_node(j, len(w), "j")
 
 
@@ -234,11 +234,11 @@ def _interior_indices(dim: int, endpoints, avoid, within) -> np.ndarray:
     keep = np.ones(dim, dtype=bool)
     if within is not None:
         keep[:] = False
-        for v in _node_list(within, dim, "the allowed interior", IndexOutOfRange):
+        for v in _node_list(within, dim, "the allowed interior"):
             keep[v] = True
     for v in endpoints:
         keep[v] = False
-    for v in _node_list(avoid, dim, "the avoided nodes", IndexOutOfRange):
+    for v in _node_list(avoid, dim, "the avoided nodes"):
         keep[v] = False
     return np.nonzero(keep)[0]
 
@@ -255,8 +255,8 @@ def enumerate_paths(g, query: PathQuery) -> Iterator[Path]:
     inspection and cross-checks, and the sum operations for numbers.
     The arguments are checked at the call; the stream is lazy.
     """
-    w = _instance(g, _GRAPHS, "g", ParamOutOfBound).weights
-    query = _instance(query, PathQuery, "query", ParamOutOfBound)
+    w = _instance(g, _GRAPHS, "g").weights
+    query = _instance(query, PathQuery, "query")
     dim = w.shape[0]
     src = _check_node(query.source, dim, "source")
     tgt = _check_node(query.target, dim, "target")
@@ -428,7 +428,7 @@ def marginal_corr_expansion(g, i: int, j: int, L: int) -> float:
     bit for bit, to the last row of :func:`convergence_profile` up to
     L, which is refused exactly where this is.
     """
-    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
+    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g").dim)
     return float(_rho_hat(g, i, j, L, "truncation length")[0][-1])
 
 
@@ -444,7 +444,7 @@ def marginal_corr_closed(g, i: int, j: int) -> float:
     raises the oracle's :class:`IllConditionedWarning` here too, at the
     caller's line.
     """
-    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
+    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g").dim)
     return float(_checked_inverse(_base(g)).entries[i, j])
 
 
@@ -455,7 +455,7 @@ def rescale(g: PartialCorrelationGraph, q: float | None = None) -> RescaledGraph
     is used; values must lie strictly inside (0, bound).  Expanded
     correlations are independent of the choice.
     """
-    base = _base(_instance(g, _GRAPHS, "g", ParamOutOfBound))
+    base = _base(_instance(g, _GRAPHS, "g"))
     if q is None:
         q = Q_DEFAULT_FRACTION * _q_bound(base._nu)
     return RescaledGraph(base=base, q=q)
@@ -469,7 +469,7 @@ def convergence_profile(g, i: int, j: int, L_max: int) -> tuple:
     against the matrix-inversion oracle of the (base) graph.  Rows that
     :func:`_rho_hat` leaves undefined read NaN in both columns.
     """
-    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g", ParamOutOfBound).dim)
+    i, j = _check_pair(i, j, _instance(g, _GRAPHS, "g").dim)
     rho = _rho_hat(g, i, j, L_max, "L_max")[0]
     oracle = float(_checked_inverse(_base(g)).entries[i, j])
     return tuple(

@@ -113,7 +113,7 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
     raised; a singular S raises :class:`SingularMatrix`, as any whole
     matrix that must be inverted does.
     """
-    spec = _instance(spec, SampleSpec, "spec", ParamOutOfBound)
+    spec = _instance(spec, SampleSpec, "spec")
     gen = np.random.Generator(np.random.Philox(key=spec.seed))
     x = gen.random((spec.n, spec.d))
     # Imported here, not with the module: scipy.special costs every
@@ -134,9 +134,9 @@ def sample_partial_graph(spec: SampleSpec) -> SampleResult:
 
 def _variances(values, n: int, what: str) -> np.ndarray:
     """``values`` as a read-only vector of n positive, finite variances."""
-    v = _floats(values, f"{what} variances", ParamOutOfBound, DimensionMismatch, (n,))
+    v = _floats(values, f"{what} variances", (n,))
     if np.any(v <= 0):
-        raise ParamOutOfBound(f"{what} variances must be positive")
+        raise EntryOutOfRange(f"{what} variances must be positive")
     return _freeze(v)
 
 
@@ -154,7 +154,7 @@ class FactorModel:
     variances: np.ndarray | None = None
 
     def __post_init__(self):
-        w = _floats(self.weights, "weights", ParamOutOfBound, DimensionMismatch, (None, None))
+        w = _floats(self.weights, "weights", (None, None))
         if not 0 < w.shape[0] == w.shape[1]:
             raise DimensionMismatch(f"weights must be square and nonempty, got shape {w.shape}")
         d = w.shape[0]
@@ -189,7 +189,7 @@ def factor_model_partial(fm: FactorModel) -> PartialCorrelationGraph:
     is the graph of the implied precision sum_l v_l w_l w_l^T, split
     like any other precision, with scales sqrt(sum_l v_l w_li^2).
     """
-    return _instance(fm, FactorModel, "fm", ParamOutOfBound)._graph
+    return _instance(fm, FactorModel, "fm")._graph
 
 
 def _chain_weights(d: int, r: float) -> np.ndarray:
@@ -287,7 +287,7 @@ def martingale_covariance(spec: MartingaleSpec) -> CovarianceMatrix:
     and the covariance check raises :class:`NotPositiveDefinite`: with unit
     innovations, from T = 19 at alpha = 2, 31 at 1.5, 117 at 1.1 and 891 at 1.01.
     """
-    spec = _instance(spec, MartingaleSpec, "spec", ParamOutOfBound)
+    spec = _instance(spec, MartingaleSpec, "spec")
     t_n = spec.horizon
     v = spec.innovation_variances
     var = np.empty(t_n)

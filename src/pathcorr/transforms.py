@@ -158,7 +158,7 @@ class LatentReduction:
 
 def _split(g: PartialCorrelationGraph, S) -> tuple:
     """Sorted (kept, removed) index lists; the kept side must be nonempty."""
-    removed = _nodes(S, g.dim, "removed", IndexOutOfRange)
+    removed = _nodes(S, g.dim, "removed")
     if len(removed) == g.dim:
         raise EmptyRemainder("removing every node leaves nothing to keep")
     return sorted(set(range(g.dim)).difference(removed)), list(removed)
@@ -176,7 +176,7 @@ def sever_nodes(g: PartialCorrelationGraph, S) -> PartialCorrelationGraph:
     marginal correlations, recomputed on the smaller graph, in general
     shrink because all paths routed through S are gone.
     """
-    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
+    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g"), S)
     if not removed:
         return g
     labels, scale = _kept_nodes(g, kept)
@@ -200,7 +200,7 @@ def marginalize_nodes(
     """
     if method not in ("block", "paths"):
         raise ParamOutOfBound(f"method must be 'block' or 'paths', got {method!r}")
-    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
+    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g"), S)
     if not removed:
         return g
     # The paths first, so the factor and solve behind them are freed
@@ -287,9 +287,9 @@ def factorisation_residual(g: PartialCorrelationGraph, k: int, I, J) -> float:
     :data:`TOL_FACT` certifies that k screens I from J; testing every
     bipartition of the remaining nodes gives the converse direction.
     """
-    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
+    g = _instance(g, PartialCorrelationGraph, "g")
     k = _whole(k, "k", IndexOutOfRange, 0, g.dim - 1)
-    I, J, _ = _parts(g.dim, IndexOutOfRange, I=I, J=J, k=(k,))
+    I, J, _ = _parts(g.dim, I=I, J=J, k=(k,))
     if not I or not J:
         raise IndexOutOfRange("both sides of the split must be nonempty")
     p = partial_to_marginal_oracle(g).entries
@@ -317,7 +317,7 @@ def detect_separating_nodes(g: PartialCorrelationGraph) -> tuple:
     residual block is a plain slice of that copy: the rows of one cut
     subtree against the rest of its component.
     """
-    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
+    g = _instance(g, PartialCorrelationGraph, "g")
     order, cuts, spans = _separator_splits(g.weights != 0.0)
     starts = [lo for lo, _ in spans]
 
@@ -383,7 +383,7 @@ def latent_reduce(g: PartialCorrelationGraph, S) -> LatentReduction:
     likewise each latent column of the reduced coupling; any such
     choice describes the same distribution.
     """
-    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g", ParamOutOfBound), S)
+    kept, removed = _split(_instance(g, PartialCorrelationGraph, "g"), S)
     n_t = len(kept)
     # In a helper, so its SVD temporaries are freed before the graph is built.
     s, load, v_cols = _latent_factors(g.weights, removed, kept)
@@ -472,9 +472,9 @@ def verify_reduction(g: PartialCorrelationGraph, reduction: LatentReduction) -> 
     and reduced networks.  The kept nodes occupy the leading positions
     of the reduced graph, in the order listed by ``reduction.kept``.
     """
-    g = _instance(g, PartialCorrelationGraph, "g", ParamOutOfBound)
-    reduction = _instance(reduction, LatentReduction, "reduction", ParamOutOfBound)
-    kept = _node_list(reduction.kept, g.dim, "kept", DimensionMismatch)
+    g = _instance(g, PartialCorrelationGraph, "g")
+    reduction = _instance(reduction, LatentReduction, "reduction")
+    kept = _node_list(reduction.kept, g.dim, "kept")
     n_t = len(kept)
     if reduction.reduced_graph.dim != n_t + reduction.latent_count:
         raise DimensionMismatch(

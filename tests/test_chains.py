@@ -31,9 +31,9 @@ R_GRID = (-0.45, -0.2, 0.1, 0.3, 0.45, 0.5)
 
 class TestSpec:
     def test_length_validated(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParamOutOfBound):
             ChainSpec(d=0, r=0.3)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ParamOutOfBound):
             ChainSpec(d=2.5, r=0.3)
 
     def test_coupling_validated(self):
@@ -167,6 +167,12 @@ class TestCorrelationLength:
     def test_sign_invariance(self):
         assert correlation_length(-0.3) == correlation_length(0.3)
 
+    @pytest.mark.parametrize("r", [1e-310, 5e-324])
+    def test_subnormal_coupling_does_not_overflow(self, r):
+        # sqrt(1 - 4 r^2) is exactly 1 here, so xi = 1 / ln(1 / |r|).
+        assert correlation_length(r) == pytest.approx(1.0 / -math.log(r), rel=1e-15, abs=0)
+        assert correlation_length(-r) == correlation_length(r)
+
     def test_divergence_at_half(self):
         assert correlation_length(0.5) == math.inf
         assert correlation_length(-0.5) == math.inf
@@ -206,6 +212,27 @@ class TestLoopSumLimit:
         partials = [l_infinity_series(r, terms=t) for t in (5, 15, 50)]
         assert partials == sorted(partials)
         assert partials[-1] <= l_infinity(r)
+
+    @pytest.mark.parametrize("r", [1e-3, 1e-5, 1e-9, 1e-150])
+    def test_closed_form_keeps_its_digits_for_small_couplings(self, r):
+        # The Catalan series to third order; the next term is 5 r^8.
+        assert l_infinity(r) == pytest.approx(r * r * (1 + r * r + 2 * r**4), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("r", [0.1, 0.3, 0.45])
+    @pytest.mark.parametrize("terms", [600, 1000])
+    def test_long_series_stays_finite(self, r, terms):
+        assert l_infinity_series(r, terms) == pytest.approx(l_infinity(r), abs=1e-15)
+
+    def test_series_at_half_rises_toward_its_limit(self):
+        partials = [l_infinity_series(0.5, t) for t in (520, 521, 538, chains.MAX_NODES)]
+        assert partials == sorted(partials)
+        assert 0.48 < partials[0] and partials[-1] < 0.5
+
+    @pytest.mark.parametrize("terms", [chains.MAX_NODES + 1, 10**20])
+    def test_series_length_capped_before_the_loop(self, terms):
+        # 10**20 terms would never finish: the cap is checked first.
+        with pytest.raises(ParamOutOfBound, match=r"terms .* between 1 and 100000"):
+            l_infinity_series(0.3, terms)
 
     def test_domain_errors(self):
         with pytest.raises(ParamOutOfBound):
@@ -301,9 +328,9 @@ class TestLengthCap:
     @pytest.mark.parametrize("d", [chains.MAX_NODES + 1, 10**20])
     def test_longer_chain_refused_before_any_sum(self, d):
         spec = ChainSpec(d=d, r=0.3)
-        with pytest.raises(IndexOutOfRange, match=r"chain length d .* between 1 and 100000"):
+        with pytest.raises(ParamOutOfBound, match=r"chain length d .* between 1 and 100000"):
             chain_sums(spec)
-        with pytest.raises(IndexOutOfRange, match="chain length d"):
+        with pytest.raises(ParamOutOfBound, match="chain length d"):
             chain_pair_corr(spec, 1, 2)
 
     def test_amplification_at_and_past_the_cap(self):

@@ -257,7 +257,7 @@ class TestFileValidation:
     def test_non_object_provenance_refused_on_save(self, tmp_path, provenance):
         # load_matrix refuses such a file, so save_matrix must not write one.
         path = tmp_path / "g.json"
-        with pytest.raises(FileFormatError, match="provenance must be a dict"):
+        with pytest.raises(ParamOutOfBound, match="provenance must be a dict"):
             fileio.save_matrix(chain_graph(2, 0.3), path, provenance=provenance)
         assert not path.exists()
 

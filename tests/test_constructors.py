@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from pathcorr import (
     CovarianceMatrix,
+    DimensionMismatch,
     EntryOutOfRange,
     FactorModel,
     MarginalCorrelationMatrix,
     MartingaleSpec,
-    NotSquare,
     NotSymmetric,
     PartialCorrelationGraph,
     PrecisionMatrix,
@@ -93,7 +93,7 @@ def test_dim_of_checked_and_derived_objects():
 
 @pytest.mark.parametrize("cls", VALID, ids=lambda c: c.__name__)
 def test_one_square_check(cls):
-    with pytest.raises(NotSquare, match=r"expected a square matrix, got shape \(2, 3\)"):
+    with pytest.raises(DimensionMismatch, match=r"expected a square matrix, got shape \(2, 3\)"):
         cls(np.zeros((2, 3)))
     bent = np.array(VALID[cls])
     bent[0, 1] += 0.1

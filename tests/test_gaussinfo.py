@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from pathcorr import (
     DenominatorNonPositive,
+    DimensionMismatch,
     IndexOutOfRange,
     InfoResult,
     ParamOutOfBound,
@@ -143,7 +144,7 @@ class TestClosedForm:
 
     def test_dim_mismatch_rejected(self):
         g = chain_graph(3, 0.3)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DimensionMismatch):
             conditional_mi_closed(g, TriPartition(dim=4, A=(0,), B=(1, 2, 3)))
 
     def test_pair_mi_matches_marginal_correlation(self):

@@ -20,15 +20,14 @@ from hypothesis import strategies as st
 from pathcorr import (
     CovarianceMatrix,
     RescaledGraph,
+    DimensionMismatch,
     EntryOutOfRange,
     IllConditionedWarning,
     IndexOutOfRange,
     MarginalCorrelationMatrix,
     MissingScale,
     NotPositiveDefinite,
-    NotSquare,
     NotSymmetric,
-    ParamOutOfBound,
     PartialCorrelationGraph,
     PrecisionMatrix,
     SampleSpec,
@@ -73,11 +72,11 @@ def chain_weights(d, r):
 
 class TestValidation:
     def test_not_square(self):
-        with pytest.raises(NotSquare):
+        with pytest.raises(DimensionMismatch):
             validate_covariance(np.ones((2, 3)))
 
     def test_empty_rejected(self):
-        with pytest.raises(NotSquare):
+        with pytest.raises(DimensionMismatch):
             validate_covariance(np.zeros((0, 0)))
 
     def test_not_symmetric(self):
@@ -156,11 +155,11 @@ class TestValidation:
             MarginalCorrelationMatrix(m)
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(ParamOutOfBound):
+        with pytest.raises(EntryOutOfRange):
             PartialCorrelationGraph(chain_weights(2, 0.3), scale=np.array([1.0, -1.0]))
 
     def test_scale_length_checked(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DimensionMismatch):
             PartialCorrelationGraph(chain_weights(2, 0.3), scale=np.ones(3))
 
     def test_labels_unique(self):
@@ -168,7 +167,7 @@ class TestValidation:
             PartialCorrelationGraph(chain_weights(2, 0.3), labels=("a", "a"))
 
     def test_labels_length(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(DimensionMismatch):
             PartialCorrelationGraph(chain_weights(2, 0.3), labels=("a",))
 
     @pytest.mark.parametrize(
@@ -183,7 +182,7 @@ class TestValidation:
             cls(m)
 
     def test_scale_must_be_numeric(self):
-        with pytest.raises(ParamOutOfBound):
+        with pytest.raises(EntryOutOfRange):
             PartialCorrelationGraph(chain_weights(2, 0.3), scale=["x", 1.0])
 
     def test_labels_given_as_one_string_rejected(self):

@@ -7,15 +7,17 @@ and, where the argument has no default, None must each raise that
 class; numpy scalars of a value exact in every float width must give
 exactly the plain-float result.
 
-Each row of ``ARRAYS`` does the same for one array argument (a matrix,
+Each row of ``ARRAYS`` puts a value at one array argument (a matrix,
 the graph's scale, factor weights and variances, innovation variances).
-A string, complex or NaN entry and ragged rows raise the site's class;
-a vector given as a 2-D array of the right size raises its shape class
-rather than being flattened.  An ndarray gives exactly the plain-list
-result and stays writeable and unchanged.
+Every array follows one rule, whatever the site: a string, complex or
+NaN entry and ragged rows raise EntryOutOfRange, and a vector given as
+a 2-D array of the right size raises DimensionMismatch rather than
+being flattened.  An ndarray gives exactly the plain-list result and
+stays writeable and unchanged.  ``WRONG_SHAPES`` holds one argument of
+the wrong shape or length per site, each refused with DimensionMismatch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,13 +29,13 @@ from pathcorr import (
     DimensionMismatch,
     EntryOutOfRange,
     FactorModel,
-    IndexOutOfRange,
     MarginalCorrelationMatrix,
     MartingaleSpec,
     ParamOutOfBound,
     PartialCorrelationGraph,
     PrecisionMatrix,
     QOutOfRange,
+    TriPartition,
     amplification_factor,
     canonical_graph,
     chain_sums,
@@ -44,9 +46,10 @@ from pathcorr import (
     l_infinity_series,
     martingale_covariance,
     rescale,
+    verify_reduction,
 )
 from pathcorr.fileio import matrix_from_kind
-from test_whole_numbers import G, PART
+from test_whole_numbers import G, PART, RED
 
 
 EXAMPLE = {"r12": 0.25, "r13": 0.125, "r23": -0.25, "r24": 0.25, "r34": 0.125}
@@ -99,45 +102,34 @@ MIXING = (np.eye(4) + np.diag([0.5, 0.5, 0.5], 1)).tolist()
 
 @dataclass(frozen=True)
 class ArraySite:
-    """``call(v)`` puts v at one array argument; ``plain`` is a valid list there.
-
-    ``shape_error`` is the class a wrong shape raises, for vector arguments.
-    """
+    """``call(v)`` puts v at one array argument; ``plain`` is a valid list there."""
 
     id: str
     call: Callable
     plain: list
-    error: type
-    shape_error: type | None = None
 
 
 ARRAYS = [
     ArraySite("graph-weights",
-              lambda v: PartialCorrelationGraph(v).weights.tolist(), G.weights.tolist(),
-              EntryOutOfRange),
-    ArraySite("covariance", lambda v: CovarianceMatrix(v).entries.tolist(), COV, EntryOutOfRange),
-    ArraySite("precision", lambda v: PrecisionMatrix(v).entries.tolist(), COV, EntryOutOfRange),
+              lambda v: PartialCorrelationGraph(v).weights.tolist(), G.weights.tolist()),
+    ArraySite("covariance", lambda v: CovarianceMatrix(v).entries.tolist(), COV),
+    ArraySite("precision", lambda v: PrecisionMatrix(v).entries.tolist(), COV),
     ArraySite("marginal",
-              lambda v: MarginalCorrelationMatrix(v).entries.tolist(),
-              [[1.0, 0.3], [0.3, 1.0]], EntryOutOfRange),
+              lambda v: MarginalCorrelationMatrix(v).entries.tolist(), [[1.0, 0.3], [0.3, 1.0]]),
     ArraySite("graph-scale",
-              lambda v: PartialCorrelationGraph(G.weights, scale=v).scale.tolist(), FOUR,
-              ParamOutOfBound, IndexOutOfRange),
+              lambda v: PartialCorrelationGraph(G.weights, scale=v).scale.tolist(), FOUR),
     ArraySite("factor-weights",
-              lambda v: factor_model_partial(FactorModel(weights=v)).weights.tolist(), MIXING,
-              ParamOutOfBound),
+              lambda v: factor_model_partial(FactorModel(weights=v)).weights.tolist(), MIXING),
     ArraySite("factor-variances",
               lambda v: factor_model_partial(FactorModel(MIXING, variances=v)).weights.tolist(),
-              FOUR, ParamOutOfBound, DimensionMismatch),
+              FOUR),
     ArraySite("innovation-variances",
-              lambda v: martingale_covariance(MartingaleSpec(4, 0.5, v)).entries.tolist(),
-              FOUR, ParamOutOfBound, DimensionMismatch),
+              lambda v: martingale_covariance(MartingaleSpec(4, 0.5, v)).entries.tolist(), FOUR),
     ArraySite("matrix-from-kind",
-              lambda v: matrix_from_kind("covariance", v).entries.tolist(), COV,
-              EntryOutOfRange),
+              lambda v: matrix_from_kind("covariance", v).entries.tolist(), COV),
 ]
 ARRAY_IDS = [s.id for s in ARRAYS]
-VECTORS = [s for s in ARRAYS if s.shape_error is not None]
+VECTORS = [s for s in ARRAYS if np.ndim(s.plain) == 1]
 
 
 def with_first(plain, change):
@@ -197,14 +189,42 @@ def test_real_fields_are_stored_as_float():
     ids=["numeric-string", "complex", "ragged", "nan"],
 )
 def test_not_a_finite_real_array_raises_the_site_class(site, bad):
-    with pytest.raises(site.error, match="real numbers"):
+    with pytest.raises(EntryOutOfRange, match="real numbers"):
         site.call(bad(site.plain))
 
 
 @pytest.mark.parametrize("site", VECTORS, ids=[s.id for s in VECTORS])
 def test_two_dimensional_vector_is_not_flattened(site):
-    with pytest.raises(site.shape_error, match="must have shape"):
+    with pytest.raises(DimensionMismatch, match="must have shape"):
         site.call(np.reshape(site.plain, (2, -1)).tolist())
+
+
+WRONG_SHAPES = [
+    ("non-square-matrix", lambda: CovarianceMatrix(np.ones((2, 3))),
+     r"expected a square matrix, got shape \(2, 3\)"),
+    ("graph-scale", lambda: PartialCorrelationGraph(G.weights, scale=FOUR[:3]),
+     r"scale must have shape \(4,\), got shape \(3,\)"),
+    ("label-count", lambda: PartialCorrelationGraph(G.weights, labels=("a", "b", "c")),
+     "got 3 labels for a 4-node system"),
+    ("factor-weights", lambda: FactorModel(weights=np.ones((2, 3))),
+     "weights must be square and nonempty"),
+    ("factor-variances", lambda: FactorModel(MIXING, variances=FOUR[:3]),
+     r"factor variances must have shape \(4,\)"),
+    ("innovation-variances", lambda: MartingaleSpec(4, 0.5, FOUR[:3]),
+     r"innovation variances must have shape \(4,\)"),
+    ("partition-vs-system",
+     lambda: conditional_mi_series(G, TriPartition(dim=5, A=(0,), B=(3,))),
+     "partition is over 5 nodes, system has 4"),
+    ("reduced-dim", lambda: verify_reduction(G, replace(RED, latent_count=RED.latent_count + 1)),
+     "reduced graph has"),
+]
+
+
+@pytest.mark.parametrize("call,message", [(c, m) for _, c, m in WRONG_SHAPES],
+                         ids=[i for i, _, _ in WRONG_SHAPES])
+def test_wrong_shape_or_length_raises_dimension_mismatch(call, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        call()
 
 
 @pytest.mark.parametrize("site", ARRAYS, ids=ARRAY_IDS)

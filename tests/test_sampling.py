@@ -15,6 +15,7 @@ import pathcorr
 from pathcorr import (
     CovarianceMatrix,
     DimensionMismatch,
+    EntryOutOfRange,
     FactorModel,
     GENERATOR_ID,
     MartingaleSpec,
@@ -174,9 +175,9 @@ class TestFactorModel:
             FactorModel(weights=np.zeros((0, 0)))
 
     def test_values_validated(self):
-        with pytest.raises(ParamOutOfBound):
+        with pytest.raises(EntryOutOfRange):
             FactorModel(weights=np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ParamOutOfBound):
+        with pytest.raises(EntryOutOfRange):
             FactorModel(weights=np.eye(2), variances=np.array([1.0, 0.0]))
 
     def test_uncarried_variable_detected(self):
@@ -368,7 +369,7 @@ class TestMartingale:
             MartingaleSpec(horizon=0, alpha=0.5, innovation_variances=np.ones(0))
         with pytest.raises(DimensionMismatch):
             MartingaleSpec(horizon=3, alpha=0.5, innovation_variances=np.ones(2))
-        with pytest.raises(ParamOutOfBound):
+        with pytest.raises(EntryOutOfRange):
             MartingaleSpec(horizon=2, alpha=0.5, innovation_variances=[1.0, 0.0])
         with pytest.raises(ParamOutOfBound):
             MartingaleSpec(horizon=2, alpha=np.inf, innovation_variances=[1.0, 1.0])

@@ -577,7 +577,7 @@ class TestLatentReduction:
         with pytest.raises(DimensionMismatch):
             verify_reduction(g, bad_count)
         bad_kept = dataclasses.replace(red, kept=(0, 99))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(IndexOutOfRange):
             verify_reduction(g, bad_kept)
 
 

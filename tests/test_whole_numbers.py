@@ -17,7 +17,6 @@ import pytest
 from pathcorr import errors
 from pathcorr import (
     ChainSpec,
-    DimensionMismatch,
     IndexOutOfRange,
     MartingaleSpec,
     ParamOutOfBound,
@@ -100,11 +99,11 @@ SITES = [
     Site("tripartition-A",
          lambda v: TriPartition(dim=4, A=(v,), B=(3,)), 0, IndexOutOfRange),
     Site("tripartition-dim",
-         lambda v: TriPartition(dim=v, A=(0,), B=(3,)), 4, IndexOutOfRange),
+         lambda v: TriPartition(dim=v, A=(0,), B=(3,)), 4, ParamOutOfBound),
     Site("complement-B", lambda v: TriPartition.complement(4, [0], [v]), 3, IndexOutOfRange),
-    Site("complement-dim", lambda v: TriPartition.complement(v, [0], [3]), 4, IndexOutOfRange),
+    Site("complement-dim", lambda v: TriPartition.complement(v, [0], [3]), 4, ParamOutOfBound),
     Site("verify-kept",
-         lambda v: verify_reduction(G, replace(RED, kept=(0, v, 3))), 1, DimensionMismatch),
+         lambda v: verify_reduction(G, replace(RED, kept=(0, v, 3))), 1, IndexOutOfRange),
     Site("mi-identity-i", lambda v: loop_sum_mi_identity(G, v, 3), 0, IndexOutOfRange),
     Site("chain-pair-i", lambda v: chain_pair_corr(SPEC, v, 5), 2, IndexOutOfRange),
     Site("chain-pair-j", lambda v: chain_pair_corr(SPEC, 2, v), 5, IndexOutOfRange),
@@ -114,7 +113,7 @@ SITES = [
     Site("query-max-length",
          lambda v: paths(PathQuery(0, 3, v)), 3, ParamOutOfBound),
     Site("n-max", lambda v: conditional_mi_series(G, PART, n_max=v), 50, ParamOutOfBound),
-    Site("chain-d", lambda v: ChainSpec(d=v, r=0.3), 6, IndexOutOfRange),
+    Site("chain-d", lambda v: ChainSpec(d=v, r=0.3), 6, ParamOutOfBound),
     Site("amplification-k", lambda v: amplification_factor(v, 1, 0.3), 2, ParamOutOfBound),
     Site("amplification-m", lambda v: amplification_factor(1, v, 0.3), 2, ParamOutOfBound),
     Site("series-terms", lambda v: l_infinity_series(0.3, v), 10, ParamOutOfBound),
@@ -223,5 +222,5 @@ def test_bare_node_is_not_a_node_set(call, nodes):
 @pytest.mark.parametrize("kept", [(0, 1.5, 3), (0, "1", 3), (0, 1, 0), (0, 1, 4)],
                          ids=["fraction", "string", "repeat", "out-of-range"])
 def test_verify_reduction_refuses_a_malformed_kept_node(kept):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(IndexOutOfRange):
         verify_reduction(G, replace(RED, kept=kept))
